@@ -36,6 +36,7 @@ from .source import (
 from .interference import (
     BsmConvention,
     BsmPovm,
+    BsmSettings,
     InterferenceError,
     TemporalModel,
     beamsplitter_coincidence,

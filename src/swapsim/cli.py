@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_hash, default_config, load_config
+from .config import ConfigError, RunConfig, default_config, load_config
 from .interference import (
     InterferenceError,
     bsm_povm,
@@ -36,6 +36,7 @@ from .mc import (
     simulate,
     write_stream,
 )
+from .params import config_hash
 from .qstate import QStateError, density_to_json, fidelity_mixed, maximally_mixed
 from .source import SourceError, emit_pair
 from .swap import (
@@ -142,11 +143,7 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
 def _cmd_tomo(args, config: RunConfig) -> int:
     if args.action != "reconstruct":
         raise ConfigError(f"unknown tomo action {args.action!r}")
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise exc
-    run = run_from_csv(text)
+    run = run_from_csv(Path(args.input).read_text())
     if args.settings and len(run.settings) != args.settings:
         raise ConfigError(
             f"run has {len(run.settings)} settings, expected {args.settings}"
@@ -273,13 +270,9 @@ def _cmd_report(args, config: RunConfig) -> int:
         intrinsic_limit=intrinsic,
         convention=config.bsm.convention,
     )
-    ideal = herald(
-        compose(emit_pair(config.source, 1), emit_pair(config.source, 2)),
-        bsm_povm(1.0, config.bsm.convention),
-    )
-    control = control_no_heralding(
-        compose(emit_pair(config.source, 1), emit_pair(config.source, 2))
-    )
+    rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2))
+    ideal = herald(rho4, bsm_povm(1.0, config.bsm.convention))
+    control = control_no_heralding(rho4)
     f_mix = fidelity_mixed(control, maximally_mixed(("X1", "X2")))
     check = classical_bound_check(gated)
     payload = {

@@ -1,29 +1,27 @@
-"""Run configuration: flat sectioned text files (or JSON), validation, hashing.
+"""Run configuration: flat sectioned text files (or JSON) and validation.
 
-Every key mirrors a module parameter; unknown keys are rejected and physical
-constraints are enforced by the underlying parameter types at load time.
+Every key is a field of the parameter tree (``params.from_dict`` builds it);
+unknown keys are rejected and physical constraints are enforced by the
+parameter types themselves at load time.
 """
 from __future__ import annotations
 
 import configparser
-import dataclasses
-import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .interference import BsmConvention, TemporalModel
-from .mc import (
-    CALIBRATED_INTRINSIC_LIMIT,
-    CALIBRATED_T2_XX_NS,
-    ApparatusConfig,
-)
-from .source import NoiseKind, NoiseModel, SourceParams
+from .interference import BsmSettings
+from .mc import ApparatusConfig
+from .params import from_dict, to_dict
+from .source import SourceParams
 
 # Background level that reproduces the reported zero-delay autocorrelation
 # band in the tuned configuration.
 TUNED_G2_BACKGROUND_RATIO = 0.0055
+
+# The apparatus's nested parameter sets are file sections of their own.
+_NESTED_SECTIONS = ("source", "bsm")
 
 
 class ConfigError(ValueError):
@@ -31,34 +29,14 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BsmSettings:
-    """Heralding-measurement configuration (section [bsm])."""
-
-    indistinguishability: float = 0.569
-    convention: BsmConvention = BsmConvention.PSI_PLUS
-    t1_xx_ns: float = 0.12
-    t2_xx_ns: float = CALIBRATED_T2_XX_NS
-    jitter_ps: float = 50.0
-    gate_ps: float = math.inf
-    intrinsic_limit: float = CALIBRATED_INTRINSIC_LIMIT
-
-    def temporal_model(self) -> TemporalModel:
-        return TemporalModel(self.t1_xx_ns, self.t2_xx_ns, self.jitter_ps, self.gate_ps)
-
-
-@dataclass(frozen=True)
 class TomographySettings:
     """Reconstruction defaults (section [tomography])."""
 
-    settings: int = 16
-    shots_per_setting: int = 10000
     bootstrap_resamples: int = 250
 
     def __post_init__(self):
-        if self.settings not in (16, 36):
-            raise ConfigError(f"tomography settings must be 16 or 36, got {self.settings}")
-        if self.shots_per_setting <= 0 or self.bootstrap_resamples <= 0:
-            raise ConfigError("shot and resample counts must be positive")
+        if self.bootstrap_resamples <= 0:
+            raise ConfigError("bootstrap resample count must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,226 +53,53 @@ class OutputSettings:
 
 
 @dataclass(frozen=True)
-class ApparatusSettings:
-    """Monte Carlo apparatus knobs (section [apparatus])."""
-
-    rep_rate_hz: float = 76e6
-    mzi_delay_ns: float = 2.0
-    efficiency: float = 0.8
-    jitter_fwhm_ps: float = 50.0
-    dead_time_ns: float = 20.0
-    dark_rate_hz: float = 0.0
-    background_ratio: float = 0.0
-    signal_rate_target_hz: float = 0.5e6
-    topology: str = "swap"
-    hom_copolarized: bool = True
-    bsm_delay_offset_ps: float = 0.0
-    alice_setting: str | None = "H"
-    bob_setting: str | None = "V"
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    source: SourceParams = field(default_factory=SourceParams)
-    bsm: BsmSettings = field(default_factory=BsmSettings)
-    apparatus: ApparatusSettings = field(default_factory=ApparatusSettings)
+    """Physical parameters plus the reconstruction and output settings of one run.
+
+    Sections [source], [bsm] and [apparatus] of a config file map onto
+    ``apparatus.source``, ``apparatus.bsm`` and ``apparatus``.
+    """
+
+    apparatus: ApparatusConfig = field(default_factory=ApparatusConfig)
     tomography: TomographySettings = field(default_factory=TomographySettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
+    @property
+    def source(self) -> SourceParams:
+        return self.apparatus.source
+
+    @property
+    def bsm(self) -> BsmSettings:
+        return self.apparatus.bsm
+
     def apparatus_config(self) -> ApparatusConfig:
-        a = self.apparatus
-        return ApparatusConfig(
-            rep_rate_hz=a.rep_rate_hz,
-            mzi_delay_ns=a.mzi_delay_ns,
-            t1_x_ns=self.source.t1_x_ns,
-            t1_xx_ns=self.bsm.t1_xx_ns,
-            t2_xx_ns=self.bsm.t2_xx_ns,
-            intrinsic_limit=self.bsm.intrinsic_limit,
-            detector_efficiency=a.efficiency,
-            jitter_fwhm_ps=a.jitter_fwhm_ps,
-            dead_time_ns=a.dead_time_ns,
-            dark_rate_hz=a.dark_rate_hz,
-            background_ratio=a.background_ratio,
-            signal_rate_target_hz=a.signal_rate_target_hz,
-            topology=a.topology,
-            hom_copolarized=a.hom_copolarized,
-            bsm_delay_offset_ps=a.bsm_delay_offset_ps,
-            alice_setting=a.alice_setting,
-            bob_setting=a.bob_setting,
-            bsm_convention=self.bsm.convention,
-            source=self.source,
-        )
-
-    def to_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        raw["source"]["model"]["kind"] = self.source.model.kind.value
-        raw["bsm"]["convention"] = self.bsm.convention.value
-        return raw
-
-
-def config_hash(config: RunConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return self.apparatus
 
 
 def default_config() -> RunConfig:
     return RunConfig()
 
 
-_SOURCE_KEYS = {"f1", "f2", "model", "fss_uev", "t1_x_ns", "t1_xx_ns"}
-_BSM_KEYS = {
-    "indistinguishability",
-    "convention",
-    "t1_xx_ns",
-    "t2_xx_ns",
-    "jitter_ps",
-    "gate_ps",
-    "intrinsic_limit",
-}
-_APPARATUS_KEYS = {f.name for f in dataclasses.fields(ApparatusSettings)}
-_TOMOGRAPHY_KEYS = {"settings", "shots_per_setting", "bootstrap_resamples"}
-_OUTPUT_KEYS = {"seed", "out_dir", "format"}
-_SECTIONS = {
-    "source": _SOURCE_KEYS,
-    "bsm": _BSM_KEYS,
-    "apparatus": _APPARATUS_KEYS,
-    "tomography": _TOMOGRAPHY_KEYS,
-    "output": _OUTPUT_KEYS,
-}
-
-
-def _coerce_float(value, key: str) -> float:
+def _from_sections(sections: dict) -> RunConfig:
+    """Build a run configuration from file sections (name -> key-value map)."""
+    tree = dict(sections)
+    apparatus = tree["apparatus"] = dict(tree.get("apparatus", {}))
+    for name in _NESTED_SECTIONS:
+        if name in apparatus:
+            raise ConfigError(f"unknown keys ['{name}'] in [apparatus]")
+        apparatus[name] = tree.pop(name, {})
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key} must be a number, got {value!r}") from None
-
-
-def _coerce_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key} must be an integer, got {value!r}") from None
-
-
-def _coerce_bool(value, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key {key} must be a boolean, got {value!r}")
-
-
-def _coerce_setting(value) -> str | None:
-    if value is None:
-        return None
-    text = str(value).strip()
-    return None if text.lower() in ("none", "") else text
-
-
-def _validate_sections(data: dict) -> None:
-    unknown_sections = set(data) - set(_SECTIONS)
-    if unknown_sections:
-        raise ConfigError(f"unknown config sections {sorted(unknown_sections)}")
-    for section, keys in _SECTIONS.items():
-        extra = set(data.get(section, {})) - keys
-        if extra:
-            raise ConfigError(f"unknown keys {sorted(extra)} in section [{section}]")
-
-
-def _build(data: dict) -> RunConfig:
-    _validate_sections(data)
-    src = data.get("source", {})
-    bsm = data.get("bsm", {})
-    app = data.get("apparatus", {})
-    tomo = data.get("tomography", {})
-    out = data.get("output", {})
-    try:
-        model_kind = NoiseKind(str(src.get("model", "dephasing")).lower())
-    except ValueError:
-        raise ConfigError(f"unknown source model {src.get('model')!r}") from None
-    try:
-        convention = BsmConvention(str(bsm.get("convention", "psi_plus")).lower())
-    except ValueError:
-        raise ConfigError(f"unknown convention {bsm.get('convention')!r}") from None
-
-    defaults = RunConfig()
-    try:
-        source = SourceParams(
-            target_fidelity_1=_coerce_float(src.get("f1", defaults.source.target_fidelity_1), "f1"),
-            target_fidelity_2=_coerce_float(src.get("f2", defaults.source.target_fidelity_2), "f2"),
-            model=NoiseModel(
-                model_kind,
-                fss_uev=_coerce_float(
-                    src.get("fss_uev", defaults.source.model.fss_uev), "fss_uev"
-                ),
-                t1_x_ns=_coerce_float(src.get("t1_x_ns", defaults.source.t1_x_ns), "t1_x_ns"),
-            ),
-            t1_xx_ns=_coerce_float(src.get("t1_xx_ns", defaults.source.t1_xx_ns), "t1_xx_ns"),
-            t1_x_ns=_coerce_float(src.get("t1_x_ns", defaults.source.t1_x_ns), "t1_x_ns"),
-        )
-        bsm_settings = BsmSettings(
-            indistinguishability=_coerce_float(
-                bsm.get("indistinguishability", defaults.bsm.indistinguishability),
-                "indistinguishability",
-            ),
-            convention=convention,
-            t1_xx_ns=_coerce_float(bsm.get("t1_xx_ns", defaults.bsm.t1_xx_ns), "t1_xx_ns"),
-            t2_xx_ns=_coerce_float(bsm.get("t2_xx_ns", defaults.bsm.t2_xx_ns), "t2_xx_ns"),
-            jitter_ps=_coerce_float(bsm.get("jitter_ps", defaults.bsm.jitter_ps), "jitter_ps"),
-            gate_ps=_coerce_float(bsm.get("gate_ps", defaults.bsm.gate_ps), "gate_ps"),
-            intrinsic_limit=_coerce_float(
-                bsm.get("intrinsic_limit", defaults.bsm.intrinsic_limit), "intrinsic_limit"
-            ),
-        )
-        da = defaults.apparatus
-        apparatus = ApparatusSettings(
-            rep_rate_hz=_coerce_float(app.get("rep_rate_hz", da.rep_rate_hz), "rep_rate_hz"),
-            mzi_delay_ns=_coerce_float(app.get("mzi_delay_ns", da.mzi_delay_ns), "mzi_delay_ns"),
-            efficiency=_coerce_float(app.get("efficiency", da.efficiency), "efficiency"),
-            jitter_fwhm_ps=_coerce_float(app.get("jitter_fwhm_ps", da.jitter_fwhm_ps), "jitter_fwhm_ps"),
-            dead_time_ns=_coerce_float(app.get("dead_time_ns", da.dead_time_ns), "dead_time_ns"),
-            dark_rate_hz=_coerce_float(app.get("dark_rate_hz", da.dark_rate_hz), "dark_rate_hz"),
-            background_ratio=_coerce_float(
-                app.get("background_ratio", da.background_ratio), "background_ratio"
-            ),
-            signal_rate_target_hz=_coerce_float(
-                app.get("signal_rate_target_hz", da.signal_rate_target_hz), "signal_rate_target_hz"
-            ),
-            topology=str(app.get("topology", da.topology)).lower(),
-            hom_copolarized=_coerce_bool(app.get("hom_copolarized", da.hom_copolarized), "hom_copolarized"),
-            bsm_delay_offset_ps=_coerce_float(
-                app.get("bsm_delay_offset_ps", da.bsm_delay_offset_ps), "bsm_delay_offset_ps"
-            ),
-            alice_setting=_coerce_setting(app.get("alice_setting", da.alice_setting)),
-            bob_setting=_coerce_setting(app.get("bob_setting", da.bob_setting)),
-        )
-        tomography = TomographySettings(
-            settings=_coerce_int(tomo.get("settings", defaults.tomography.settings), "settings"),
-            shots_per_setting=_coerce_int(
-                tomo.get("shots_per_setting", defaults.tomography.shots_per_setting),
-                "shots_per_setting",
-            ),
-            bootstrap_resamples=_coerce_int(
-                tomo.get("bootstrap_resamples", defaults.tomography.bootstrap_resamples),
-                "bootstrap_resamples",
-            ),
-        )
-        output = OutputSettings(
-            seed=_coerce_int(out.get("seed", defaults.output.seed), "seed"),
-            out_dir=str(out.get("out_dir", defaults.output.out_dir)),
-            format=str(out.get("format", defaults.output.format)).lower(),
-        )
-        config = RunConfig(source, bsm_settings, apparatus, tomography, output)
-        config.apparatus_config()  # trips apparatus-level validation
-    except ConfigError:
-        raise
+        return from_dict(RunConfig, tree, "config file")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config
+
+
+def _sections(config: RunConfig) -> dict:
+    """Inverse of _from_sections: the file sections of ``config``, in file order."""
+    tree = to_dict(config)
+    apparatus = tree.pop("apparatus")
+    nested = {name: apparatus.pop(name) for name in _NESTED_SECTIONS}
+    return {**nested, "apparatus": apparatus, **tree}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -311,36 +116,21 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
             raise ConfigError("JSON config must map section names to key-value objects")
-        return _build(data)
+        return _from_sections(data)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"invalid config file: {exc}") from exc
-    data = {section: dict(parser[section]) for section in parser.sections()}
-    return _build(data)
+    return _from_sections({section: dict(parser[section]) for section in parser.sections()})
 
 
 def write_default_config(path: str | Path) -> None:
     """Emit a fully populated config file with the calibrated defaults."""
-    cfg = default_config()
     lines = []
-    d = cfg.to_dict()
-    for section in ("source", "bsm", "apparatus", "tomography", "output"):
+    for section, values in _sections(default_config()).items():
         lines.append(f"[{section}]")
-        payload = d[section]
-        if section == "source":
-            payload = {
-                "f1": cfg.source.target_fidelity_1,
-                "f2": cfg.source.target_fidelity_2,
-                "model": cfg.source.model.kind.value,
-                "fss_uev": cfg.source.model.fss_uev,
-                "t1_x_ns": cfg.source.t1_x_ns,
-                "t1_xx_ns": cfg.source.t1_xx_ns,
-            }
-        for key, value in payload.items():
-            if value is None:
-                value = "none"
-            lines.append(f"{key} = {value}")
+        for key, value in values.items():
+            lines.append(f"{key} = {'none' if value is None else value}")
         lines.append("")
     Path(path).write_text("\n".join(lines))

@@ -165,6 +165,38 @@ class TemporalModel:
         return replace(self, gate_ps=gate_ps)
 
 
+# Temporal defaults calibrated so the ungated effective indistinguishability
+# equals 0.569 and the 47 ps gated value equals 0.8314 (calibrate_temporal
+# with t1 = 0.12 ns, 50 ps jitter).
+CALIBRATED_T2_XX_NS = 0.145450
+CALIBRATED_INTRINSIC_LIMIT = 0.938878
+
+
+@dataclass(frozen=True)
+class BsmSettings:
+    """Heralding-measurement parameters (section [bsm]), read by both routes.
+
+    Biexciton photon lifetime and coherence time, per-detector jitter (FWHM),
+    coincidence gate, gating-insensitive indistinguishability limit and the
+    announced Bell state.
+    """
+
+    convention: BsmConvention = BsmConvention.PSI_PLUS
+    t1_xx_ns: float = 0.12
+    t2_xx_ns: float = CALIBRATED_T2_XX_NS
+    jitter_ps: float = 50.0
+    gate_ps: float = math.inf
+    intrinsic_limit: float = CALIBRATED_INTRINSIC_LIMIT
+
+    def __post_init__(self):
+        self.temporal_model()  # lifetime, coherence time, jitter and gate checks
+        if not 0.0 <= self.intrinsic_limit <= 1.0:
+            raise InterferenceError(f"intrinsic limit {self.intrinsic_limit} outside [0, 1]")
+
+    def temporal_model(self) -> TemporalModel:
+        return TemporalModel(self.t1_xx_ns, self.t2_xx_ns, self.jitter_ps, self.gate_ps)
+
+
 def gate_acceptance(delta_ns: float, model: TemporalModel) -> float:
     """Probability that a true time difference passes the jittered gate."""
     if math.isinf(model.gate_ps):

@@ -12,8 +12,6 @@ bit-identical streams regardless of block execution order.
 """
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -25,17 +23,12 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .interference import BsmConvention
+from .interference import BsmConvention, BsmSettings
+from .params import config_hash, from_dict, to_dict
 from .qstate import POLARIZATION_KETS
-from .source import NoiseKind, SourceParams, emit_pair
+from .source import SourceParams, emit_pair
 from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
-
-# Temporal defaults calibrated so the ungated effective indistinguishability
-# equals 0.569 and the 47 ps gated value equals 0.8314 (see interference
-# module's calibrate_temporal with t1 = 0.12 ns, 50 ps jitter).
-CALIBRATED_T2_XX_NS = 0.145450
-CALIBRATED_INTRINSIC_LIMIT = 0.938878
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _CHUNK_PERIODS = 1 << 20
@@ -62,27 +55,26 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class ApparatusConfig:
-    """Pulse train, cascade, routing and detector parameters of one run."""
+    """Every physical parameter of one Monte Carlo run.
 
+    The source and the heralding measurement are the same parameter sets the
+    density-matrix route reads; the remaining fields are the apparatus's own
+    pulse train, routing and detectors.
+    """
+
+    source: SourceParams = field(default_factory=SourceParams)
+    bsm: BsmSettings = field(default_factory=BsmSettings)
     rep_rate_hz: float = 76e6
     mzi_delay_ns: float = 2.0
-    t1_x_ns: float = 0.25
-    t1_xx_ns: float = 0.12
-    t2_xx_ns: float = CALIBRATED_T2_XX_NS
-    intrinsic_limit: float = CALIBRATED_INTRINSIC_LIMIT
-    detector_efficiency: float | Mapping[str, float] = 0.8
-    jitter_fwhm_ps: float = 50.0
+    efficiency: float | Mapping[str, float] = 0.8  # one value or one per channel
     dead_time_ns: float = 20.0
     dark_rate_hz: float = 0.0
     background_ratio: float = 0.0
-    signal_rate_target_hz: float = 0.5e6
     topology: str = "swap"  # swap | hbt_x | hbt_xx | hom
     hom_copolarized: bool = True
     bsm_delay_offset_ps: float = 0.0
     alice_setting: str | None = "H"
-    bob_setting: str | None = "H"
-    bsm_convention: BsmConvention = BsmConvention.PSI_PLUS
-    source: SourceParams = field(default_factory=SourceParams)
+    bob_setting: str | None = "V"
 
     def __post_init__(self):
         if self.rep_rate_hz <= 0:
@@ -90,17 +82,16 @@ class ApparatusConfig:
         if self.topology not in ("swap", "hbt_x", "hbt_xx", "hom"):
             raise McError(f"unknown topology {self.topology!r}")
         for name, value in (
-            ("jitter", self.jitter_fwhm_ps),
             ("dead time", self.dead_time_ns),
             ("dark rate", self.dark_rate_hz),
             ("background ratio", self.background_ratio),
         ):
             if value < 0:
                 raise McError(f"{name} must be >= 0")
-        if isinstance(self.detector_efficiency, Mapping):
-            bad = {k: v for k, v in self.detector_efficiency.items() if not 0 <= v <= 1}
+        if isinstance(self.efficiency, Mapping):
+            bad = {k: v for k, v in self.efficiency.items() if not 0 <= v <= 1}
         else:
-            bad = {} if 0 <= self.detector_efficiency <= 1 else {"*": self.detector_efficiency}
+            bad = {} if 0 <= self.efficiency <= 1 else {"*": self.efficiency}
         if bad:
             raise McError(f"detector efficiencies outside [0, 1]: {bad}")
         for setting in (self.alice_setting, self.bob_setting):
@@ -108,51 +99,20 @@ class ApparatusConfig:
                 raise McError(f"unknown analyzer setting {setting!r}")
         if self.mzi_delay_ns <= 0:
             raise McError("excitation-pulse splitting delay must be positive")
-        if not 0.0 < self.t2_xx_ns <= 2.0 * self.t1_xx_ns + 1e-12:
-            raise McError(
-                f"coherence time {self.t2_xx_ns} outside (0, 2*t1] with t1={self.t1_xx_ns}"
-            )
-        if not 0.0 <= self.intrinsic_limit <= 1.0:
-            raise McError(f"intrinsic limit {self.intrinsic_limit} outside [0, 1]")
 
     @property
     def period_ns(self) -> float:
         return 1e9 / self.rep_rate_hz
 
-    def efficiency(self, channel: str) -> float:
-        if isinstance(self.detector_efficiency, Mapping):
-            return float(self.detector_efficiency.get(channel, 0.0))
-        return float(self.detector_efficiency)
+    def channel_efficiency(self, channel: str) -> float:
+        if isinstance(self.efficiency, Mapping):
+            return float(self.efficiency.get(channel, 0.0))
+        return float(self.efficiency)
 
     def channels(self) -> tuple[str, ...]:
         if self.topology == "swap":
             return ("bsm1", "bsm2", "alice", "bob")
         return ("d1", "d2")
-
-    def to_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        raw["bsm_convention"] = self.bsm_convention.value
-        raw["source"]["model"]["kind"] = self.source.model.kind.value
-        if isinstance(self.detector_efficiency, Mapping):
-            raw["detector_efficiency"] = dict(self.detector_efficiency)
-        return raw
-
-
-def apparatus_from_dict(data: Mapping) -> ApparatusConfig:
-    raw = dict(data)
-    src = dict(raw.pop("source"))
-    model = dict(src.pop("model"))
-    model["kind"] = NoiseKind(model["kind"])
-    from .source import NoiseModel
-
-    raw["source"] = SourceParams(model=NoiseModel(**model), **src)
-    raw["bsm_convention"] = BsmConvention(raw["bsm_convention"])
-    return ApparatusConfig(**raw)
-
-
-def config_hash(config: ApparatusConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -240,7 +200,7 @@ def _swap_tables(config: ApparatusConfig) -> dict:
     rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2)).matrix
     patterns = _ind_patterns()
     pattern_ops = [m for _, m in patterns]
-    if config.bsm_convention is BsmConvention.PSI_PLUS:
+    if config.bsm.convention is BsmConvention.PSI_PLUS:
         flip = np.kron(_Z, np.eye(2, dtype=complex))
         pattern_ops = [flip @ m @ flip for m in pattern_ops]
     pol_ops = [
@@ -312,17 +272,33 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     return np.array(kept)
 
 
+def _interferes(
+    bsm: BsmSettings, e1: np.ndarray, e2: np.ndarray, off: float, u_flag: np.ndarray
+) -> np.ndarray:
+    """Interference flags of overlapping photon pairs with emission delays e1, e2.
+
+    A pair interferes when the uniform draw ``u_flag`` falls below the
+    coherence kernel exp(-2*gamma*|delta|) at its arrival-time difference,
+    scaled by the intrinsic limit.
+    """
+    gamma = bsm.temporal_model().dephasing_rate
+    delta = e1 - e2 + off
+    support = (e1 + off >= 0.0) & (e2 - off >= 0.0)
+    p_flag = bsm.intrinsic_limit * np.exp(-2.0 * gamma * np.abs(delta)) * support
+    return u_flag < p_flag
+
+
 def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
     period = config.period_ns
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
-    gamma = 1.0 / config.t2_xx_ns - 1.0 / (2.0 * config.t1_xx_ns)
+    t1_xx, t1_x = config.bsm.t1_xx_ns, config.source.t1_x_ns
     base = (start + np.arange(n, dtype=float)) * period
 
-    e_xx1 = rng.exponential(config.t1_xx_ns, n)
-    e_x1 = rng.exponential(config.t1_x_ns, n)
-    e_xx2 = rng.exponential(config.t1_xx_ns, n)
-    e_x2 = rng.exponential(config.t1_x_ns, n)
+    e_xx1 = rng.exponential(t1_xx, n)
+    e_x1 = rng.exponential(t1_x, n)
+    e_xx2 = rng.exponential(t1_xx, n)
+    e_x2 = rng.exponential(t1_x, n)
     xx1_port1 = rng.random(n) < 0.5
     xx2_port1 = rng.random(n) < 0.5
     x1_alice = rng.random(n) < 0.5
@@ -336,10 +312,7 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
     # Interference only when the photons overlap at the splitter: emission 1
     # through the delayed arm against emission 2 through the direct arm.
     can_interfere = xx1_port1 & ~xx2_port1
-    delta = e_xx1 - e_xx2 + off
-    support = (e_xx1 + off >= 0.0) & (e_xx2 - off >= 0.0)
-    p_flag = config.intrinsic_limit * np.exp(-2.0 * gamma * np.abs(delta)) * support
-    flag = can_interfere & (u_flag < p_flag)
+    flag = can_interfere & _interferes(config.bsm, e_xx1, e_xx2, off, u_flag)
 
     dest_cfg = np.where(x1_alice, 0, 2) + np.where(x2_alice, 0, 1)
     pattern = np.full(n, -1, dtype=np.int8)
@@ -407,9 +380,9 @@ def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np
     base = (start + np.arange(n, dtype=float)) * period
     times = []
     for pulse_offset in (0.0, config.mzi_delay_ns):
-        t = base + pulse_offset + rng.exponential(config.t1_xx_ns, n)
+        t = base + pulse_offset + rng.exponential(config.bsm.t1_xx_ns, n)
         if config.topology == "hbt_x":
-            t = t + rng.exponential(config.t1_x_ns, n)
+            t = t + rng.exponential(config.source.t1_x_ns, n)
         times.append(t)
     all_times = np.concatenate(times)
     to_d1 = rng.random(all_times.size) < 0.5
@@ -420,11 +393,10 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     period = config.period_ns
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
-    gamma = 1.0 / config.t2_xx_ns - 1.0 / (2.0 * config.t1_xx_ns)
     base = (start + np.arange(n, dtype=float)) * period
 
-    e1 = rng.exponential(config.t1_xx_ns, n)
-    e2 = rng.exponential(config.t1_xx_ns, n)
+    e1 = rng.exponential(config.bsm.t1_xx_ns, n)
+    e2 = rng.exponential(config.bsm.t1_xx_ns, n)
     present1 = rng.random(n) < 0.5  # input polarizer on each photon
     present2 = rng.random(n) < 0.5
     long1 = rng.random(n) < 0.5
@@ -443,10 +415,7 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     arr2 = base + mzi + e2 + np.where(long2, mzi + off, 0.0)
 
     overlap = present1 & present2 & long1 & ~long2
-    delta = e1 - e2 + off
-    support = (e1 + off >= 0.0) & (e2 - off >= 0.0)
-    p_flag = config.intrinsic_limit * np.exp(-2.0 * gamma * np.abs(delta)) * support
-    flag = overlap & (u_flag < p_flag)
+    flag = overlap & _interferes(config.bsm, e1, e2, off, u_flag)
 
     d1_parts, d2_parts = [], []
     pattern = np.full(n, -1, dtype=np.int8)
@@ -480,7 +449,7 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         raise McError("duration must be positive")
     n_periods = int(duration_s * config.rep_rate_hz)
     channels = config.channels()
-    sigma_ns = config.jitter_fwhm_ps * 1e-3 * _FWHM_TO_SIGMA
+    sigma_ns = config.bsm.jitter_ps * 1e-3 * _FWHM_TO_SIGMA
     flux = _signal_flux_per_pulse(config)
 
     tables: dict = {}
@@ -506,7 +475,7 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         span = (start * config.period_ns, (start + n) * config.period_ns)
         for name in channels:
             times = raw[name]
-            eta = config.efficiency(name)
+            eta = config.channel_efficiency(name)
             if eta < 1.0:
                 times = times[rng.random(times.size) < eta]
             if config.background_ratio > 0.0:
@@ -565,7 +534,7 @@ def write_stream(stream: TimestampStream, path: str | os.PathLike) -> None:
     records = records[np.argsort(records["time_ps"], kind="stable")]
     records.tofile(path)
     sidecar = {
-        "config": stream.config.to_dict(),
+        "config": to_dict(stream.config),
         "config_hash": stream.config_hash,
         "seed": stream.seed,
         "duration_s": stream.duration_s,
@@ -578,6 +547,10 @@ def write_stream(stream: TimestampStream, path: str | os.PathLike) -> None:
 def read_stream(path: str | os.PathLike) -> TimestampStream:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
+    try:
+        config = from_dict(ApparatusConfig, sidecar.get("config"), "sidecar config", complete=True)
+    except ValueError as exc:
+        raise McError(f"{path.with_suffix('.json')}: {exc}") from exc
     records = np.fromfile(path, dtype=RECORD_DTYPE)
     channels = {}
     for name, cid in sidecar["channels"].items():
@@ -585,25 +558,29 @@ def read_stream(path: str | os.PathLike) -> TimestampStream:
         channels[name] = np.sort(times)
     return TimestampStream(
         channels,
-        apparatus_from_dict(sidecar["config"]),
+        config,
         int(sidecar["seed"]),
         float(sidecar["duration_s"]),
     )
 
 
-def _pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray:
-    """All tb_j - ta_i differences with |delta| <= max_abs_ns."""
-    if ta.size == 0 or tb.size == 0:
-        return np.empty(0)
-    lo = np.searchsorted(tb, ta - max_abs_ns)
-    hi = np.searchsorted(tb, ta + max_abs_ns)
+def _pair_indices(ta: np.ndarray, tb: np.ndarray, half_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (ai, bi) of all pairs with ta[ai] - half_ns <= tb[bi] < ta[ai] + half_ns."""
+    lo = np.searchsorted(tb, ta - half_ns)
+    hi = np.searchsorted(tb, ta + half_ns)
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0)
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     ai = np.repeat(np.arange(ta.size), counts)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     bi = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
+    return ai, bi
+
+
+def _pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray:
+    """All tb_j - ta_i differences with |delta| <= max_abs_ns."""
+    ai, bi = _pair_indices(ta, tb, max_abs_ns)
     return tb[bi] - ta[ai]
 
 
@@ -722,18 +699,7 @@ def fourfold_coincidences(
     if cfg.topology != "swap":
         raise McError("four-fold analysis expects the heralding topology")
     b1, b2 = stream.channels["bsm1"], stream.channels["bsm2"]
-    if b1.size == 0 or b2.size == 0:
-        return 0
-    gate_ns = gate_ps * 1e-3
-    lo = np.searchsorted(b2, b1 - gate_ns / 2.0)
-    hi = np.searchsorted(b2, b1 + gate_ns / 2.0)
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return 0
-    ai = np.repeat(np.arange(b1.size), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    bi = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
+    ai, bi = _pair_indices(b1, b2, gate_ps * 1e-3 / 2.0)
     t_bsm = (b1[ai] + b2[bi]) / 2.0
     # Emission 1 feeds Alice one compensation delay before the heralding
     # time; emission 2 feeds Bob right at it.

@@ -65,20 +65,23 @@ def fss_phase_diffusion(fss_uev: float, t1_x_ns: float) -> NoiseModel:
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Per-emission fidelity targets plus the channel kind and lifetimes."""
+    """Per-emission pair fidelities, the channel kind and the exciton lifetime.
 
-    target_fidelity_1: float = 0.9369
-    target_fidelity_2: float = 0.9267
-    model: NoiseModel = NoiseModel(NoiseKind.DEPHASING)
-    t1_xx_ns: float = 0.12
+    The channel strength is not a parameter: ``emit_pair`` calibrates it from
+    the kind and the fidelity target.
+    """
+
+    f1: float = 0.9369
+    f2: float = 0.9267
+    model: NoiseKind = NoiseKind.DEPHASING
     t1_x_ns: float = 0.25
 
     def __post_init__(self):
-        for f in (self.target_fidelity_1, self.target_fidelity_2):
+        for f in (self.f1, self.f2):
             if not 0.25 <= f <= 1.0:
                 raise SourceError(f"target fidelity {f} outside [0.25, 1]")
-        if self.t1_xx_ns <= 0.0 or self.t1_x_ns <= 0.0:
-            raise SourceError("lifetimes must be positive")
+        if self.t1_x_ns <= 0.0:
+            raise SourceError(f"exciton lifetime {self.t1_x_ns} must be positive")
 
 
 def ideal_pair() -> DensityMatrix:
@@ -158,7 +161,7 @@ def emit_pair(params: SourceParams, which: int) -> DensityMatrix:
     """Calibrated noisy pair for emission 1 or 2, labelled (X1, XX1) or (X2, XX2)."""
     if which not in (1, 2):
         raise SourceError(f"emission index must be 1 or 2, got {which}")
-    target = params.target_fidelity_1 if which == 1 else params.target_fidelity_2
-    model = calibrate(target, params.model.kind, t1_x_ns=params.t1_x_ns)
+    target = params.f1 if which == 1 else params.f2
+    model = calibrate(target, params.model, t1_x_ns=params.t1_x_ns)
     noisy = apply_noise(ideal_pair(), model)
     return relabel(noisy, (f"X{which}", f"XX{which}"))

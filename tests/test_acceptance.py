@@ -18,6 +18,8 @@ import pytest
 from conftest import povm_from_mode_calculus
 from swapsim.config import TUNED_G2_BACKGROUND_RATIO
 from swapsim.interference import (
+    CALIBRATED_INTRINSIC_LIMIT,
+    CALIBRATED_T2_XX_NS,
     BsmConvention,
     TemporalModel,
     bsm_povm,
@@ -25,8 +27,6 @@ from swapsim.interference import (
     heralding_rate_factor,
 )
 from swapsim.mc import (
-    CALIBRATED_INTRINSIC_LIMIT,
-    CALIBRATED_T2_XX_NS,
     ApparatusConfig,
     g2_histogram,
     hom_histogram,
@@ -57,7 +57,7 @@ from swapsim.tomography import (
 PARAMS = SourceParams()  # f1 = 0.9369, f2 = 0.9267, dephasing
 TEMPORAL = TemporalModel(0.12, CALIBRATED_T2_XX_NS, 50.0)
 INTRINSIC = CALIBRATED_INTRINSIC_LIMIT
-FAST_APPARATUS = ApparatusConfig(detector_efficiency=0.8, dead_time_ns=0.0)
+FAST_APPARATUS = ApparatusConfig(efficiency=0.8, dead_time_ns=0.0)
 
 
 def _line(num: int, passed: bool, detail: str) -> None:

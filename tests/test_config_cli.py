@@ -5,16 +5,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swapsim import cli
 from swapsim.cli import main
 from swapsim.config import (
     ConfigError,
-    config_hash,
     default_config,
     load_config,
     write_default_config,
 )
 from swapsim.interference import BsmConvention
+from swapsim.params import config_hash
 from swapsim.source import NoiseKind
+
+# Keys that once loaded but changed no output; each is now an unknown key.
+REMOVED_KEYS = (
+    ("bsm", "indistinguishability", "0.569"),
+    ("source", "fss_uev", "0.0"),
+    ("source", "t1_xx_ns", "0.12"),
+    ("apparatus", "jitter_fwhm_ps", "50"),
+    ("apparatus", "signal_rate_target_hz", "5e5"),
+    ("tomography", "settings", "16"),
+    ("tomography", "shots_per_setting", "10000"),
+)
 
 
 def test_default_config_valid():
@@ -53,8 +65,8 @@ seed = 7
 """
     )
     cfg = load_config(path)
-    assert cfg.source.target_fidelity_1 == 0.95
-    assert cfg.source.model.kind is NoiseKind.DEPOLARIZING
+    assert cfg.source.f1 == 0.95
+    assert cfg.source.model is NoiseKind.DEPOLARIZING
     assert cfg.bsm.gate_ps == 47.0
     assert cfg.bsm.convention is BsmConvention.PSI_MINUS
     assert cfg.apparatus.alice_setting is None
@@ -67,15 +79,15 @@ def test_inline_comments_stripped(tmp_path):
         "[source]\nmodel = depolarizing  ; channel kind\nf1 = 0.95  # best emission\n"
     )
     cfg = load_config(path)
-    assert cfg.source.model.kind is NoiseKind.DEPOLARIZING
-    assert cfg.source.target_fidelity_1 == 0.95
+    assert cfg.source.model is NoiseKind.DEPOLARIZING
+    assert cfg.source.f1 == 0.95
 
 
 def test_load_json_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"source": {"f1": 0.93}, "output": {"seed": 3}}))
     cfg = load_config(path)
-    assert cfg.source.target_fidelity_1 == 0.93
+    assert cfg.source.f1 == 0.93
     assert cfg.output.seed == 3
 
 
@@ -87,6 +99,39 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text("[sauce]\nf1 = 0.9\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text("[apparatus]\nsource = 0.9\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    for section, key, value in REMOVED_KEYS:
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+
+def test_one_owner_per_parameter(tmp_path, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "[source]\nt1_x_ns = 0.3\n\n"
+        "[bsm]\njitter_ps = 20\nt1_xx_ns = 0.15\nt2_xx_ns = 0.2\nintrinsic_limit = 0.9\n\n"
+        "[apparatus]\ndead_time_ns = 0\n"
+    )
+    temporal = load_config(path).bsm.temporal_model()
+    received = []
+    real_simulate = cli.simulate
+
+    def recording_simulate(apparatus, duration_s, seed):
+        received.append(apparatus)
+        return real_simulate(apparatus, duration_s, seed)
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    assert main(["mc-run", "--duration", "1e-5", "--config", str(path),
+                 "--out-dir", str(tmp_path)]) == 0
+    (apparatus,) = received
+    assert (apparatus.bsm.t1_xx_ns, apparatus.bsm.t2_xx_ns, apparatus.bsm.jitter_ps) == (
+        temporal.t1_ns, temporal.t2_ns, temporal.jitter_fwhm_ps,
+    ) == (0.15, 0.2, 20.0)
+    assert apparatus.bsm.intrinsic_limit == 0.9
+    assert apparatus.source.t1_x_ns == 0.3
 
 
 def test_physical_validation_at_load(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import povm_from_mode_calculus
 from swapsim.interference import (
     BsmConvention,
+    BsmSettings,
     InterferenceError,
     TemporalModel,
     beamsplitter_coincidence,
@@ -95,6 +96,12 @@ def test_hom_against_mode_calculus():
 
 
 def test_temporal_model_validation():
+    with pytest.raises(InterferenceError):
+        TemporalModel(t1_ns=0.0, t2_ns=0.2)
+    with pytest.raises(InterferenceError):
+        BsmSettings(t1_xx_ns=0.0)  # the heralding measurement owns the XX lifetime
+    with pytest.raises(InterferenceError):
+        BsmSettings(intrinsic_limit=1.5)
     with pytest.raises(InterferenceError):
         TemporalModel(t1_ns=0.12, t2_ns=0.3)  # t2 > 2 t1
     with pytest.raises(InterferenceError):

@@ -1,15 +1,16 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swapsim import mc
+from swapsim.interference import BsmSettings
 from swapsim.mc import (
     ApparatusConfig,
     McError,
     TimestampStream,
-    apparatus_from_dict,
-    config_hash,
     fit_double_exponential,
     fourfold_coincidences,
     fourfold_scan,
@@ -21,9 +22,10 @@ from swapsim.mc import (
     twofold_control_coincidences,
     write_stream,
 )
+from swapsim.params import config_hash, from_dict, to_dict
 from swapsim.tomography import standard_settings
 
-FAST = dict(detector_efficiency=0.8, dead_time_ns=0.0)
+FAST = dict(efficiency=0.8, dead_time_ns=0.0)
 
 
 def _periods(cfg: ApparatusConfig, n: int) -> float:
@@ -34,7 +36,7 @@ def test_config_validation():
     with pytest.raises(McError):
         ApparatusConfig(topology="ring")
     with pytest.raises(McError):
-        ApparatusConfig(detector_efficiency=1.4)
+        ApparatusConfig(efficiency=1.4)
     with pytest.raises(McError):
         ApparatusConfig(alice_setting="Q")
     with pytest.raises(McError):
@@ -42,8 +44,8 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    cfg = ApparatusConfig(topology="hom", background_ratio=0.002, detector_efficiency=0.5)
-    back = apparatus_from_dict(cfg.to_dict())
+    cfg = ApparatusConfig(topology="hom", background_ratio=0.002, efficiency=0.5)
+    back = from_dict(ApparatusConfig, to_dict(cfg))
     assert back == cfg
     assert config_hash(back) == config_hash(cfg)
 
@@ -59,7 +61,7 @@ def test_seed_determinism():
 
 
 def test_zero_efficiency_empty_stream():
-    cfg = ApparatusConfig(detector_efficiency=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
+    cfg = ApparatusConfig(efficiency=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
     stream = simulate(cfg, _periods(cfg, 10_000), seed=1)
     assert all(arr.size == 0 for arr in stream.channels.values())
 
@@ -76,7 +78,7 @@ def test_duration_scaling():
 def test_signal_rate_target():
     eta = 0.5e6 / 76e6
     cfg = ApparatusConfig(
-        detector_efficiency=eta, alice_setting=None, bob_setting=None, dead_time_ns=20.0
+        efficiency=eta, alice_setting=None, bob_setting=None, dead_time_ns=20.0
     )
     stream = simulate(cfg, 0.2, seed=99)
     rate = stream.counts()["alice"] / 0.2
@@ -84,8 +86,8 @@ def test_signal_rate_target():
 
 
 def test_dead_time_suppresses_close_events():
-    cfg = ApparatusConfig(detector_efficiency=1.0, alice_setting=None, bob_setting=None,
-                          dead_time_ns=20.0, jitter_fwhm_ps=0.0)
+    cfg = ApparatusConfig(efficiency=1.0, alice_setting=None, bob_setting=None,
+                          dead_time_ns=20.0, bsm=BsmSettings(jitter_ps=0.0))
     stream = simulate(cfg, _periods(cfg, 20_000), seed=5)
     gaps = np.diff(stream.channels["alice"])
     assert gaps.size > 0
@@ -104,6 +106,44 @@ def test_stream_io_round_trip(tmp_path):
     assert back.config_hash == stream.config_hash
     for name in stream.channels:
         np.testing.assert_allclose(back.channels[name], stream.channels[name], atol=1e-3)
+
+
+# The config block of a sidecar written before each parameter had one owner.
+_OLD_SIDECAR_CONFIG = {
+    "alice_setting": "H", "background_ratio": 0.0, "bob_setting": "V",
+    "bsm_convention": "psi_plus", "bsm_delay_offset_ps": 0.0, "dark_rate_hz": 0.0,
+    "dead_time_ns": 20.0, "detector_efficiency": 0.8, "hom_copolarized": True,
+    "intrinsic_limit": 0.938878, "jitter_fwhm_ps": 50.0, "mzi_delay_ns": 2.0,
+    "rep_rate_hz": 76000000.0, "signal_rate_target_hz": 500000.0,
+    "source": {
+        "model": {"fss_uev": 0.0, "kind": "dephasing", "strength": 0.0, "t1_x_ns": 0.25},
+        "t1_x_ns": 0.25, "t1_xx_ns": 0.12, "target_fidelity_1": 0.9369,
+        "target_fidelity_2": 0.9267,
+    },
+    "t1_x_ns": 0.25, "t1_xx_ns": 0.12, "t2_xx_ns": 0.14545, "topology": "swap",
+}
+
+
+def test_read_stream_rejects_bad_sidecar(tmp_path):
+    cfg = ApparatusConfig(**FAST)
+    path = tmp_path / "run.bin"
+    write_stream(simulate(cfg, _periods(cfg, 2_000), seed=12), path)
+    sidecar_path = path.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text())
+
+    sidecar_path.write_text(json.dumps({**sidecar, "config": _OLD_SIDECAR_CONFIG}))
+    with pytest.raises(McError, match="signal_rate_target_hz"):
+        read_stream(path)
+
+    no_source = {k: v for k, v in to_dict(cfg).items() if k != "source"}
+    sidecar_path.write_text(json.dumps({**sidecar, "config": no_source}))
+    with pytest.raises(McError, match="source"):
+        read_stream(path)
+
+    bad_value = {**to_dict(cfg), "dead_time_ns": "soon"}
+    sidecar_path.write_text(json.dumps({**sidecar, "config": bad_value}))
+    with pytest.raises(McError, match="dead_time_ns"):
+        read_stream(path)
 
 
 def test_g2_structure_and_purity():
@@ -131,7 +171,7 @@ def test_g2_background_band():
 
 
 def test_g2_empty_stream():
-    cfg = ApparatusConfig(topology="hbt_xx", detector_efficiency=0.0, dead_time_ns=0.0)
+    cfg = ApparatusConfig(topology="hbt_xx", efficiency=0.0, dead_time_ns=0.0)
     stream = simulate(cfg, _periods(cfg, 1000), seed=3)
     with pytest.raises(McError):
         g2_histogram(stream)
@@ -196,8 +236,12 @@ def test_fourfold_scan_shape_and_fit():
 
 def test_gate_sweep_matches_quadrature_model():
     # event-level gating reproduces the analytic indistinguishability curve
-    from swapsim.interference import TemporalModel, effective_indistinguishability
-    from swapsim.mc import CALIBRATED_INTRINSIC_LIMIT, CALIBRATED_T2_XX_NS
+    from swapsim.interference import (
+        CALIBRATED_INTRINSIC_LIMIT,
+        CALIBRATED_T2_XX_NS,
+        TemporalModel,
+        effective_indistinguishability,
+    )
 
     base = ApparatusConfig(**FAST)
     counts = {}
@@ -266,7 +310,7 @@ def test_simulate_tomography_run_shapes():
 
 def test_dark_counts_fill_dead_apparatus():
     cfg = ApparatusConfig(
-        detector_efficiency=0.0, dark_rate_hz=5e6, dead_time_ns=0.0, jitter_fwhm_ps=0.0
+        efficiency=0.0, dark_rate_hz=5e6, dead_time_ns=0.0, bsm=BsmSettings(jitter_ps=0.0)
     )
     duration = 2e-3
     stream = simulate(cfg, duration, seed=6)
@@ -278,25 +322,40 @@ def test_dark_counts_fill_dead_apparatus():
 
 
 def test_worker_cap_does_not_change_results(monkeypatch):
+    # 30k periods in 8192-period blocks: four chunks, so the pool really runs.
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    pools = []
+
+    class RecordingPool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
     cfg = ApparatusConfig(**FAST)
     monkeypatch.setenv("SWAPSIM_THREADS", "1")
     serial = simulate(cfg, _periods(cfg, 30_000), seed=8)
-    monkeypatch.setenv("SWAPSIM_THREADS", "4")
+    assert pools == []
+    monkeypatch.setenv("SWAPSIM_THREADS", "2")
     threaded = simulate(cfg, _periods(cfg, 30_000), seed=8)
+    assert pools == [2]
     for name in serial.channels:
+        assert serial.channels[name].size > 0
         assert np.array_equal(serial.channels[name], threaded.channels[name])
 
 
 def test_per_channel_efficiency_mapping():
     cfg = ApparatusConfig(
-        detector_efficiency={"alice": 0.5, "bob": 0.0, "bsm1": 0.5, "bsm2": 0.5},
+        efficiency={"alice": 0.5, "bob": 0.0, "bsm1": 0.5, "bsm2": 0.5},
         dead_time_ns=0.0,
     )
     stream = simulate(cfg, _periods(cfg, 20_000), seed=4)
     assert stream.counts()["bob"] == 0
     assert stream.counts()["alice"] > 0
-    back = sorted(ApparatusConfig(**FAST).to_dict())  # dict form stays serializable
-    assert "detector_efficiency" in back
+    back = sorted(to_dict(ApparatusConfig(**FAST)))  # dict form stays serializable
+    assert "efficiency" in back
+    assert from_dict(ApparatusConfig, to_dict(cfg)) == cfg
 
 
 def test_fourfold_requires_swap_topology():

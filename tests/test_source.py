@@ -179,7 +179,7 @@ def test_emit_pair():
     assert fidelity_pure(one, PHI) == pytest.approx(0.9369, abs=1e-6)
     assert fidelity_pure(two, PHI) == pytest.approx(0.9267, abs=1e-6)
 
-    perfect = SourceParams(target_fidelity_1=1.0, target_fidelity_2=1.0)
+    perfect = SourceParams(f1=1.0, f2=1.0)
     np.testing.assert_allclose(emit_pair(perfect, 1).matrix, ideal_pair().matrix, atol=1e-12)
     with pytest.raises(SourceError):
         emit_pair(params, 3)
@@ -187,9 +187,9 @@ def test_emit_pair():
 
 def test_source_params_validation():
     with pytest.raises(SourceError):
-        SourceParams(target_fidelity_1=0.2)
+        SourceParams(f1=0.2)
     with pytest.raises(SourceError):
-        SourceParams(t1_xx_ns=0.0)
+        SourceParams(t1_x_ns=0.0)
 
 
 def test_dephased_pair_marginals_stay_mixed():

@@ -15,7 +15,7 @@ from swapsim.qstate import (
     maximally_mixed,
     tensor,
 )
-from swapsim.source import NoiseKind, SourceParams, NoiseModel, emit_pair, ideal_pair
+from swapsim.source import NoiseKind, SourceParams, emit_pair, ideal_pair
 from swapsim.swap import (
     SwapError,
     classical_bound_check,
@@ -166,7 +166,7 @@ def test_predict_monotone_and_plateau():
 
 
 def test_predict_depolarizing_is_distinct():
-    params = SourceParams(model=NoiseModel(NoiseKind.DEPOLARIZING))
+    params = SourceParams(model=NoiseKind.DEPOLARIZING)
     temporal = TemporalModel(0.12, 0.145450, 50.0)
     res = predict(params, temporal, [math.inf], intrinsic_limit=0.938878)[0]
     assert res.fidelity == pytest.approx(0.6917, abs=2e-3)
@@ -175,7 +175,7 @@ def test_predict_depolarizing_is_distinct():
 def test_predict_fss_matches_dephasing_values():
     # the phase-diffusion channel is calibrated to the same pair fidelities,
     # so the heralded numbers coincide with the dephasing route
-    params = SourceParams(model=NoiseModel(NoiseKind.FSS_PHASE_DIFFUSION, t1_x_ns=0.25))
+    params = SourceParams(model=NoiseKind.FSS_PHASE_DIFFUSION, t1_x_ns=0.25)
     temporal = TemporalModel(0.12, 0.145450, 50.0)
     res = predict(params, temporal, [math.inf], intrinsic_limit=0.938878)[0]
     assert res.fidelity == pytest.approx(0.7122, abs=1e-3)
