@@ -549,6 +549,9 @@ def read_stream(path: str | os.PathLike) -> TimestampStream:
     sidecar = json.loads(path.with_suffix(".json").read_text())
     try:
         config = from_dict(ApparatusConfig, sidecar.get("config"), "sidecar config", complete=True)
+        missing = sorted({"channels", "seed", "duration_s"} - set(sidecar))
+        if missing:
+            raise ValueError(f"missing keys {missing} in sidecar")
     except ValueError as exc:
         raise McError(f"{path.with_suffix('.json')}: {exc}") from exc
     records = np.fromfile(path, dtype=RECORD_DTYPE)

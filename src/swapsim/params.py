@@ -77,6 +77,8 @@ def _coerce(value, default, annotation: str, key: str):
             raise ValueError
         if isinstance(value, Mapping) and "Mapping" in annotation:
             return {str(k): kind(v) for k, v in value.items()}
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError  # int() would truncate it silently
         return kind(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} = {value!r} is not a valid {kind.__name__}") from None

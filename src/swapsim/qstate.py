@@ -253,34 +253,39 @@ def horodecki_s(rho: DensityMatrix) -> float:
     return min(s, 2.0 * np.sqrt(2.0))
 
 
-def project_to_physical(matrix: np.ndarray, labels: Sequence[str] | None = None) -> DensityMatrix:
+def project_to_physical(matrix: np.ndarray, labels: Sequence[str] | None = None):
     """Nearest (Frobenius) unit-trace PSD matrix to a Hermitian input.
 
     Eigenvalues are projected onto the probability simplex: clip below a
-    common water level chosen so the surviving values sum to one.
+    common water level chosen so the surviving values sum to one. A single
+    ``(d, d)`` matrix gives a DensityMatrix; a stack ``(B, d, d)`` is
+    projected element by element and returned as an array of that shape
+    (``labels`` is then unused).
     """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise QStateError(f"expected a square matrix, got shape {mat.shape}")
-    herm_err = float(np.max(np.abs(mat - mat.conj().T)))
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
+        raise QStateError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
+    adjoint = mat.conj().swapaxes(-1, -2)
+    herm_err = float(np.max(np.abs(mat - adjoint), initial=0.0))
     if herm_err > 1e-8:
         raise QStateError(f"input not Hermitian (max deviation {herm_err:.3e})")
-    if float(np.max(np.abs(mat))) == 0.0:
+    if np.any(np.max(np.abs(mat), axis=(-2, -1)) == 0.0):
         raise QStateError("cannot project the zero matrix onto the state space")
-    mat = (mat + mat.conj().T) / 2.0
-    d = mat.shape[0]
+    mat = (mat + adjoint) / 2.0
+    d = mat.shape[-1]
+    evals, vecs = np.linalg.eigh(mat)
+    mu = evals[..., ::-1]  # eigh sorts ascending
+    water = (np.cumsum(mu, axis=-1) - 1.0) / np.arange(1, d + 1)
+    # Last index whose eigenvalue stays above its water level.
+    k = d - 1 - np.argmax((mu - water > 0)[..., ::-1], axis=-1)
+    lam = np.clip(evals - np.take_along_axis(water, k[..., None], axis=-1), 0.0, None)
+    lam = lam / np.sum(lam, axis=-1, keepdims=True)
+    out = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
+    if out.ndim == 3:
+        return out
     if labels is None:
         labels = tuple(f"Q{i}" for i in range(_qubit_count(d)))
-    evals, vecs = np.linalg.eigh(mat)
-    mu = np.sort(evals)[::-1]
-    cumulative = np.cumsum(mu)
-    ks = np.arange(1, d + 1)
-    water = (cumulative - 1.0) / ks
-    k = int(np.max(np.nonzero(mu - water > 0)[0])) + 1
-    lam = np.clip(evals - water[k - 1], 0.0, None)
-    lam = lam / float(np.sum(lam))
-    out = (vecs * lam) @ vecs.conj().T
-    out = (out + out.conj().T) / 2.0
     return DensityMatrix(out, tuple(labels))
 
 

@@ -2,9 +2,16 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from swapsim.interference import beamsplitter_coincidence
-from swapsim.qstate import PureState
+from swapsim.qstate import PureState, project_to_physical
+from swapsim.tomography import TomographyRun, linear_inversion
+
+# Property tests replay the same examples on every run and never time out on
+# a slow or shared machine.
+settings.register_profile("swapsim", deadline=None, derandomize=True)
+settings.load_profile("swapsim")
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -89,3 +96,72 @@ def povm_from_mode_calculus(overlap: float, premultiply: np.ndarray | None = Non
             e[k, l] = re + 1j * im
             e[l, k] = re - 1j * im
     return e
+
+
+def profile_loglike(rho: np.ndarray, ops: np.ndarray, counts, exposures) -> tuple[float, np.ndarray]:
+    """Poisson log-likelihood of one state with the overall flux profiled out, plus dL/drho."""
+    p = np.clip(np.real(np.einsum("sij,ji->s", ops, rho)), 1e-300, None)
+    total = float(np.sum(counts))
+    phi = total / float(np.sum(exposures * p))
+    ll = float(np.sum(counts * np.log(phi * exposures * p)) - total)
+    return ll, np.einsum("s,sij->ij", counts / p - phi * exposures, ops)
+
+
+def lbfgs_mle(run: TomographyRun, max_iter: int = 10000, grad_tol: float = 1e-8) -> np.ndarray:
+    """Maximum-likelihood state by L-BFGS-B on the Cholesky parameterization rho = T'T / Tr(T'T).
+
+    T is lower triangular (16 real parameters), started from the projected
+    linear inversion; a line-search breakdown is polished by fixed-step
+    backtracking ascent until the likelihood is flat to machine precision.
+    """
+    from scipy.optimize import minimize
+
+    ops = np.stack([s.operator() for s in run.settings])
+    counts, exposures = run.counts, run.exposures
+    total = float(np.sum(counts))
+    rows, cols = np.tril_indices(4, -1)
+
+    def to_t(theta):
+        t = np.diag(theta[:4]).astype(complex)
+        t[rows, cols] = theta[4:10] + 1j * theta[10:16]
+        return t
+
+    def to_rho(theta):
+        t = to_t(theta)
+        gram = t.conj().T @ t
+        return t, gram / np.real(np.trace(gram)), np.real(np.trace(gram))
+
+    def objective(theta):
+        t, rho, tau = to_rho(theta)
+        ll, grad_rho = profile_loglike(rho, ops, counts, exposures)
+        tg = t @ (grad_rho - np.real(np.trace(grad_rho @ rho)) * np.eye(4))
+        grad = np.concatenate([np.real(np.diag(tg)), np.real(tg[rows, cols]), np.imag(tg[rows, cols])])
+        return -ll / total, -2.0 * grad / (tau * total)
+
+    init = project_to_physical(linear_inversion(run), ("A", "B")).matrix
+    init = (init + 1e-6 * np.eye(4)) / (1.0 + 4e-6)
+    # Lower-triangular T with T'T = init from the index-reversed Cholesky factor.
+    flip = np.eye(4)[::-1]
+    upper = flip @ np.linalg.cholesky(flip @ init @ flip) @ flip
+    low = upper.conj().T
+    theta = np.concatenate([np.real(np.diag(low)), np.real(low[rows, cols]), np.imag(low[rows, cols])])
+    options = {"maxiter": max_iter, "ftol": 1e-17, "gtol": grad_tol, "maxcor": 20}
+    result = minimize(objective, theta, jac=True, method="L-BFGS-B", options=options)
+    theta = result.x
+    if np.linalg.norm(result.jac) >= grad_tol and "CONVERGENCE" not in str(result.message).upper():
+        neg_ll, neg_grad = objective(theta)
+        step = 1.0
+        for _ in range(500):
+            if np.linalg.norm(neg_grad) < grad_tol:
+                break
+            for _ in range(60):
+                cand_ll, cand_grad = objective(theta - step * neg_grad)
+                if cand_ll <= neg_ll:
+                    theta, neg_ll, neg_grad = theta - step * neg_grad, cand_ll, cand_grad
+                    step *= 1.5
+                    break
+                step *= 0.5
+            else:
+                break  # no representable improvement left
+    rho = to_rho(theta)[1]
+    return (rho + rho.conj().T) / 2.0

@@ -89,6 +89,12 @@ def test_load_json_config(tmp_path):
     cfg = load_config(path)
     assert cfg.source.f1 == 0.93
     assert cfg.output.seed == 3
+    for seed in (7, "7", 7.0):
+        path.write_text(json.dumps({"output": {"seed": seed}}))
+        assert load_config(path).output.seed == 7
+    path.write_text(json.dumps({"output": {"seed": 7.9}}))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path)
 
 
 def test_unknown_keys_rejected(tmp_path):

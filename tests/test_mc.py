@@ -145,6 +145,12 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
     with pytest.raises(McError, match="dead_time_ns"):
         read_stream(path)
 
+    for key in ("channels", "seed", "duration_s"):
+        partial = {k: v for k, v in sidecar.items() if k != key}
+        sidecar_path.write_text(json.dumps(partial))
+        with pytest.raises(McError, match=key):
+            read_stream(path)
+
 
 def test_g2_structure_and_purity():
     cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.0, **FAST)

@@ -224,6 +224,11 @@ def test_project_to_physical():
     assert evals.min() >= -1e-14
     assert abs(np.trace(out.matrix) - 1) < 1e-12
 
+    # a stack is projected element by element
+    stack = np.stack([rho.matrix, np.diag([1.1, -0.1, 0.0, 0.0]), h]).astype(complex)
+    for single, projected in zip(stack, project_to_physical(stack)):
+        np.testing.assert_allclose(projected, project_to_physical(single).matrix, atol=1e-14)
+
     with pytest.raises(QStateError):
         project_to_physical(np.zeros((4, 4), dtype=complex))
     with pytest.raises(QStateError):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import lbfgs_mle, profile_loglike, random_density
+from swapsim import tomography
 from swapsim.qstate import (
     BellKind,
     DensityMatrix,
@@ -14,6 +17,7 @@ from swapsim.qstate import (
 from swapsim.source import SourceParams, emit_pair
 from swapsim.tomography import (
     MeasurementSetting,
+    MleConvergenceError,
     TomographyError,
     TomographyRun,
     bootstrap_errors,
@@ -154,38 +158,101 @@ def test_mle_likelihood_monotone():
 
 
 def test_mle_gradient_matches_finite_differences():
-    from swapsim.tomography import _operators, _params_to_t, _rho_from_t, _profile_loglike
+    from swapsim.tomography import _born_map, _profile_loglike
 
     rng = np.random.default_rng(2)
     settings = standard_settings(16)
-    ops = _operators(settings)
+    ops = _born_map(settings)[0]
     run = simulate_counts(_phi_ab(), settings, 300, rng_seed=8)
-    theta = rng.normal(size=16)
+    counts, total = run.counts[None], float(np.sum(run.counts))
+    rho = random_density(rng, 4)
 
-    def loglike(th):
-        rho, _ = _rho_from_t(_params_to_t(th))
-        return _profile_loglike(rho, ops, run.counts, run.exposures)[0]
+    def loglike(mat):  # total, not per-count, log-likelihood
+        return _profile_loglike(mat[None], ops, counts, run.exposures)[0][0] * total
 
-    # analytic gradient through the chain rule used by the optimizer
-    t = _params_to_t(theta)
-    rho, tau = _rho_from_t(t)
-    _, grad_rho = _profile_loglike(rho, ops, run.counts, run.exposures)
-    gtilde = grad_rho - np.real(np.trace(grad_rho @ rho)) * np.eye(4)
-    tg = t @ gtilde
-    rows, cols = np.tril_indices(4, -1)
-    grad = np.concatenate(
-        [
-            2 * np.real(np.diag(tg)) / tau,
-            2 * np.real(tg[rows, cols]) / tau,
-            2 * np.imag(tg[rows, cols]) / tau,
-        ]
-    )
+    _, grad, _ = _profile_loglike(rho[None], ops, counts, run.exposures)
     eps = 1e-6
-    for k in range(16):
-        bump = np.zeros(16)
-        bump[k] = eps
-        numeric = (loglike(theta + bump) - loglike(theta - bump)) / (2 * eps)
-        assert numeric == pytest.approx(grad[k], rel=2e-4, abs=2e-4)
+    for _ in range(16):
+        # random Hermitian traceless direction
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        direction = a + a.conj().T
+        direction -= np.trace(direction) / 4 * np.eye(4)
+        numeric = (loglike(rho + eps * direction) - loglike(rho - eps * direction)) / (2 * eps)
+        analytic = np.real(np.sum(grad[0].conj() * direction)) * total
+        assert numeric == pytest.approx(analytic, rel=2e-4, abs=2e-4)
+
+
+def test_mle_matches_lbfgs_oracle():
+    src = relabel(emit_pair(SourceParams(), 1), ("A", "B"))
+    for kind, shots in ((16, 30), (16, 1000), (36, 10000)):
+        settings = standard_settings(kind)
+        ops = np.stack([s.operator() for s in settings])
+        for seed in range(3):
+            run = simulate_counts(src, settings, shots, rng_seed=seed)
+            oracle = lbfgs_mle(run)
+            est = mle_reconstruct(run, strict=True).matrix
+            ll_oracle = profile_loglike(oracle, ops, run.counts, run.exposures)[0]
+            ll_est = profile_loglike(est, ops, run.counts, run.exposures)[0]
+            assert ll_est >= ll_oracle - 1e-9 * abs(ll_oracle)
+            f_oracle = fidelity_pure(DensityMatrix(oracle, ("A", "B")), PHI)
+            assert fidelity_pure(DensityMatrix(est, ("A", "B")), PHI) == pytest.approx(f_oracle, abs=1e-6)
+
+
+def test_mle_strict_and_warn_when_not_converged():
+    run = simulate_counts(_phi_ab(), standard_settings(16), 500, rng_seed=23)
+    with pytest.raises(MleConvergenceError):
+        mle_reconstruct(run, max_iter=2, strict=True)
+    with pytest.warns(RuntimeWarning, match="gradient-mapping norm"):
+        est = mle_reconstruct(run, max_iter=2)
+    assert np.linalg.eigvalsh(est.matrix).min() >= -1e-10
+    assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bootstrap_counts_unconverged_resamples_as_failures(monkeypatch):
+    # A resample fails exactly when a strict solo reconstruction of its counts
+    # fails; the error bars come from the other resamples.
+    src = relabel(emit_pair(SourceParams(), 1), ("A", "B"))
+    run = simulate_counts(src, standard_settings(16), 200, rng_seed=13)
+    monkeypatch.setattr(tomography, "_MAX_ITER", 40)
+    errors = bootstrap_errors(run, resamples=100, rng_seed=4)
+    fids, failures = [], 0
+    for child in np.random.SeedSequence(4).spawn(100):
+        counts = np.random.default_rng(child).poisson(run.counts).astype(float)
+        try:
+            est = mle_reconstruct(TomographyRun(run.settings, counts), max_iter=40, strict=True)
+        except MleConvergenceError:
+            failures += 1
+            continue
+        fids.append(fidelity_pure(est, PHI))
+    assert 10 < failures < 90
+    assert errors.failures == failures
+    assert errors.fidelity_phi_plus_std == pytest.approx(np.std(fids, ddof=1), rel=1e-12)
+
+
+@given(
+    kind=st.sampled_from([16, 36]),
+    rows=st.lists(st.lists(st.integers(0, 400) | st.just(0), min_size=36, max_size=36), min_size=1, max_size=4),
+)
+@settings(max_examples=40)
+def test_mle_outputs_physical_and_batch_invariant(kind, rows):
+    from swapsim.tomography import _born_map, _invert, _solve
+
+    settings_ = standard_settings(kind)
+    counts = np.array(rows, dtype=float)[:, :kind]
+    exposures = np.ones(kind)
+    ops, pinv = _born_map(settings_)
+    start, usable = _invert(pinv, counts, exposures)
+    batch, done, _ = _solve(ops, counts[usable], exposures, start, 10000, 1e-8)
+    assert done.all()
+    for rho, row in zip(batch, counts[usable]):
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        solo = mle_reconstruct(TomographyRun(tuple(settings_), row), strict=True)
+        assert np.max(np.abs(solo.matrix - rho)) <= 1e-10
+    for row in counts[~usable]:
+        with pytest.raises(TomographyError):
+            mle_reconstruct(TomographyRun(tuple(settings_), row))
 
 
 def test_mle_fidelity_bias_on_bell_states():
