@@ -104,7 +104,8 @@ def _emit_table(
     lines = [f"# {k} = {v}" for k, v in provenance.items()]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        # float() first: numpy 2 reprs a numpy float as "np.float64(...)".
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     _atomic_write(path.with_suffix(".csv"), "\n".join(lines) + "\n")
 
 

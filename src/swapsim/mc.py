@@ -32,6 +32,7 @@ from .tomography import MeasurementSetting, TomographyRun
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _CHUNK_PERIODS = 1 << 20
+_PAIR_BUDGET = 1 << 16
 _BACKGROUND_WINDOW_NS = 2.0
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
@@ -581,10 +582,58 @@ def _pair_indices(ta: np.ndarray, tb: np.ndarray, half_ns: float) -> tuple[np.nd
     return ai, bi
 
 
-def _pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray:
-    """All tb_j - ta_i differences with |delta| <= max_abs_ns."""
-    ai, bi = _pair_indices(ta, tb, max_abs_ns)
-    return tb[bi] - ta[ai]
+def _delta_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
+    """Yield tb[bi] - ta[ai] for the pairs of ``_pair_indices``, in its order.
+
+    Pairs are cut into chunks of at most ``_PAIR_BUDGET``, splitting inside a
+    ta event's partners where needed, so memory does not grow with the pair
+    count.
+    """
+    lo = np.searchsorted(tb, ta - half_ns)
+    counts = np.searchsorted(tb, ta + half_ns) - lo
+    ends = np.cumsum(counts)
+    # Pair p (numbered across all events) of event a is tb[p + shift[a]].
+    shift = np.subtract(lo, ends - counts, out=lo)
+    total = int(ends[-1]) if ends.size else 0
+    for p0 in range(0, total, _PAIR_BUDGET):
+        p1 = min(p0 + _PAIR_BUDGET, total)
+        # The events holding the chunk's first and last pair.
+        a0, a1 = np.searchsorted(ends, (p0, p1 - 1), side="right")
+        n = counts[a0 : a1 + 1].copy()
+        n[0] -= p0 - (ends[a0] - counts[a0])
+        n[-1] -= ends[a1] - p1
+        bi = np.arange(p0, p1) + np.repeat(shift[a0 : a1 + 1], n)
+        yield tb[bi] - np.repeat(ta[a0 : a1 + 1], n)
+
+
+def _coincidences(
+    ta: np.ndarray,
+    tb: np.ndarray,
+    span_ns: float,
+    offsets_ns: Sequence[float],
+    half_ns: float,
+    bin_ps: float | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None, list[int]]:
+    """Streamed coincidence counts of the pair deltas within +-span_ns.
+
+    Returns the bin centers and counts of the delta histogram in ps over
+    [-span, span] (None without ``bin_ps``) and, per offset, the number of
+    deltas with |delta - offset| <= half_ns. Windows that touch at an edge
+    both count a delta on it.
+    """
+    centers = hist = None
+    if bin_ps is not None:
+        nbins = 2 * int(span_ns * 1000.0 / bin_ps / 2) + 1
+        bounds = (-span_ns * 1000.0, span_ns * 1000.0)
+        edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=bounds)
+        centers, hist = (edges[:-1] + edges[1:]) / 2.0, np.zeros(nbins, dtype=np.int64)
+    windows = np.zeros(len(offsets_ns), dtype=np.int64)
+    for deltas in _delta_chunks(ta, tb, span_ns):
+        if hist is not None:
+            hist += np.histogram(deltas * 1000.0, bins=nbins, range=bounds)[0]
+        for i, offset in enumerate(offsets_ns):
+            windows[i] += np.count_nonzero(np.abs(deltas - offset) <= half_ns)
+    return centers, hist, windows.tolist()
 
 
 @dataclass(frozen=True)
@@ -616,16 +665,8 @@ def g2_histogram(
         raise McError("empty stream")
     period = stream.config.period_ns
     span = (n_side_peaks + 0.5) * period
-    deltas = _pair_deltas(ta, tb, span)
-    nbins = 2 * int(span * 1000.0 / bin_ps / 2) + 1
-    hist, edges = np.histogram(deltas * 1000.0, bins=nbins, range=(-span * 1000.0, span * 1000.0))
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    half = peak_window_ns / 2.0
-    central = int(np.count_nonzero(np.abs(deltas) <= half))
-    side = []
-    for k in range(1, n_side_peaks + 1):
-        for sign in (-1.0, 1.0):
-            side.append(int(np.count_nonzero(np.abs(deltas - sign * k * period) <= half)))
+    offsets = [0.0] + [sign * k * period for k in range(1, n_side_peaks + 1) for sign in (-1.0, 1.0)]
+    centers, hist, (central, *side) = _coincidences(ta, tb, span, offsets, peak_window_ns / 2.0, bin_ps)
     side_mean = float(np.mean(side)) if side else 0.0
     g2_zero = central / side_mean if side_mean > 0 else math.inf
     return G2Result(centers, hist, float(g2_zero), central, tuple(side))
@@ -652,14 +693,9 @@ def _hom_single(stream: TimestampStream, bin_ps: float, window_ns: float) -> Hom
         raise McError("empty stream")
     mzi = stream.config.mzi_delay_ns
     span = 2.5 * mzi
-    deltas = _pair_deltas(ta, tb, span)
-    nbins = 2 * int(span * 1000.0 / bin_ps / 2) + 1
-    hist, edges = np.histogram(deltas * 1000.0, bins=nbins, range=(-span * 1000.0, span * 1000.0))
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    half = window_ns / 2.0
-    cluster = {}
-    for k in (-2, -1, 0, 1, 2):
-        cluster[k * mzi] = int(np.count_nonzero(np.abs(deltas - k * mzi) <= half))
+    offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
+    centers, hist, counts = _coincidences(ta, tb, span, offsets, window_ns / 2.0, bin_ps)
+    cluster = dict(zip(offsets, counts))
     return HomHistogram(centers, hist, cluster[0.0], cluster)
 
 
@@ -724,8 +760,10 @@ def twofold_control_coincidences(stream: TimestampStream, window_ns: float = 1.0
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("control analysis expects the heralding topology")
-    deltas = _pair_deltas(stream.channels["alice"], stream.channels["bob"], 3.0 * cfg.mzi_delay_ns)
-    return int(np.count_nonzero(np.abs(deltas - cfg.mzi_delay_ns) <= window_ns))
+    alice, bob = stream.channels["alice"], stream.channels["bob"]
+    span = 3.0 * cfg.mzi_delay_ns
+    _, _, (count,) = _coincidences(alice, bob, span, [cfg.mzi_delay_ns], window_ns)
+    return count
 
 
 @dataclass(frozen=True)

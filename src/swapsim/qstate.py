@@ -234,23 +234,38 @@ def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 Pauli correlation matrix T_ij = Tr[rho sigma_i x sigma_j]."""
-    if rho.n_qubits != 2:
-        raise QStateError("correlation matrix is defined for two-qubit states")
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = float(np.real(np.trace(rho.matrix @ np.kron(si, sj))))
-    return t
+# Two-qubit Pauli products sigma_i x sigma_j, indexed [i, j].
+_PAULI_PRODUCTS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
 
 
-def horodecki_s(rho: DensityMatrix) -> float:
-    """Maximal CHSH value 2*sqrt(m1+m2) from the two largest eigenvalues of T^T T."""
+def correlation_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """3x3 Pauli correlation matrix T_ij = Tr[rho sigma_i x sigma_j].
+
+    A stack ``(B, 4, 4)`` of two-qubit matrices gives a ``(B, 3, 3)`` stack.
+    """
+    if isinstance(rho, DensityMatrix):
+        if rho.n_qubits != 2:
+            raise QStateError("correlation matrix is defined for two-qubit states")
+        mat = rho.matrix
+    else:
+        mat = np.asarray(rho, dtype=complex)
+        if mat.ndim != 3 or mat.shape[1:] != (4, 4):
+            raise QStateError(f"expected a stack of 4x4 matrices, got shape {mat.shape}")
+    # Each Pauli product has one nonzero per row, so the diagonal terms of
+    # rho @ P are exact; they are summed in the pairing np.trace uses.
+    diag = np.einsum("...ab,ijba->...ija", mat, _PAULI_PRODUCTS).real
+    return (diag[..., 0] + diag[..., 1]) + (diag[..., 2] + diag[..., 3])
+
+
+def horodecki_s(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """Maximal CHSH value 2*sqrt(m1+m2) from the two largest eigenvalues of T^T T.
+
+    A float for one state, an array of shape ``(B,)`` for a stack ``(B, 4, 4)``.
+    """
     t = correlation_matrix(rho)
-    m = np.sort(np.linalg.eigvalsh(t.T @ t))
-    s = 2.0 * float(np.sqrt(max(m[-1] + m[-2], 0.0)))
-    return min(s, 2.0 * np.sqrt(2.0))
+    m = np.sort(np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t), axis=-1)
+    s = np.minimum(2.0 * np.sqrt(np.maximum(m[..., -1] + m[..., -2], 0.0)), 2.0 * np.sqrt(2.0))
+    return s if s.ndim else float(s)
 
 
 def project_to_physical(matrix: np.ndarray, labels: Sequence[str] | None = None):

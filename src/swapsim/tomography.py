@@ -20,7 +20,6 @@ from .qstate import (
     DensityMatrix,
     QStateError,
     bell_state,
-    fidelity_pure,
     horodecki_s,
     POLARIZATION_KETS,
     project_to_physical,
@@ -329,10 +328,10 @@ def bootstrap_errors(run: TomographyRun, resamples: int = 250, rng_seed: int = 0
     rhos, done, _ = _solve(ops, counts[usable], run.exposures, start, _MAX_ITER, _GRAD_TOL)
     if np.sum(done) < 2:
         raise TomographyError("too few successful bootstrap reconstructions")
-    phi, psi = bell_state(BellKind.PHI_PLUS), bell_state(BellKind.PSI_PLUS)
-    rhos = [DensityMatrix(r, ("A", "B")) for r in rhos[done]]
-    values = [(fidelity_pure(r, phi), fidelity_pure(r, psi), horodecki_s(r)) for r in rhos]
-    stds = np.std(values, axis=0, ddof=1)
+    rhos = rhos[done]
+    bells = np.stack([bell_state(k).amplitudes for k in (BellKind.PHI_PLUS, BellKind.PSI_PLUS)])
+    fidelities = np.clip(np.einsum("ki,bij,kj->bk", bells.conj(), rhos, bells).real, 0.0, 1.0)
+    stds = np.std(np.column_stack([fidelities, horodecki_s(rhos)]), axis=0, ddof=1)
     return BootstrapErrors(*(float(v) for v in stds), resamples, resamples - len(rhos))
 
 

@@ -98,6 +98,33 @@ def povm_from_mode_calculus(overlap: float, premultiply: np.ndarray | None = Non
     return e
 
 
+def pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray:
+    """All-pairs oracle: every tb[j] - ta[i] with ta[i] - max_abs_ns <= tb[j] < ta[i] + max_abs_ns.
+
+    Materialises every pair at once, as the coincidence analyses did before
+    they were streamed.
+    """
+    lo = np.searchsorted(tb, ta - max_abs_ns)
+    hi = np.searchsorted(tb, ta + max_abs_ns)
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0)
+    ai = np.repeat(np.arange(ta.size), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    bi = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
+    return tb[bi] - ta[ai]
+
+
+def all_pairs_coincidences(ta, tb, span_ns, offsets_ns, half_ns, bin_ps):
+    """Histogram (ps) and per-offset window counts from ``pair_deltas``."""
+    deltas = pair_deltas(ta, tb, span_ns)
+    nbins = 2 * int(span_ns * 1000.0 / bin_ps / 2) + 1
+    hist, edges = np.histogram(deltas * 1000.0, bins=nbins, range=(-span_ns * 1000.0, span_ns * 1000.0))
+    windows = [int(np.count_nonzero(np.abs(deltas - off) <= half_ns)) for off in offsets_ns]
+    return (edges[:-1] + edges[1:]) / 2.0, hist, windows
+
+
 def profile_loglike(rho: np.ndarray, ops: np.ndarray, counts, exposures) -> tuple[float, np.ndarray]:
     """Poisson log-likelihood of one state with the overall flux profiled out, plus dL/drho."""
     p = np.clip(np.real(np.einsum("sij,ji->s", ops, rho)), 1e-300, None)

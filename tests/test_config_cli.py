@@ -240,6 +240,22 @@ def test_cli_hom_and_scan(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 5  # header + co/cross per delay
 
 
+def test_cli_histogram_csv_columns_are_plain_numbers(tmp_path):
+    cfg_path = tmp_path / "fast.cfg"
+    cfg_path.write_text("[apparatus]\ndead_time_ns = 0\n")
+    common = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    assert main(["g2", "--duration", "2e-3", "--line", "xx", *common]) == 0
+    assert main(["hom", "--duration", "2e-3", *common]) == 0
+    for name in ("g2_xx", "hom_co", "hom_cross"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")]
+        assert rows[0] == ["bin_center_ps", "counts"]
+        assert len(rows) > 50
+        for center, count in rows[1:]:
+            float(center)
+            int(count)
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[source]\nf1 = 0.1\n")

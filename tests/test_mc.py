@@ -1,9 +1,15 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import all_pairs_coincidences
 
 from swapsim import mc
 from swapsim.interference import BsmSettings
@@ -300,6 +306,117 @@ def test_histogram_counts_are_raw():
     result = g2_histogram(stream)
     assert result.counts.dtype.kind in "iu"
     assert result.counts.sum() >= result.central_counts + sum(result.side_counts)
+
+
+# Times on a 0.25 ns grid are exact in binary, so deltas fall exactly on
+# +-span and on the shared edges of touching windows.
+_GRID_TIMES = st.lists(st.integers(0, 96), max_size=40).map(lambda v: 0.25 * np.sort(np.array(v, float)))
+# HOM-like windows: +-1 ns at 2 ns spacing, touching at their edges.
+_OFFSETS = [-4.0, -2.0, 0.0, 2.0, 4.0]
+
+
+@given(ta=_GRID_TIMES, tb=_GRID_TIMES, budget=st.sampled_from([1, 2, 3, 5, 64, mc._PAIR_BUDGET]))
+@settings(max_examples=200)
+def test_streamed_coincidences_match_all_pairs(ta, tb, budget):
+    with mock.patch.object(mc, "_PAIR_BUDGET", budget):
+        centers, hist, windows = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+        no_hist = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0)
+    want_centers, want_hist, want_windows = all_pairs_coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+    assert np.array_equal(centers, want_centers)
+    assert np.array_equal(hist, want_hist) and hist.dtype == np.int64
+    assert windows == want_windows
+    assert no_hist == (None, None, want_windows)
+
+
+def test_streamed_coincidences_edges_and_empty_channels():
+    # Pairs span [-span, span): -5 is a pair, +5 is not; a delta on a shared
+    # window edge counts in both windows.
+    ta, tb = np.array([0.0]), np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
+    _, hist, windows = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+    assert windows == [2, 2, 2, 2, 1]
+    assert hist.sum() == 5
+    for a, b in ((ta, np.empty(0)), (np.empty(0), tb)):
+        _, hist, windows = mc._coincidences(a, b, 5.0, _OFFSETS, 1.0, 250.0)
+        assert hist.shape == (21,) and hist.sum() == 0 and windows == [0] * 5
+    cfg = ApparatusConfig()
+    stream = TimestampStream({"alice": np.empty(0), "bob": tb + 10.0}, cfg, 0, 1.0)
+    assert twofold_control_coincidences(stream) == 0
+
+
+def test_one_event_with_more_partners_than_the_budget():
+    ta = np.array([0.0, 0.5])
+    tb = np.linspace(-4.0, 4.0, 3 * mc._PAIR_BUDGET + 7)
+    got = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+    want = all_pairs_coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+    assert got[1].sum() == 2 * tb.size
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+@pytest.mark.parametrize("budget", [None, 13])
+def test_coincidence_analyses_match_all_pairs_oracle(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(mc, "_PAIR_BUDGET", budget)
+    hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, **FAST)
+    stream = simulate(hbt, _periods(hbt, 20_000), seed=5)
+    period = hbt.period_ns
+    offsets = [0.0] + [sign * k * period for k in range(1, 6) for sign in (-1.0, 1.0)]
+    g2 = g2_histogram(stream)
+    centers, hist, windows = all_pairs_coincidences(
+        stream.channels["d1"], stream.channels["d2"], 5.5 * period, offsets, 0.5, 100.0
+    )
+    assert hist.sum() > 100_000  # thousands of chunks at the small budget
+    assert np.array_equal(g2.bin_centers_ps, centers) and np.array_equal(g2.counts, hist)
+    assert [g2.central_counts, *g2.side_counts] == windows
+    assert g2.g2_zero == windows[0] / np.mean(windows[1:])
+
+    base = ApparatusConfig(topology="hom", **FAST)
+    co = simulate(replace(base, hom_copolarized=True), _periods(base, 100_000), seed=6)
+    cross = simulate(replace(base, hom_copolarized=False), _periods(base, 100_000), seed=7)
+    hom = hom_histogram((co, cross))
+    mzi = base.mzi_delay_ns
+    offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
+    central = []
+    for s, h in ((co, hom.copolarized), (cross, hom.crossed)):
+        centers, hist, windows = all_pairs_coincidences(
+            s.channels["d1"], s.channels["d2"], 2.5 * mzi, offsets, 1.0, 100.0
+        )
+        assert np.array_equal(h.bin_centers_ps, centers) and np.array_equal(h.counts, hist)
+        assert h.cluster_counts == dict(zip(offsets, windows))
+        central.append(windows[2])
+    assert hom.visibility == 1.0 - central[0] / central[1]
+
+    swap = ApparatusConfig(**FAST)
+    stream = simulate(swap, _periods(swap, 100_000), seed=8)
+    _, _, (want,) = all_pairs_coincidences(
+        stream.channels["alice"], stream.channels["bob"], 3.0 * mzi, [mzi], 1.0, 100.0
+    )
+    assert want > 0
+    assert twofold_control_coincidences(stream) == want
+
+
+def test_g2_memory_does_not_grow_with_pair_count():
+    """Dense streams of 5.7M and 11.5M pairs stay under one fixed ceiling.
+
+    Materialising every pair costs about 72 bytes a pair (400 MB here); the
+    streamed analysis holds one budget of pairs plus a few arrays per event.
+    """
+    cfg = ApparatusConfig(topology="hbt_xx")
+    # Ten 8-byte temporaries per budgeted pair, twice over, plus six 8-byte
+    # arrays per event (searchsorted bounds and their sums) of the larger run.
+    ceiling = 2 * 10 * 8 * mc._PAIR_BUDGET + 6 * 8 * 20_000
+    pairs = []
+    for n in (10_000, 20_000):
+        ta = np.arange(n) * 0.25
+        stream = TimestampStream({"d1": ta, "d2": ta + 0.1}, cfg, 0, 1.0)
+        tracemalloc.start()
+        try:
+            result = g2_histogram(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling, (n, peak, ceiling)
+        pairs.append(int(result.counts.sum()))
+    assert pairs[0] >= 5_000_000 and pairs[1] >= 2 * pairs[0] - 10_000
 
 
 def test_simulate_tomography_run_shapes():

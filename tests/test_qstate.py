@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chsh_angle_scan, random_density
+from conftest import chsh_angle_scan, pauli_expectations, random_density
 from swapsim.qstate import (
     BellKind,
     DensityMatrix,
@@ -12,6 +12,7 @@ from swapsim.qstate import (
     QStateError,
     bell_density,
     bell_state,
+    correlation_matrix,
     density_from_json,
     density_to_json,
     fidelity_mixed,
@@ -206,6 +207,24 @@ def test_horodecki_agrees_with_angle_scan():
         s_scan = chsh_angle_scan(rho, seed=k)
         worst = max(worst, abs(s_formula - s_scan))
     assert worst < 1e-3
+
+
+def test_correlation_and_chsh_of_a_stack():
+    rng = np.random.default_rng(7)
+    mats = [random_density(rng, 4) for _ in range(50)]
+    mats += [bell_density(BellKind.PSI_PLUS).matrix, maximally_mixed(("A", "B")).matrix]
+    stack = np.stack(mats)
+    t, s = correlation_matrix(stack), horodecki_s(stack)
+    assert t.shape == (52, 3, 3) and s.shape == (52,)
+    for k, mat in enumerate(mats):
+        rho = DensityMatrix(mat, ("A", "B"))
+        np.testing.assert_allclose(t[k], pauli_expectations(mat), rtol=0, atol=1e-12)
+        assert np.array_equal(t[k], correlation_matrix(rho))
+        assert abs(s[k] - horodecki_s(rho)) <= 1e-12
+    assert isinstance(horodecki_s(DensityMatrix(mats[0], ("A", "B"))), float)
+    for bad in (mats[0], np.zeros((3, 2, 2))):
+        with pytest.raises(QStateError):
+            correlation_matrix(bad)
 
 
 def test_project_to_physical():

@@ -11,6 +11,7 @@ from swapsim.qstate import (
     bell_density,
     bell_state,
     fidelity_pure,
+    horodecki_s,
     maximally_mixed,
     relabel,
 )
@@ -215,7 +216,7 @@ def test_bootstrap_counts_unconverged_resamples_as_failures(monkeypatch):
     run = simulate_counts(src, standard_settings(16), 200, rng_seed=13)
     monkeypatch.setattr(tomography, "_MAX_ITER", 40)
     errors = bootstrap_errors(run, resamples=100, rng_seed=4)
-    fids, failures = [], 0
+    values, failures = [], 0
     for child in np.random.SeedSequence(4).spawn(100):
         counts = np.random.default_rng(child).poisson(run.counts).astype(float)
         try:
@@ -223,10 +224,13 @@ def test_bootstrap_counts_unconverged_resamples_as_failures(monkeypatch):
         except MleConvergenceError:
             failures += 1
             continue
-        fids.append(fidelity_pure(est, PHI))
+        values.append((fidelity_pure(est, PHI), fidelity_pure(est, bell_state(BellKind.PSI_PLUS)), horodecki_s(est)))
     assert 10 < failures < 90
     assert errors.failures == failures
-    assert errors.fidelity_phi_plus_std == pytest.approx(np.std(fids, ddof=1), rel=1e-12)
+    stds = np.std(values, axis=0, ddof=1)
+    assert errors.fidelity_phi_plus_std == pytest.approx(stds[0], rel=1e-12)
+    assert errors.fidelity_psi_plus_std == pytest.approx(stds[1], rel=1e-12)
+    assert errors.s_value_std == pytest.approx(stds[2], rel=1e-12)
 
 
 @given(
