@@ -21,12 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, default_config, load_config
-from .interference import (
-    InterferenceError,
-    bsm_povm,
-    effective_indistinguishability,
-    heralding_rate_factor,
-)
+from .interference import InterferenceError, bsm_povm
 from .mc import (
     McError,
     fit_double_exponential,

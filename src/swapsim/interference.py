@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erf, erfcx
 
 from .qstate import BellKind, PureState, QStateError, bell_state
 
@@ -197,46 +196,64 @@ class BsmSettings:
         return TemporalModel(self.t1_xx_ns, self.t2_xx_ns, self.jitter_ps, self.gate_ps)
 
 
-def gate_acceptance(delta_ns: float, model: TemporalModel) -> float:
-    """Probability that a true time difference passes the jittered gate."""
-    if math.isinf(model.gate_ps):
-        return 1.0
-    half = model.gate_ps * 1e-3 / 2.0
-    sigma = model.diff_jitter_sigma_ns
-    if sigma == 0.0:
-        return 1.0 if abs(delta_ns) <= half else 0.0
-    z = sigma * math.sqrt(2.0)
-    return 0.5 * (erf((half - delta_ns) / z) + erf((half + delta_ns) / z))
+_NARROW_A = 4.0  # half-widths below 4 z take the quadrature branch
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _difference_density(delta_ns: float, t1: float) -> float:
-    # Difference of two iid exponential detection times is Laplace.
-    return math.exp(-abs(delta_ns) / t1) / (2.0 * t1)
+def _damped_acceptance(kappa: float, half_ns: np.ndarray, z: float) -> np.ndarray:
+    """J = int_0^inf exp(-kappa d) A(d) dd for each gate half-width h.
+
+    A(d) = [erf((h - d)/z) + erf((h + d)/z)] / 2 is the chance that a time
+    difference d passes the jittered gate, z = sqrt(2) sigma. With a = h/z and
+    b = kappa z/2, kappa J = erf(a) + [erfcx(a + b) - erfcx(b - a)] exp(-a^2)/2,
+    the exponentially modified Gaussian (Grushka, Anal. Chem. 44, 1733 (1972)),
+    written for b < a without overflow as -expm1(b (b - 2a)) + [erfcx(a + b)
+    + erfcx(a - b) - 2 erfcx(a)] exp(-a^2)/2. Both cancel to ~eps/(a b) for
+    small a, so for a <= _NARROW_A a Gauss-Legendre rule of the positive,
+    smooth integrand gives J = (h/2) sum_k w_k exp(-x_k^2) erfcx(b - x_k),
+    x_k = a t_k.
+    """
+    if z == 0.0:
+        return -np.expm1(-kappa * half_ns) / kappa
+    a, b = half_ns / z, kappa * z / 2.0
+    x = np.minimum(a, _NARROW_A)[:, None] * _GL_NODES
+    # Every branch runs on every gate; np.where drops the ones that overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        narrow = half_ns / 2.0 * np.sum(np.exp(-x * x) * erfcx(b - x) * _GL_WEIGHTS, axis=-1)
+        tail = np.exp(-a * a) / 2.0
+        above = erf(a) + tail * (erfcx(a + b) - erfcx(b - a))
+        below = -np.expm1(b * (b - 2.0 * a)) + tail * (erfcx(a + b) + erfcx(a - b) - 2.0 * erfcx(a))
+    wide = np.where(b >= a, above, below) / kappa
+    return np.where(np.isinf(a), 1.0 / kappa, np.where(a <= _NARROW_A, narrow, wide))
 
 
-def _gated_integrals(model: TemporalModel) -> tuple[float, float]:
-    """(numerator, denominator) of the gated coherence-kernel average."""
-    t1 = model.t1_ns
-    gamma = model.dephasing_rate
-    sigma = model.diff_jitter_sigma_ns
-    half = math.inf if math.isinf(model.gate_ps) else model.gate_ps * 1e-3 / 2.0
+def _gated_integrals(model: TemporalModel, gates_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(numerator, denominator) of the gated average of the coherence kernel
+    exp(-2 gamma |d|) over the Laplace density exp(-|d|/t1)/(2 t1) of the
+    detection-time difference d, one entry per gate."""
+    t1, z = model.t1_ns, math.sqrt(2.0) * model.diff_jitter_sigma_ns
+    half = gates_ps * 1e-3 / 2.0
+    num = _damped_acceptance(1.0 / t1 + 2.0 * model.dephasing_rate, half, z) / t1
+    return num, _damped_acceptance(1.0 / t1, half, z) / t1
 
-    def num(d: float) -> float:
-        return _difference_density(d, t1) * math.exp(-2.0 * gamma * d) * gate_acceptance(d, model)
 
-    def den(d: float) -> float:
-        return _difference_density(d, t1) * gate_acceptance(d, model)
+def gate_response(
+    model: TemporalModel, gates_ps, intrinsic_limit: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective indistinguishability and heralding-rate factor at each gate width.
 
-    cutoff = 60.0 * t1
-    if not math.isinf(half):
-        cutoff = max(min(cutoff, half + 12.0 * max(sigma, 1e-6)), 20.0 * t1)
-    points = sorted({p for p in (half,) if not math.isinf(p) and 0.0 < p < cutoff})
-    segments = [0.0, *points, cutoff]
-    n_val = d_val = 0.0
-    for a, b in zip(segments[:-1], segments[1:]):
-        n_val += quad(num, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
-        d_val += quad(den, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
-    return 2.0 * n_val, 2.0 * d_val
+    Gates must be positive (inf allowed); ``model``'s own gate is ignored.
+    """
+    if not 0.0 <= intrinsic_limit <= 1.0:
+        raise InterferenceError(f"intrinsic limit {intrinsic_limit} outside [0, 1]")
+    gates = np.asarray(gates_ps, dtype=float).reshape(-1)
+    if not np.all(gates > 0.0):
+        raise InterferenceError("gate width must be positive (inf allowed)")
+    num, den = _gated_integrals(model, gates)
+    i_eff = np.full(gates.shape, float(intrinsic_limit))
+    if model.dephasing_rate > 1e-15:
+        np.divide(intrinsic_limit * num, den, out=i_eff, where=den > 0.0)
+    return i_eff, np.where(np.isinf(gates), 1.0, np.clip(den, 0.0, 1.0))
 
 
 def effective_indistinguishability(model: TemporalModel, intrinsic_limit: float = 1.0) -> float:
@@ -246,22 +263,12 @@ def effective_indistinguishability(model: TemporalModel, intrinsic_limit: float 
     detection-time pairs accepted by the (jitter-smeared) gate, scaled by the
     gating-insensitive intrinsic limit. Non-increasing in gate width.
     """
-    if not 0.0 <= intrinsic_limit <= 1.0:
-        raise InterferenceError(f"intrinsic limit {intrinsic_limit} outside [0, 1]")
-    if model.dephasing_rate <= 1e-15:
-        return intrinsic_limit
-    num, den = _gated_integrals(model)
-    if den <= 0.0:
-        return intrinsic_limit
-    return intrinsic_limit * num / den
+    return float(gate_response(model, [model.gate_ps], intrinsic_limit)[0][0])
 
 
 def heralding_rate_factor(model: TemporalModel) -> float:
     """Fraction of coincidences whose time difference survives the gate."""
-    if math.isinf(model.gate_ps):
-        return 1.0
-    _, den = _gated_integrals(model)
-    return min(max(den, 0.0), 1.0)
+    return float(gate_response(model, [model.gate_ps])[1][0])
 
 
 def calibrate_temporal(
@@ -281,9 +288,7 @@ def calibrate_temporal(
         raise InterferenceError("targets must satisfy 0 < ungated < gated <= 1")
 
     def ratio_gap(t2: float) -> float:
-        base = TemporalModel(t1_ns, t2, jitter_fwhm_ps, math.inf)
-        r_inf = effective_indistinguishability(base, 1.0)
-        r_gate = effective_indistinguishability(base.with_gate(gate_ps), 1.0)
+        r_inf, r_gate = gate_response(TemporalModel(t1_ns, t2, jitter_fwhm_ps), [math.inf, gate_ps])[0]
         return r_inf / r_gate - i_ungated / i_gated
 
     lo, hi = 1e-4 * t1_ns, 2.0 * t1_ns

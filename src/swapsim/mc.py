@@ -23,14 +23,13 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .interference import BsmConvention, BsmSettings
+from .interference import _FWHM_TO_SIGMA, BsmConvention, BsmSettings
 from .params import config_hash, from_dict, to_dict
 from .qstate import POLARIZATION_KETS
 from .source import SourceParams, emit_pair
 from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
 
-_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _CHUNK_PERIODS = 1 << 20
 _PAIR_BUDGET = 1 << 16
 _BACKGROUND_WINDOW_NS = 2.0
@@ -377,55 +376,59 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
 
 
 def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np.ndarray]:
-    period = config.period_ns
-    base = (start + np.arange(n, dtype=float)) * period
-    times = []
-    for pulse_offset in (0.0, config.mzi_delay_ns):
-        t = base + pulse_offset + rng.exponential(config.bsm.t1_xx_ns, n)
+    base = (start + np.arange(n, dtype=float)) * config.period_ns
+    all_times = np.empty(2 * n)
+    for times, pulse_offset in zip((all_times[:n], all_times[n:]), (0.0, config.mzi_delay_ns)):
+        np.add(base, pulse_offset, out=times)
+        times += rng.exponential(config.bsm.t1_xx_ns, n)
         if config.topology == "hbt_x":
-            t = t + rng.exponential(config.source.t1_x_ns, n)
-        times.append(t)
-    all_times = np.concatenate(times)
+            times += rng.exponential(config.source.t1_x_ns, n)
+    del base
     to_d1 = rng.random(all_times.size) < 0.5
     return {"d1": all_times[to_d1], "d2": all_times[~to_d1]}
 
 
 def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
-    period = config.period_ns
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
-    base = (start + np.arange(n, dtype=float)) * period
+    base = (start + np.arange(n, dtype=float)) * config.period_ns
 
-    e1 = rng.exponential(config.bsm.t1_xx_ns, n)
-    e2 = rng.exponential(config.bsm.t1_xx_ns, n)
-    present1 = rng.random(n) < 0.5  # input polarizer on each photon
-    present2 = rng.random(n) < 0.5
-    long1 = rng.random(n) < 0.5
-    long2 = rng.random(n) < 0.5
-    u_flag = rng.random(n)
-    u_outcome = rng.random(n)
-    u_swap = rng.random(n) < 0.5
-    route1 = rng.random(n) < 0.5
-    route2 = rng.random(n) < 0.5
+    # The draws keep their order and sizes. Each float draw becomes arrival
+    # times in place or is cut to the overlapping pairs that use it, so a
+    # chunk holds about three float arrays of n periods at once.
+    arr1, arr2 = (rng.exponential(config.bsm.t1_xx_ns, n) for _ in range(2))
+    # Input polarizer on each photon, then interferometer arm.
+    present1, present2, long1, long2 = (rng.random(n) < 0.5 for _ in range(4))
+    overlap = present1 & present2 & long1 & ~long2
+    e1, e2 = arr1[overlap], arr2[overlap]
+    # arr1 = base + e1 (+ mzi + off on the long arm), arr2 = base + mzi + e2 (+ the same).
+    arr1 += base
+    base += mzi
+    arr2 += base
+    del base
+    np.add(arr1, mzi + off, out=arr1, where=long1)
+    np.add(arr2, mzi + off, out=arr2, where=long2)
+
+    flag = overlap.copy()
+    flag[overlap] = _interferes(config.bsm, e1, e2, off, rng.random(n)[overlap])
+    u_outcome = rng.random(n)[flag]
+    u_swap = rng.random(n)[flag] < 0.5
+    route1, route2 = (rng.random(n) < 0.5 for _ in range(2))
 
     # The long interferometer arm carries the half-wave plate: crossed
-    # configuration rotates that arm's polarization to V.
-    pol1 = np.where(long1 & ~config.hom_copolarized, 1, 0).astype(np.int8)
-    pol2 = np.where(long2 & ~config.hom_copolarized, 1, 0).astype(np.int8)
-    arr1 = base + e1 + np.where(long1, mzi + off, 0.0)
-    arr2 = base + mzi + e2 + np.where(long2, mzi + off, 0.0)
-
-    overlap = present1 & present2 & long1 & ~long2
-    flag = overlap & _interferes(config.bsm, e1, e2, off, u_flag)
+    # configuration rotates that arm's polarization to V. Everything below
+    # up to the lone photons is over the interfering pairs only.
+    pol1 = np.where(long1[flag] & ~config.hom_copolarized, 1, 0)
+    pol2 = np.where(long2[flag] & ~config.hom_copolarized, 1, 0)
+    a1, a2 = arr1[flag], arr2[flag]
 
     d1_parts, d2_parts = [], []
-    pattern = np.full(n, -1, dtype=np.int8)
+    pattern = np.full(a1.size, -1, dtype=np.int8)
     for pols, cdf in tables["cdfs"].items():
-        sel = flag & (pol1 == pols[0]) & (pol2 == pols[1])
+        sel = (pol1 == pols[0]) & (pol2 == pols[1])
         if np.any(sel):
             pattern[sel] = _categorical(cdf, u_outcome[sel]).astype(np.int8)
-    ta = np.where(u_swap, arr2, arr1)
-    tb = np.where(u_swap, arr1, arr2)
+    ta, tb = np.where(u_swap, a2, a1), np.where(u_swap, a1, a2)
     for oi, occupation in enumerate(tables["patterns"]):
         sel = pattern == oi
         if not np.any(sel):
@@ -434,14 +437,10 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
         for photon, (port, _pol) in enumerate(occupation):
             (d1_parts if port == 3 else d2_parts).append(times[photon])
     # Photons that do not interfere route independently.
-    lone1 = present1 & ~flag
-    lone2 = present2 & ~flag
+    lone1, lone2 = present1 & ~flag, present2 & ~flag
     d1_parts.extend([arr1[lone1 & route1], arr2[lone2 & route2]])
     d2_parts.extend([arr1[lone1 & ~route1], arr2[lone2 & ~route2]])
-    return {
-        "d1": np.concatenate(d1_parts) if d1_parts else np.empty(0),
-        "d2": np.concatenate(d2_parts) if d2_parts else np.empty(0),
-    }
+    return {"d1": np.concatenate(d1_parts), "d2": np.concatenate(d2_parts)}
 
 
 def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> TimestampStream:

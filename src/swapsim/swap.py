@@ -8,7 +8,7 @@ combine this with the temporal interference model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,11 +16,11 @@ import numpy as np
 from .interference import (
     BsmConvention,
     BsmPovm,
+    InterferenceError,
     TemporalModel,
     bsm_povm,
     convention_bell_state,
-    effective_indistinguishability,
-    heralding_rate_factor,
+    gate_response,
 )
 from .qstate import (
     DensityMatrix,
@@ -117,27 +117,31 @@ def predict(
 ) -> list[SwapResult]:
     """Swap outcome versus detection gate width.
 
-    For each gate the effective indistinguishability feeds the heralding POVM
-    and the heralding probability is scaled by the surviving-coincidence
-    fraction of that gate.
+    For each gate the effective indistinguishability I feeds the heralding
+    POVM and the heralding probability is scaled by the surviving-coincidence
+    fraction of that gate. The heralded state is affine in I: with n0, n1 and
+    p0, p1 the unnormalised states and probabilities heralded at I = 0 and 1,
+    it is ((1 - I) n0 + I n1) / p(I), p(I) = (1 - I) p0 + I p1.
     """
+    gates = list(gates_ps)
+    i_eff, factor = gate_response(temporal, gates, intrinsic_limit)
+    if not np.all((i_eff >= 0.0) & (i_eff <= 1.0)):
+        raise InterferenceError(f"indistinguishability {i_eff.min()}..{i_eff.max()} outside [0, 1]")
     rho4 = compose(emit_pair(params, 1), emit_pair(params, 2))
-    results = []
-    for gate in gates_ps:
-        gated = temporal.with_gate(gate)
-        i_eff = effective_indistinguishability(gated, intrinsic_limit)
-        factor = heralding_rate_factor(gated)
-        res = herald(rho4, bsm_povm(i_eff, convention))
-        results.append(
-            replace(
-                res,
-                herald_prob=res.herald_prob * factor,
-                gate_ps=gate,
-                i_eff=i_eff,
-                rate_factor=factor,
-            )
-        )
-    return results
+    ends = [herald(rho4, bsm_povm(i, convention)) for i in (0.0, 1.0)]
+    p = (1.0 - i_eff) * ends[0].herald_prob + i_eff * ends[1].herald_prob
+    if np.any(p < 1e-12):
+        raise SwapError(f"heralding probability {p.min():.3e} vanishes")
+    w = i_eff[:, None, None]
+    n0, n1 = (r.herald_prob * r.rho_ab.matrix for r in ends)
+    rho = ((1.0 - w) * n0 + w * n1) / p[:, None, None]
+    target = convention_bell_state(convention).amplitudes
+    fidelity = np.clip(np.einsum("i,gij,j->g", target.conj(), rho, target).real, 0.0, 1.0)
+    columns = (fidelity, horodecki_s(rho), p * factor, i_eff, factor)
+    return [
+        SwapResult(DensityMatrix(m, ("X1", "X2")), f, s, pr, gate, i, r)
+        for gate, m, (f, s, pr, i, r) in zip(gates, rho, zip(*(c.tolist() for c in columns)))
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Shared test helpers: independent oracles kept separate from the library code."""
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 from hypothesis import settings
+from scipy.special import erf
 
 from swapsim.interference import beamsplitter_coincidence
 from swapsim.qstate import PureState, project_to_physical
@@ -98,6 +102,57 @@ def povm_from_mode_calculus(overlap: float, premultiply: np.ndarray | None = Non
     return e
 
 
+def gate_acceptance(delta_ns: float, model) -> float:
+    """Probability that a true time difference passes the jittered gate of ``model``."""
+    if math.isinf(model.gate_ps):
+        return 1.0
+    half = model.gate_ps * 1e-3 / 2.0
+    sigma = model.diff_jitter_sigma_ns
+    if sigma == 0.0:
+        return 1.0 if abs(delta_ns) <= half else 0.0
+    z = sigma * math.sqrt(2.0)
+    return 0.5 * (erf((half - delta_ns) / z) + erf((half + delta_ns) / z))
+
+
+def quadrature_gated_integrals(model) -> tuple[float, float]:
+    """(numerator, denominator) of the gated coherence average by adaptive quadrature.
+
+    Integrates the Laplace density exp(-|d|/t1)/(2 t1) of the detection-time
+    difference, times the coherence kernel exp(-2 gamma |d|) for the
+    numerator, times ``gate_acceptance``, over d >= 0 and doubles it. The
+    segments break at 0, at half and at half +- {1, 3, 6, 12} sigma, so the
+    acceptance edge always sits on segment boundaries and ``quad`` cannot
+    step over it. The integral stops at 60 t1 or 12 sigma past the edge,
+    where the integrand is below double precision of the total.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    t1, gamma = model.t1_ns, model.dephasing_rate
+    sigma = model.diff_jitter_sigma_ns
+    half = model.gate_ps * 1e-3 / 2.0
+    end = 60.0 * t1
+    points = {0.0}
+    if not math.isinf(half):
+        end = min(end, half + 12.0 * sigma)
+        points |= {half + s * k * sigma for k in (0, 1, 3, 6, 12) for s in (-1.0, 1.0)}
+    edges = sorted(p for p in points if 0.0 <= p < end) + [end]
+
+    def integral(rate: float) -> float:
+        def integrand(d: float) -> float:
+            return math.exp(-rate * d) * gate_acceptance(d, model)
+
+        # On segments a few sigma wide quad flags round-off in its own error
+        # estimate long before it matters to the sum, which matches a 30-digit
+        # evaluation to about 1e-12.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            parts = [quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+                     for lo, hi in zip(edges[:-1], edges[1:])]
+        return sum(parts) / t1
+
+    return integral(1.0 / t1 + 2.0 * gamma), integral(1.0 / t1)
+
+
 def pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray:
     """All-pairs oracle: every tb[j] - ta[i] with ta[i] - max_abs_ns <= tb[j] < ta[i] + max_abs_ns.
 
@@ -123,6 +178,53 @@ def all_pairs_coincidences(ta, tb, span_ns, offsets_ns, half_ns, bin_ps):
     hist, edges = np.histogram(deltas * 1000.0, bins=nbins, range=(-span_ns * 1000.0, span_ns * 1000.0))
     windows = [int(np.count_nonzero(np.abs(deltas - off) <= half_ns)) for off in offsets_ns]
     return (edges[:-1] + edges[1:]) / 2.0, hist, windows
+
+
+def full_array_chunk_hbt(config, start: int, n: int, rng) -> dict[str, np.ndarray]:
+    """Oracle for ``mc._chunk_hbt``: the same draws, every intermediate a full array."""
+    base = (start + np.arange(n, dtype=float)) * config.period_ns
+    times = []
+    for pulse_offset in (0.0, config.mzi_delay_ns):
+        t = base + pulse_offset + rng.exponential(config.bsm.t1_xx_ns, n)
+        if config.topology == "hbt_x":
+            t = t + rng.exponential(config.source.t1_x_ns, n)
+        times.append(t)
+    all_times = np.concatenate(times)
+    to_d1 = rng.random(all_times.size) < 0.5
+    return {"d1": all_times[to_d1], "d2": all_times[~to_d1]}
+
+
+def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
+    """Oracle for ``mc._chunk_hom``: the same draws, every intermediate a full array."""
+    from swapsim.mc import _categorical, _interferes
+
+    mzi, off = config.mzi_delay_ns, config.bsm_delay_offset_ps * 1e-3
+    base = (start + np.arange(n, dtype=float)) * config.period_ns
+    e1 = rng.exponential(config.bsm.t1_xx_ns, n)
+    e2 = rng.exponential(config.bsm.t1_xx_ns, n)
+    present1, present2, long1, long2 = (rng.random(n) < 0.5 for _ in range(4))
+    u_flag = rng.random(n)
+    u_outcome = rng.random(n)
+    u_swap, route1, route2 = (rng.random(n) < 0.5 for _ in range(3))
+    pol1 = np.where(long1 & ~config.hom_copolarized, 1, 0)
+    pol2 = np.where(long2 & ~config.hom_copolarized, 1, 0)
+    arr1 = base + e1 + np.where(long1, mzi + off, 0.0)
+    arr2 = base + mzi + e2 + np.where(long2, mzi + off, 0.0)
+    flag = present1 & present2 & long1 & ~long2 & _interferes(config.bsm, e1, e2, off, u_flag)
+    pattern = np.full(n, -1)
+    for pols, cdf in tables["cdfs"].items():
+        sel = flag & (pol1 == pols[0]) & (pol2 == pols[1])
+        pattern[sel] = _categorical(cdf, u_outcome[sel])
+    ta, tb = np.where(u_swap, arr2, arr1), np.where(u_swap, arr1, arr2)
+    parts: dict[int, list] = {3: [], 4: []}
+    for oi, occupation in enumerate(tables["patterns"]):
+        sel = pattern == oi
+        for times, (port, _pol) in zip((ta[sel], tb[sel]), occupation):
+            parts[port].append(times)
+    lone1, lone2 = present1 & ~flag, present2 & ~flag
+    parts[3] += [arr1[lone1 & route1], arr2[lone2 & route2]]
+    parts[4] += [arr1[lone1 & ~route1], arr2[lone2 & ~route2]]
+    return {"d1": np.concatenate(parts[3]), "d2": np.concatenate(parts[4])}
 
 
 def profile_loglike(rho: np.ndarray, ops: np.ndarray, counts, exposures) -> tuple[float, np.ndarray]:

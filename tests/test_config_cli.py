@@ -178,6 +178,11 @@ def test_cli_swap_predict_monotone(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(fid, fid[1:]))
 
 
+def test_cli_swap_predict_rejects_zero_gate(tmp_path, capsys):
+    assert main(["swap-predict", "--gates", "0:10:5", "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "gate width must be positive" in capsys.readouterr().err
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import povm_from_mode_calculus
+from conftest import gate_acceptance, povm_from_mode_calculus, quadrature_gated_integrals
 from swapsim.interference import (
     BsmConvention,
     BsmSettings,
     InterferenceError,
     TemporalModel,
+    _gated_integrals,
     beamsplitter_coincidence,
     bsm_povm,
     calibrate_temporal,
     effective_indistinguishability,
-    gate_acceptance,
+    gate_response,
     heralding_rate_factor,
     hom_coincidence,
     hom_visibility,
@@ -166,6 +169,49 @@ def test_rate_factor_limits():
     assert heralding_rate_factor(model.with_gate(1e-3)) < 1e-4
     # jitter spreads the acceptance: with a wide-open gate, still 1
     assert gate_acceptance(0.0, model) == 1.0
+
+
+def test_gated_integrals_resolve_a_sharp_gate_edge():
+    # 5 ps jitter against a 1 ns lifetime: the gate edge is a few ps wide, so
+    # an adaptive rule over long segments can step over it.
+    model = TemporalModel(1.0, 0.3, 5.0, 1000.0)
+    assert abs(heralding_rate_factor(model) - (1.0 - math.exp(-0.5))) < 1e-5
+    gated = model.with_gate(47.0)
+    num, den = quadrature_gated_integrals(gated)
+    assert effective_indistinguishability(gated) == pytest.approx(num / den, rel=1e-9)
+
+
+LIFETIMES = st.floats(0.05, 2.0)
+T2_FRACTIONS = st.one_of(st.just(1.0), st.floats(1e-3, 1.0))  # t2 / (2 t1)
+JITTERS = st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(-3.0, 2.5).map(lambda e: 10.0**e))
+GATES = st.one_of(st.just(math.inf), st.floats(-3.0, 5.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300)
+@given(LIFETIMES, T2_FRACTIONS, JITTERS, GATES)
+def test_gated_integrals_match_quadrature(t1, t2_fraction, jitter, gate):
+    model = TemporalModel(t1, 2.0 * t1 * t2_fraction, jitter, gate)
+    num, den = _gated_integrals(model, np.array([gate]))
+    oracle_num, oracle_den = quadrature_gated_integrals(model)
+    assert num[0] == pytest.approx(oracle_num, rel=1e-9)
+    assert den[0] == pytest.approx(oracle_den, rel=1e-9)
+
+
+@settings(max_examples=200)
+@given(LIFETIMES, T2_FRACTIONS, JITTERS.filter(lambda j: j > 0.0), st.floats(0.0, 1.0))
+def test_gate_response_monotone_across_branch_switches(t1, t2_fraction, jitter, intrinsic):
+    model = TemporalModel(t1, 2.0 * t1 * t2_fraction, jitter)
+    # The closed form hands over to the quadrature rule at a = h/z = 4 and
+    # switches erfcx branch at b = a, that is h = kappa z^2 / 2.
+    z = math.sqrt(2.0) * model.diff_jitter_sigma_ns
+    kappas = (1.0 / t1, 1.0 / t1 + 2.0 * model.dephasing_rate)
+    switches_ps = [8e3 * z] + [1e3 * k * z * z for k in kappas]
+    near = [s * f for s in switches_ps for f in (0.9, 1 - 1e-6, 1 + 1e-6, 1.1)]
+    gates = np.sort(np.concatenate([np.geomspace(1e-3, 1e5, 41), near, [math.inf]]))
+    i_eff, rate = gate_response(model, gates, intrinsic)
+    assert np.all(np.diff(i_eff) <= 1e-12)
+    assert np.all(np.diff(rate) >= -1e-12)
+    assert np.all((rate >= 0.0) & (rate <= 1.0)) and rate[-1] == 1.0
 
 
 def test_calibrate_temporal_round_trip():

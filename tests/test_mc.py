@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs_coincidences
+from conftest import all_pairs_coincidences, full_array_chunk_hbt, full_array_chunk_hom
 
 from swapsim import mc
 from swapsim.interference import BsmSettings
@@ -442,6 +442,45 @@ def test_dark_counts_fill_dead_apparatus():
         assert abs(times.size - expected) < 5 * math.sqrt(expected)
         # homogeneous in time: mean near the middle of the span
         assert abs(float(times.mean()) - duration * 1e9 / 2) < duration * 1e9 * 0.05
+
+
+@pytest.mark.parametrize("topology", ["hom", "hbt_xx", "hbt_x"])
+@pytest.mark.parametrize("copolarized", [True, False])
+@pytest.mark.parametrize("offset_ps", [0.0, -350.0, 120.0])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_chunk_generators_match_full_array_oracle(monkeypatch, topology, copolarized, offset_ps, noisy):
+    # Several chunks, so the draws of later chunks and the pool are covered too.
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
+    extra = dict(efficiency=0.6, background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=5.0) if noisy else {}
+    cfg = ApparatusConfig(
+        topology=topology, hom_copolarized=copolarized, bsm_delay_offset_ps=offset_ps,
+        bsm=BsmSettings(jitter_ps=30.0 if noisy else 0.0), **extra,
+    )  # fmt: skip
+    stream = simulate(cfg, _periods(cfg, 30_000), seed=9)
+    monkeypatch.setattr(mc, "_chunk_hom", full_array_chunk_hom)
+    monkeypatch.setattr(mc, "_chunk_hbt", full_array_chunk_hbt)
+    oracle = simulate(cfg, _periods(cfg, 30_000), seed=9)
+    for name in oracle.channels:
+        assert stream.channels[name].size > 0
+        assert np.array_equal(stream.channels[name], oracle.channels[name])
+
+
+@pytest.mark.parametrize("topology, float_arrays", [("hom", 7), ("hbt_xx", 5), ("hbt_x", 5)])
+def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
+    # The full-array versions peak at 103 B (hom) and 60 B (hbt) per period.
+    n = 1 << 17
+    cfg = ApparatusConfig(topology=topology, hom_copolarized=False, **FAST)
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        if topology == "hom":
+            mc._chunk_hom(cfg, mc._hom_tables(), 0, n, rng)
+        else:
+            mc._chunk_hbt(cfg, 0, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float_arrays * 8 * n, peak / n
 
 
 def test_worker_cap_does_not_change_results(monkeypatch):

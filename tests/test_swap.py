@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swapsim.interference import BsmConvention, TemporalModel, bsm_povm
+from swapsim.interference import (
+    BsmConvention,
+    InterferenceError,
+    TemporalModel,
+    bsm_povm,
+    effective_indistinguishability,
+)
 from swapsim.qstate import (
     BellKind,
     DensityMatrix,
@@ -180,6 +188,46 @@ def test_predict_fss_matches_dephasing_values():
     res = predict(params, temporal, [math.inf], intrinsic_limit=0.938878)[0]
     assert res.fidelity == pytest.approx(0.7122, abs=1e-3)
     assert abs(res.herald_prob - 0.125) < 1e-14
+
+
+def test_predict_gate_validation():
+    params, temporal = SourceParams(), TemporalModel(0.12, 0.145450, 50.0)
+    for gates in ([0.0], [float("nan")], [47.0, -5.0]):
+        with pytest.raises(InterferenceError):
+            predict(params, temporal, gates)
+    assert predict(params, temporal, []) == []
+
+
+@settings(max_examples=80)
+@given(
+    kind=st.sampled_from(list(NoiseKind)),
+    f1=st.floats(0.55, 1.0),
+    f2=st.floats(0.55, 1.0),
+    convention=st.sampled_from(list(BsmConvention)),
+    intrinsic=st.floats(0.0, 1.0),
+    t2_fraction=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    jitter=st.sampled_from([0.0, 1e-3, 5.0, 50.0]),
+    gates=st.lists(st.one_of(st.just(math.inf), st.floats(1e-3, 1e4)), min_size=1, max_size=6),
+)
+def test_predict_equals_per_gate_herald(kind, f1, f2, convention, intrinsic, t2_fraction, jitter, gates):
+    # t2_fraction = 1 removes dephasing, so I equals the drawn intrinsic limit.
+    params = SourceParams(f1, f2, kind)
+    temporal = TemporalModel(0.12, 0.24 * t2_fraction, jitter)
+    results = predict(params, temporal, gates, intrinsic, convention)
+    rho4 = compose(emit_pair(params, 1), emit_pair(params, 2))
+    for i in (0.0, 1.0):
+        assert abs(herald(rho4, bsm_povm(i, convention)).herald_prob - 0.125) < 1e-14
+    assert [r.gate_ps for r in results] == gates
+    for r in results:
+        gated = temporal.with_gate(r.gate_ps)
+        assert r.i_eff == pytest.approx(effective_indistinguishability(gated, intrinsic), rel=1e-15)
+        ref = herald(rho4, bsm_povm(r.i_eff, convention))
+        assert np.max(np.abs(r.rho_ab.matrix - ref.rho_ab.matrix)) < 1e-12
+        assert abs(r.fidelity - ref.fidelity) < 1e-12
+        assert abs(r.s_value - ref.s_value) < 1e-12
+        assert abs(r.herald_prob - ref.herald_prob * r.rate_factor) < 1e-12
+        assert abs(np.trace(r.rho_ab.matrix) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(r.rho_ab.matrix).min() > -1e-12
 
 
 def test_classical_bound_check():
