@@ -189,13 +189,24 @@ def _ind_patterns() -> list[tuple[tuple[tuple[int, int], ...], np.ndarray]]:
 _Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+# Destination configurations of the two X photons, (photon 1, photon 2) to
+# Alice (A) or Bob (B), numbered 2 * (photon 1 to Bob) + (photon 2 to Bob).
+_DEST_CONFIGS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
+
+
 def _swap_tables(config: ApparatusConfig) -> dict:
     """Joint outcome probability tables for the heralding topology.
 
     For each destination assignment of the two non-interfering photons, the
-    distinguishable branch samples (pol1, pol2, pass1, pass2) and the
-    interference branch samples (pattern, pass1, pass2), both from the exact
-    Born probabilities of the four-photon state.
+    interference branch samples (pattern, pass1, pass2) and the
+    distinguishable branch samples (pol1, pol2, pass1, pass2), both from the
+    exact Born probabilities of the four-photon state.
+
+    ``cdfs`` holds the four interference CDFs, then the four distinguishable
+    ones, in destination-config order. Group g's outcome i is global outcome
+    ``offsets[g] + i``, whose attributes the lookup arrays ``pattern`` (-1 off
+    the interference branch), ``pol1``, ``pol2`` (-1 off the distinguishable
+    branch), ``x_pass1`` and ``x_pass2`` give.
     """
     rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2)).matrix
     patterns = _ind_patterns()
@@ -203,41 +214,38 @@ def _swap_tables(config: ApparatusConfig) -> dict:
     if config.bsm.convention is BsmConvention.PSI_PLUS:
         flip = np.kron(_Z, np.eye(2, dtype=complex))
         pattern_ops = [flip @ m @ flip for m in pattern_ops]
-    pol_ops = [
-        np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
-        np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-        np.kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])),
-        np.kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])),
-    ]
+    h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    pol_ops = [np.kron(a, b) for a in (h, v) for b in (h, v)]
     analyzers = {
         "A": _analyzer_projectors(config.alice_setting),
         "B": _analyzer_projectors(config.bob_setting),
     }
-    dest_configs = [("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")]
-    ind_cdf, dist_cdf = {}, {}
-    for ci, (d1, d2) in enumerate(dest_configs):
-        p1_pass, p1_fail = analyzers[d1]
-        p2_pass, p2_fail = analyzers[d2]
-        x_ops = [
-            np.kron(a, b)
-            for a in (p1_pass, p1_fail)
-            for b in (p2_pass, p2_fail)
-        ]  # order: (pass,pass), (pass,fail), (fail,pass), (fail,fail)
-        ind = np.empty((8, 4))
-        for oi, m in enumerate(pattern_ops):
-            for xi, xop in enumerate(x_ops):
-                ind[oi, xi] = max(float(np.real(np.trace(rho4 @ np.kron(xop, m)))), 0.0)
-        dist = np.empty((4, 4))
-        for pi, pop in enumerate(pol_ops):
-            for xi, xop in enumerate(x_ops):
-                dist[pi, xi] = max(float(np.real(np.trace(rho4 @ np.kron(xop, pop)))), 0.0)
-        ind_cdf[ci] = np.cumsum(ind.reshape(-1))
-        dist_cdf[ci] = np.cumsum(dist.reshape(-1))
-        ind_cdf[ci] /= ind_cdf[ci][-1]
-        dist_cdf[ci] /= dist_cdf[ci][-1]
+    # Analyzer outcomes (pass,pass), (pass,fail), (fail,pass), (fail,fail) per destination config.
+    x_ops = np.array(
+        [[np.kron(a, b) for a in analyzers[d1] for b in analyzers[d2]] for d1, d2 in _DEST_CONFIGS]
+    )
+    # rho4 is ordered (X1, X2, XX1, XX2), so Tr[rho4 (x_op kron bsm_op)] pairs
+    # its X indices (i, j) with the analyzer operator and its XX indices (k, l)
+    # with the pattern or polarization operator.
+    probs = np.einsum(
+        "ikjl,cxji,mlk->cmx", rho4.reshape(4, 4, 4, 4), x_ops, np.array(pattern_ops + pol_ops)
+    ).real.clip(0.0, None)
+    cdfs = []
+    for block in (probs[:, :8], probs[:, 8:]):
+        cdf = np.cumsum(block.reshape(4, -1), axis=1)
+        cdfs.extend(cdf / cdf[:, -1:])
+    # Global outcome g = 4 * pattern + x on the interference branch and
+    # 32 + 8 * pol1 + 4 * pol2 + x on the distinguishable one.
+    g = np.arange(48)
+    ind = g < 32
     return {
-        "ind_cdf": ind_cdf,
-        "dist_cdf": dist_cdf,
+        "cdfs": cdfs,
+        "offsets": (0, 0, 0, 0, 32, 32, 32, 32),
+        "pattern": np.where(ind, g // 4, -1).astype(np.int8),
+        "pol1": np.where(ind, -1, (g - 32) // 8).astype(np.int8),
+        "pol2": np.where(ind, -1, g // 4 % 2).astype(np.int8),
+        "x_pass1": g % 4 < 2,
+        "x_pass2": g % 2 == 0,
         "patterns": [occ for occ, _ in patterns],
     }
 
@@ -289,89 +297,83 @@ def _interferes(
 
 
 def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
-    period = config.period_ns
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
     t1_xx, t1_x = config.bsm.t1_xx_ns, config.source.t1_x_ns
-    base = (start + np.arange(n, dtype=float)) * period
 
-    e_xx1 = rng.exponential(t1_xx, n)
-    e_x1 = rng.exponential(t1_x, n)
-    e_xx2 = rng.exponential(t1_xx, n)
-    e_x2 = rng.exponential(t1_x, n)
-    xx1_port1 = rng.random(n) < 0.5
-    xx2_port1 = rng.random(n) < 0.5
-    x1_alice = rng.random(n) < 0.5
-    x2_alice = rng.random(n) < 0.5
-    u_flag = rng.random(n)
-    u_outcome = rng.random(n)
-    u_swap = rng.random(n) < 0.5
-    out1_coin = rng.random(n) < 0.5  # distinguishable-branch output ports
-    out2_coin = rng.random(n) < 0.5
-
+    # The draws keep their order and sizes, and each channel's parts keep
+    # their order, so efficiency and jitter draw against the same detections.
+    # Emission delays become arrival times in place. Masked gathers use
+    # np.compress or index arrays: boolean indexing is about 4x slower on
+    # masks this dense.
+    arr1, t_x1, arr2, t_x2 = (rng.exponential(t1, n) for t1 in (t1_xx, t1_x, t1_xx, t1_x))
+    xx1_port1, xx2_port1, x1_alice, x2_alice = (rng.random(n) < 0.5 for _ in range(4))
     # Interference only when the photons overlap at the splitter: emission 1
     # through the delayed arm against emission 2 through the direct arm.
-    can_interfere = xx1_port1 & ~xx2_port1
-    flag = can_interfere & _interferes(config.bsm, e_xx1, e_xx2, off, u_flag)
+    overlap = np.flatnonzero(xx1_port1 & ~xx2_port1)
+    hit = _interferes(config.bsm, arr1[overlap], arr2[overlap], off, rng.random(n)[overlap])
+    pairs = overlap[hit]  # the interfering periods
+    del overlap, hit
+    u_outcome = rng.random(n)
+    u_swap = rng.random(n)[pairs] < 0.5
+    out1_coin, out2_coin = (rng.random(n) < 0.5 for _ in range(2))  # distinguishable-branch ports
 
-    dest_cfg = np.where(x1_alice, 0, 2) + np.where(x2_alice, 0, 1)
-    pattern = np.full(n, -1, dtype=np.int8)
-    pol1 = np.zeros(n, dtype=np.int8)
-    pol2 = np.zeros(n, dtype=np.int8)
-    x_pass1 = np.zeros(n, dtype=bool)
-    x_pass2 = np.zeros(n, dtype=bool)
-    for ci in range(4):
-        sel = flag & (dest_cfg == ci)
-        if np.any(sel):
-            idx = _categorical(tables["ind_cdf"][ci], u_outcome[sel])
-            pattern[sel] = (idx // 4).astype(np.int8)
-            x_pass1[sel] = (idx % 4) < 2
-            x_pass2[sel] = (idx % 4) % 2 == 0
-        sel = ~flag & (dest_cfg == ci)
-        if np.any(sel):
-            idx = _categorical(tables["dist_cdf"][ci], u_outcome[sel])
-            pq = idx // 4
-            pol1[sel] = (pq // 2).astype(np.int8)
-            pol2[sel] = (pq % 2).astype(np.int8)
-            x_pass1[sel] = (idx % 4) < 2
-            x_pass2[sel] = (idx % 4) % 2 == 0
+    # arr1 = base + e_xx1 (+ mzi + off on the delayed arm), t_x1 = base + e_xx1 + e_x1;
+    # arr2 and t_x2 the same from base + mzi and emission 2.
+    base = (start + np.arange(n, dtype=float)) * config.period_ns
+    arr1 += base
+    base += mzi
+    arr2 += base
+    del base
+    t_x1 += arr1
+    t_x2 += arr2
+    arr1 += xx1_port1 * (mzi + off)
+    arr2 += xx2_port1 * (mzi + off)
 
-    arr1 = base + e_xx1 + np.where(xx1_port1, mzi + off, 0.0)
-    arr2 = base + mzi + e_xx2 + np.where(xx2_port1, mzi + off, 0.0)
+    # Each period's outcome comes from the table of its group: the branch
+    # (interference 0-3, distinguishable 4-7) by destination config. One
+    # stable sort gathers the groups, and each group is one categorical draw.
+    key = np.uint8(4) + np.uint8(2) * ~x1_alice + ~x2_alice
+    key[pairs] -= 4
+    order = np.argsort(key, kind="stable")
+    u_grouped = u_outcome[order]
+    del u_outcome
+    grouped = np.empty(n, dtype=np.uint8)
+    lo = 0
+    ends = np.cumsum(np.bincount(key, minlength=len(tables["cdfs"])))
+    for cdf, offset, hi in zip(tables["cdfs"], tables["offsets"], ends):
+        grouped[lo:hi] = _categorical(cdf, u_grouped[lo:hi]) + offset
+        lo = hi
+    outcome = np.empty(n, dtype=np.uint8)
+    outcome[order] = grouped
+    del key, order, u_grouped, grouped
+    pol1, pol2, x_pass1, x_pass2 = (
+        np.take(tables[k], outcome) for k in ("pol1", "pol2", "x_pass1", "x_pass2")
+    )
 
-    det1_parts, det2_parts = [], []
-    # Distinguishable branch: independent output routing, H/V projection.
-    dist = ~flag
-    out1 = np.where(out1_coin, 3, 4)
-    out2 = np.where(out2_coin, 3, 4)
-    det1_parts.append(arr1[dist & (out1 == 3) & (pol1 == 0)])
-    det1_parts.append(arr2[dist & (out2 == 3) & (pol2 == 0)])
-    det2_parts.append(arr1[dist & (out1 == 4) & (pol1 == 1)])
-    det2_parts.append(arr2[dist & (out2 == 4) & (pol2 == 1)])
+    # Distinguishable branch: independent output routing, H/V projection
+    # (pol1 and pol2 are -1 on the interference branch).
+    det1_parts = [np.compress(out1_coin & (pol1 == 0), arr1), np.compress(out2_coin & (pol2 == 0), arr2)]
+    det2_parts = [np.compress(~out1_coin & (pol1 == 1), arr1), np.compress(~out2_coin & (pol2 == 1), arr2)]
     # Interference branch: detection times are exchangeable, assign randomly.
-    ta = np.where(u_swap, arr2, arr1)
-    tb = np.where(u_swap, arr1, arr2)
+    a1, a2 = arr1[pairs], arr2[pairs]
+    ta, tb = np.where(u_swap, a2, a1), np.where(u_swap, a1, a2)
+    pattern = tables["pattern"][outcome[pairs]]
     for oi, occupation in enumerate(tables["patterns"]):
         sel = pattern == oi
-        if not np.any(sel):
-            continue
-        times = (ta[sel], tb[sel])
-        for photon, (port, pol) in enumerate(occupation):
+        for times, (port, pol) in zip((ta[sel], tb[sel]), occupation):
             if port == 3 and pol == 0:
-                det1_parts.append(times[photon])
+                det1_parts.append(times)
             elif port == 4 and pol == 1:
-                det2_parts.append(times[photon])
+                det2_parts.append(times)
 
-    t_x1 = base + e_xx1 + e_x1
-    t_x2 = base + mzi + e_xx2 + e_x2
-    alice_parts = [t_x1[x1_alice & x_pass1], t_x2[x2_alice & x_pass2]]
-    bob_parts = [t_x1[~x1_alice & x_pass1], t_x2[~x2_alice & x_pass2]]
-
+    alice = [np.compress(x1_alice & x_pass1, t_x1), np.compress(x2_alice & x_pass2, t_x2)]
+    bob = [np.compress(~x1_alice & x_pass1, t_x1), np.compress(~x2_alice & x_pass2, t_x2)]
     return {
-        "bsm1": np.concatenate(det1_parts) if det1_parts else np.empty(0),
-        "bsm2": np.concatenate(det2_parts) if det2_parts else np.empty(0),
-        "alice": np.concatenate(alice_parts),
-        "bob": np.concatenate(bob_parts),
+        "bsm1": np.concatenate(det1_parts),
+        "bsm2": np.concatenate(det2_parts),
+        "alice": np.concatenate(alice),
+        "bob": np.concatenate(bob),
     }
 
 

@@ -227,6 +227,107 @@ def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[
     return {"d1": np.concatenate(parts[3]), "d2": np.concatenate(parts[4])}
 
 
+def loop_swap_tables(config) -> dict:
+    """Oracle for ``mc._swap_tables``: one 16x16 trace per table entry.
+
+    Returns the interference and distinguishable CDFs per destination config
+    (``ind_cdf``, ``dist_cdf``) in the layout ``full_array_chunk_swap`` reads.
+    """
+    from swapsim.interference import BsmConvention
+    from swapsim.mc import _Z, _analyzer_projectors, _ind_patterns
+    from swapsim.source import emit_pair
+    from swapsim.swap import compose
+
+    rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2)).matrix
+    patterns = _ind_patterns()
+    pattern_ops = [m for _, m in patterns]
+    if config.bsm.convention is BsmConvention.PSI_PLUS:
+        flip = np.kron(_Z, np.eye(2, dtype=complex))
+        pattern_ops = [flip @ m @ flip for m in pattern_ops]
+    hv = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    pol_ops = [np.kron(a, b) for a in hv for b in hv]
+    analyzers = {
+        "A": _analyzer_projectors(config.alice_setting),
+        "B": _analyzer_projectors(config.bob_setting),
+    }
+    ind_cdf, dist_cdf = {}, {}
+    for ci, (d1, d2) in enumerate([("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")]):
+        # order: (pass,pass), (pass,fail), (fail,pass), (fail,fail)
+        x_ops = [np.kron(a, b) for a in analyzers[d1] for b in analyzers[d2]]
+        for ops, out in ((pattern_ops, ind_cdf), (pol_ops, dist_cdf)):
+            table = np.empty((len(ops), 4))
+            for oi, m in enumerate(ops):
+                for xi, xop in enumerate(x_ops):
+                    table[oi, xi] = max(float(np.real(np.trace(rho4 @ np.kron(xop, m)))), 0.0)
+            cdf = np.cumsum(table.reshape(-1))
+            out[ci] = cdf / cdf[-1]
+    return {"ind_cdf": ind_cdf, "dist_cdf": dist_cdf, "patterns": [occ for occ, _ in patterns]}
+
+
+def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
+    """Oracle for ``mc._chunk_swap`` on ``loop_swap_tables``: the same draws, every
+    intermediate a full array, one masked categorical draw per table."""
+    from swapsim.mc import _categorical, _interferes
+
+    mzi, off = config.mzi_delay_ns, config.bsm_delay_offset_ps * 1e-3
+    t1_xx, t1_x = config.bsm.t1_xx_ns, config.source.t1_x_ns
+    base = (start + np.arange(n, dtype=float)) * config.period_ns
+    e_xx1, e_x1, e_xx2, e_x2 = (rng.exponential(t1, n) for t1 in (t1_xx, t1_x, t1_xx, t1_x))
+    xx1_port1, xx2_port1, x1_alice, x2_alice = (rng.random(n) < 0.5 for _ in range(4))
+    u_flag = rng.random(n)
+    u_outcome = rng.random(n)
+    u_swap, out1_coin, out2_coin = (rng.random(n) < 0.5 for _ in range(3))
+    flag = xx1_port1 & ~xx2_port1 & _interferes(config.bsm, e_xx1, e_xx2, off, u_flag)
+    dest_cfg = np.where(x1_alice, 0, 2) + np.where(x2_alice, 0, 1)
+    pattern = np.full(n, -1)
+    pol1, pol2 = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    x_pass1, x_pass2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for ci in range(4):
+        sel = flag & (dest_cfg == ci)
+        idx = _categorical(tables["ind_cdf"][ci], u_outcome[sel])
+        pattern[sel] = idx // 4
+        x_pass1[sel], x_pass2[sel] = idx % 4 < 2, idx % 2 == 0
+        sel = ~flag & (dest_cfg == ci)
+        idx = _categorical(tables["dist_cdf"][ci], u_outcome[sel])
+        pol1[sel], pol2[sel] = idx // 8, idx // 4 % 2
+        x_pass1[sel], x_pass2[sel] = idx % 4 < 2, idx % 2 == 0
+    arr1 = base + e_xx1 + np.where(xx1_port1, mzi + off, 0.0)
+    arr2 = base + mzi + e_xx2 + np.where(xx2_port1, mzi + off, 0.0)
+    dist = ~flag
+    det1 = [arr1[dist & out1_coin & (pol1 == 0)], arr2[dist & out2_coin & (pol2 == 0)]]
+    det2 = [arr1[dist & ~out1_coin & (pol1 == 1)], arr2[dist & ~out2_coin & (pol2 == 1)]]
+    ta, tb = np.where(u_swap, arr2, arr1), np.where(u_swap, arr1, arr2)
+    for oi, occupation in enumerate(tables["patterns"]):
+        sel = pattern == oi
+        for times, (port, pol) in zip((ta[sel], tb[sel]), occupation):
+            if (port, pol) == (3, 0):
+                det1.append(times)
+            elif (port, pol) == (4, 1):
+                det2.append(times)
+    t_x1 = base + e_xx1 + e_x1
+    t_x2 = base + mzi + e_xx2 + e_x2
+    return {
+        "bsm1": np.concatenate(det1),
+        "bsm2": np.concatenate(det2),
+        "alice": np.concatenate([t_x1[x1_alice & x_pass1], t_x2[x2_alice & x_pass2]]),
+        "bob": np.concatenate([t_x1[~x1_alice & x_pass1], t_x2[~x2_alice & x_pass2]]),
+    }
+
+
+def serial_dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
+    """Oracle for ``mc._dead_time_filter``: keep an event when it comes at least
+    ``dead_ns`` after the last kept one (tested as ``t - last >= dead_ns``)."""
+    if dead_ns <= 0 or times.size < 2:
+        return times
+    kept = []
+    last = -math.inf
+    for t in times.tolist():
+        if t - last >= dead_ns:
+            kept.append(t)
+            last = t
+    return np.array(kept)
+
+
 def profile_loglike(rho: np.ndarray, ops: np.ndarray, counts, exposures) -> tuple[float, np.ndarray]:
     """Poisson log-likelihood of one state with the overall flux profiled out, plus dL/drho."""
     p = np.clip(np.real(np.einsum("sij,ji->s", ops, rho)), 1e-300, None)

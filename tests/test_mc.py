@@ -6,13 +6,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs_coincidences, full_array_chunk_hbt, full_array_chunk_hom
+from conftest import (
+    all_pairs_coincidences,
+    full_array_chunk_hbt,
+    full_array_chunk_hom,
+    full_array_chunk_swap,
+    loop_swap_tables,
+    serial_dead_time_filter,
+)
 
 from swapsim import mc
-from swapsim.interference import BsmSettings
+from swapsim.interference import BsmConvention, BsmSettings
 from swapsim.mc import (
     ApparatusConfig,
     McError,
@@ -444,30 +451,67 @@ def test_dark_counts_fill_dead_apparatus():
         assert abs(float(times.mean()) - duration * 1e9 / 2) < duration * 1e9 * 0.05
 
 
-@pytest.mark.parametrize("topology", ["hom", "hbt_xx", "hbt_x"])
-@pytest.mark.parametrize("copolarized", [True, False])
-@pytest.mark.parametrize("offset_ps", [0.0, -350.0, 120.0])
-@pytest.mark.parametrize("noisy", [False, True])
-def test_chunk_generators_match_full_array_oracle(monkeypatch, topology, copolarized, offset_ps, noisy):
+def _assert_stream_matches_oracle(monkeypatch, cfg: ApparatusConfig, **oracles) -> None:
+    """simulate() equals a run with the given mc functions swapped for their oracles."""
     # Several chunks, so the draws of later chunks and the pool are covered too.
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
-    extra = dict(efficiency=0.6, background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=5.0) if noisy else {}
-    cfg = ApparatusConfig(
-        topology=topology, hom_copolarized=copolarized, bsm_delay_offset_ps=offset_ps,
-        bsm=BsmSettings(jitter_ps=30.0 if noisy else 0.0), **extra,
-    )  # fmt: skip
     stream = simulate(cfg, _periods(cfg, 30_000), seed=9)
-    monkeypatch.setattr(mc, "_chunk_hom", full_array_chunk_hom)
-    monkeypatch.setattr(mc, "_chunk_hbt", full_array_chunk_hbt)
+    for name, oracle_fn in oracles.items():
+        monkeypatch.setattr(mc, name, oracle_fn)
     oracle = simulate(cfg, _periods(cfg, 30_000), seed=9)
     for name in oracle.channels:
         assert stream.channels[name].size > 0
         assert np.array_equal(stream.channels[name], oracle.channels[name])
 
 
-@pytest.mark.parametrize("topology, float_arrays", [("hom", 7), ("hbt_xx", 5), ("hbt_x", 5)])
+def _noise(noisy: bool) -> dict:
+    return dict(efficiency=0.6, background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=5.0) if noisy else {}
+
+
+@pytest.mark.parametrize("topology", ["hom", "hbt_xx", "hbt_x"])
+@pytest.mark.parametrize("copolarized", [True, False])
+@pytest.mark.parametrize("offset_ps", [0.0, -350.0, 120.0])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_chunk_generators_match_full_array_oracle(monkeypatch, topology, copolarized, offset_ps, noisy):
+    cfg = ApparatusConfig(
+        topology=topology, hom_copolarized=copolarized, bsm_delay_offset_ps=offset_ps,
+        bsm=BsmSettings(jitter_ps=30.0 if noisy else 0.0), **_noise(noisy),
+    )  # fmt: skip
+    _assert_stream_matches_oracle(
+        monkeypatch, cfg, _chunk_hom=full_array_chunk_hom, _chunk_hbt=full_array_chunk_hbt
+    )
+
+
+@pytest.mark.parametrize("convention", list(BsmConvention))
+@pytest.mark.parametrize("analyzers", [("H", "V"), ("D", "A"), ("R", "L"), (None, None)])
+@pytest.mark.parametrize("offset_ps", [0.0, -350.0, 120.0])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_swap_generator_matches_full_array_oracle(monkeypatch, convention, analyzers, offset_ps, noisy):
+    cfg = ApparatusConfig(
+        alice_setting=analyzers[0], bob_setting=analyzers[1], bsm_delay_offset_ps=offset_ps,
+        bsm=BsmSettings(convention=convention, jitter_ps=30.0 if noisy else 0.0), **_noise(noisy),
+    )  # fmt: skip
+    _assert_stream_matches_oracle(
+        monkeypatch, cfg, _swap_tables=loop_swap_tables, _chunk_swap=full_array_chunk_swap
+    )
+
+
+@pytest.mark.parametrize("convention", list(BsmConvention))
+def test_swap_tables_match_loop_oracle(convention):
+    for setting in standard_settings(36) + [None]:
+        analyzers = (setting.projector_a, setting.projector_b) if setting else (None, None)
+        cfg = ApparatusConfig(
+            alice_setting=analyzers[0], bob_setting=analyzers[1], bsm=BsmSettings(convention=convention)
+        )
+        tables, oracle = mc._swap_tables(cfg), loop_swap_tables(cfg)
+        for ci in range(4):
+            assert np.array_equal(tables["cdfs"][ci], oracle["ind_cdf"][ci])
+            assert np.array_equal(tables["cdfs"][4 + ci], oracle["dist_cdf"][ci])
+
+
+@pytest.mark.parametrize("topology, float_arrays", [("hom", 7), ("hbt_xx", 5), ("hbt_x", 5), ("swap", 12)])
 def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
-    # The full-array versions peak at 103 B (hom) and 60 B (hbt) per period.
+    # The full-array versions peak at 103 B (hom), 60 B (hbt) and 180 B (swap) per period.
     n = 1 << 17
     cfg = ApparatusConfig(topology=topology, hom_copolarized=False, **FAST)
     rng = np.random.default_rng(2)
@@ -475,6 +519,8 @@ def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
     try:
         if topology == "hom":
             mc._chunk_hom(cfg, mc._hom_tables(), 0, n, rng)
+        elif topology == "swap":
+            mc._chunk_swap(cfg, mc._swap_tables(cfg), 0, n, rng)
         else:
             mc._chunk_hbt(cfg, 0, n, rng)
         peak = tracemalloc.get_traced_memory()[1]
@@ -483,8 +529,27 @@ def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
     assert peak < float_arrays * 8 * n, peak / n
 
 
-def test_worker_cap_does_not_change_results(monkeypatch):
-    # 30k periods in 8192-period blocks: four chunks, so the pool really runs.
+@given(
+    grid_ns=st.sampled_from([0.1, 0.25]),
+    dead_ns=st.sampled_from([0.3, 1.1, ApparatusConfig().period_ns, 20.0]),
+    start=st.integers(0, 10**7),
+    steps=st.lists(st.integers(0, 250), max_size=80),
+)
+# On the 0.1 ns grid t - last >= D and t >= last + D disagree: 1.0 - 0.7 < 0.3
+# but 1.0 >= 0.7 + 0.3, and 1.8 - 0.7 >= 1.1 but 1.8 < 0.7 + 1.1.
+@example(grid_ns=0.1, dead_ns=0.3, start=0, steps=[7, 3])
+@example(grid_ns=0.1, dead_ns=1.1, start=0, steps=[7, 11])
+@example(grid_ns=0.25, dead_ns=0.3, start=0, steps=[])
+@example(grid_ns=0.25, dead_ns=20.0, start=3, steps=[0])
+@example(grid_ns=0.25, dead_ns=20.0, start=0, steps=[1] * 400)  # one cluster 100 ns long
+def test_dead_time_filter_matches_serial_loop(grid_ns, dead_ns, start, steps):
+    times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ns
+    assert np.array_equal(mc._dead_time_filter(times, dead_ns), serial_dead_time_filter(times, dead_ns))
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch) -> list[int]:
+    """8192-period chunks on four faked cores; records each pool's worker count."""
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     pools = []
@@ -495,16 +560,34 @@ def test_worker_cap_does_not_change_results(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_worker_cap_does_not_change_results(monkeypatch, recorded_pools):
+    # 30k periods in 8192-period blocks: four chunks, so the pool really runs.
     cfg = ApparatusConfig(**FAST)
     monkeypatch.setenv("SWAPSIM_THREADS", "1")
     serial = simulate(cfg, _periods(cfg, 30_000), seed=8)
-    assert pools == []
+    assert recorded_pools == []
     monkeypatch.setenv("SWAPSIM_THREADS", "2")
     threaded = simulate(cfg, _periods(cfg, 30_000), seed=8)
-    assert pools == [2]
+    assert recorded_pools == [2]
     for name in serial.channels:
         assert serial.channels[name].size > 0
         assert np.array_equal(serial.channels[name], threaded.channels[name])
+
+
+def test_worker_cap_does_not_change_tomography_counts(monkeypatch, recorded_pools):
+    # Four chunks per setting, and the default 20 ns dead time over the merged stream.
+    cfg = ApparatusConfig(dead_time_ns=20.0)
+    settings = standard_settings(16)[1:5]  # HV, HD, HR, VH: all herald at 30k periods
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SWAPSIM_THREADS", threads)
+        runs[threads] = simulate_tomography_run(cfg, settings, 30_000, seed=3, heralded=True, gate_ps=2000.0)
+    assert recorded_pools == [2] * len(settings)
+    assert np.all(runs["1"].counts > 0)
+    assert np.array_equal(runs["1"].counts, runs["2"].counts)
 
 
 def test_per_channel_efficiency_mapping():
