@@ -34,18 +34,17 @@ from .source import (
     ideal_pair,
 )
 from .interference import (
+    PATTERNS,
     BsmConvention,
     BsmPovm,
     BsmSettings,
     InterferenceError,
     TemporalModel,
-    beamsplitter_coincidence,
     bsm_povm,
     calibrate_temporal,
     effective_indistinguishability,
     heralding_rate_factor,
-    hom_coincidence,
-    hom_visibility,
+    pattern_operators,
 )
 from .swap import (
     BoundCheck,

@@ -1,14 +1,13 @@
 """Two-photon interference physics.
 
-The bosonic mode calculus for a balanced beam splitter (ground truth), the
-closed-form heralding POVM parameterized by indistinguishability, the
-Hong-Ou-Mandel observables, and the temporal model mapping detection gating
-to effective indistinguishability.
+The bosonic mode calculus of a balanced beam splitter as one POVM element per
+output occupation pattern (both routes' description of the measurement; the
+heralding POVM is one of its elements), and the temporal model mapping
+detection gating to effective indistinguishability.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -16,10 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfcx
 
-from .qstate import BellKind, PureState, QStateError, bell_state
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-_POL_INDEX = {"H": 0, "V": 1}
+from .qstate import BellKind, PureState, bell_state
 
 
 class InterferenceError(ValueError):
@@ -57,73 +53,52 @@ class BsmPovm:
         object.__setattr__(self, "matrix", mat)
 
 
+# The ten unordered two-photon occupations of the output modes (3H, 3V, 4H,
+# 4V), as (port, polarization) pairs; polarization 0 = H, 1 = V.
+_MODES = ((3, 0), (3, 1), (4, 0), (4, 1))
+_FIRST, _SECOND = np.triu_indices(len(_MODES))
+PATTERNS = tuple((_MODES[a], _MODES[b]) for a, b in zip(_FIRST, _SECOND))
+
+
+def pattern_operators(overlap: float, convention: BsmConvention = BsmConvention.PSI_PLUS) -> np.ndarray:
+    """(10, 4, 4) POVM elements of the balanced beam splitter, one per ``PATTERNS`` entry.
+
+    They act on the polarizations of photon 1 (port 1) and photon 2 (port 2),
+    whose wavepackets overlap by ``overlap``. Port 1 -> (3 + 4)/sqrt2 and port
+    2 -> (3 - 4)/sqrt2, so each ordered output pair has amplitude +-1/2.
+    Identical photons project onto the symmetrized amplitude (sqrt2 for a
+    doubly occupied mode), distinguishable ones sum the two orderings, and
+    E = E_dist + overlap (E_ind - E_dist) in exact quarters. PSI_PLUS flips
+    the sign of photon 1's V amplitude.
+    """
+    ov = float(overlap)
+    if not 0.0 <= ov <= 1.0:
+        raise InterferenceError(f"overlap {ov} outside [0, 1]")
+    # Output-mode signs of a photon by polarization, rows (3H, 3V, 4H, 4V).
+    port1 = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])
+    port2 = port1 * [[1], [1], [-1], [-1]]
+    if convention is BsmConvention.PSI_PLUS:
+        port1 = port1 * [1, -1]
+    # amp[a, b, 2p + q]: photon 1 (polarization p) in mode a, photon 2 (q) in mode b.
+    amp = 0.5 * np.einsum("ap,bq->abpq", port1, port2).reshape(4, 4, 4)
+    crossed = _FIRST != _SECOND
+    orderings = np.stack([amp[_FIRST, _SECOND], amp[_SECOND, _FIRST] * crossed[:, None]])
+    e_dist = np.einsum("oki,okj->kij", orderings, orderings)
+    symmetric = orderings.sum(axis=0)
+    e_ind = np.einsum("k,ki,kj->kij", 2.0 - crossed, symmetric, symmetric)
+    return (e_dist + ov * (e_ind - e_dist)).astype(complex)
+
+
 def bsm_povm(indistinguishability: float, convention: BsmConvention = BsmConvention.PSI_PLUS) -> BsmPovm:
-    """E = 1/4 [(|HV><HV| + |VH><VH|) +/- I (|HV><VH| + |VH><HV|)]."""
+    """The (3H, 4V) coincidence of ``pattern_operators``:
+    E = 1/4 [(|HV><HV| + |VH><VH|) +/- I (|HV><VH| + |VH><HV|)]."""
     i = float(indistinguishability)
-    if not 0.0 <= i <= 1.0:
-        raise InterferenceError(f"indistinguishability {i} outside [0, 1]")
-    sign = 1.0 if convention is BsmConvention.PSI_PLUS else -1.0
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = mat[2, 2] = 0.25
-    mat[1, 2] = mat[2, 1] = sign * i / 4.0
-    return BsmPovm(i, convention, mat)
+    return BsmPovm(i, convention, pattern_operators(i, convention)[PATTERNS.index(((3, 0), (4, 1)))])
 
 
 def convention_bell_state(convention: BsmConvention) -> PureState:
     kind = BellKind.PSI_PLUS if convention is BsmConvention.PSI_PLUS else BellKind.PSI_MINUS
     return bell_state(kind)
-
-
-def beamsplitter_coincidence(state: PureState, pol1: str, pol2: str, overlap: float) -> float:
-    """Cross-output coincidence probability behind polarizers, by mode calculus.
-
-    The photon entering port 1 occupies wavepacket w0; the port-2 photon is
-    sqrt(overlap)*w0 + sqrt(1-overlap)*w1 with w1 orthogonal. Input creation
-    operators are expanded over the output ports of a balanced splitter and
-    the coincidence amplitude is collected per output wavepacket pair.
-    """
-    if state.n_qubits != 2:
-        raise QStateError("beamsplitter input must be a two-photon polarization state")
-    if pol1 not in _POL_INDEX or pol2 not in _POL_INDEX:
-        raise InterferenceError(f"polarizers must be 'H' or 'V', got {pol1!r}, {pol2!r}")
-    ov = float(overlap)
-    if not 0.0 <= ov <= 1.0:
-        raise InterferenceError(f"overlap {ov} outside [0, 1]")
-    c = state.amplitudes.reshape(2, 2)
-    p1, p2 = _POL_INDEX[pol1], _POL_INDEX[pol2]
-    packet_amps = ((0, math.sqrt(ov)), (1, math.sqrt(1.0 - ov)))
-    # port 1 -> (out3 + out4)/sqrt2, port 2 -> (out3 - out4)/sqrt2
-    amplitudes: dict[tuple[int, int], complex] = defaultdict(complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            cpq = c[p, q]
-            if cpq == 0:
-                continue
-            for out1, s1 in ((3, _SQRT_HALF), (4, _SQRT_HALF)):
-                for out2, s2 in ((3, _SQRT_HALF), (4, -_SQRT_HALF)):
-                    for w, aw in packet_amps:
-                        modes = ((out1, p, 0), (out2, q, w))
-                        term = cpq * s1 * s2 * aw
-                        hit3 = [m for m in modes if m[0] == 3 and m[1] == p1]
-                        hit4 = [m for m in modes if m[0] == 4 and m[1] == p2]
-                        if len(hit3) == 1 and len(hit4) == 1 and hit3[0] is not hit4[0]:
-                            amplitudes[(hit3[0][2], hit4[0][2])] += term
-    return float(sum(abs(a) ** 2 for a in amplitudes.values()))
-
-
-def hom_coincidence(indistinguishability: float, copolarized: bool) -> float:
-    """Normalized zero-delay coincidence: (1-I)/2 co-polarized, 1/2 crossed."""
-    i = float(indistinguishability)
-    if not 0.0 <= i <= 1.0:
-        raise InterferenceError(f"indistinguishability {i} outside [0, 1]")
-    return (1.0 - i) / 2.0 if copolarized else 0.5
-
-
-def hom_visibility(indistinguishability: float) -> float:
-    """V = 1 - co/cross; equals the indistinguishability in this model."""
-    co = hom_coincidence(indistinguishability, True)
-    cross = hom_coincidence(indistinguishability, False)
-    return 1.0 - co / cross
 
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -154,6 +129,11 @@ class TemporalModel:
     def dephasing_rate(self) -> float:
         """Pure-dephasing rate 1/t2 - 1/(2 t1), in 1/ns."""
         return 1.0 / self.t2_ns - 1.0 / (2.0 * self.t1_ns)
+
+    @property
+    def jitter_sigma_ns(self) -> float:
+        """Std dev of one detector's timing jitter."""
+        return self.jitter_fwhm_ps * 1e-3 * _FWHM_TO_SIGMA
 
     @property
     def diff_jitter_sigma_ns(self) -> float:

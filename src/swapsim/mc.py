@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .interference import _FWHM_TO_SIGMA, BsmConvention, BsmSettings
+from .interference import PATTERNS, BsmSettings, pattern_operators
 from .params import config_hash, from_dict, to_dict
 from .qstate import POLARIZATION_KETS
 from .source import SourceParams, emit_pair
@@ -163,30 +163,12 @@ def _analyzer_projectors(setting: str | None) -> tuple[np.ndarray, np.ndarray]:
     return proj, eye - proj
 
 
-# Interference-branch beamsplitter outcome patterns for two photons entering
-# opposite input ports: mode occupations (port, pol) and the matching POVM
-# built from |HH>, |VV>, |Psi+>, |Psi->. Polarization index 0 = H, 1 = V.
-_KET_HH = np.array([1, 0, 0, 0], dtype=complex)
-_KET_VV = np.array([0, 0, 0, 1], dtype=complex)
-_KET_PSI_P = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2.0)
-_KET_PSI_M = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
-
-
-def _ind_patterns() -> list[tuple[tuple[tuple[int, int], ...], np.ndarray]]:
-    half = 0.5
-    return [
-        (((3, 0), (3, 0)), half * np.outer(_KET_HH, _KET_HH.conj())),
-        (((4, 0), (4, 0)), half * np.outer(_KET_HH, _KET_HH.conj())),
-        (((3, 1), (3, 1)), half * np.outer(_KET_VV, _KET_VV.conj())),
-        (((4, 1), (4, 1)), half * np.outer(_KET_VV, _KET_VV.conj())),
-        (((3, 0), (3, 1)), half * np.outer(_KET_PSI_P, _KET_PSI_P.conj())),
-        (((4, 0), (4, 1)), half * np.outer(_KET_PSI_P, _KET_PSI_P.conj())),
-        (((3, 0), (4, 1)), half * np.outer(_KET_PSI_M, _KET_PSI_M.conj())),
-        (((3, 1), (4, 0)), half * np.outer(_KET_PSI_M, _KET_PSI_M.conj())),
-    ]
-
-
-_Z = np.diag([1.0, -1.0]).astype(complex)
+# The interference-branch patterns the generators sample, in the order that
+# lays out their CDFs: (3H, 3H), (4H, 4H), (3V, 3V), (4V, 4V), (3H, 3V),
+# (4H, 4V), (3H, 4V), (3V, 4H). The co-polarized cross-port patterns vanish
+# for interfering photons (Hong-Ou-Mandel) and are not sampled.
+_SAMPLED = [0, 7, 4, 9, 1, 8, 3, 5]
+_SAMPLED_PATTERNS = tuple(PATTERNS[k] for k in _SAMPLED)
 
 
 # Destination configurations of the two X photons, (photon 1, photon 2) to
@@ -209,13 +191,9 @@ def _swap_tables(config: ApparatusConfig) -> dict:
     branch), ``x_pass1`` and ``x_pass2`` give.
     """
     rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2)).matrix
-    patterns = _ind_patterns()
-    pattern_ops = [m for _, m in patterns]
-    if config.bsm.convention is BsmConvention.PSI_PLUS:
-        flip = np.kron(_Z, np.eye(2, dtype=complex))
-        pattern_ops = [flip @ m @ flip for m in pattern_ops]
+    pattern_ops = pattern_operators(1.0, config.bsm.convention)[_SAMPLED]
     h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    pol_ops = [np.kron(a, b) for a in (h, v) for b in (h, v)]
+    pol_ops = np.array([np.kron(a, b) for a in (h, v) for b in (h, v)])
     analyzers = {
         "A": _analyzer_projectors(config.alice_setting),
         "B": _analyzer_projectors(config.bob_setting),
@@ -228,7 +206,7 @@ def _swap_tables(config: ApparatusConfig) -> dict:
     # its X indices (i, j) with the analyzer operator and its XX indices (k, l)
     # with the pattern or polarization operator.
     probs = np.einsum(
-        "ikjl,cxji,mlk->cmx", rho4.reshape(4, 4, 4, 4), x_ops, np.array(pattern_ops + pol_ops)
+        "ikjl,cxji,mlk->cmx", rho4.reshape(4, 4, 4, 4), x_ops, np.concatenate([pattern_ops, pol_ops])
     ).real.clip(0.0, None)
     cdfs = []
     for block in (probs[:, :8], probs[:, 8:]):
@@ -246,22 +224,18 @@ def _swap_tables(config: ApparatusConfig) -> dict:
         "pol2": np.where(ind, -1, g // 4 % 2).astype(np.int8),
         "x_pass1": g % 4 < 2,
         "x_pass2": g % 2 == 0,
-        "patterns": [occ for occ, _ in patterns],
+        "patterns": _SAMPLED_PATTERNS,
     }
 
 
 def _hom_tables() -> dict:
-    """Interference-branch pattern probabilities for each definite pol pair."""
-    patterns = _ind_patterns()
-    cdfs = {}
-    basis = {0: np.array([1, 0], dtype=complex), 1: np.array([0, 1], dtype=complex)}
-    for p1 in (0, 1):
-        for p2 in (0, 1):
-            ket = np.kron(basis[p1], basis[p2])
-            probs = np.array([max(float(np.real(ket.conj() @ m @ ket)), 0.0) for _, m in patterns])
-            cdf = np.cumsum(probs)
-            cdfs[(p1, p2)] = cdf / cdf[-1]
-    return {"cdfs": cdfs, "patterns": [occ for occ, _ in patterns]}
+    """Interference-branch pattern probabilities for each definite pol pair
+    (p1, p2): the diagonal entry 2 p1 + p2 of each sampled pattern operator."""
+    cdf = np.cumsum(pattern_operators(1.0)[_SAMPLED].diagonal(axis1=1, axis2=2).real, axis=0)
+    return {
+        "cdfs": {divmod(k, 2): cdf[:, k] / cdf[-1, k] for k in range(4)},
+        "patterns": _SAMPLED_PATTERNS,
+    }
 
 
 def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -387,6 +361,8 @@ def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np
             times += rng.exponential(config.source.t1_x_ns, n)
     del base
     to_d1 = rng.random(all_times.size) < 0.5
+    # Boolean indexing, not np.compress: compress builds an index array first,
+    # which lifts the peak from 4.5 to 5.5 float64 per period.
     return {"d1": all_times[to_d1], "d2": all_times[~to_d1]}
 
 
@@ -440,8 +416,8 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
             (d1_parts if port == 3 else d2_parts).append(times[photon])
     # Photons that do not interfere route independently.
     lone1, lone2 = present1 & ~flag, present2 & ~flag
-    d1_parts.extend([arr1[lone1 & route1], arr2[lone2 & route2]])
-    d2_parts.extend([arr1[lone1 & ~route1], arr2[lone2 & ~route2]])
+    d1_parts.extend([np.compress(lone1 & route1, arr1), np.compress(lone2 & route2, arr2)])
+    d2_parts.extend([np.compress(lone1 & ~route1, arr1), np.compress(lone2 & ~route2, arr2)])
     return {"d1": np.concatenate(d1_parts), "d2": np.concatenate(d2_parts)}
 
 
@@ -451,7 +427,7 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         raise McError("duration must be positive")
     n_periods = int(duration_s * config.rep_rate_hz)
     channels = config.channels()
-    sigma_ns = config.bsm.jitter_ps * 1e-3 * _FWHM_TO_SIGMA
+    sigma_ns = config.bsm.temporal_model().jitter_sigma_ns
     flux = _signal_flux_per_pulse(config)
 
     tables: dict = {}
@@ -479,7 +455,7 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
             times = raw[name]
             eta = config.channel_efficiency(name)
             if eta < 1.0:
-                times = times[rng.random(times.size) < eta]
+                times = np.compress(rng.random(times.size) < eta, times)
             if config.background_ratio > 0.0:
                 per_pulse = config.background_ratio * flux[name] * eta
                 n_bg = rng.poisson(per_pulse * 2 * n)

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 
 import numpy as np
 from hypothesis import settings
 from scipy.special import erf
 
-from swapsim.interference import beamsplitter_coincidence
-from swapsim.qstate import PureState, project_to_physical
+from swapsim.interference import InterferenceError
+from swapsim.qstate import PureState, QStateError, project_to_physical
 from swapsim.tomography import TomographyRun, linear_inversion
 
 # Property tests replay the same examples on every run and never time out on
@@ -74,18 +75,62 @@ def chsh_angle_scan(rho: np.ndarray, n_starts: int = 32, iters: int = 80, seed: 
     return float(best)
 
 
-def povm_from_mode_calculus(overlap: float, premultiply: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct the heralding POVM element from coincidence probabilities.
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+_POL_INDEX = {"H": 0, "V": 1}
 
-    Diagonals come from basis kets, off-diagonals from +1 and +i
-    superpositions; ``premultiply`` optionally rotates the inputs first (used
-    for the compensated sign convention).
+
+def beamsplitter_coincidence(state: PureState, pol1: str, pol2: str, overlap: float) -> float:
+    """Cross-output coincidence probability behind polarizers, by mode calculus.
+
+    The photon entering port 1 occupies wavepacket w0; the port-2 photon is
+    sqrt(overlap)*w0 + sqrt(1-overlap)*w1 with w1 orthogonal. Input creation
+    operators are expanded over the output ports of a balanced splitter and
+    the coincidence amplitude is collected per output wavepacket pair.
+    """
+    if state.n_qubits != 2:
+        raise QStateError("beamsplitter input must be a two-photon polarization state")
+    if pol1 not in _POL_INDEX or pol2 not in _POL_INDEX:
+        raise InterferenceError(f"polarizers must be 'H' or 'V', got {pol1!r}, {pol2!r}")
+    ov = float(overlap)
+    if not 0.0 <= ov <= 1.0:
+        raise InterferenceError(f"overlap {ov} outside [0, 1]")
+    c = state.amplitudes.reshape(2, 2)
+    p1, p2 = _POL_INDEX[pol1], _POL_INDEX[pol2]
+    packet_amps = ((0, math.sqrt(ov)), (1, math.sqrt(1.0 - ov)))
+    # port 1 -> (out3 + out4)/sqrt2, port 2 -> (out3 - out4)/sqrt2
+    amplitudes: dict[tuple[int, int], complex] = defaultdict(complex)
+    for p in (0, 1):
+        for q in (0, 1):
+            cpq = c[p, q]
+            if cpq == 0:
+                continue
+            for out1, s1 in ((3, _SQRT_HALF), (4, _SQRT_HALF)):
+                for out2, s2 in ((3, _SQRT_HALF), (4, -_SQRT_HALF)):
+                    for w, aw in packet_amps:
+                        modes = ((out1, p, 0), (out2, q, w))
+                        term = cpq * s1 * s2 * aw
+                        hit3 = [m for m in modes if m[0] == 3 and m[1] == p1]
+                        hit4 = [m for m in modes if m[0] == 4 and m[1] == p2]
+                        if len(hit3) == 1 and len(hit4) == 1 and hit3[0] is not hit4[0]:
+                            amplitudes[(hit3[0][2], hit4[0][2])] += term
+    return float(sum(abs(a) ** 2 for a in amplitudes.values()))
+
+
+def povm_from_mode_calculus(
+    overlap: float, premultiply: np.ndarray | None = None, pols: tuple[str, str] = ("H", "V")
+) -> np.ndarray:
+    """Reconstruct a cross-output POVM element from coincidence probabilities.
+
+    ``pols`` are the polarizers behind outputs 3 and 4; the default is the
+    heralding element. Diagonals come from basis kets, off-diagonals from +1
+    and +i superpositions; ``premultiply`` optionally rotates the inputs first
+    (used for the compensated sign convention).
     """
 
     def prob(vec: np.ndarray) -> float:
         if premultiply is not None:
             vec = premultiply @ vec
-        return beamsplitter_coincidence(PureState(vec), "H", "V", overlap)
+        return beamsplitter_coincidence(PureState(vec), *pols, overlap)
 
     basis = np.eye(4, dtype=complex)
     e = np.zeros((4, 4), dtype=complex)
@@ -227,23 +272,46 @@ def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[
     return {"d1": np.concatenate(parts[3]), "d2": np.concatenate(parts[4])}
 
 
+_KET_HH = np.array([1, 0, 0, 0], dtype=complex)
+_KET_VV = np.array([0, 0, 0, 1], dtype=complex)
+_KET_PSI_P = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2.0)
+_KET_PSI_M = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
+
+
+def hand_built_patterns() -> list[tuple[tuple[tuple[int, int], ...], np.ndarray]]:
+    """Physics oracle for the interference branch: the eight possible output
+    occupations (port, pol) of two identical photons from opposite input
+    ports, with their POVM elements built from |HH>, |VV>, |Psi+> and |Psi->
+    in the bare (PSI_MINUS) convention. Polarization index 0 = H, 1 = V."""
+    half = 0.5
+    return [
+        (((3, 0), (3, 0)), half * np.outer(_KET_HH, _KET_HH.conj())),
+        (((4, 0), (4, 0)), half * np.outer(_KET_HH, _KET_HH.conj())),
+        (((3, 1), (3, 1)), half * np.outer(_KET_VV, _KET_VV.conj())),
+        (((4, 1), (4, 1)), half * np.outer(_KET_VV, _KET_VV.conj())),
+        (((3, 0), (3, 1)), half * np.outer(_KET_PSI_P, _KET_PSI_P.conj())),
+        (((4, 0), (4, 1)), half * np.outer(_KET_PSI_P, _KET_PSI_P.conj())),
+        (((3, 0), (4, 1)), half * np.outer(_KET_PSI_M, _KET_PSI_M.conj())),
+        (((3, 1), (4, 0)), half * np.outer(_KET_PSI_M, _KET_PSI_M.conj())),
+    ]
+
+
 def loop_swap_tables(config) -> dict:
     """Oracle for ``mc._swap_tables``: one 16x16 trace per table entry.
 
     Returns the interference and distinguishable CDFs per destination config
     (``ind_cdf``, ``dist_cdf``) in the layout ``full_array_chunk_swap`` reads.
+    The pattern operators are those of ``pattern_operators``, in the order of
+    ``hand_built_patterns``.
     """
-    from swapsim.interference import BsmConvention
-    from swapsim.mc import _Z, _analyzer_projectors, _ind_patterns
+    from swapsim.interference import PATTERNS, pattern_operators
+    from swapsim.mc import _analyzer_projectors
     from swapsim.source import emit_pair
     from swapsim.swap import compose
 
     rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2)).matrix
-    patterns = _ind_patterns()
-    pattern_ops = [m for _, m in patterns]
-    if config.bsm.convention is BsmConvention.PSI_PLUS:
-        flip = np.kron(_Z, np.eye(2, dtype=complex))
-        pattern_ops = [flip @ m @ flip for m in pattern_ops]
+    occupations = [occ for occ, _ in hand_built_patterns()]
+    pattern_ops = pattern_operators(1.0, config.bsm.convention)[[PATTERNS.index(o) for o in occupations]]
     hv = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     pol_ops = [np.kron(a, b) for a in hv for b in hv]
     analyzers = {
@@ -261,7 +329,7 @@ def loop_swap_tables(config) -> dict:
                     table[oi, xi] = max(float(np.real(np.trace(rho4 @ np.kron(xop, m)))), 0.0)
             cdf = np.cumsum(table.reshape(-1))
             out[ci] = cdf / cdf[-1]
-    return {"ind_cdf": ind_cdf, "dist_cdf": dist_cdf, "patterns": [occ for occ, _ in patterns]}
+    return {"ind_cdf": ind_cdf, "dist_cdf": dist_cdf, "patterns": occupations}
 
 
 def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:

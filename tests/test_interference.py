@@ -2,28 +2,36 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gate_acceptance, povm_from_mode_calculus, quadrature_gated_integrals
+from conftest import (
+    beamsplitter_coincidence,
+    gate_acceptance,
+    hand_built_patterns,
+    povm_from_mode_calculus,
+    quadrature_gated_integrals,
+)
 from swapsim.interference import (
+    PATTERNS,
     BsmConvention,
     BsmSettings,
     InterferenceError,
     TemporalModel,
     _gated_integrals,
-    beamsplitter_coincidence,
     bsm_povm,
     calibrate_temporal,
     effective_indistinguishability,
     gate_response,
     heralding_rate_factor,
-    hom_coincidence,
-    hom_visibility,
+    pattern_operators,
 )
 from swapsim.qstate import BellKind, PureState, bell_state
 
 Z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+KET_HH, KET_HV, KET_VH = np.eye(4)[:3]
+# One photon in each output port, any polarizations.
+CROSS_PORT = [k for k, (first, second) in enumerate(PATTERNS) if first[0] != second[0]]
 
 
 def test_mode_calculus_examples():
@@ -37,9 +45,40 @@ def test_mode_calculus_examples():
 
 def test_mode_calculus_input_validation():
     with pytest.raises(InterferenceError):
-        beamsplitter_coincidence(bell_state(BellKind.PSI_PLUS), "H", "Q", 1.0)
+        pattern_operators(1.5)
     with pytest.raises(InterferenceError):
-        beamsplitter_coincidence(bell_state(BellKind.PSI_PLUS), "H", "V", 1.5)
+        pattern_operators(-0.1, BsmConvention.PSI_MINUS)
+
+
+@pytest.mark.parametrize("convention", list(BsmConvention))
+def test_pattern_operators_match_hand_built(convention):
+    ops = pattern_operators(1.0, convention)
+    flip = Z1 if convention is BsmConvention.PSI_PLUS else np.eye(4)
+    for occupation, oracle in hand_built_patterns():
+        assert np.max(np.abs(ops[PATTERNS.index(occupation)] - flip @ oracle @ flip)) < 1e-15
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, 1.0), st.sampled_from(list(BsmConvention)))
+@example(1.0, BsmConvention.PSI_PLUS)
+@example(1.0, BsmConvention.PSI_MINUS)
+@example(0.569, BsmConvention.PSI_PLUS)
+@example(0.25, BsmConvention.PSI_MINUS)
+def test_pattern_operators_invariants(overlap, convention):
+    ops = pattern_operators(overlap, convention)
+    assert ops.shape == (len(PATTERNS), 4, 4)
+    assert np.array_equal(ops, ops.conj().transpose(0, 2, 1))
+    assert np.all(np.linalg.eigvalsh(ops) >= -1e-15)
+    assert np.max(np.abs(ops.sum(axis=0) - np.eye(4))) <= 1e-15
+    sign = 1.0 if convention is BsmConvention.PSI_PLUS else -1.0
+    hv, vh = np.outer(KET_HV, KET_HV), np.outer(KET_VH, KET_VH)
+    swap = np.outer(KET_HV, KET_VH) + np.outer(KET_VH, KET_HV)
+    herald = 0.25 * (hv + vh + sign * overlap * swap)
+    assert np.array_equal(ops[PATTERNS.index(((3, 0), (4, 1)))], herald)
+    assert np.array_equal(bsm_povm(overlap, convention).matrix, herald)
+    if overlap == 1.0:  # Hong-Ou-Mandel: co-polarized photons never leave by different ports
+        assert not ops[PATTERNS.index(((3, 0), (4, 0)))].any()
+        assert not ops[PATTERNS.index(((3, 1), (4, 1)))].any()
 
 
 def test_povm_limits():
@@ -74,28 +113,39 @@ def test_povm_matches_mode_calculus(overlap):
     assert np.max(np.abs(oracle_flipped - plus)) < 1e-12
 
 
+def coincidence(overlap: float, ket: np.ndarray, convention=BsmConvention.PSI_PLUS) -> float:
+    """Zero-delay HOM coincidence: the cross-port sum of the pattern operators."""
+    cross = pattern_operators(overlap, convention)[CROSS_PORT].sum(axis=0)
+    return float(np.real(ket.conj() @ cross @ ket))
+
+
 def test_hom_values():
-    assert hom_coincidence(0.569, True) == pytest.approx(0.2155, abs=1e-12)
-    assert hom_coincidence(1.0, True) == pytest.approx(0.0, abs=1e-15)
-    assert hom_coincidence(0.0, True) == pytest.approx(0.5, abs=1e-15)
-    assert hom_coincidence(0.3, False) == pytest.approx(0.5, abs=1e-15)
+    # (1 - I)/2 co-polarized, 1/2 crossed
+    assert coincidence(0.569, KET_HH) == pytest.approx(0.2155, abs=1e-12)
+    assert coincidence(1.0, KET_HH) == pytest.approx(0.0, abs=1e-15)
+    assert coincidence(0.0, KET_HH) == pytest.approx(0.5, abs=1e-15)
+    assert coincidence(0.3, KET_HV) == pytest.approx(0.5, abs=1e-15)
     for i in np.linspace(0, 1, 7):
-        assert hom_visibility(float(i)) == pytest.approx(float(i), abs=1e-12)
+        visibility = 1.0 - coincidence(float(i), KET_HH) / coincidence(float(i), KET_HV)
+        assert visibility == pytest.approx(float(i), abs=1e-12)
 
 
 def test_hom_against_mode_calculus():
-    # co-polarized pair |HH>, no output polarization discrimination: the H/H
-    # polarizer combination carries the whole coincidence probability
-    hh = PureState(np.array([1, 0, 0, 0], dtype=complex))
+    # Every cross-port element against the oracle's polarizer-resolved
+    # coincidences; the bare mode calculus is the PSI_MINUS convention.
+    hh, hv = PureState(KET_HH.astype(complex)), PureState(KET_HV.astype(complex))
     for i in (0.0, 0.4, 1.0):
+        ops = pattern_operators(i, BsmConvention.PSI_MINUS)
+        for k in CROSS_PORT:
+            (_, pol3), (_, pol4) = PATTERNS[k]
+            oracle = povm_from_mode_calculus(i, pols=("HV"[pol3], "HV"[pol4]))
+            assert np.max(np.abs(ops[k] - oracle)) < 1e-12
+        # co-polarized pair |HH>, no output polarization discrimination: the
+        # H/H polarizer combination carries the whole coincidence probability
         co = beamsplitter_coincidence(hh, "H", "H", i)
-        assert co == pytest.approx(hom_coincidence(i, True), abs=1e-12)
-    hv = PureState(np.array([0, 1, 0, 0], dtype=complex))
-    for i in (0.0, 0.4, 1.0):
-        cross = beamsplitter_coincidence(hv, "H", "V", i) + beamsplitter_coincidence(
-            hv, "V", "H", i
-        )
-        assert cross == pytest.approx(hom_coincidence(i, False), abs=1e-12)
+        assert co == pytest.approx(coincidence(i, KET_HH), abs=1e-12)
+        cross = beamsplitter_coincidence(hv, "H", "V", i) + beamsplitter_coincidence(hv, "V", "H", i)
+        assert cross == pytest.approx(coincidence(i, KET_HV), abs=1e-12)
 
 
 def test_temporal_model_validation():
