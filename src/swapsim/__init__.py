@@ -48,6 +48,7 @@ from .interference import (
 )
 from .swap import (
     BoundCheck,
+    SwapCurve,
     SwapError,
     SwapResult,
     classical_bound_check,

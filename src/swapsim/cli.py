@@ -107,7 +107,7 @@ def _emit_table(
 def _cmd_swap_predict(args, config: RunConfig) -> int:
     gates = _parse_range(args.gates) if args.gates else [config.bsm.gate_ps]
     temporal = config.bsm.temporal_model()
-    results = predict(
+    curve = predict(
         config.source,
         temporal,
         gates,
@@ -115,10 +115,7 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
         convention=config.bsm.convention,
     )
     columns = ["gate_ps", "i_eff", "fidelity", "s_value", "herald_prob", "rate_factor"]
-    rows = [
-        [r.gate_ps, r.i_eff, r.fidelity, r.s_value, r.herald_prob, r.rate_factor]
-        for r in results
-    ]
+    rows = [list(row) for row in zip(curve.gate_ps, *(getattr(curve, c).tolist() for c in columns[1:]))]
     out = Path(args.out_dir or config.output.out_dir) / "swap_predict"
     prov = _provenance(config, config.output.seed)
     fmt = args.format or config.output.format
@@ -127,7 +124,7 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
             "provenance": prov,
             "columns": columns,
             "rows": rows,
-            "rho_ab": [json.loads(density_to_json(r.rho_ab)) for r in results],
+            "rho_ab": [json.loads(density_to_json(r.rho_ab)) for r in curve],
         }
         _atomic_write(out.with_suffix(".json"), json.dumps(payload, indent=2))
     else:

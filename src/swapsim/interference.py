@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf, erfcx
 
 from .qstate import BellKind, PureState, bell_state
 
@@ -195,6 +193,8 @@ def _damped_acceptance(kappa: float, half_ns: np.ndarray, z: float) -> np.ndarra
     """
     if z == 0.0:
         return -np.expm1(-kappa * half_ns) / kappa
+    from scipy.special import erf, erfcx
+
     a, b = half_ns / z, kappa * z / 2.0
     x = np.minimum(a, _NARROW_A)[:, None] * _GL_NODES
     # Every branch runs on every gate; np.where drops the ones that overflow.
@@ -270,6 +270,8 @@ def calibrate_temporal(
     def ratio_gap(t2: float) -> float:
         r_inf, r_gate = gate_response(TemporalModel(t1_ns, t2, jitter_fwhm_ps), [math.inf, gate_ps])[0]
         return r_inf / r_gate - i_ungated / i_gated
+
+    from scipy.optimize import brentq
 
     lo, hi = 1e-4 * t1_ns, 2.0 * t1_ns
     if ratio_gap(hi) < 0.0:

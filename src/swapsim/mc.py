@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .interference import PATTERNS, BsmSettings, pattern_operators
 from .params import config_hash, from_dict, to_dict
@@ -48,9 +47,12 @@ def worker_count() -> int:
     if cap is None:
         return avail
     try:
-        return max(1, min(avail, int(cap)))
+        n = int(cap)
     except ValueError:
-        return avail
+        n = 0
+    if n < 1:
+        raise McError(f"SWAPSIM_THREADS={cap!r} is not a positive integer")
+    return min(avail, n)
 
 
 @dataclass(frozen=True)
@@ -421,11 +423,23 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     return {"d1": np.concatenate(d1_parts), "d2": np.concatenate(d2_parts)}
 
 
+def _period_count(duration_s: float, rep_rate_hz: float) -> int:
+    """Whole periods in ``duration_s``: the largest n with n / rep_rate_hz <= duration_s.
+
+    A duration written as P / rep_rate_hz thus gives P periods, where the
+    rounded product duration_s * rep_rate_hz can fall just below P.
+    """
+    n = int(duration_s * rep_rate_hz)
+    if (n + 1) / rep_rate_hz <= duration_s:
+        return n + 1
+    return n - 1 if n / rep_rate_hz > duration_s else n
+
+
 def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> TimestampStream:
     """Generate detector timestamp streams for the configured topology."""
     if duration_s <= 0:
         raise McError("duration must be positive")
-    n_periods = int(duration_s * config.rep_rate_hz)
+    n_periods = _period_count(duration_s, config.rep_rate_hz)
     channels = config.channels()
     sigma_ns = config.bsm.temporal_model().jitter_sigma_ns
     flux = _signal_flux_per_pulse(config)
@@ -805,6 +819,8 @@ def fit_double_exponential(x: np.ndarray, y: np.ndarray) -> DoubleExponentialFit
 
     def resid(p):
         return model(p) - y
+
+    from scipy.optimize import least_squares
 
     p0 = np.array([amp0, center0, rate0, rate0, offset0])
     bounds = (

@@ -13,7 +13,7 @@ import json
 import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,6 +93,30 @@ class PureState:
         return self.amplitudes.size
 
 
+def validate_density(mat: np.ndarray, element: Callable[[int], str] = "element {}".format) -> None:
+    """Check that ``mat``, one (d, d) matrix or a (B, d, d) stack, holds density matrices.
+
+    Each must be Hermitian, of unit trace and with no eigenvalue below
+    EIGENVALUE_FLOOR. The QStateError names the first failing element of a
+    stack by ``element(index)``.
+    """
+    stack = mat.reshape(-1, *mat.shape[-2:])
+    adjoint = stack.conj().swapaxes(-1, -2)
+    herm_err = np.abs(stack - adjoint).max(axis=(1, 2), initial=0.0)
+    tr = stack.trace(axis1=1, axis2=2)
+    lo = np.linalg.eigvalsh((stack + adjoint) / 2.0)[:, 0]
+    bad = (herm_err > HERMITICITY_ATOL) | (np.abs(tr - 1.0) > TRACE_ATOL) | (lo < EIGENVALUE_FLOOR)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    prefix = f"{element(k)}: " if mat.ndim == 3 else ""
+    if herm_err[k] > HERMITICITY_ATOL:
+        raise QStateError(f"{prefix}matrix not Hermitian (max deviation {herm_err[k]:.3e})")
+    if abs(tr[k] - 1.0) > TRACE_ATOL:
+        raise QStateError(f"{prefix}trace {complex(tr[k])!r} deviates from 1 beyond {TRACE_ATOL}")
+    raise QStateError(f"{prefix}smallest eigenvalue {lo[k]:.3e} below floor {EIGENVALUE_FLOOR}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD operator on labelled polarization qubits."""
@@ -110,15 +134,7 @@ class DensityMatrix:
             raise QStateError(f"{n} qubits need {n} labels, got {labels}")
         if len(set(labels)) != n:
             raise QStateError(f"duplicate qubit labels {labels}")
-        herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_err > HERMITICITY_ATOL:
-            raise QStateError(f"matrix not Hermitian (max deviation {herm_err:.3e})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise QStateError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-        if lo < EIGENVALUE_FLOOR:
-            raise QStateError(f"smallest eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
+        validate_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "labels", labels)

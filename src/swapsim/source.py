@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .qstate import BellKind, DensityMatrix, QStateError, bell_density, relabel
 
@@ -143,6 +142,7 @@ def calibrate(target_fidelity: float, kind: NoiseKind, t1_x_ns: float = 0.25) ->
             raise SourceError(f"phase diffusion cannot reach fidelity {f} at or below 0.5")
         if f == 1.0:
             return fss_phase_diffusion(0.0, t1_x_ns)
+        from scipy.optimize import bisect
 
         def gap(s_uev: float) -> float:
             return (1.0 + fss_coherence_factor(s_uev, t1_x_ns)) / 2.0 - f

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .qstate import (
     partial_trace,
     permute_qubits,
     tensor,
+    validate_density,
 )
 from .source import SourceParams, emit_pair
 
@@ -38,6 +39,18 @@ SWAP_LABELS = ("X1", "X2", "XX1", "XX2")
 
 class SwapError(ValueError):
     """Invalid swap-pipeline input or a vanishing heralding probability."""
+
+
+def _range_error(fidelity: float, s_value: float, herald_prob: float) -> str | None:
+    """What lies outside its range, if anything: fidelity in [0, 1], CHSH value
+    in [0, 2 sqrt2], heralding probability in [0, 1/2]."""
+    if not 0.0 <= fidelity <= 1.0:
+        return f"fidelity {fidelity} outside [0, 1]"
+    if not 0.0 <= s_value <= 2.0 * math.sqrt(2.0) + 1e-12:
+        return f"CHSH value {s_value} outside [0, 2*sqrt(2)]"
+    if not 0.0 <= herald_prob <= 0.5:
+        return f"heralding probability {herald_prob} outside [0, 1/2]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -53,12 +66,40 @@ class SwapResult:
     rate_factor: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise SwapError(f"fidelity {self.fidelity} outside [0, 1]")
-        if not 0.0 <= self.s_value <= 2.0 * math.sqrt(2.0) + 1e-12:
-            raise SwapError(f"CHSH value {self.s_value} outside [0, 2*sqrt(2)]")
-        if not 0.0 <= self.herald_prob <= 0.5:
-            raise SwapError(f"heralding probability {self.herald_prob} outside [0, 1/2]")
+        error = _range_error(self.fidelity, self.s_value, self.herald_prob)
+        if error:
+            raise SwapError(error)
+
+
+@dataclass(frozen=True, eq=False)
+class SwapCurve(Sequence):
+    """Swap outcome at each gate width, one entry per gate in every column.
+
+    ``rho`` is the (G, 4, 4) stack of heralded states on (X1, X2), which
+    ``predict`` validates in one call; indexing builds one gate's SwapResult.
+    """
+
+    gate_ps: tuple[float, ...]
+    rho: np.ndarray
+    i_eff: np.ndarray
+    fidelity: np.ndarray
+    s_value: np.ndarray
+    herald_prob: np.ndarray
+    rate_factor: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gate_ps)
+
+    def __getitem__(self, k: int) -> SwapResult:
+        return SwapResult(
+            DensityMatrix(self.rho[k], ("X1", "X2")),
+            float(self.fidelity[k]),
+            float(self.s_value[k]),
+            float(self.herald_prob[k]),
+            self.gate_ps[k],
+            float(self.i_eff[k]),
+            float(self.rate_factor[k]),
+        )
 
 
 def compose(rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:
@@ -114,7 +155,7 @@ def predict(
     gates_ps: Sequence[float],
     intrinsic_limit: float = 1.0,
     convention: BsmConvention = BsmConvention.PSI_PLUS,
-) -> list[SwapResult]:
+) -> SwapCurve:
     """Swap outcome versus detection gate width.
 
     For each gate the effective indistinguishability I feeds the heralding
@@ -123,7 +164,7 @@ def predict(
     p0, p1 the unnormalised states and probabilities heralded at I = 0 and 1,
     it is ((1 - I) n0 + I n1) / p(I), p(I) = (1 - I) p0 + I p1.
     """
-    gates = list(gates_ps)
+    gates = tuple(gates_ps)
     i_eff, factor = gate_response(temporal, gates, intrinsic_limit)
     if not np.all((i_eff >= 0.0) & (i_eff <= 1.0)):
         raise InterferenceError(f"indistinguishability {i_eff.min()}..{i_eff.max()} outside [0, 1]")
@@ -137,11 +178,13 @@ def predict(
     rho = ((1.0 - w) * n0 + w * n1) / p[:, None, None]
     target = convention_bell_state(convention).amplitudes
     fidelity = np.clip(np.einsum("i,gij,j->g", target.conj(), rho, target).real, 0.0, 1.0)
-    columns = (fidelity, horodecki_s(rho), p * factor, i_eff, factor)
-    return [
-        SwapResult(DensityMatrix(m, ("X1", "X2")), f, s, pr, gate, i, r)
-        for gate, m, (f, s, pr, i, r) in zip(gates, rho, zip(*(c.tolist() for c in columns)))
-    ]
+    s_value, prob = horodecki_s(rho), p * factor
+    validate_density(rho, lambda k: f"gate {gates[k]} ps")
+    for gate, *values in zip(gates, fidelity.tolist(), s_value.tolist(), prob.tolist()):
+        error = _range_error(*values)
+        if error:
+            raise SwapError(f"gate {gate} ps: {error}")
+    return SwapCurve(gates, rho, i_eff, fidelity, s_value, prob, factor)
 
 
 @dataclass(frozen=True)

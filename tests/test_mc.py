@@ -18,7 +18,7 @@ from conftest import (
     serial_dead_time_filter,
 )
 
-from swapsim import mc
+from swapsim import cli, mc
 from swapsim.interference import BsmConvention, BsmSettings
 from swapsim.mc import (
     ApparatusConfig,
@@ -588,6 +588,35 @@ def test_worker_cap_does_not_change_tomography_counts(monkeypatch, recorded_pool
     assert recorded_pools == [2] * len(settings)
     assert np.all(runs["1"].counts > 0)
     assert np.array_equal(runs["1"].counts, runs["2"].counts)
+
+
+@pytest.mark.parametrize("cap", ["two", "0", "-3", ""])
+def test_malformed_thread_cap_is_rejected(monkeypatch, tmp_path, capsys, cap):
+    monkeypatch.setenv("SWAPSIM_THREADS", cap)
+    with pytest.raises(McError, match=f"SWAPSIM_THREADS={cap!r}"):
+        mc.worker_count()
+    assert cli.main(["mc-run", "--duration", "1e-5", "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "SWAPSIM_THREADS" in capsys.readouterr().err
+
+
+def test_whole_period_durations_give_their_period_count(monkeypatch):
+    # P / rep_rate gives P periods. For 9,666 of the P below 200,000, P = 47
+    # among them, the rounded product (P / rep_rate) * rep_rate falls below P.
+    rate = ApparatusConfig().rep_rate_hz
+    assert 47 / rate * rate < 47
+    for p in range(1, 200_000):
+        assert mc._period_count(p / rate, rate) == p
+        assert mc._period_count((p + 0.5) / rate, rate) == p
+        assert mc._period_count(math.nextafter(p / rate, 0.0), rate) == p - 1
+    chunks, chunk_hbt = [], mc._chunk_hbt
+
+    def recording_chunk_hbt(config, start, n, rng):
+        chunks.append(n)
+        return chunk_hbt(config, start, n, rng)
+
+    monkeypatch.setattr(mc, "_chunk_hbt", recording_chunk_hbt)
+    simulate(ApparatusConfig(topology="hbt_xx", **FAST), 47 / rate, seed=1)
+    assert chunks == [47]
 
 
 def test_per_channel_efficiency_mapping():

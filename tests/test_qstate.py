@@ -24,6 +24,7 @@ from swapsim.qstate import (
     project_to_physical,
     pure_density,
     tensor,
+    validate_density,
 )
 
 S = 1 / math.sqrt(2)
@@ -62,6 +63,35 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.2, -0.2, 0, 0]).astype(complex), ("X", "XX"))
     with pytest.raises(QStateError):
         DensityMatrix(good.matrix, ("X", "X"))
+
+
+def test_validate_density_names_the_bad_element():
+    rng = np.random.default_rng(9)
+    gates = [10.0, 20.0, 30.0, 40.0]
+    stack = np.stack([random_density(rng) for _ in gates])
+    validate_density(stack)
+    non_hermitian, trace_off, negative = stack.copy(), stack.copy(), stack.copy()
+    non_hermitian[1, 0, 3] += 0.2
+    trace_off[2] *= 1.1
+    negative[3] = np.diag([1.2, -0.2, 0.0, 0.0])
+    cases = (
+        (non_hermitian, "gate 20.0 ps: matrix not Hermitian"),
+        (trace_off, "gate 30.0 ps: trace"),
+        (negative, "gate 40.0 ps: smallest eigenvalue -2.000e-01"),
+    )
+    for bad, message in cases:
+        with pytest.raises(QStateError, match=f"^{message}"):
+            validate_density(bad, lambda k: f"gate {gates[k]} ps")
+    # All three in one stack: the first bad element is reported.
+    mixed = stack.copy()
+    mixed[1:] = non_hermitian[1], trace_off[2], negative[3]
+    with pytest.raises(QStateError, match="^element 1: matrix not Hermitian"):
+        validate_density(mixed)
+    # A single matrix keeps the unprefixed message of DensityMatrix.
+    with pytest.raises(QStateError, match="^smallest eigenvalue"):
+        validate_density(negative[3])
+    with pytest.raises(QStateError, match="^smallest eigenvalue"):
+        DensityMatrix(negative[3], ("X", "XX"))
 
 
 def test_tensor_product_and_trace():

@@ -11,7 +11,9 @@ from swapsim.interference import (
     TemporalModel,
     bsm_povm,
     effective_indistinguishability,
+    gate_response,
 )
+from swapsim import swap
 from swapsim.qstate import (
     BellKind,
     DensityMatrix,
@@ -195,7 +197,21 @@ def test_predict_gate_validation():
     for gates in ([0.0], [float("nan")], [47.0, -5.0]):
         with pytest.raises(InterferenceError):
             predict(params, temporal, gates)
-    assert predict(params, temporal, []) == []
+    assert len(predict(params, temporal, [])) == 0
+
+
+def test_predict_range_error_names_the_gate(monkeypatch):
+    params, temporal = SourceParams(), TemporalModel(0.12, 0.145450, 50.0)
+    gates = [20.0, 47.0, 100.0]
+
+    def inflated_rate(model, gates_ps, intrinsic_limit=1.0):
+        i_eff, factor = gate_response(model, gates_ps, intrinsic_limit)
+        factor[1] = 5.0  # heralding probability 0.125 * 5 > 1/2
+        return i_eff, factor
+
+    monkeypatch.setattr(swap, "gate_response", inflated_rate)
+    with pytest.raises(SwapError, match=r"^gate 47.0 ps: heralding probability 0.62\d* outside \[0, 1/2\]"):
+        predict(params, temporal, gates)
 
 
 @settings(max_examples=80)
