@@ -32,7 +32,7 @@ from .mc import (
     write_stream,
 )
 from .params import config_hash
-from .qstate import QStateError, density_to_json, fidelity_mixed, maximally_mixed
+from .qstate import QStateError, density_payload, fidelity_mixed, maximally_mixed
 from .source import SourceError, emit_pair
 from .swap import (
     SwapError,
@@ -124,7 +124,7 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
             "provenance": prov,
             "columns": columns,
             "rows": rows,
-            "rho_ab": [json.loads(density_to_json(r.rho_ab)) for r in curve],
+            "rho_ab": [density_payload(rho, curve.labels) for rho in curve.rho],
         }
         _atomic_write(out.with_suffix(".json"), json.dumps(payload, indent=2))
     else:
@@ -146,7 +146,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
     errors = bootstrap_errors(run, resamples=resamples, rng_seed=config.output.seed)
     payload = {
         "provenance": _provenance(config, config.output.seed),
-        "rho": json.loads(density_to_json(rho)),
+        "rho": density_payload(rho.matrix, rho.labels),
         "fidelity_phiplus": fidelity_pure(rho, bell_state(BellKind.PHI_PLUS)),
         "fidelity_psiplus": fidelity_pure(rho, bell_state(BellKind.PSI_PLUS)),
         "s_value": horodecki_s(rho),

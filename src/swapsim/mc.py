@@ -32,6 +32,9 @@ from .tomography import MeasurementSetting, TomographyRun
 _CHUNK_PERIODS = 1 << 20
 _PAIR_BUDGET = 1 << 16
 _BACKGROUND_WINDOW_NS = 2.0
+# Dead-time clusters still open when this few remain finish serially: a
+# vectorised round costs several microseconds however few clusters it tests.
+_SERIAL_CLUSTERS = 64
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 
@@ -245,15 +248,43 @@ def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
+    """Sorted ``times`` without the events that come less than ``dead_ns``
+    after the last kept one, tested as ``t - last >= dead_ns``.
+
+    An event at least ``dead_ns`` after its predecessor starts a cluster and
+    is always kept: fl(t - x) does not rise with x, and the last kept event is
+    at or before the predecessor. The event after a start is always dropped.
+    Each round tests the next event of every open cluster of three or more
+    against that cluster's last kept time; the last few open clusters finish
+    in one serial loop.
+    """
     if dead_ns <= 0 or times.size < 2:
         return times
+    # The cluster starts, then a sentinel start after the last event.
+    keep = np.empty(times.size + 1, dtype=bool)
+    keep[0] = keep[-1] = True
+    np.greater_equal(np.diff(times), dead_ns, out=keep[1:-1])
+    idx = np.flatnonzero(keep[:-3] & ~keep[1:-2] & ~keep[2:-1]) + 2
+    last = times[idx - 2]
+    while idx.size > _SERIAL_CLUSTERS:
+        cand = times[idx]
+        ok = cand - last >= dead_ns
+        keep[idx] = ok
+        np.copyto(last, cand, where=ok)
+        idx += 1
+        open_ = ~keep[idx]  # the next event is not the next cluster's start
+        idx, last = idx.compress(open_), last.compress(open_)
     kept = []
-    last = -math.inf
-    for t in times.tolist():
-        if t - last >= dead_ns:
-            kept.append(t)
-            last = t
-    return np.array(kept)
+    for c0, t_last in zip(idx.tolist(), last.tolist()):
+        c1 = c0 + int(np.argmax(keep[c0:]))
+        for t in times[c0:c1].tolist():
+            if t - t_last >= dead_ns:
+                kept.append(t)
+                t_last = t
+    # Times rise across clusters and a kept time is the first of its value in
+    # its cluster (an equal earlier one would have been kept instead).
+    keep[np.searchsorted(times, kept)] = True
+    return np.compress(keep[:-1], times)
 
 
 def _interferes(
@@ -505,7 +536,8 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         for name in channels:
             times = merged[name]
             times = times[(times >= 0.0) & (times < n_periods * config.period_ns)]
-            times.sort()
+            # The chunks arrive sorted, so a stable (merge) sort is near-linear.
+            times.sort(kind="stable")
             merged[name] = _dead_time_filter(times, config.dead_time_ns)
     return TimestampStream(merged, config, int(seed), float(duration_s))
 

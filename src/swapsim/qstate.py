@@ -320,16 +320,20 @@ def project_to_physical(matrix: np.ndarray, labels: Sequence[str] | None = None)
     return DensityMatrix(out, tuple(labels))
 
 
-def density_to_json(rho: DensityMatrix) -> str:
-    """JSON encoding with row-major real/imaginary parts; round-trips exactly."""
-    flat = rho.matrix.reshape(-1)
-    payload = {
-        "dim": rho.dim,
-        "labels": list(rho.labels),
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
+def density_payload(matrix: np.ndarray, labels: Sequence[str]) -> dict:
+    """JSON-ready dict of one density matrix: row-major real/imaginary parts."""
+    flat = matrix.reshape(-1)
+    return {
+        "dim": matrix.shape[0],
+        "labels": list(labels),
+        "re": flat.real.tolist(),
+        "im": flat.imag.tolist(),
     }
-    return json.dumps(payload)
+
+
+def density_to_json(rho: DensityMatrix) -> str:
+    """JSON encoding of ``density_payload``; round-trips exactly."""
+    return json.dumps(density_payload(rho.matrix, rho.labels))
 
 
 def density_from_json(text: str) -> DensityMatrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,6 +80,7 @@ class SwapCurve(Sequence):
     ``predict`` validates in one call; indexing builds one gate's SwapResult.
     """
 
+    labels: ClassVar[tuple[str, str]] = ("X1", "X2")
     gate_ps: tuple[float, ...]
     rho: np.ndarray
     i_eff: np.ndarray
@@ -92,7 +94,7 @@ class SwapCurve(Sequence):
 
     def __getitem__(self, k: int) -> SwapResult:
         return SwapResult(
-            DensityMatrix(self.rho[k], ("X1", "X2")),
+            DensityMatrix(self.rho[k], self.labels),
             float(self.fidelity[k]),
             float(self.s_value[k]),
             float(self.herald_prob[k]),

@@ -547,6 +547,56 @@ def test_dead_time_filter_matches_serial_loop(grid_ns, dead_ns, start, steps):
     assert np.array_equal(mc._dead_time_filter(times, dead_ns), serial_dead_time_filter(times, dead_ns))
 
 
+def _long_clusters(times: np.ndarray, dead_ns: float) -> np.ndarray:
+    """Lengths of the clusters of three or more events (gaps below dead_ns)."""
+    starts = np.flatnonzero(np.diff(times, prepend=-np.inf) >= dead_ns)
+    lengths = np.diff(starts, append=times.size)
+    return lengths[lengths > 2]
+
+
+@given(
+    grid_ns=st.sampled_from([0.1, 0.25]),
+    dead_ns=st.sampled_from([0.3, 1.1, ApparatusConfig().period_ns, 20.0]),
+    start=st.integers(0, 10**7),
+    clusters=st.lists(
+        st.binary(min_size=2, max_size=10), min_size=mc._SERIAL_CLUSTERS + 1, max_size=2 * mc._SERIAL_CLUSTERS
+    ),
+    tail=st.binary(min_size=100, max_size=500),
+)  # fmt: skip
+# Many 3-event clusters whose third event lands on the dead time: on the
+# 0.1 ns grid t - last >= D and t >= last + D disagree on 107 of the 200 at
+# D = 0.3 and on 64 at D = 1.1; on the 0.25 ns grid t - last == 20 exactly.
+@example(grid_ns=0.1, dead_ns=0.3, start=0, clusters=[bytes([1, 2])] * 200, tail=bytes([1] * 100))
+@example(grid_ns=0.1, dead_ns=1.1, start=0, clusters=[bytes([4, 7])] * 200, tail=bytes([3] * 100))
+@example(grid_ns=0.25, dead_ns=20.0, start=0, clusters=[bytes([40, 40])] * 200, tail=bytes([40] * 100))
+def test_dead_time_filter_rounds_and_serial_finish_match_serial_loop(grid_ns, dead_ns, start, clusters, tail):
+    # Steps below `inside` grid units stay in a cluster, one of `gap` units
+    # starts the next; the `tail` cluster is longer than all the others, so one
+    # call runs the vectorised rounds and then finishes it serially.
+    inside = int((dead_ns - 0.01) / grid_ns) + 1
+    gap = math.ceil((dead_ns + 0.01) / grid_ns)
+    steps = [k for cluster in [*clusters, tail] for k in [gap] + [s % inside for s in cluster]]
+    times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ns
+    lengths = _long_clusters(times, dead_ns)
+    assert lengths.size > mc._SERIAL_CLUSTERS and lengths[-1] > np.sort(lengths)[-2]
+    assert np.array_equal(mc._dead_time_filter(times, dead_ns), serial_dead_time_filter(times, dead_ns))
+
+
+def test_dead_time_filter_memory():
+    # 1M events at rate x dead time 0.6: the filter peaks at about 1.4 float64
+    # per event, the per-event loop at 4.66 (its tolist() plus the kept list).
+    n, dead_ns = 1_000_000, 20.0
+    times = np.sort(np.random.default_rng(7).random(n)) * (n * dead_ns / 0.6)
+    tracemalloc.start()
+    try:
+        kept = mc._dead_time_filter(times, dead_ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * n < kept.size < 0.8 * n
+    assert peak <= 3 * 8 * n, peak / (8 * n)
+
+
 @pytest.fixture
 def recorded_pools(monkeypatch) -> list[int]:
     """8192-period chunks on four faked cores; records each pool's worker count."""
@@ -588,6 +638,27 @@ def test_worker_cap_does_not_change_tomography_counts(monkeypatch, recorded_pool
     assert recorded_pools == [2] * len(settings)
     assert np.all(runs["1"].counts > 0)
     assert np.array_equal(runs["1"].counts, runs["2"].counts)
+
+
+@pytest.mark.parametrize(
+    "topology, analyzers, noisy",
+    [("swap", ("H", "V"), False), ("swap", (None, None), False), ("hbt_xx", (None, None), False),
+     ("swap", ("D", "A"), True), ("hbt_xx", (None, None), True)],
+)  # fmt: skip
+def test_dead_time_matches_serial_filter_of_live_stream(monkeypatch, recorded_pools, topology, analyzers, noisy):
+    # Dead time draws no random numbers, so a 20 ns run equals the serial
+    # filter of the same run at 0 ns; four chunks on two workers.
+    noise = dict(background_ratio=0.01, dark_rate_hz=1e5) if noisy else {}
+    cfg = ApparatusConfig(
+        topology=topology, alice_setting=analyzers[0], bob_setting=analyzers[1], dead_time_ns=20.0, **noise
+    )
+    monkeypatch.setenv("SWAPSIM_THREADS", "2")
+    live = simulate(cfg, _periods(cfg, 30_000), seed=12)
+    raw = simulate(replace(cfg, dead_time_ns=0.0), _periods(cfg, 30_000), seed=12)
+    assert recorded_pools == [2, 2]
+    for name, times in raw.channels.items():
+        assert _long_clusters(times, 20.0).size > mc._SERIAL_CLUSTERS, name
+        assert np.array_equal(live.channels[name], serial_dead_time_filter(times, 20.0))
 
 
 @pytest.mark.parametrize("cap", ["two", "0", "-3", ""])
