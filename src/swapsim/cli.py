@@ -90,10 +90,12 @@ def _provenance(config: RunConfig, seed: int) -> dict:
 
 
 def _emit_table(
-    path: Path, columns: list[str], rows: list[list], provenance: dict, fmt: str
+    path: Path, columns: list[str], rows: list[list], provenance: dict, fmt: str, rho_ab: list | None = None
 ) -> None:
     if fmt == "json":
         payload = {"provenance": provenance, "columns": columns, "rows": rows}
+        if rho_ab is not None:
+            payload["rho_ab"] = rho_ab
         _atomic_write(path.with_suffix(".json"), json.dumps(payload, indent=2))
         return
     lines = [f"# {k} = {v}" for k, v in provenance.items()]
@@ -117,18 +119,9 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
     columns = ["gate_ps", "i_eff", "fidelity", "s_value", "herald_prob", "rate_factor"]
     rows = [list(row) for row in zip(curve.gate_ps, *(getattr(curve, c).tolist() for c in columns[1:]))]
     out = Path(args.out_dir or config.output.out_dir) / "swap_predict"
-    prov = _provenance(config, config.output.seed)
     fmt = args.format or config.output.format
-    if fmt == "json":
-        payload = {
-            "provenance": prov,
-            "columns": columns,
-            "rows": rows,
-            "rho_ab": [density_payload(rho, curve.labels) for rho in curve.rho],
-        }
-        _atomic_write(out.with_suffix(".json"), json.dumps(payload, indent=2))
-    else:
-        _emit_table(out, columns, rows, prov, "csv")
+    rho_ab = [density_payload(rho, curve.labels) for rho in curve.rho] if fmt == "json" else None
+    _emit_table(out, columns, rows, _provenance(config, config.output.seed), fmt, rho_ab)
     print(f"wrote {out.with_suffix('.' + fmt)}")
     return 0
 
@@ -166,8 +159,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 
 def _cmd_mc_run(args, config: RunConfig) -> int:
     apparatus = config.apparatus_config()
-    seed = args.seed if args.seed is not None else config.output.seed
-    stream = simulate(apparatus, args.duration, seed)
+    stream = simulate(apparatus, args.duration, config.output.seed)
     out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_stream(stream, out)
@@ -178,7 +170,7 @@ def _cmd_mc_run(args, config: RunConfig) -> int:
 def _cmd_g2(args, config: RunConfig) -> int:
     line = args.line
     apparatus = dataclasses.replace(config.apparatus_config(), topology=f"hbt_{line}")
-    seed = args.seed if args.seed is not None else config.output.seed
+    seed = config.output.seed
     stream = simulate(apparatus, args.duration, seed)
     result = g2_histogram(stream, bin_ps=args.bin_ps)
     prov = _provenance(config, seed)
@@ -191,7 +183,7 @@ def _cmd_g2(args, config: RunConfig) -> int:
 
 
 def _cmd_hom(args, config: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else config.output.seed
+    seed = config.output.seed
     base = dataclasses.replace(config.apparatus_config(), topology="hom")
     co = simulate(dataclasses.replace(base, hom_copolarized=True), args.duration, seed)
     cross = simulate(dataclasses.replace(base, hom_copolarized=False), args.duration, seed + 1)
@@ -209,7 +201,7 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
     delays = _parse_range(args.delays)
-    seed = args.seed if args.seed is not None else config.output.seed
+    seed = config.output.seed
     base = config.apparatus_config()
     rows = []
     streams = []

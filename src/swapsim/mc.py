@@ -468,8 +468,8 @@ def _period_count(duration_s: float, rep_rate_hz: float) -> int:
 
 def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> TimestampStream:
     """Generate detector timestamp streams for the configured topology."""
-    if duration_s <= 0:
-        raise McError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise McError(f"duration must be positive and finite, got {duration_s}")
     n_periods = _period_count(duration_s, config.rep_rate_hz)
     channels = config.channels()
     sigma_ns = config.bsm.temporal_model().jitter_sigma_ns
@@ -591,29 +591,22 @@ def read_stream(path: str | os.PathLike) -> TimestampStream:
     )
 
 
-def _pair_indices(ta: np.ndarray, tb: np.ndarray, half_ns: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (ai, bi) of all pairs with ta[ai] - half_ns <= tb[bi] < ta[ai] + half_ns."""
+def _partners(ta: np.ndarray, tb: np.ndarray, half_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per ta event t, the first index and the count of the sorted tb events
+    in [t - half_ns, t + half_ns)."""
     lo = np.searchsorted(tb, ta - half_ns)
-    hi = np.searchsorted(tb, ta + half_ns)
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    ai = np.repeat(np.arange(ta.size), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    bi = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-    return ai, bi
+    return lo, np.searchsorted(tb, ta + half_ns) - lo
 
 
-def _delta_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
-    """Yield tb[bi] - ta[ai] for the pairs of ``_pair_indices``, in its order.
+def _pair_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
+    """Yield the paired times (a, b) of every ta event a with each of its
+    ``_partners`` b, ordered by ta event, then by tb event, as new arrays.
 
     Pairs are cut into chunks of at most ``_PAIR_BUDGET``, splitting inside a
     ta event's partners where needed, so memory does not grow with the pair
     count.
     """
-    lo = np.searchsorted(tb, ta - half_ns)
-    counts = np.searchsorted(tb, ta + half_ns) - lo
+    lo, counts = _partners(ta, tb, half_ns)
     ends = np.cumsum(counts)
     # Pair p (numbered across all events) of event a is tb[p + shift[a]].
     shift = np.subtract(lo, ends - counts, out=lo)
@@ -626,7 +619,7 @@ def _delta_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
         n[0] -= p0 - (ends[a0] - counts[a0])
         n[-1] -= ends[a1] - p1
         bi = np.arange(p0, p1) + np.repeat(shift[a0 : a1 + 1], n)
-        yield tb[bi] - np.repeat(ta[a0 : a1 + 1], n)
+        yield np.repeat(ta[a0 : a1 + 1], n), tb[bi]
 
 
 def _coincidences(
@@ -646,12 +639,18 @@ def _coincidences(
     """
     centers = hist = None
     if bin_ps is not None:
+        if not bin_ps > 0:
+            raise McError(f"histogram bin width must be positive, got {bin_ps}")
         nbins = 2 * int(span_ns * 1000.0 / bin_ps / 2) + 1
         bounds = (-span_ns * 1000.0, span_ns * 1000.0)
         edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=bounds)
         centers, hist = (edges[:-1] + edges[1:]) / 2.0, np.zeros(nbins, dtype=np.int64)
     windows = np.zeros(len(offsets_ns), dtype=np.int64)
-    for deltas in _delta_chunks(ta, tb, span_ns):
+    for a, deltas in _pair_chunks(ta, tb, span_ns):
+        # b - a in place, freeing a before the temporaries below: holding both
+        # arrays through the chunk slowed a 10M-pair g2 pass by 5-7 %.
+        deltas -= a
+        del a
         if hist is not None:
             hist += np.histogram(deltas * 1000.0, bins=nbins, range=bounds)[0]
         for i, offset in enumerate(offsets_ns):
@@ -760,22 +759,18 @@ def fourfold_coincidences(
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("four-fold analysis expects the heralding topology")
-    b1, b2 = stream.channels["bsm1"], stream.channels["bsm2"]
-    ai, bi = _pair_indices(b1, b2, gate_ps * 1e-3 / 2.0)
-    t_bsm = (b1[ai] + b2[bi]) / 2.0
-    # Emission 1 feeds Alice one compensation delay before the heralding
-    # time; emission 2 feeds Bob right at it.
-    anchor_a = t_bsm - cfg.mzi_delay_ns
-    anchor_b = t_bsm
-    alice, bob = stream.channels["alice"], stream.channels["bob"]
-    hit_a = (
-        np.searchsorted(alice, anchor_a + x_window_ns)
-        - np.searchsorted(alice, anchor_a - x_window_ns)
-    ) > 0
-    hit_b = (
-        np.searchsorted(bob, anchor_b + x_window_ns) - np.searchsorted(bob, anchor_b - x_window_ns)
-    ) > 0
-    return int(np.count_nonzero(hit_a & hit_b))
+    if not gate_ps > 0:
+        raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
+    ch = stream.channels
+    count = 0
+    for t1, t2 in _pair_chunks(ch["bsm1"], ch["bsm2"], gate_ps * 1e-3 / 2.0):
+        t_bsm = (t1 + t2) / 2.0
+        # Emission 1 feeds Alice one compensation delay before the heralding
+        # time; emission 2 feeds Bob right at it.
+        hit = _partners(t_bsm - cfg.mzi_delay_ns, ch["alice"], x_window_ns)[1] > 0
+        hit &= _partners(t_bsm, ch["bob"], x_window_ns)[1] > 0
+        count += int(np.count_nonzero(hit))
+    return count
 
 
 def twofold_control_coincidences(stream: TimestampStream, window_ns: float = 1.0) -> int:

@@ -225,6 +225,28 @@ def all_pairs_coincidences(ta, tb, span_ns, offsets_ns, half_ns, bin_ps):
     return (edges[:-1] + edges[1:]) / 2.0, hist, windows
 
 
+def loop_fourfold(b1, b2, alice, bob, gate_ps: float, mzi_ns: float, x_window_ns: float) -> int:
+    """Oracle for ``mc.fourfold_coincidences``: a double loop over BSM pairs.
+
+    A pair (t1, t2) counts when t1 - half <= t2 < t1 + half, and an analyzer
+    event t hits the anchor c when c - x_window_ns <= t < c + x_window_ns;
+    Alice's anchor is (t1 + t2) / 2 - mzi_ns and Bob's is (t1 + t2) / 2.
+    """
+    half = gate_ps * 1e-3 / 2.0
+    alice, bob = alice.tolist(), bob.tolist()
+
+    def hit(times, c):
+        return any(c - x_window_ns <= t < c + x_window_ns for t in times)
+
+    count = 0
+    for t1 in b1.tolist():
+        for t2 in b2.tolist():
+            if t1 - half <= t2 < t1 + half:
+                t_bsm = (t1 + t2) / 2.0
+                count += hit(alice, t_bsm - mzi_ns) and hit(bob, t_bsm)
+    return count
+
+
 def full_array_chunk_hbt(config, start: int, n: int, rng) -> dict[str, np.ndarray]:
     """Oracle for ``mc._chunk_hbt``: the same draws, every intermediate a full array."""
     base = (start + np.arange(n, dtype=float)) * config.period_ns

@@ -267,3 +267,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["report", "--config", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["tomo", "reconstruct", "--input", str(tmp_path / "nope.csv")]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["g2", "--duration", "1e-4", "--bin-ps", "0"], "bin width must be positive"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "-5"], "bin width must be positive"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "nan"], "bin width must be positive"),
+        (["hom", "--duration", "1e-4", "--bin-ps", "0"], "bin width must be positive"),
+        (["fourfold-scan", "--delays=0:0:1", "--gate", "-100", "--duration-per-point", "1e-4"],
+         "gate width must be positive"),
+        (["fourfold-scan", "--delays=0:0:1", "--gate", "nan", "--duration-per-point", "1e-4"],
+         "gate width must be positive"),
+        (["mc-run", "--duration", "nan"], "duration must be positive and finite"),
+        (["mc-run", "--duration", "inf"], "duration must be positive and finite"),
+    ],
+)
+def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

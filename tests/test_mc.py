@@ -14,6 +14,7 @@ from conftest import (
     full_array_chunk_hbt,
     full_array_chunk_hom,
     full_array_chunk_swap,
+    loop_fourfold,
     loop_swap_tables,
     serial_dead_time_filter,
 )
@@ -359,6 +360,37 @@ def test_one_event_with_more_partners_than_the_budget():
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
+@given(
+    b1=_GRID_TIMES,
+    b2=_GRID_TIMES,
+    alice=_GRID_TIMES,
+    bob=_GRID_TIMES,
+    gate=st.sampled_from([250.0, 500.0, 1000.0, 2000.0, math.inf]),
+    budget=st.sampled_from([1, 2, 3, 64, mc._PAIR_BUDGET]),
+)
+# One BSM event with eight partners (6.0 is on the gate's open edge) against
+# a budget of three. Its first pair takes Alice's 1.5 and Bob's 3.5 on their
+# windows' closed edges, its last pair 4.25 and 6.25 inside them; 4.375 and
+# 6.375 sit on open edges. Four-folds: the first and last pair.
+@example(
+    b1=np.array([5.0]),
+    b2=4.0 + 0.25 * np.arange(9.0),
+    alice=np.array([1.5, 4.25, 4.375]),
+    bob=np.array([3.5, 6.25, 6.375]),
+    gate=2000.0,
+    budget=3,
+)
+@settings(max_examples=200)
+def test_fourfold_coincidences_match_loop_oracle(b1, b2, alice, bob, gate, budget):
+    # On the 0.25 ns grid the heralding times and analyzer windows fall
+    # exactly on each other's edges.
+    cfg = ApparatusConfig()
+    stream = TimestampStream({"bsm1": b1, "bsm2": b2, "alice": alice, "bob": bob}, cfg, 0, 1.0)
+    with mock.patch.object(mc, "_PAIR_BUDGET", budget):
+        got = fourfold_coincidences(stream, gate)
+    assert got == loop_fourfold(b1, b2, alice, bob, gate, cfg.mzi_delay_ns, 1.0)
+
+
 @pytest.mark.parametrize("budget", [None, 13])
 def test_coincidence_analyses_match_all_pairs_oracle(monkeypatch, budget):
     if budget is not None:
@@ -424,6 +456,33 @@ def test_g2_memory_does_not_grow_with_pair_count():
         assert peak < ceiling, (n, peak, ceiling)
         pairs.append(int(result.counts.sum()))
     assert pairs[0] >= 5_000_000 and pairs[1] >= 2 * pairs[0] - 10_000
+
+
+def test_fourfold_memory_does_not_grow_with_pair_count():
+    """Dense streams of about 1M and 2M BSM pairs stay under one fixed ceiling.
+
+    Materialising every pair costs about 56 bytes a pair (56 and 113 MB
+    here); the streamed count holds one budget of pairs plus a few arrays
+    per event.
+    """
+    cfg = ApparatusConfig()
+    # Twelve 8-byte temporaries per budgeted pair, plus six 8-byte arrays per
+    # BSM1 event (searchsorted bounds and their sums) of the larger run.
+    ceiling = 12 * 8 * mc._PAIR_BUDGET + 6 * 8 * 25_000
+    counts = []
+    for n in (12_500, 25_000):
+        t = np.arange(n) * 0.25
+        channels = {"bsm1": t, "bsm2": t + 0.1, "alice": t, "bob": t + 0.05}
+        stream = TimestampStream(channels, cfg, 0, 1.0)
+        tracemalloc.start()
+        try:
+            # A 20 ns gate pairs each BSM1 event with 80 BSM2 events.
+            counts.append(fourfold_coincidences(stream, 20_000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling, (n, peak, ceiling)
+    assert counts[0] >= 990_000 and counts[1] >= 2 * counts[0] - 10_000
 
 
 def test_simulate_tomography_run_shapes():
