@@ -62,7 +62,7 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"invalid range {text!r}")
     values = []
     v = start
@@ -100,9 +100,8 @@ def _emit_table(
         return
     lines = [f"# {k} = {v}" for k, v in provenance.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        # float() first: numpy 2 reprs a numpy float as "np.float64(...)".
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    # Rows hold Python scalars: numpy 2 reprs a numpy float as "np.float64(...)".
+    lines.extend(",".join(map(repr, row)) for row in rows)
     _atomic_write(path.with_suffix(".csv"), "\n".join(lines) + "\n")
 
 
@@ -175,7 +174,7 @@ def _cmd_g2(args, config: RunConfig) -> int:
     result = g2_histogram(stream, bin_ps=args.bin_ps)
     prov = _provenance(config, seed)
     prov["g2_zero"] = result.g2_zero
-    rows = [[c, int(n)] for c, n in zip(result.bin_centers_ps, result.counts)]
+    rows = [list(row) for row in zip(result.bin_centers_ps.tolist(), result.counts.tolist())]
     out = Path(args.out_dir or config.output.out_dir) / f"g2_{line}"
     _emit_table(out, ["bin_center_ps", "counts"], rows, prov, args.format or config.output.format)
     print(f"g2_zero = {result.g2_zero:.6f}")
@@ -193,7 +192,7 @@ def _cmd_hom(args, config: RunConfig) -> int:
     fmt = args.format or config.output.format
     out_dir = Path(args.out_dir or config.output.out_dir)
     for name, hist in (("co", result.copolarized), ("cross", result.crossed)):
-        rows = [[c, int(n)] for c, n in zip(hist.bin_centers_ps, hist.counts)]
+        rows = [list(row) for row in zip(hist.bin_centers_ps.tolist(), hist.counts.tolist())]
         _emit_table(out_dir / f"hom_{name}", ["bin_center_ps", "counts"], rows, prov, fmt)
     print(f"visibility = {result.visibility:.4f}")
     return 0

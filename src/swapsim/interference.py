@@ -177,34 +177,130 @@ class BsmSettings:
 _NARROW_A = 4.0  # half-widths below 4 z take the quadrature branch
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
+# W. J. Cody's rational approximations of erfcx (Math. Comp. 23, 631 (1969);
+# netlib specfun CALERF), each (numerator, denominator) in its nesting order:
+# the leading coefficient, the coefficients multiplied in, the one added last.
+_ERFCX_SMALL = (  # |x| <= 0.46875, in x^2: erfcx = exp(x^2) (1 - x P/Q)
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)
+_ERFCX_MID = (  # 0.46875 < |x| <= 4, in |x|: erfcx = P/Q
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+_ERFCX_BIG = (  # |x| > 4, in 1/x^2: erfcx = (1/sqrt(pi) - P/(Q x^2)) / |x|
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_INV_SQRT_PI = 5.6418958354775628695e-1
 
-def _damped_acceptance(kappa: float, half_ns: np.ndarray, z: float) -> np.ndarray:
-    """J = int_0^inf exp(-kappa d) A(d) dd for each gate half-width h.
+
+def _cody_ratio(t: np.ndarray, coefficients) -> np.ndarray:
+    """P(t)/Q(t) by Horner's rule in place, nested as in CALERF."""
+    (lead, *num_c, last), (_, *den_c, den_last) = coefficients
+    num, den = lead * t, t.copy()
+    for cn, cd in zip(num_c, den_c):
+        num += cn
+        num *= t
+        den += cd
+        den *= t
+    num += last
+    den += den_last
+    num /= den
+    return num
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x), numpy only.
+
+    CALERF with jint = 2: each of the three |x| ranges evaluates its rational
+    function on its own elements. For x < -0.46875 it reflects as
+    2 exp(x^2) - erfcx(-x), with exp(x^2) = exp(s^2) exp((x - s)(x + s)) for
+    s = x truncated to a multiple of 1/16, so that the rounding of x^2 is not
+    magnified. Below x = -26.6 it overflows.
+    """
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small, big = y <= 0.46875, y > 4.0
+    mid = ~(small | big)
+    # Empty ranges are skipped: each numpy call costs about a microsecond even
+    # on no elements, and a one-gate response leaves most ranges empty.
+    if small.any():
+        ys = y[small]
+        ys *= ys
+        r = _cody_ratio(ys, _ERFCX_SMALL)
+        r *= x[small]
+        np.subtract(1.0, r, out=r)
+        r *= np.exp(ys)
+        out[small] = r
+    if mid.any():
+        out[mid] = _cody_ratio(y[mid], _ERFCX_MID)
+    if big.any():
+        yb = y[big]
+        inv = 1.0 / yb
+        inv *= inv  # 0 beyond |x| = 1.3e154, where the correction is below eps anyway
+        r = _cody_ratio(inv, _ERFCX_BIG)
+        r *= inv
+        np.subtract(_INV_SQRT_PI, r, out=r)
+        r /= yb
+        out[big] = r
+    neg = x < -0.46875
+    if neg.any():
+        xn = x[neg]
+        s = np.trunc(xn * 16.0) / 16.0
+        e = np.exp((xn - s) * (xn + s))
+        s *= s
+        e *= np.exp(s)
+        e *= 2.0
+        e -= out[neg]
+        out[neg] = e
+    return out
+
+
+def _damped_acceptance(kappa: np.ndarray, half_ns: np.ndarray, z: float) -> np.ndarray:
+    """J = int_0^inf exp(-kappa d) A(d) dd for each damping rate (rows) and
+    gate half-width h (columns).
 
     A(d) = [erf((h - d)/z) + erf((h + d)/z)] / 2 is the chance that a time
     difference d passes the jittered gate, z = sqrt(2) sigma. With a = h/z and
     b = kappa z/2, kappa J = erf(a) + [erfcx(a + b) - erfcx(b - a)] exp(-a^2)/2,
-    the exponentially modified Gaussian (Grushka, Anal. Chem. 44, 1733 (1972)),
-    written for b < a without overflow as -expm1(b (b - 2a)) + [erfcx(a + b)
-    + erfcx(a - b) - 2 erfcx(a)] exp(-a^2)/2. Both cancel to ~eps/(a b) for
-    small a, so for a <= _NARROW_A a Gauss-Legendre rule of the positive,
-    smooth integrand gives J = (h/2) sum_k w_k exp(-x_k^2) erfcx(b - x_k),
-    x_k = a t_k.
+    the exponentially modified Gaussian (Grushka, Anal. Chem. 44, 1733 (1972)).
+    With erf(a) = 1 - exp(-a^2) erfcx(a) that is 1 + [erfcx(a + b)
+    - erfcx(b - a) - 2 erfcx(a)] exp(-a^2)/2 for b >= a, and for b < a,
+    without overflow, -expm1(b (b - 2a)) + [erfcx(a + b) + erfcx(a - b)
+    - 2 erfcx(a)] exp(-a^2)/2. Both cancel to ~eps/(a b) for small a, so for
+    a <= _NARROW_A a Gauss-Legendre rule of the positive, smooth integrand
+    gives J = (h/2) sum_k w_k exp(-x_k^2) erfcx(b - x_k), x_k = a t_k. Each
+    branch runs on its own gates only, with one erfcx call for all of them.
     """
+    kappa = kappa[:, None]
     if z == 0.0:
         return -np.expm1(-kappa * half_ns) / kappa
-    from scipy.special import erf, erfcx
-
     a, b = half_ns / z, kappa * z / 2.0
-    x = np.minimum(a, _NARROW_A)[:, None] * _GL_NODES
-    # Every branch runs on every gate; np.where drops the ones that overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        narrow = half_ns / 2.0 * np.sum(np.exp(-x * x) * erfcx(b - x) * _GL_WEIGHTS, axis=-1)
-        tail = np.exp(-a * a) / 2.0
-        above = erf(a) + tail * (erfcx(a + b) - erfcx(b - a))
-        below = -np.expm1(b * (b - 2.0 * a)) + tail * (erfcx(a + b) + erfcx(a - b) - 2.0 * erfcx(a))
-    wide = np.where(b >= a, above, below) / kappa
-    return np.where(np.isinf(a), 1.0 / kappa, np.where(a <= _NARROW_A, narrow, wide))
+    out = np.repeat(1.0 / kappa, a.size, axis=1)  # the a = inf value
+    narrow = a <= _NARROW_A
+    wide = ~narrow & np.isfinite(a)
+    if narrow.any():
+        x = a[narrow][:, None] * _GL_NODES
+        terms = np.exp(-x * x) * _erfcx(b[:, :, None] - x) * _GL_WEIGHTS
+        out[:, narrow] = half_ns[narrow] / 2.0 * np.sum(terms, axis=-1)
+    if wide.any():
+        a = a[wide]
+        e_sum, e_diff, e_a = _erfcx(np.stack(np.broadcast_arrays(a + b, np.abs(a - b), a)))
+        below = b < a
+        # exp(-a^2) is 0 beyond a = 27.3; the cap keeps a^2 finite.
+        tail = np.exp(-np.square(np.minimum(a, 28.0))) / 2.0
+        lead = np.where(below, -np.expm1(np.minimum(b * (b - 2.0 * a), 0.0)), 1.0)
+        out[:, wide] = (lead + tail * (e_sum + np.where(below, e_diff, -e_diff) - 2.0 * e_a)) / kappa
+    return out
 
 
 def _gated_integrals(model: TemporalModel, gates_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +309,8 @@ def _gated_integrals(model: TemporalModel, gates_ps: np.ndarray) -> tuple[np.nda
     detection-time difference d, one entry per gate."""
     t1, z = model.t1_ns, math.sqrt(2.0) * model.diff_jitter_sigma_ns
     half = gates_ps * 1e-3 / 2.0
-    num = _damped_acceptance(1.0 / t1 + 2.0 * model.dephasing_rate, half, z) / t1
-    return num, _damped_acceptance(1.0 / t1, half, z) / t1
+    num, den = _damped_acceptance(np.array([1.0 / t1 + 2.0 * model.dephasing_rate, 1.0 / t1]), half, z) / t1
+    return num, den
 
 
 def gate_response(

@@ -31,6 +31,7 @@ from .tomography import MeasurementSetting, TomographyRun
 
 _CHUNK_PERIODS = 1 << 20
 _PAIR_BUDGET = 1 << 16
+_MAX_BINS = 1 << 24  # histogram bins per analysis; edges, centers and counts take 8 B each per bin
 _BACKGROUND_WINDOW_NS = 2.0
 # Dead-time clusters still open when this few remain finish serially: a
 # vectorised round costs several microseconds however few clusters it tests.
@@ -641,6 +642,8 @@ def _coincidences(
     if bin_ps is not None:
         if not bin_ps > 0:
             raise McError(f"histogram bin width must be positive, got {bin_ps}")
+        if not span_ns * 1000.0 / bin_ps < _MAX_BINS:
+            raise McError(f"histogram bin width {bin_ps} ps gives more than {_MAX_BINS} bins over +-{span_ns} ns")
         nbins = 2 * int(span_ns * 1000.0 / bin_ps / 2) + 1
         bounds = (-span_ns * 1000.0, span_ns * 1000.0)
         edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=bounds)

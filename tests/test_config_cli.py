@@ -282,6 +282,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          "gate width must be positive"),
         (["mc-run", "--duration", "nan"], "duration must be positive and finite"),
         (["mc-run", "--duration", "inf"], "duration must be positive and finite"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "1e-6"], "bins over"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "1e-320"], "bins over"),
+        (["hom", "--duration", "1e-4", "--bin-ps", "1e-6"], "bins over"),
+        (["swap-predict", "--gates", "nan:10:1"], "invalid range"),
+        (["swap-predict", "--gates", "0:inf:1"], "invalid range"),
+        (["swap-predict", "--gates", "10:20:nan"], "invalid range"),
+        (["swap-predict", "--gates=-inf:10:1"], "invalid range"),
+        (["fourfold-scan", "--delays=nan:10:1", "--duration-per-point", "1e-4"], "invalid range"),
     ],
 )
 def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from conftest import (
     beamsplitter_coincidence,
@@ -18,6 +20,7 @@ from swapsim.interference import (
     BsmSettings,
     InterferenceError,
     TemporalModel,
+    _erfcx,
     _gated_integrals,
     bsm_povm,
     calibrate_temporal,
@@ -262,6 +265,34 @@ def test_gate_response_monotone_across_branch_switches(t1, t2_fraction, jitter, 
     assert np.all(np.diff(i_eff) <= 1e-12)
     assert np.all(np.diff(rate) >= -1e-12)
     assert np.all((rate >= 0.0) & (rate <= 1.0)) and rate[-1] == 1.0
+
+
+def test_erfcx_matches_scipy():
+    # Dense over [-26, 30], both signs of tiny |x|, Cody's range edges and
+    # their neighbours, and log-spaced up to 1e300.
+    edges = np.array([0.46875, 4.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    tiny = np.geomspace(1e-300, 1.0, 2001)
+    x = np.concatenate([np.linspace(-26.0, 30.0, 560001), np.geomspace(30.0, 1e300, 20001),
+                        tiny, -tiny, edges, -edges])
+    rel = np.abs(_erfcx(x) / erfcx(x) - 1.0)
+    # Below -4 the reflection's 2 exp(x^2) dominates, and scipy's own error
+    # grows with x^2 there (5.7e-14 at x = -23.6 against 30-digit values).
+    assert rel[x >= -4.0].max() <= 2e-15
+    assert rel[x < -4.0].max() <= 1e-13
+    assert _erfcx(np.array([0.0, math.inf])).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3, 300.0])
+@pytest.mark.parametrize("t1, t2", [(0.12, 0.14545), (0.05, 1e-4), (2.0, 4.0), (2.0, 2.0)])
+def test_gate_response_is_warning_free_at_extreme_gates(jitter, t1, t2):
+    model = TemporalModel(t1, t2, jitter)
+    gates = np.concatenate([np.geomspace(1e-3, 1e300, 604), [math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i_eff, rate = gate_response(model, gates, 0.94)
+    assert np.all((i_eff >= 0.0) & (i_eff <= 0.94)) and np.all((rate >= 0.0) & (rate <= 1.0))
+    assert rate[-1] == 1.0
 
 
 def test_calibrate_temporal_round_trip():
