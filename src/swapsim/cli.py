@@ -54,6 +54,7 @@ from .qstate import BellKind, bell_state, fidelity_pure, horodecki_s
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+_MAX_RANGE_VALUES = 1 << 20  # values of one start:stop:step range
 
 
 def _parse_range(text: str) -> list[float]:
@@ -64,9 +65,15 @@ def _parse_range(text: str) -> list[float]:
     start, stop, step = (float(p) for p in parts)
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"invalid range {text!r}")
+    bound = stop + 1e-9
+    # v + step > v for every v in the range once step exceeds half an ulp of its largest magnitude.
+    if step <= math.ulp(max(abs(start), abs(bound))) / 2:
+        raise ConfigError(f"range step {step!r} does not advance {text!r}")
+    if (bound - start) / step >= _MAX_RANGE_VALUES:
+        raise ConfigError(f"range {text!r} gives more than {_MAX_RANGE_VALUES} values")
     values = []
     v = start
-    while v <= stop + 1e-9:
+    while v <= bound:
         values.append(round(v, 9))
         v += step
     return values

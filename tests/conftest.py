@@ -261,9 +261,14 @@ def full_array_chunk_hbt(config, start: int, n: int, rng) -> dict[str, np.ndarra
     return {"d1": all_times[to_d1], "d2": all_times[~to_d1]}
 
 
+def categorical_oracle(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index of each uniform draw u under ``cdf``, by binary search."""
+    return np.searchsorted(cdf, u, side="right").clip(0, cdf.size - 1)
+
+
 def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
     """Oracle for ``mc._chunk_hom``: the same draws, every intermediate a full array."""
-    from swapsim.mc import _categorical, _interferes
+    from swapsim.mc import _interferes
 
     mzi, off = config.mzi_delay_ns, config.bsm_delay_offset_ps * 1e-3
     base = (start + np.arange(n, dtype=float)) * config.period_ns
@@ -281,7 +286,7 @@ def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[
     pattern = np.full(n, -1)
     for pols, cdf in tables["cdfs"].items():
         sel = flag & (pol1 == pols[0]) & (pol2 == pols[1])
-        pattern[sel] = _categorical(cdf, u_outcome[sel])
+        pattern[sel] = categorical_oracle(cdf, u_outcome[sel])
     ta, tb = np.where(u_swap, arr2, arr1), np.where(u_swap, arr1, arr2)
     parts: dict[int, list] = {3: [], 4: []}
     for oi, occupation in enumerate(tables["patterns"]):
@@ -357,7 +362,7 @@ def loop_swap_tables(config) -> dict:
 def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
     """Oracle for ``mc._chunk_swap`` on ``loop_swap_tables``: the same draws, every
     intermediate a full array, one masked categorical draw per table."""
-    from swapsim.mc import _categorical, _interferes
+    from swapsim.mc import _interferes
 
     mzi, off = config.mzi_delay_ns, config.bsm_delay_offset_ps * 1e-3
     t1_xx, t1_x = config.bsm.t1_xx_ns, config.source.t1_x_ns
@@ -374,11 +379,11 @@ def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict
     x_pass1, x_pass2 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     for ci in range(4):
         sel = flag & (dest_cfg == ci)
-        idx = _categorical(tables["ind_cdf"][ci], u_outcome[sel])
+        idx = categorical_oracle(tables["ind_cdf"][ci], u_outcome[sel])
         pattern[sel] = idx // 4
         x_pass1[sel], x_pass2[sel] = idx % 4 < 2, idx % 2 == 0
         sel = ~flag & (dest_cfg == ci)
-        idx = _categorical(tables["dist_cdf"][ci], u_outcome[sel])
+        idx = categorical_oracle(tables["dist_cdf"][ci], u_outcome[sel])
         pol1[sel], pol2[sel] = idx // 8, idx // 4 % 2
         x_pass1[sel], x_pass2[sel] = idx % 4 < 2, idx % 2 == 0
     arr1 = base + e_xx1 + np.where(xx1_port1, mzi + off, 0.0)

@@ -290,6 +290,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["swap-predict", "--gates", "10:20:nan"], "invalid range"),
         (["swap-predict", "--gates=-inf:10:1"], "invalid range"),
         (["fourfold-scan", "--delays=nan:10:1", "--duration-per-point", "1e-4"], "invalid range"),
+        (["swap-predict", "--gates", "1:1e12:1"], "more than 1048576 values"),
+        (["swap-predict", "--gates", "0:0:1e-16"], "more than 1048576 values"),
+        (["swap-predict", "--gates", "1e17:1e17:1"], "does not advance"),
+        (["fourfold-scan", "--delays=1e17:1e17:1", "--duration-per-point", "1e-4"], "does not advance"),
     ],
 )
 def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_pairs_coincidences,
+    categorical_oracle,
     full_array_chunk_hbt,
     full_array_chunk_hom,
     full_array_chunk_swap,
@@ -55,6 +56,15 @@ def test_config_validation():
         ApparatusConfig(alice_setting="Q")
     with pytest.raises(McError):
         ApparatusConfig(dark_rate_hz=-1.0)
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [([1.0, 0.5], "not sorted"), ([-1.0, 0.5], "negative"), ([0.0, 1.0, np.nan], "NaN"), ([np.nan], "NaN")],
+)
+def test_stream_rejects_malformed_times(times, message):
+    with pytest.raises(McError, match=message):
+        TimestampStream({"d1": np.array(times)}, ApparatusConfig(), 0, 1.0)
 
 
 def test_config_dict_round_trip():
@@ -358,6 +368,143 @@ def test_one_event_with_more_partners_than_the_budget():
     want = all_pairs_coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
     assert got[1].sum() == 2 * tb.size
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+def _neighbours(values, steps: int = 2) -> np.ndarray:
+    """``values`` and the ``steps`` floats on either side of each."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (-np.inf, np.inf):
+        v = out[0]
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+# Cuts off any grid, on the 1/8 grid (cell boundaries at every scale up to 8
+# cells per unit) and repeated; values from ~1e-3 to ~1e3 apart.
+_CUTS = st.lists(
+    st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.floats(-1e-2, 1e-2, allow_nan=False),
+        st.integers(-64, 64).map(lambda k: k / 8.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(cuts=_CUTS, cells=st.integers(1, 600), extra=st.lists(st.floats(-2e3, 2e3, allow_nan=False), max_size=30))
+@example(cuts=[0.0, 0.0, 0.125, 0.125, 0.125, 1.0], cells=8, extra=[])
+@example(cuts=[-1e-300, 1e-300, 5e-324], cells=256, extra=[0.0, -0.0])
+@settings(max_examples=300)
+def test_ranker_matches_searchsorted(cuts, cells, extra):
+    values = np.unique(cuts)
+    # Every dyadic cell boundary k / 2**m next to a cut, for cells 2**-20 to 2**40 wide.
+    boundaries = [np.ldexp(np.floor(np.ldexp(values, m)) + k, -m) for m in range(-40, 21) for k in (0, 1)]
+    x = np.concatenate([
+        _neighbours(values), _neighbours(np.concatenate(boundaries), 1), extra,
+        [np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0],
+    ])  # fmt: skip
+    with np.errstate(over="ignore"):  # 1e300 times the cell scale
+        got = mc._ranker(values, cells)(x)
+    assert np.array_equal(got, np.searchsorted(values, x, side="right"))
+
+
+@given(
+    weights=st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.1, 0.25, 1.0, 3.0]), min_size=1, max_size=32),
+    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+)
+@example(weights=[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0], draws=[0.0, 0.5])
+@settings(max_examples=300)
+def test_sampler_matches_binary_search(weights, draws):
+    # Zero-probability outcomes repeat a CDF value: one rank covers them all.
+    cdf = np.cumsum(weights)
+    if cdf[-1] == 0:
+        return
+    cdf = cdf / cdf[-1]
+    grid = np.arange(1 << 10) / (1 << 10)
+    u = np.concatenate([draws, grid, _neighbours(cdf)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = mc._sampler(cdf, offset=32)(u)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, categorical_oracle(cdf, u) + 32)
+
+
+# g2's geometry: 723 bins of 200.19 ps over +-72.37 ns and eleven 1 ns windows.
+_G2_PERIOD = ApparatusConfig().period_ns
+_G2_SPAN = 5.5 * _G2_PERIOD
+_G2_OFFSETS = [0.0] + [sign * k * _G2_PERIOD for k in range(1, 6) for sign in (-1.0, 1.0)]
+
+
+def _g2_edge_deltas() -> np.ndarray:
+    """Deltas within two floats of every g2 histogram edge and window edge."""
+    nbins = 2 * int(_G2_SPAN * 1000.0 / 100.0 / 2) + 1
+    edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=(-_G2_SPAN * 1000.0, _G2_SPAN * 1000.0))
+    windows = [off + sign * 0.5 for off in _G2_OFFSETS for sign in (-1.0, 1.0)]
+    return np.sort(_neighbours(np.concatenate([edges / 1000.0, windows])))
+
+
+@given(
+    ta=st.lists(st.floats(0.0, 300.0), max_size=30).map(lambda v: np.sort(np.array(v, float))),
+    tb=st.lists(st.floats(0.0, 300.0), max_size=30).map(lambda v: np.sort(np.array(v, float))),
+    planted=st.lists(st.sampled_from(_g2_edge_deltas().tolist()), max_size=30),
+    budget=st.sampled_from([1, 7, mc._PAIR_BUDGET]),
+)
+@settings(max_examples=200)
+def test_coincidences_match_all_pairs_off_grid(ta, tb, planted, budget):
+    # One event at 150 ns sees tb events at exactly the planted deltas.
+    ta = np.sort(np.append(ta, 150.0))
+    tb = np.sort(np.concatenate([tb, 150.0 + np.array(planted)]))
+    with mock.patch.object(mc, "_PAIR_BUDGET", budget):
+        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, 100.0)
+        no_hist = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5)
+    want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, 100.0)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
+    assert no_hist == (None, None, want[2])
+
+
+def test_coincidences_at_every_edge_neighbour():
+    # Deltas exactly at and next to every bin and window edge, including the
+    # closed last bin's upper edge and the first bin's lower edge.
+    ta = np.array([0.0])
+    tb = _g2_edge_deltas()
+    tb = tb[(tb >= -_G2_SPAN) & (tb < _G2_SPAN)]
+    for bin_ps in (100.0, 7.0, None):
+        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, bin_ps)
+        want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, bin_ps or 100.0)
+        if bin_ps is None:
+            assert got[:2] == (None, None)
+        else:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+    # The closed last bin: a delta of +span is not a pair, but at this span
+    # the float below it lands on the last edge in ps, and np.histogram
+    # counts it in the last bin.
+    span = 7.209074334506057
+    last = np.nextafter(span, -np.inf)
+    assert last * 1000.0 == span * 1000.0
+    got = mc._coincidences(ta, np.array([last]), span, [0.0], 0.5, 100.0)
+    want = all_pairs_coincidences(ta, np.array([last]), span, [0.0], 0.5, 100.0)
+    assert np.array_equal(got[1], want[1]) and got[1][-1] == 1
+
+
+@given(
+    keys=st.lists(st.floats(-10.0, 110.0), max_size=60).map(np.array),
+    table=st.lists(st.integers(0, 400).map(lambda k: k / 4.0), max_size=60).map(lambda v: np.sort(np.array(v, float))),
+    block=st.sampled_from([1, 2, 3, mc._SEARCH_BLOCK]),
+    ordered=st.booleans(),
+)
+@settings(max_examples=300)
+def test_block_ranks_match_searchsorted(keys, table, block, ordered):
+    # Unsorted keys, as the four-fold count's heralding times are, and table
+    # values repeated on a grid the keys may hit.
+    keys = np.concatenate([keys, table[::3]]) if table.size else keys
+    if ordered:
+        keys = np.sort(keys)
+    with mock.patch.object(mc, "_SEARCH_BLOCK", block):
+        got = mc._block_ranks(keys, table)
+    assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(table, keys))
 
 
 @given(
