@@ -35,6 +35,9 @@ _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells of one categorical draw (at most 32 outcomes)
 _SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
 _BACKGROUND_WINDOW_NS = 2.0
+_G2_HALF_NS = 0.5  # coincidence-window half-widths: g2 peak, HOM cluster, analyzer detection
+_HOM_HALF_NS = 1.0
+_ANALYZER_HALF_NS = 1.0
 # Dead-time clusters still open when this few remain finish serially: a
 # vectorised round costs several microseconds however few clusters it tests.
 _SERIAL_CLUSTERS = 64
@@ -97,6 +100,8 @@ class ApparatusConfig:
             if value < 0:
                 raise McError(f"{name} must be >= 0")
         if isinstance(self.efficiency, Mapping):
+            if unknown := sorted(set(self.efficiency) - {"bsm1", "bsm2", "alice", "bob", "d1", "d2"}):
+                raise McError(f"efficiency for unknown detectors {unknown}")
             bad = {k: v for k, v in self.efficiency.items() if not 0 <= v <= 1}
         else:
             bad = {} if 0 <= self.efficiency <= 1 else {"*": self.efficiency}
@@ -180,6 +185,11 @@ def _analyzer_projectors(setting: str | None) -> tuple[np.ndarray, np.ndarray]:
 _SAMPLED = [0, 7, 4, 9, 1, 8, 3, 5]
 _SAMPLED_PATTERNS = tuple(PATTERNS[k] for k in _SAMPLED)
 
+# The detector of each output mode (port, pol): the heralding BSM detects
+# 3H and 4V only, the HOM interferometer every mode by its port.
+_BSM_DETECTORS = {(3, 0): "bsm1", (4, 1): "bsm2"}
+_HOM_DETECTORS = {(3, 0): "d1", (3, 1): "d1", (4, 0): "d2", (4, 1): "d2"}
+
 
 # Destination configurations of the two X photons, (photon 1, photon 2) to
 # Alice (A) or Bob (B), numbered 2 * (photon 1 to Bob) + (photon 2 to Bob).
@@ -235,20 +245,17 @@ def _swap_tables(config: ApparatusConfig) -> dict:
         "pol2": np.where(ind, -1, g // 4 % 2).astype(np.int8),
         "x_pass1": g % 4 < 2,
         "x_pass2": g % 2 == 0,
-        "patterns": _SAMPLED_PATTERNS,
     }
 
 
-def _hom_tables() -> dict:
-    """Interference-branch pattern probabilities for each definite pol pair
-    (p1, p2): the diagonal entry 2 p1 + p2 of each sampled pattern operator."""
-    cdf = np.cumsum(pattern_operators(1.0)[_SAMPLED].diagonal(axis1=1, axis2=2).real, axis=0)
-    cdfs = {divmod(k, 2): cdf[:, k] / cdf[-1, k] for k in range(4)}
-    return {
-        "cdfs": cdfs,
-        "draws": {pols: _sampler(c) for pols, c in cdfs.items()},
-        "patterns": _SAMPLED_PATTERNS,
-    }
+def _hom_tables(config: ApparatusConfig) -> dict:
+    """The one interference-branch sampler of the HOM topology. Overlapping
+    photons always have photon 1 on the long arm (V behind its half-wave plate
+    when crossed) and photon 2 on the short arm (H), so the pattern weights are
+    entry 2 p1 + p2 on the diagonal of each sampled pattern operator."""
+    k = 0 if config.hom_copolarized else 2
+    cdf = np.cumsum(pattern_operators(1.0)[_SAMPLED, k, k].real)
+    return {"draw": _sampler(cdf / cdf[-1])}
 
 
 def _ranker(cuts: np.ndarray, cells: int):
@@ -353,6 +360,28 @@ def _interferes(
     return u_flag < p_flag
 
 
+def _pulse_arrivals(config: ApparatusConfig, start: int, arr1: np.ndarray, arr2: np.ndarray) -> None:
+    """Turn the emission delays of the two pulses' photons into arrival times
+    on the direct arm, in place: arr1 += base, arr2 += base + mzi."""
+    base = (start + np.arange(arr1.size, dtype=float)) * config.period_ns
+    arr1 += base
+    base += config.mzi_delay_ns
+    arr2 += base
+
+
+def _route_pairs(a1, a2, u_swap, pattern, detector: dict, parts: dict) -> None:
+    """Append each interfering pair's detection times to ``parts``: ``pattern``
+    indexes ``_SAMPLED_PATTERNS``, ``u_swap`` picks the photon that takes its
+    first mode (the two times are exchangeable), and ``detector`` maps an
+    output mode (port, pol) to its channel; an unmapped mode goes undetected."""
+    ta, tb = np.where(u_swap, a2, a1), np.where(u_swap, a1, a2)
+    for oi, occupation in enumerate(_SAMPLED_PATTERNS):
+        sel = pattern == oi
+        for times, mode in zip((ta[sel], tb[sel]), occupation):
+            if mode in detector:
+                parts[detector[mode]].append(times)
+
+
 def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
@@ -377,11 +406,7 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
 
     # arr1 = base + e_xx1 (+ mzi + off on the delayed arm), t_x1 = base + e_xx1 + e_x1;
     # arr2 and t_x2 the same from base + mzi and emission 2.
-    base = (start + np.arange(n, dtype=float)) * config.period_ns
-    arr1 += base
-    base += mzi
-    arr2 += base
-    del base
+    _pulse_arrivals(config, start, arr1, arr2)
     t_x1 += arr1
     t_x2 += arr2
     arr1 += xx1_port1 * (mzi + off)
@@ -404,29 +429,16 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
     )
 
     # Distinguishable branch: independent output routing, H/V projection
-    # (pol1 and pol2 are -1 on the interference branch).
-    det1_parts = [np.compress(out1_coin & (pol1 == 0), arr1), np.compress(out2_coin & (pol2 == 0), arr2)]
-    det2_parts = [np.compress(~out1_coin & (pol1 == 1), arr1), np.compress(~out2_coin & (pol2 == 1), arr2)]
-    # Interference branch: detection times are exchangeable, assign randomly.
-    a1, a2 = arr1[pairs], arr2[pairs]
-    ta, tb = np.where(u_swap, a2, a1), np.where(u_swap, a1, a2)
-    pattern = tables["pattern"][outcome[pairs]]
-    for oi, occupation in enumerate(tables["patterns"]):
-        sel = pattern == oi
-        for times, (port, pol) in zip((ta[sel], tb[sel]), occupation):
-            if port == 3 and pol == 0:
-                det1_parts.append(times)
-            elif port == 4 and pol == 1:
-                det2_parts.append(times)
-
-    alice = [np.compress(x1_alice & x_pass1, t_x1), np.compress(x2_alice & x_pass2, t_x2)]
-    bob = [np.compress(~x1_alice & x_pass1, t_x1), np.compress(~x2_alice & x_pass2, t_x2)]
-    return {
-        "bsm1": np.concatenate(det1_parts),
-        "bsm2": np.concatenate(det2_parts),
-        "alice": np.concatenate(alice),
-        "bob": np.concatenate(bob),
+    # (pol1 and pol2 are -1 on the interference branch); the analyzers see both branches.
+    parts = {
+        "bsm1": [np.compress(out1_coin & (pol1 == 0), arr1), np.compress(out2_coin & (pol2 == 0), arr2)],
+        "bsm2": [np.compress(~out1_coin & (pol1 == 1), arr1), np.compress(~out2_coin & (pol2 == 1), arr2)],
+        "alice": [np.compress(x1_alice & x_pass1, t_x1), np.compress(x2_alice & x_pass2, t_x2)],
+        "bob": [np.compress(~x1_alice & x_pass1, t_x1), np.compress(~x2_alice & x_pass2, t_x2)],
     }
+    pattern = tables["pattern"][outcome[pairs]]
+    _route_pairs(arr1[pairs], arr2[pairs], u_swap, pattern, _BSM_DETECTORS, parts)
+    return {name: np.concatenate(p) for name, p in parts.items()}
 
 
 def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np.ndarray]:
@@ -447,7 +459,6 @@ def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np
 def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
-    base = (start + np.arange(n, dtype=float)) * config.period_ns
 
     # The draws keep their order and sizes. Each float draw becomes arrival
     # times in place or is cut to the overlapping pairs that use it, so a
@@ -458,10 +469,7 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     overlap = present1 & present2 & long1 & ~long2
     e1, e2 = arr1[overlap], arr2[overlap]
     # arr1 = base + e1 (+ mzi + off on the long arm), arr2 = base + mzi + e2 (+ the same).
-    arr1 += base
-    base += mzi
-    arr2 += base
-    del base
+    _pulse_arrivals(config, start, arr1, arr2)
     arr1 += long1 * (mzi + off)
     arr2 += long2 * (mzi + off)
 
@@ -471,31 +479,13 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     u_swap = rng.random(n)[flag] < 0.5
     route1, route2 = (rng.random(n) < 0.5 for _ in range(2))
 
-    # The long interferometer arm carries the half-wave plate: crossed
-    # configuration rotates that arm's polarization to V. Everything below
-    # up to the lone photons is over the interfering pairs only.
-    pol1 = np.where(long1[flag] & ~config.hom_copolarized, 1, 0)
-    pol2 = np.where(long2[flag] & ~config.hom_copolarized, 1, 0)
-    a1, a2 = arr1[flag], arr2[flag]
-
-    d1_parts, d2_parts = [], []
-    pattern = np.full(a1.size, -1, dtype=np.int8)
-    for pols, draw in tables["draws"].items():
-        sel = (pol1 == pols[0]) & (pol2 == pols[1])
-        pattern[sel] = draw(u_outcome[sel])
-    ta, tb = np.where(u_swap, a2, a1), np.where(u_swap, a1, a2)
-    for oi, occupation in enumerate(tables["patterns"]):
-        sel = pattern == oi
-        if not np.any(sel):
-            continue
-        times = (ta[sel], tb[sel])
-        for photon, (port, _pol) in enumerate(occupation):
-            (d1_parts if port == 3 else d2_parts).append(times[photon])
+    parts: dict[str, list] = {"d1": [], "d2": []}
+    _route_pairs(arr1[flag], arr2[flag], u_swap, tables["draw"](u_outcome), _HOM_DETECTORS, parts)
     # Photons that do not interfere route independently.
     lone1, lone2 = present1 & ~flag, present2 & ~flag
-    d1_parts.extend([np.compress(lone1 & route1, arr1), np.compress(lone2 & route2, arr2)])
-    d2_parts.extend([np.compress(lone1 & ~route1, arr1), np.compress(lone2 & ~route2, arr2)])
-    return {"d1": np.concatenate(d1_parts), "d2": np.concatenate(d2_parts)}
+    parts["d1"] += [np.compress(lone1 & route1, arr1), np.compress(lone2 & route2, arr2)]
+    parts["d2"] += [np.compress(lone1 & ~route1, arr1), np.compress(lone2 & ~route2, arr2)]
+    return {name: np.concatenate(p) for name, p in parts.items()}
 
 
 def _period_count(duration_s: float, rep_rate_hz: float) -> int:
@@ -523,7 +513,7 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
     if config.topology == "swap":
         tables = _swap_tables(config)
     elif config.topology == "hom":
-        tables = _hom_tables()
+        tables = _hom_tables(config)
 
     n_chunks = max(1, -(-n_periods // _CHUNK_PERIODS))
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -703,7 +693,8 @@ def _coincidences(
     """Streamed coincidence counts of the pair deltas within +-span_ns.
 
     Returns the bin centers and counts of the delta histogram in ps over
-    [-span, span] (None without ``bin_ps``) and, per offset, the number of
+    [-span, span], in an odd number of bins about ``bin_ps`` wide (None
+    without ``bin_ps``) and, per offset, the number of
     deltas with |delta - offset| <= half_ns. Windows that touch at an edge
     both count a delta on it.
 
@@ -715,9 +706,10 @@ def _coincidences(
     if bin_ps is not None:
         if not bin_ps > 0:
             raise McError(f"histogram bin width must be positive, got {bin_ps}")
-        if not span_ns * 1000.0 / bin_ps < _MAX_BINS:
+        side = span_ns * 1000.0 / bin_ps  # bins on either side of the central one, before truncation
+        if not side < _MAX_BINS // 2:
             raise McError(f"histogram bin width {bin_ps} ps gives more than {_MAX_BINS} bins over +-{span_ns} ns")
-        nbins = 2 * int(span_ns * 1000.0 / bin_ps / 2) + 1
+        nbins = 2 * int(side) + 1
         bounds = (-span_ns * 1000.0, span_ns * 1000.0)
         edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=bounds)
         centers = (edges[:-1] + edges[1:]) / 2.0
@@ -752,29 +744,23 @@ class G2Result:
     side_counts: tuple[int, ...]
 
 
-def g2_histogram(
-    stream: TimestampStream,
-    channels: tuple[str, str] = ("d1", "d2"),
-    bin_ps: float = 100.0,
-    n_side_peaks: int = 5,
-    peak_window_ns: float = 1.0,
-) -> G2Result:
-    """Pulsed cross-correlation histogram and the zero-delay peak ratio.
+def g2_histogram(stream: TimestampStream, bin_ps: float = 100.0) -> G2Result:
+    """Pulsed d1-d2 cross-correlation histogram and the zero-delay peak ratio.
 
-    g2_zero is the central-peak area divided by the mean area of the peaks at
-    multiples of the pulse period. Histogram counts are raw coincidences.
+    g2_zero is the central-peak area divided by the mean area of the five
+    peaks on either side, at multiples of the pulse period. Histogram counts
+    are raw coincidences.
     """
-    for name in channels:
+    for name in ("d1", "d2"):
         if name not in stream.channels:
             raise McError(f"stream has no channel {name!r}")
-    ta, tb = stream.channels[channels[0]], stream.channels[channels[1]]
+    ta, tb = stream.channels["d1"], stream.channels["d2"]
     if ta.size == 0 or tb.size == 0:
         raise McError("empty stream")
     period = stream.config.period_ns
-    span = (n_side_peaks + 0.5) * period
-    offsets = [0.0] + [sign * k * period for k in range(1, n_side_peaks + 1) for sign in (-1.0, 1.0)]
-    centers, hist, (central, *side) = _coincidences(ta, tb, span, offsets, peak_window_ns / 2.0, bin_ps)
-    side_mean = float(np.mean(side)) if side else 0.0
+    offsets = [0.0] + [sign * k * period for k in range(1, 6) for sign in (-1.0, 1.0)]
+    centers, hist, (central, *side) = _coincidences(ta, tb, 5.5 * period, offsets, _G2_HALF_NS, bin_ps)
+    side_mean = float(np.mean(side))
     g2_zero = central / side_mean if side_mean > 0 else math.inf
     return G2Result(centers, hist, float(g2_zero), central, tuple(side))
 
@@ -794,24 +780,18 @@ class HomResult:
     visibility: float
 
 
-def _hom_single(stream: TimestampStream, bin_ps: float, window_ns: float) -> HomHistogram:
+def _hom_single(stream: TimestampStream, bin_ps: float) -> HomHistogram:
     ta, tb = stream.channels["d1"], stream.channels["d2"]
     if ta.size == 0 or tb.size == 0:
         raise McError("empty stream")
     mzi = stream.config.mzi_delay_ns
-    span = 2.5 * mzi
     offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
-    centers, hist, counts = _coincidences(ta, tb, span, offsets, window_ns / 2.0, bin_ps)
+    centers, hist, counts = _coincidences(ta, tb, 2.5 * mzi, offsets, _HOM_HALF_NS, bin_ps)
     cluster = dict(zip(offsets, counts))
     return HomHistogram(centers, hist, cluster[0.0], cluster)
 
 
-def hom_histogram(
-    streams: tuple[TimestampStream, TimestampStream],
-    bin_ps: float = 100.0,
-    window_ns: float = 2.0,
-    delay_tolerance_ns: float = 1e-6,
-) -> HomResult:
+def hom_histogram(streams: tuple[TimestampStream, TimestampStream], bin_ps: float = 100.0) -> HomResult:
     """Five-peak coincidence clusters for a co/cross stream pair plus visibility."""
     co, cross = streams
     for s, want in ((co, True), (cross, False)):
@@ -819,10 +799,10 @@ def hom_histogram(
             raise McError("hom analysis expects interferometer-topology streams")
         if s.config.hom_copolarized is not want:
             raise McError("pass the co-polarized stream first, the crossed one second")
-    if abs(co.config.mzi_delay_ns - cross.config.mzi_delay_ns) > delay_tolerance_ns:
+    if abs(co.config.mzi_delay_ns - cross.config.mzi_delay_ns) > 1e-6:
         raise McError("interferometer delays of the two runs do not match")
-    h_co = _hom_single(co, bin_ps, window_ns)
-    h_cross = _hom_single(cross, bin_ps, window_ns)
+    h_co = _hom_single(co, bin_ps)
+    h_cross = _hom_single(cross, bin_ps)
     if h_cross.central_counts == 0:
         raise McError("crossed run has no central coincidences")
     scale = co.duration_s / cross.duration_s
@@ -830,16 +810,12 @@ def hom_histogram(
     return HomResult(h_co, h_cross, float(visibility))
 
 
-def fourfold_coincidences(
-    stream: TimestampStream,
-    gate_ps: float,
-    x_window_ns: float = 1.0,
-) -> int:
+def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
     The BSM pair must fall within the gate; each analyzer detection must fall
-    in a fixed window around the heralding time shifted back by the
-    compensation delay.
+    within +-``_ANALYZER_HALF_NS`` of the heralding time, Alice's shifted back
+    by the compensation delay.
     """
     cfg = stream.config
     if cfg.topology != "swap":
@@ -852,20 +828,20 @@ def fourfold_coincidences(
         t_bsm = (t1 + t2) / 2.0
         # Emission 1 feeds Alice one compensation delay before the heralding
         # time; emission 2 feeds Bob right at it.
-        hit = _partners(t_bsm - cfg.mzi_delay_ns, ch["alice"], x_window_ns)[1] > 0
-        hit &= _partners(t_bsm, ch["bob"], x_window_ns)[1] > 0
+        hit = _partners(t_bsm - cfg.mzi_delay_ns, ch["alice"], _ANALYZER_HALF_NS)[1] > 0
+        hit &= _partners(t_bsm, ch["bob"], _ANALYZER_HALF_NS)[1] > 0
         count += int(np.count_nonzero(hit))
     return count
 
 
-def twofold_control_coincidences(stream: TimestampStream, window_ns: float = 1.0) -> int:
+def twofold_control_coincidences(stream: TimestampStream) -> int:
     """Alice-Bob coincidences around the emission separation, no BSM condition."""
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("control analysis expects the heralding topology")
     alice, bob = stream.channels["alice"], stream.channels["bob"]
     span = 3.0 * cfg.mzi_delay_ns
-    _, _, (count,) = _coincidences(alice, bob, span, [cfg.mzi_delay_ns], window_ns)
+    _, _, (count,) = _coincidences(alice, bob, span, [cfg.mzi_delay_ns], _ANALYZER_HALF_NS)
     return count
 
 

@@ -219,7 +219,7 @@ def pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray
 def all_pairs_coincidences(ta, tb, span_ns, offsets_ns, half_ns, bin_ps):
     """Histogram (ps) and per-offset window counts from ``pair_deltas``."""
     deltas = pair_deltas(ta, tb, span_ns)
-    nbins = 2 * int(span_ns * 1000.0 / bin_ps / 2) + 1
+    nbins = 2 * int(span_ns * 1000.0 / bin_ps) + 1
     hist, edges = np.histogram(deltas * 1000.0, bins=nbins, range=(-span_ns * 1000.0, span_ns * 1000.0))
     windows = [int(np.count_nonzero(np.abs(deltas - off) <= half_ns)) for off in offsets_ns]
     return (edges[:-1] + edges[1:]) / 2.0, hist, windows
@@ -267,7 +267,14 @@ def categorical_oracle(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
-    """Oracle for ``mc._chunk_hom``: the same draws, every intermediate a full array."""
+    """Oracle for ``mc._chunk_hom``: the same draws, every intermediate a full array.
+
+    It ignores the generator's ``tables``: each period's polarization pair
+    (p1, p2) comes from its arms, and each pair draws from its own CDF, the
+    diagonal entry 2 p1 + p2 of the pattern operators in the order of
+    ``hand_built_patterns``.
+    """
+    from swapsim.interference import PATTERNS, pattern_operators
     from swapsim.mc import _interferes
 
     mzi, off = config.mzi_delay_ns, config.bsm_delay_offset_ps * 1e-3
@@ -278,18 +285,23 @@ def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[
     u_flag = rng.random(n)
     u_outcome = rng.random(n)
     u_swap, route1, route2 = (rng.random(n) < 0.5 for _ in range(3))
-    pol1 = np.where(long1 & ~config.hom_copolarized, 1, 0)
-    pol2 = np.where(long2 & ~config.hom_copolarized, 1, 0)
+    # The long arm's half-wave plate rotates its photon to V when crossed.
+    pol1 = np.where(long1 & (not config.hom_copolarized), 1, 0)
+    pol2 = np.where(long2 & (not config.hom_copolarized), 1, 0)
     arr1 = base + e1 + np.where(long1, mzi + off, 0.0)
     arr2 = base + mzi + e2 + np.where(long2, mzi + off, 0.0)
     flag = present1 & present2 & long1 & ~long2 & _interferes(config.bsm, e1, e2, off, u_flag)
+    occupations = [occ for occ, _ in hand_built_patterns()]
+    ops = pattern_operators(1.0)[[PATTERNS.index(o) for o in occupations]]
     pattern = np.full(n, -1)
-    for pols, cdf in tables["cdfs"].items():
-        sel = flag & (pol1 == pols[0]) & (pol2 == pols[1])
-        pattern[sel] = categorical_oracle(cdf, u_outcome[sel])
+    for p1 in (0, 1):
+        for p2 in (0, 1):
+            cdf = np.cumsum(ops[:, 2 * p1 + p2, 2 * p1 + p2].real)
+            sel = flag & (pol1 == p1) & (pol2 == p2)
+            pattern[sel] = categorical_oracle(cdf / cdf[-1], u_outcome[sel])
     ta, tb = np.where(u_swap, arr2, arr1), np.where(u_swap, arr1, arr2)
     parts: dict[int, list] = {3: [], 4: []}
-    for oi, occupation in enumerate(tables["patterns"]):
+    for oi, occupation in enumerate(occupations):
         sel = pattern == oi
         for times, (port, _pol) in zip((ta[sel], tb[sel]), occupation):
             parts[port].append(times)

@@ -155,6 +155,19 @@ def test_physical_validation_at_load(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_efficiency_for_unknown_detector_rejected(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    efficiency = {"alice": 0.8, "bob": 0.8, "bsm1": 0.8, "bms2": 0.8}
+    path.write_text(json.dumps({"apparatus": {"efficiency": efficiency}}))
+    with pytest.raises(ConfigError, match="bms2"):
+        load_config(path)
+    argv = ["mc-run", "--duration", "1e-5", "--config", str(path), "--out-dir", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown detectors ['bms2']" in err
+    assert not (tmp_path / "stream.bin").exists()
+
+
 def test_cli_report(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "report.json").read_text())

@@ -355,7 +355,7 @@ def test_streamed_coincidences_edges_and_empty_channels():
     assert hist.sum() == 5
     for a, b in ((ta, np.empty(0)), (np.empty(0), tb)):
         _, hist, windows = mc._coincidences(a, b, 5.0, _OFFSETS, 1.0, 250.0)
-        assert hist.shape == (21,) and hist.sum() == 0 and windows == [0] * 5
+        assert hist.shape == (41,) and hist.sum() == 0 and windows == [0] * 5
     cfg = ApparatusConfig()
     stream = TimestampStream({"alice": np.empty(0), "bob": tb + 10.0}, cfg, 0, 1.0)
     assert twofold_control_coincidences(stream) == 0
@@ -431,7 +431,7 @@ def test_sampler_matches_binary_search(weights, draws):
     assert np.array_equal(got, categorical_oracle(cdf, u) + 32)
 
 
-# g2's geometry: 723 bins of 200.19 ps over +-72.37 ns and eleven 1 ns windows.
+# g2's geometry: 1447 bins of 100.03 ps over +-72.37 ns and eleven 1 ns windows.
 _G2_PERIOD = ApparatusConfig().period_ns
 _G2_SPAN = 5.5 * _G2_PERIOD
 _G2_OFFSETS = [0.0] + [sign * k * _G2_PERIOD for k in range(1, 6) for sign in (-1.0, 1.0)]
@@ -439,7 +439,7 @@ _G2_OFFSETS = [0.0] + [sign * k * _G2_PERIOD for k in range(1, 6) for sign in (-
 
 def _g2_edge_deltas() -> np.ndarray:
     """Deltas within two floats of every g2 histogram edge and window edge."""
-    nbins = 2 * int(_G2_SPAN * 1000.0 / 100.0 / 2) + 1
+    nbins = 2 * int(_G2_SPAN * 1000.0 / 100.0) + 1
     edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=(-_G2_SPAN * 1000.0, _G2_SPAN * 1000.0))
     windows = [off + sign * 0.5 for off in _G2_OFFSETS for sign in (-1.0, 1.0)]
     return np.sort(_neighbours(np.concatenate([edges / 1000.0, windows])))
@@ -487,6 +487,21 @@ def test_coincidences_at_every_edge_neighbour():
     got = mc._coincidences(ta, np.array([last]), span, [0.0], 0.5, 100.0)
     want = all_pairs_coincidences(ta, np.array([last]), span, [0.0], 0.5, 100.0)
     assert np.array_equal(got[1], want[1]) and got[1][-1] == 1
+
+
+@pytest.mark.parametrize("bin_ps", [100.0, 250.0, 37.5, 1000.0])
+def test_histogram_bins_are_bin_ps_wide(bin_ps):
+    # An odd bin count about bin_ps wide, the central bin on zero delay.
+    times = {"d1": np.array([10.0]), "d2": np.array([10.2])}
+    g2 = g2_histogram(TimestampStream(dict(times), ApparatusConfig(topology="hbt_xx"), 0, 1.0), bin_ps=bin_ps)
+    hom = ApparatusConfig(topology="hom")
+    co, cross = (TimestampStream(dict(times), replace(hom, hom_copolarized=c), 0, 1.0) for c in (True, False))
+    result = hom_histogram((co, cross), bin_ps=bin_ps)
+    for centers in (g2.bin_centers_ps, result.copolarized.bin_centers_ps, result.crossed.bin_centers_ps):
+        n = centers.size
+        assert n % 2 == 1 and abs(centers[n // 2]) < 1e-9 * bin_ps
+        widths = np.diff(centers)
+        assert np.allclose(widths, widths[0]) and abs(widths[0] - bin_ps) <= bin_ps / n * (1 + 1e-9)
 
 
 @given(
@@ -724,7 +739,7 @@ def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
     tracemalloc.start()
     try:
         if topology == "hom":
-            mc._chunk_hom(cfg, mc._hom_tables(), 0, n, rng)
+            mc._chunk_hom(cfg, mc._hom_tables(cfg), 0, n, rng)
         elif topology == "swap":
             mc._chunk_swap(cfg, mc._swap_tables(cfg), 0, n, rng)
         else:
@@ -907,6 +922,14 @@ def test_per_channel_efficiency_mapping():
     back = sorted(to_dict(ApparatusConfig(**FAST)))  # dict form stays serializable
     assert "efficiency" in back
     assert from_dict(ApparatusConfig, to_dict(cfg)) == cfg
+
+
+def test_efficiency_mapping_rejects_unknown_detectors():
+    # A misspelt channel would silently record nothing.
+    with pytest.raises(McError, match="unknown detectors \\['bms2'\\]"):
+        ApparatusConfig(efficiency={"alice": 0.8, "bob": 0.8, "bsm1": 0.8, "bms2": 0.8})
+    for efficiency in ({"alice": 0.8, "bob": 0.8, "bsm1": 0.8, "bsm2": 0.8}, {"d1": 0.5, "d2": 0.6}):
+        assert ApparatusConfig(efficiency=efficiency).efficiency == efficiency
 
 
 def test_fourfold_requires_swap_topology():
