@@ -164,8 +164,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 
 
 def _cmd_mc_run(args, config: RunConfig) -> int:
-    apparatus = config.apparatus_config()
-    stream = simulate(apparatus, args.duration, config.output.seed)
+    stream = simulate(config.apparatus, args.duration, config.output.seed)
     out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_stream(stream, out)
@@ -175,7 +174,7 @@ def _cmd_mc_run(args, config: RunConfig) -> int:
 
 def _cmd_g2(args, config: RunConfig) -> int:
     line = args.line
-    apparatus = dataclasses.replace(config.apparatus_config(), topology=f"hbt_{line}")
+    apparatus = dataclasses.replace(config.apparatus, topology=f"hbt_{line}")
     seed = config.output.seed
     stream = simulate(apparatus, args.duration, seed)
     result = g2_histogram(stream, bin_ps=args.bin_ps)
@@ -190,7 +189,7 @@ def _cmd_g2(args, config: RunConfig) -> int:
 
 def _cmd_hom(args, config: RunConfig) -> int:
     seed = config.output.seed
-    base = dataclasses.replace(config.apparatus_config(), topology="hom")
+    base = dataclasses.replace(config.apparatus, topology="hom")
     co = simulate(dataclasses.replace(base, hom_copolarized=True), args.duration, seed)
     cross = simulate(dataclasses.replace(base, hom_copolarized=False), args.duration, seed + 1)
     result = hom_histogram((co, cross), bin_ps=args.bin_ps)
@@ -208,7 +207,7 @@ def _cmd_hom(args, config: RunConfig) -> int:
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
     delays = _parse_range(args.delays)
     seed = config.output.seed
-    base = config.apparatus_config()
+    base = config.apparatus
     rows = []
     streams = []
     for i, delay in enumerate(delays):

@@ -31,13 +31,13 @@ from .tomography import MeasurementSetting, TomographyRun
 
 _CHUNK_PERIODS = 1 << 20
 _PAIR_BUDGET = 1 << 16
-_MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at about ten 8 B values per bin
+_MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at 7.2 8 B values per bin
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells of one categorical draw (at most 32 outcomes)
 _SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
 _BACKGROUND_WINDOW_NS = 2.0
-_G2_HALF_NS = 0.5  # coincidence-window half-widths: g2 peak, HOM cluster, analyzer detection
-_HOM_HALF_NS = 1.0
-_ANALYZER_HALF_NS = 1.0
+_G2_HALF_PS = 500  # coincidence-window half-widths: g2 peak, HOM cluster, analyzer detection
+_HOM_HALF_PS = 1000
+_ANALYZER_HALF_PS = 1000
 # Dead-time clusters still open when this few remain finish serially: a
 # vectorised round costs several microseconds however few clusters it tests.
 _SERIAL_CLUSTERS = 64
@@ -117,11 +117,6 @@ class ApparatusConfig:
     def period_ns(self) -> float:
         return 1e9 / self.rep_rate_hz
 
-    def channel_efficiency(self, channel: str) -> float:
-        if isinstance(self.efficiency, Mapping):
-            return float(self.efficiency.get(channel, 0.0))
-        return float(self.efficiency)
-
     def channels(self) -> tuple[str, ...]:
         if self.topology == "swap":
             return ("bsm1", "bsm2", "alice", "bob")
@@ -130,7 +125,7 @@ class ApparatusConfig:
 
 @dataclass(frozen=True)
 class TimestampStream:
-    """Sorted per-channel detection times (ns) plus reproducibility metadata."""
+    """Sorted per-channel detection times (int64 ps) plus reproducibility metadata."""
 
     channels: dict[str, np.ndarray]
     config: ApparatusConfig
@@ -139,13 +134,14 @@ class TimestampStream:
 
     def __post_init__(self):
         for name, times in self.channels.items():
-            arr = np.asarray(times, dtype=float)
+            arr = np.asarray(times)
+            if arr.dtype.kind not in "iu":  # a float array would truncate silently
+                raise McError(f"channel {name} times are {arr.dtype}, not integer ps")
+            arr = arr.astype(np.int64, copy=False)
             if arr.size > 1 and np.any(np.diff(arr) < 0):
                 raise McError(f"channel {name} times are not sorted")
             if arr.size and arr[0] < 0:
                 raise McError(f"channel {name} has negative times")
-            if np.isnan(arr).any():  # a NaN would void the block bounds of the pair search
-                raise McError(f"channel {name} has NaN times")
             arr.setflags(write=False)
             self.channels[name] = arr
 
@@ -260,32 +256,38 @@ def _hom_tables(config: ApparatusConfig) -> dict:
 
 def _ranker(cuts: np.ndarray, cells: int):
     """``x -> np.searchsorted(cuts, x, side="right")`` for sorted distinct
-    ``cuts`` and non-NaN x, over at most about ``cells`` dyadic cells.
+    ``cuts`` and x of their dtype, over about ``cells`` cells: int64 below its
+    maximum (pair deltas), or float64 in [0, 1] (uniform draws against a CDF).
 
     Any nondecreasing cell map is exact: cuts in a lower cell than x's are
     below x and cuts in a higher one above it. So x is compared only with
-    the ``depth`` cuts from ``first[cell]`` on (NaN past the last cut).
+    the ``depth`` cuts from ``first[cell]`` on, padded past the last cut
+    with a value no x reaches (the int64 maximum, or NaN).
     """
-    lo, hi = float(cuts[0]), float(cuts[-1])
-    # The largest power of two that spreads the cuts over at most ``cells`` cells.
-    scale = math.ldexp(0.5, math.frexp(cells / (hi - lo))[1]) if 0.0 < hi - lo < math.inf else 1.0
-    shift = float(math.floor(lo * scale)) if math.isfinite(lo * scale) else 0.0
-    top = hi * scale - shift
-    last = int(top) if top < cells else cells - 1
+    if cuts.dtype == np.int64:
+        # Cells 2**k wide from the first cut. An x outside the cuts' span
+        # falls in a cell below 0 or past ``last``, which ``rank`` clips.
+        lo, k = cuts[0], (int(cuts[-1] - cuts[0]) // cells).bit_length()
+        last, pad = int(cuts[-1] - lo) >> k, np.iinfo(np.int64).max
 
-    def cell(x: np.ndarray) -> np.ndarray:
-        y = x * scale
-        y -= shift
-        np.clip(y, 0.0, last, out=y)
-        return y.astype(np.intp)
+        def cell(x: np.ndarray) -> np.ndarray:
+            y = x - lo
+            y >>= k
+            return y
 
-    cut_cells = cell(cuts)
-    first = np.searchsorted(cut_cells, np.arange(last + 1))
-    depth = int(np.bincount(cut_cells).max())
-    padded = np.concatenate([cuts, np.full(depth, np.nan)])
+    else:
+        last, pad = cells, np.nan
+
+        def cell(x: np.ndarray) -> np.ndarray:
+            return (x * cells).astype(np.intp)
+
+    first = np.bincount(cell(cuts) + 1, minlength=last + 2)  # the cuts per cell, one cell up
+    depth = int(first.max())
+    np.cumsum(first, out=first)  # the cuts in lower cells
+    padded = np.concatenate([cuts, np.full(depth, pad, dtype=cuts.dtype)])
 
     def rank(x: np.ndarray) -> np.ndarray:
-        r = first.take(cell(x), mode="clip")
+        r = first.take(cell(x), mode="clip")  # first[last + 1] counts every cut
         base = r.copy() if depth > 1 else r
         for t in range(depth):
             r += x >= padded[t:].take(base)
@@ -304,28 +306,28 @@ def _sampler(cdf: np.ndarray, offset: int = 0):
     return lambda u: outcome.take(rank(u))
 
 
-def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
-    """Sorted ``times`` without the events that come less than ``dead_ns``
-    after the last kept one, tested as ``t - last >= dead_ns``.
+def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Sorted int ps ``times`` without the events that come less than
+    ``dead_ps`` after the last kept one, tested as ``t - last >= dead_ps``.
 
-    An event at least ``dead_ns`` after its predecessor starts a cluster and
-    is always kept: fl(t - x) does not rise with x, and the last kept event is
-    at or before the predecessor. The event after a start is always dropped.
-    Each round tests the next event of every open cluster of three or more
-    against that cluster's last kept time; the last few open clusters finish
-    in one serial loop.
+    An event at least ``dead_ps`` after its predecessor starts a cluster and
+    is always kept, since the last kept event is at or before the
+    predecessor. The event after a start is always dropped. Each round tests
+    the next event of every open cluster of three or more against that
+    cluster's last kept time; the last few open clusters finish in one
+    serial loop.
     """
-    if dead_ns <= 0 or times.size < 2:
+    if dead_ps <= 0 or times.size < 2:
         return times
     # The cluster starts, then a sentinel start after the last event.
     keep = np.empty(times.size + 1, dtype=bool)
     keep[0] = keep[-1] = True
-    np.greater_equal(np.diff(times), dead_ns, out=keep[1:-1])
+    np.greater_equal(np.diff(times), dead_ps, out=keep[1:-1])
     idx = np.flatnonzero(keep[:-3] & ~keep[1:-2] & ~keep[2:-1]) + 2
     last = times[idx - 2]
     while idx.size > _SERIAL_CLUSTERS:
         cand = times[idx]
-        ok = cand - last >= dead_ns
+        ok = cand - last >= dead_ps
         keep[idx] = ok
         np.copyto(last, cand, where=ok)
         idx += 1
@@ -335,7 +337,7 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     for c0, t_last in zip(idx.tolist(), last.tolist()):
         c1 = c0 + int(np.argmax(keep[c0:]))
         for t in times[c0:c1].tolist():
-            if t - t_last >= dead_ns:
+            if t - t_last >= dead_ps:
                 kept.append(t)
                 t_last = t
     # Times rise across clusters and a kept time is the first of its value in
@@ -506,6 +508,11 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         raise McError(f"duration must be positive and finite, got {duration_s}")
     n_periods = _period_count(duration_s, config.rep_rate_hz)
     channels = config.channels()
+    efficiency = config.efficiency
+    if not isinstance(efficiency, Mapping):
+        efficiency = dict.fromkeys(channels, efficiency)
+    elif missing := sorted(set(channels) - set(efficiency)):
+        raise McError(f"efficiency mapping has no value for the {config.topology} detectors {missing}")
     sigma_ns = config.bsm.temporal_model().jitter_sigma_ns
     flux = _signal_flux_per_pulse(config)
 
@@ -532,31 +539,34 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         span = (start * config.period_ns, (start + n) * config.period_ns)
         for name in channels:
             times = raw[name]
-            eta = config.channel_efficiency(name)
+            eta = float(efficiency[name])
             if eta < 1.0:
                 times = np.compress(rng.random(times.size) < eta, times)
             if config.background_ratio > 0.0:
                 per_pulse = config.background_ratio * flux[name] * eta
                 n_bg = rng.poisson(per_pulse * 2 * n)
                 pulse = rng.integers(0, 2 * n, n_bg)
-                bg = (
-                    span[0]
-                    + (pulse // 2) * config.period_ns
-                    + (pulse % 2) * config.mzi_delay_ns
-                    + rng.random(n_bg) * _BACKGROUND_WINDOW_NS
-                )
+                bg = span[0] + (pulse // 2) * config.period_ns + (pulse % 2) * config.mzi_delay_ns
+                bg += rng.random(n_bg) * _BACKGROUND_WINDOW_NS
                 times = np.concatenate([times, bg])
             if sigma_ns > 0.0 and times.size:
-                times = times + rng.normal(0.0, sigma_ns, times.size)
+                times += rng.normal(0.0, sigma_ns, times.size)
             if config.dark_rate_hz > 0.0:
                 n_dark = rng.poisson(config.dark_rate_hz * (span[1] - span[0]) * 1e-9)
                 dark = span[0] + rng.random(n_dark) * (span[1] - span[0])
                 times = np.concatenate([times, dark])
-            out[name] = np.sort(times)
+            # Whole ps from here on: rounded half to even, in place (the cast
+            # reads each element before it writes that element's int64).
+            times *= 1000.0
+            np.rint(times, out=times)
+            ps = times.view(np.int64)
+            ps[...] = times
+            ps.sort()
+            out[name] = ps
         return out
 
     if n_periods == 0:
-        merged = {name: np.empty(0) for name in channels}
+        merged = {name: np.empty(0, dtype=np.int64) for name in channels}
     else:
         workers = min(worker_count(), n_chunks)
         if workers > 1:
@@ -564,15 +574,14 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
                 chunk_results = list(pool.map(run_chunk, range(n_chunks)))
         else:
             chunk_results = [run_chunk(ci) for ci in range(n_chunks)]
-        merged = {
-            name: np.concatenate([c[name] for c in chunk_results]) for name in channels
-        }
+        merged = {name: np.concatenate([c[name] for c in chunk_results]) for name in channels}
+        end = math.ceil(n_periods * config.period_ns * 1000.0)  # whole ps before the last period's end
         for name in channels:
             times = merged[name]
-            times = times[(times >= 0.0) & (times < n_periods * config.period_ns)]
+            times = times[(times >= 0) & (times < end)]
             # The chunks arrive sorted, so a stable (merge) sort is near-linear.
             times.sort(kind="stable")
-            merged[name] = _dead_time_filter(times, config.dead_time_ns)
+            merged[name] = _dead_time_filter(times, math.ceil(config.dead_time_ns * 1000.0))
     return TimestampStream(merged, config, int(seed), float(duration_s))
 
 
@@ -581,14 +590,10 @@ def write_stream(stream: TimestampStream, path: str | os.PathLike) -> None:
     path = Path(path)
     names = sorted(stream.channels)
     ids = {name: i for i, name in enumerate(names)}
-    parts = []
-    for name in names:
-        times = stream.channels[name]
-        rec = np.empty(times.size, dtype=RECORD_DTYPE)
-        rec["channel"] = ids[name]
-        rec["time_ps"] = np.round(times * 1000.0).astype(np.uint64)
-        parts.append(rec)
-    records = np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)
+    times = [stream.channels[name] for name in names]
+    records = np.empty(sum(t.size for t in times), dtype=RECORD_DTYPE)
+    records["channel"] = np.repeat(np.arange(len(names)), [t.size for t in times])
+    records["time_ps"] = np.concatenate([np.empty(0, dtype=np.int64), *times])
     records = records[np.argsort(records["time_ps"], kind="stable")]
     records.tofile(path)
     sidecar = {
@@ -603,26 +608,28 @@ def write_stream(stream: TimestampStream, path: str | os.PathLike) -> None:
 
 
 def read_stream(path: str | os.PathLike) -> TimestampStream:
+    """The stream ``write_stream`` wrote, checked against its sidecar's record
+    count and channel ids."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
     try:
         config = from_dict(ApparatusConfig, sidecar.get("config"), "sidecar config", complete=True)
-        missing = sorted({"channels", "seed", "duration_s"} - set(sidecar))
+        missing = sorted({"channels", "seed", "duration_s", "records"} - set(sidecar))
         if missing:
             raise ValueError(f"missing keys {missing} in sidecar")
     except ValueError as exc:
         raise McError(f"{path.with_suffix('.json')}: {exc}") from exc
+    size = path.stat().st_size
+    if size % RECORD_DTYPE.itemsize:
+        raise McError(f"{path}: {size} bytes is not a whole number of {RECORD_DTYPE.itemsize}-byte records")
     records = np.fromfile(path, dtype=RECORD_DTYPE)
-    channels = {}
-    for name, cid in sidecar["channels"].items():
-        times = records["time_ps"][records["channel"] == cid].astype(float) * 1e-3
-        channels[name] = np.sort(times)
-    return TimestampStream(
-        channels,
-        config,
-        int(sidecar["seed"]),
-        float(sidecar["duration_s"]),
-    )
+    if records.size != sidecar["records"]:
+        raise McError(f"{path}: {records.size} records, the sidecar says {sidecar['records']}")
+    ids = records["channel"]
+    if unknown := sorted(set(np.unique(ids).tolist()) - set(sidecar["channels"].values())):
+        raise McError(f"{path}: channel ids {unknown} are not named in the sidecar")
+    channels = {name: records["time_ps"][ids == cid].view("<i8") for name, cid in sidecar["channels"].items()}
+    return TimestampStream(channels, config, int(sidecar["seed"]), float(sidecar["duration_s"]))
 
 
 def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -639,14 +646,14 @@ def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _partners(ta: np.ndarray, tb: np.ndarray, half_ns: float) -> tuple[np.ndarray, np.ndarray]:
+def _partners(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ta event t, the first index and the count of the sorted tb events
-    in [t - half_ns, t + half_ns)."""
-    lo = _block_ranks(ta - half_ns, tb)
-    return lo, _block_ranks(ta + half_ns, tb) - lo
+    in [t + lo, t + hi)."""
+    first = _block_ranks(ta + lo, tb)
+    return first, _block_ranks(ta + hi, tb) - first
 
 
-def _pair_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
+def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
     """Yield the paired times (a, b) of every ta event a with each of its
     ``_partners`` b, ordered by ta event, then by tb event, as new arrays.
 
@@ -654,10 +661,10 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
     ta event's partners where needed, so memory does not grow with the pair
     count.
     """
-    lo, counts = _partners(ta, tb, half_ns)
+    first, counts = _partners(ta, tb, lo, hi)
     ends = np.cumsum(counts)
     # Pair p (numbered across all events) of event a is tb[p + shift[a]].
-    shift = np.subtract(lo, ends - counts, out=lo)
+    shift = np.subtract(first, ends - counts, out=first)
     total = int(ends[-1]) if ends.size else 0
     for p0 in range(0, total, _PAIR_BUDGET):
         p1 = min(p0 + _PAIR_BUDGET, total)
@@ -670,69 +677,62 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, half_ns: float):
         yield np.repeat(ta[a0 : a1 + 1], n), tb[bi]
 
 
-def _least_float(value, target: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Per element, the least float d with value(d) >= target for a
-    nondecreasing elementwise ``value``: from ``guess``, down one float at a
-    time until below target, then up to the first float at or above it."""
-    d = guess
-    while np.any(high := value(d) >= target):
-        d = np.where(high, np.nextafter(d, -np.inf), d)
-    while np.any(low := value(d) < target):
-        d = np.where(low, np.nextafter(d, np.inf), d)
-    return d
-
-
 def _coincidences(
     ta: np.ndarray,
     tb: np.ndarray,
-    span_ns: float,
-    offsets_ns: Sequence[float],
-    half_ns: float,
+    span_ps: float,
+    offsets_ps: Sequence[float],
+    half_ps: float,
     bin_ps: float | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, list[int]]:
-    """Streamed coincidence counts of the pair deltas within +-span_ns.
+    """Streamed coincidence counts of the pair deltas d = b - a with
+    -span_ps <= d < span_ps.
 
-    Returns the bin centers and counts of the delta histogram in ps over
-    [-span, span], in an odd number of bins about ``bin_ps`` wide (None
-    without ``bin_ps``) and, per offset, the number of
-    deltas with |delta - offset| <= half_ns. Windows that touch at an edge
-    both count a delta on it.
+    Returns the bin centers and counts of the delta histogram over [-span,
+    span], in an odd number of bins about ``bin_ps`` wide (None without
+    ``bin_ps``) and, per offset, the number of deltas with offset - half_ps
+    <= d <= offset + half_ps. Windows that touch at an edge both count a
+    delta on it.
 
-    Each bin and window edge becomes a cut, the least delta that passes it
-    as ``delta * 1000`` or ``delta - offset``: one rank among the cuts places
-    a delta in every bin and window at once.
+    Each edge becomes an integer cut, the least d that passes it: ceil(edge)
+    for a bin's lower edge and a window's, floor(edge) + 1 for a window's
+    upper one. No pair reaches +span, so the last bin's closed upper edge is
+    the pair window's ceil(span). One rank among the cuts places a delta in
+    every bin and window at once.
     """
     centers, hist, cuts = None, None, []
     if bin_ps is not None:
         if not bin_ps > 0:
             raise McError(f"histogram bin width must be positive, got {bin_ps}")
-        side = span_ns * 1000.0 / bin_ps  # bins on either side of the central one, before truncation
+        side = span_ps / bin_ps  # bins on either side of the central one, before truncation
         if not side < _MAX_BINS // 2:
-            raise McError(f"histogram bin width {bin_ps} ps gives more than {_MAX_BINS} bins over +-{span_ns} ns")
-        nbins = 2 * int(side) + 1
-        bounds = (-span_ns * 1000.0, span_ns * 1000.0)
-        edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=bounds)
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        edges[-1] = np.nextafter(edges[-1], np.inf)  # the last bin is closed
-        cuts.append(_least_float(lambda d: d * 1000.0, edges, edges / 1000.0))
-    # Each window is [the least delta with delta - offset >= -half, the least with delta - offset > half).
-    offsets = np.tile(np.asarray(offsets_ns, dtype=float), 2)
-    limits = np.repeat([-half_ns, np.nextafter(half_ns, np.inf)], len(offsets_ns))
-    cuts.append(_least_float(lambda d: d - offsets, limits, limits + offsets))
-    cuts, where = np.unique(np.concatenate(cuts), return_inverse=True)
-    rank = _ranker(cuts, 2 * cuts.size)
-    segments = np.zeros(cuts.size + 1, dtype=np.int64)
-    for a, deltas in _pair_chunks(ta, tb, span_ns):
+            raise McError(f"histogram bin width {bin_ps} ps gives more than {_MAX_BINS} bins over +-{span_ps} ps")
+        edges = np.histogram_bin_edges(np.empty(0), bins=2 * int(side) + 1, range=(-span_ps, span_ps))
+        centers = edges[:-1] + edges[1:]
+        centers /= 2.0
+        cuts.append(np.ceil(edges, out=edges))
+    offsets = np.asarray(offsets_ps, dtype=float)
+    cuts += [np.ceil(offsets - half_ps), np.floor(offsets + half_ps) + 1]
+    cuts = np.concatenate(cuts, dtype=np.int64, casting="unsafe")
+    distinct = np.unique(cuts)
+    where = np.searchsorted(distinct, cuts)
+    del cuts
+    rank = _ranker(distinct, 2 * distinct.size)
+    segments = np.zeros(distinct.size + 1, dtype=np.int64)
+    del distinct  # the ranker holds its own copy
+    for a, deltas in _pair_chunks(ta, tb, math.ceil(-span_ps), math.ceil(span_ps)):
         # b - a in place, freeing a before the temporaries below: holding both
         # arrays through the chunk slowed a 10M-pair g2 pass by 5-7 %.
         deltas -= a
         del a
         segments += np.bincount(rank(deltas), minlength=segments.size)
-    below = np.cumsum(segments)[where]  # the deltas under each bin and window edge
+    del rank
+    # The deltas under each bin and window edge.
+    below = np.cumsum(segments, out=segments)[where]
     if centers is not None:
         hist, below = np.diff(below[: centers.size + 1]), below[centers.size + 1 :]
     lower, upper = below.reshape(2, -1)
-    return centers, hist, np.maximum(upper - lower, 0).tolist()
+    return centers, hist, (upper - lower).tolist()
 
 
 @dataclass(frozen=True)
@@ -758,8 +758,8 @@ def g2_histogram(stream: TimestampStream, bin_ps: float = 100.0) -> G2Result:
     if ta.size == 0 or tb.size == 0:
         raise McError("empty stream")
     period = stream.config.period_ns
-    offsets = [0.0] + [sign * k * period for k in range(1, 6) for sign in (-1.0, 1.0)]
-    centers, hist, (central, *side) = _coincidences(ta, tb, 5.5 * period, offsets, _G2_HALF_NS, bin_ps)
+    offsets = [0.0] + [sign * k * period * 1000.0 for k in range(1, 6) for sign in (-1.0, 1.0)]
+    centers, hist, (central, *side) = _coincidences(ta, tb, 5.5 * period * 1000.0, offsets, _G2_HALF_PS, bin_ps)
     side_mean = float(np.mean(side))
     g2_zero = central / side_mean if side_mean > 0 else math.inf
     return G2Result(centers, hist, float(g2_zero), central, tuple(side))
@@ -770,7 +770,7 @@ class HomHistogram:
     bin_centers_ps: np.ndarray
     counts: np.ndarray
     central_counts: int
-    cluster_counts: dict[float, int]
+    cluster_counts: dict[float, int]  # by cluster delay in ns
 
 
 @dataclass(frozen=True)
@@ -786,7 +786,8 @@ def _hom_single(stream: TimestampStream, bin_ps: float) -> HomHistogram:
         raise McError("empty stream")
     mzi = stream.config.mzi_delay_ns
     offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
-    centers, hist, counts = _coincidences(ta, tb, 2.5 * mzi, offsets, _HOM_HALF_NS, bin_ps)
+    offsets_ps = [1000.0 * offset for offset in offsets]
+    centers, hist, counts = _coincidences(ta, tb, 2.5 * mzi * 1000.0, offsets_ps, _HOM_HALF_PS, bin_ps)
     cluster = dict(zip(offsets, counts))
     return HomHistogram(centers, hist, cluster[0.0], cluster)
 
@@ -801,8 +802,7 @@ def hom_histogram(streams: tuple[TimestampStream, TimestampStream], bin_ps: floa
             raise McError("pass the co-polarized stream first, the crossed one second")
     if abs(co.config.mzi_delay_ns - cross.config.mzi_delay_ns) > 1e-6:
         raise McError("interferometer delays of the two runs do not match")
-    h_co = _hom_single(co, bin_ps)
-    h_cross = _hom_single(cross, bin_ps)
+    h_co, h_cross = (_hom_single(s, bin_ps) for s in streams)
     if h_cross.central_counts == 0:
         raise McError("crossed run has no central coincidences")
     scale = co.duration_s / cross.duration_s
@@ -813,9 +813,10 @@ def hom_histogram(streams: tuple[TimestampStream, TimestampStream], bin_ps: floa
 def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
-    The BSM pair must fall within the gate; each analyzer detection must fall
-    within +-``_ANALYZER_HALF_NS`` of the heralding time, Alice's shifted back
-    by the compensation delay.
+    A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2 (an infinite
+    gate takes every pair). An analyzer detection t hits the heralding time
+    c = (t1 + t2) / 2 when c - X <= t < c + X, X = ``_ANALYZER_HALF_PS``;
+    Alice's c is shifted back by the compensation delay in whole ps.
     """
     cfg = stream.config
     if cfg.topology != "swap":
@@ -823,13 +824,21 @@ def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
     if not gate_ps > 0:
         raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
     ch = stream.channels
+    b1, b2 = ch["bsm1"], ch["bsm2"]
+    # No pair is further apart than the last BSM event's time, so a wider
+    # gate, an infinite one too, gives the same pairs with int64 window ends.
+    half = min(gate_ps / 2.0, 1 + max((int(t[-1]) for t in (b1, b2) if t.size), default=0))
+    delay = round(cfg.mzi_delay_ns * 1000.0)
     count = 0
-    for t1, t2 in _pair_chunks(ch["bsm1"], ch["bsm2"], gate_ps * 1e-3 / 2.0):
-        t_bsm = (t1 + t2) / 2.0
+    for t1, t_bsm in _pair_chunks(b1, b2, -math.floor(half), math.ceil(half)):
+        # c is whole or half a ps, so for whole-ps t and X the analyzer test
+        # c - X <= t < c + X is ceil(c) - X <= t < ceil(c) + X.
+        t_bsm += t1 + 1
+        t_bsm >>= 1  # ceil(c)
         # Emission 1 feeds Alice one compensation delay before the heralding
         # time; emission 2 feeds Bob right at it.
-        hit = _partners(t_bsm - cfg.mzi_delay_ns, ch["alice"], _ANALYZER_HALF_NS)[1] > 0
-        hit &= _partners(t_bsm, ch["bob"], _ANALYZER_HALF_NS)[1] > 0
+        hit = _partners(t_bsm - delay, ch["alice"], -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
+        hit &= _partners(t_bsm, ch["bob"], -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
         count += int(np.count_nonzero(hit))
     return count
 
@@ -840,8 +849,8 @@ def twofold_control_coincidences(stream: TimestampStream) -> int:
     if cfg.topology != "swap":
         raise McError("control analysis expects the heralding topology")
     alice, bob = stream.channels["alice"], stream.channels["bob"]
-    span = 3.0 * cfg.mzi_delay_ns
-    _, _, (count,) = _coincidences(alice, bob, span, [cfg.mzi_delay_ns], _ANALYZER_HALF_NS)
+    mzi = cfg.mzi_delay_ns * 1000.0
+    _, _, (count,) = _coincidences(alice, bob, 3.0 * mzi, [mzi], _ANALYZER_HALF_PS)
     return count
 
 
@@ -857,13 +866,8 @@ def fourfold_scan(streams: Sequence[TimestampStream], gate_ps: float) -> list[Sc
     points = []
     for stream in streams:
         cfg = stream.config
-        points.append(
-            ScanPoint(
-                delay_ps=float(cfg.bsm_delay_offset_ps),
-                copolarized=cfg.alice_setting == cfg.bob_setting,
-                fourfolds=fourfold_coincidences(stream, gate_ps),
-            )
-        )
+        co = cfg.alice_setting == cfg.bob_setting
+        points.append(ScanPoint(float(cfg.bsm_delay_offset_ps), co, fourfold_coincidences(stream, gate_ps)))
     return points
 
 
@@ -894,19 +898,15 @@ def fit_double_exponential(x: np.ndarray, y: np.ndarray) -> DoubleExponentialFit
     amp0 = max(float(y[peak] - offset0), 1e-9)
     center0 = float(x[peak])
     above = np.nonzero(y - offset0 > amp0 / 2.0)[0]
+    width = float(np.mean(np.diff(x)))
     if above.size:
-        width = max(float(x[above[-1]] - x[above[0]]), float(np.mean(np.diff(x))))
-    else:
-        width = float(np.mean(np.diff(x)))
+        width = max(float(x[above[-1]] - x[above[0]]), width)
     rate0 = 2.0 * math.log(2.0) / width
 
     def model(p):
         a, t0, rl, rr, c = p
         rate = np.where(x < t0, rl, rr)
         return a * np.exp(-np.abs(x - t0) * rate) + c
-
-    def resid(p):
-        return model(p) - y
 
     from scipy.optimize import least_squares
 
@@ -915,7 +915,7 @@ def fit_double_exponential(x: np.ndarray, y: np.ndarray) -> DoubleExponentialFit
         [0.0, float(x[0]), 1e-12, 1e-12, -np.inf],
         [np.inf, float(x[-1]), np.inf, np.inf, np.inf],
     )
-    result = least_squares(resid, p0, bounds=bounds, max_nfev=20000)
+    result = least_squares(lambda p: model(p) - y, p0, bounds=bounds, max_nfev=20000)
     if not result.success:
         raise McError(f"double-exponential fit did not converge: {result.message}")
     a, t0, rl, rr, c = result.x
@@ -949,14 +949,8 @@ def simulate_tomography_run(
     counts = []
     effective_gate = gate_ps if math.isfinite(gate_ps) else 2e3
     for setting, child in zip(settings, child_seeds):
-        run_cfg = replace(
-            config,
-            alice_setting=setting.projector_a,
-            bob_setting=setting.projector_b,
-        )
+        run_cfg = replace(config, alice_setting=setting.projector_a, bob_setting=setting.projector_b)
         stream = simulate(run_cfg, duration, int(child))
-        if heralded:
-            counts.append(fourfold_coincidences(stream, effective_gate))
-        else:
-            counts.append(twofold_control_coincidences(stream))
+        count = fourfold_coincidences(stream, effective_gate) if heralded else twofold_control_coincidences(stream)
+        counts.append(count)
     return TomographyRun(tuple(settings), np.array(counts, dtype=float))

@@ -198,52 +198,56 @@ def quadrature_gated_integrals(model) -> tuple[float, float]:
     return integral(1.0 / t1 + 2.0 * gamma), integral(1.0 / t1)
 
 
-def pair_deltas(ta: np.ndarray, tb: np.ndarray, max_abs_ns: float) -> np.ndarray:
-    """All-pairs oracle: every tb[j] - ta[i] with ta[i] - max_abs_ns <= tb[j] < ta[i] + max_abs_ns.
+def pair_deltas(ta: np.ndarray, tb: np.ndarray, span_ps: float) -> np.ndarray:
+    """All-pairs oracle: every tb[j] - ta[i] with -span_ps <= tb[j] - ta[i] < span_ps (int ps).
 
     Materialises every pair at once, as the coincidence analyses did before
-    they were streamed.
+    they were streamed, and tests each delta against the float span exactly.
     """
-    lo = np.searchsorted(tb, ta - max_abs_ns)
-    hi = np.searchsorted(tb, ta + max_abs_ns)
+    reach = int(span_ps) + 1
+    lo = np.searchsorted(tb, ta - reach)
+    hi = np.searchsorted(tb, ta + reach + 1)
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0)
+        return np.empty(0, dtype=np.int64)
     ai = np.repeat(np.arange(ta.size), counts)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     bi = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-    return tb[bi] - ta[ai]
+    deltas = tb[bi] - ta[ai]
+    return deltas[(deltas >= -span_ps) & (deltas < span_ps)]
 
 
-def all_pairs_coincidences(ta, tb, span_ns, offsets_ns, half_ns, bin_ps):
-    """Histogram (ps) and per-offset window counts from ``pair_deltas``."""
-    deltas = pair_deltas(ta, tb, span_ns)
-    nbins = 2 * int(span_ns * 1000.0 / bin_ps) + 1
-    hist, edges = np.histogram(deltas * 1000.0, bins=nbins, range=(-span_ns * 1000.0, span_ns * 1000.0))
-    windows = [int(np.count_nonzero(np.abs(deltas - off) <= half_ns)) for off in offsets_ns]
+def all_pairs_coincidences(ta, tb, span_ps, offsets_ps, half_ps, bin_ps):
+    """Histogram and per-offset window counts from ``pair_deltas``, all in ps;
+    a window is [offset - half_ps, offset + half_ps], both ends computed in float."""
+    deltas = pair_deltas(ta, tb, span_ps)
+    nbins = 2 * int(span_ps / bin_ps) + 1
+    hist, edges = np.histogram(deltas, bins=nbins, range=(-span_ps, span_ps))
+    windows = [int(np.count_nonzero((deltas >= off - half_ps) & (deltas <= off + half_ps))) for off in offsets_ps]
     return (edges[:-1] + edges[1:]) / 2.0, hist, windows
 
 
-def loop_fourfold(b1, b2, alice, bob, gate_ps: float, mzi_ns: float, x_window_ns: float) -> int:
-    """Oracle for ``mc.fourfold_coincidences``: a double loop over BSM pairs.
+def loop_fourfold(b1, b2, alice, bob, gate_ps: float, mzi_ps: int, x_window_ps: int) -> int:
+    """Oracle for ``mc.fourfold_coincidences``: a double loop over BSM pairs of int ps times.
 
     A pair (t1, t2) counts when t1 - half <= t2 < t1 + half, and an analyzer
-    event t hits the anchor c when c - x_window_ns <= t < c + x_window_ns;
-    Alice's anchor is (t1 + t2) / 2 - mzi_ns and Bob's is (t1 + t2) / 2.
+    event t hits the anchor c when c - x_window_ps <= t < c + x_window_ps;
+    Alice's anchor is (t1 + t2) / 2 - mzi_ps and Bob's is (t1 + t2) / 2.
+    Python compares ints with floats exactly, and (t1 + t2) / 2 is exact.
     """
-    half = gate_ps * 1e-3 / 2.0
+    half = gate_ps / 2.0
     alice, bob = alice.tolist(), bob.tolist()
 
     def hit(times, c):
-        return any(c - x_window_ns <= t < c + x_window_ns for t in times)
+        return any(c - x_window_ps <= t < c + x_window_ps for t in times)
 
     count = 0
     for t1 in b1.tolist():
         for t2 in b2.tolist():
             if t1 - half <= t2 < t1 + half:
                 t_bsm = (t1 + t2) / 2.0
-                count += hit(alice, t_bsm - mzi_ns) and hit(bob, t_bsm)
+                count += hit(alice, t_bsm - mzi_ps) and hit(bob, t_bsm)
     return count
 
 
@@ -421,18 +425,18 @@ def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict
     }
 
 
-def serial_dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
-    """Oracle for ``mc._dead_time_filter``: keep an event when it comes at least
-    ``dead_ns`` after the last kept one (tested as ``t - last >= dead_ns``)."""
-    if dead_ns <= 0 or times.size < 2:
+def serial_dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Oracle for ``mc._dead_time_filter``: keep an int ps event when it comes at
+    least ``dead_ps`` after the last kept one (tested as ``t - last >= dead_ps``)."""
+    if dead_ps <= 0 or times.size < 2:
         return times
     kept = []
     last = -math.inf
     for t in times.tolist():
-        if t - last >= dead_ns:
+        if t - last >= dead_ps:
             kept.append(t)
             last = t
-    return np.array(kept)
+    return np.array(kept, dtype=np.int64)
 
 
 def profile_loglike(rho: np.ndarray, ops: np.ndarray, counts, exposures) -> tuple[float, np.ndarray]:

@@ -31,7 +31,7 @@ REMOVED_KEYS = (
 
 def test_default_config_valid():
     cfg = default_config()
-    apparatus = cfg.apparatus_config()
+    apparatus = cfg.apparatus
     assert apparatus.topology == "swap"
     assert cfg.bsm.gate_ps == math.inf
     assert len(config_hash(cfg)) == 16
@@ -166,6 +166,20 @@ def test_efficiency_for_unknown_detector_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown detectors ['bms2']" in err
     assert not (tmp_path / "stream.bin").exists()
+
+
+@pytest.mark.parametrize("command", [["mc-run"], ["g2"], ["hom"]])
+def test_efficiency_missing_a_run_detector_rejected(tmp_path, capsys, command):
+    # The mapping loads (g2 and hom change the topology later), but no run
+    # may leave a detector of its topology without an efficiency.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"apparatus": {"efficiency": {"alice": 0.8, "bob": 0.8, "bsm1": 0.8, "d1": 0.8}}}))
+    load_config(path)
+    argv = [*command, "--duration", "1e-5", "--config", str(path), "--out-dir", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "efficiency mapping has no value" in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cli_report(tmp_path, capsys):

@@ -60,11 +60,22 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "times, message",
-    [([1.0, 0.5], "not sorted"), ([-1.0, 0.5], "negative"), ([0.0, 1.0, np.nan], "NaN"), ([np.nan], "NaN")],
+    [
+        (np.array([1000, 500]), "not sorted"),
+        (np.array([-1000, 500]), "negative"),
+        (np.array([0.0, 1000.0]), "float64, not integer ps"),
+        (np.empty(0), "float64, not integer ps"),
+        (np.array([0, 1], dtype=np.uint64) - np.uint64(2), "negative"),
+    ],
 )
 def test_stream_rejects_malformed_times(times, message):
     with pytest.raises(McError, match=message):
-        TimestampStream({"d1": np.array(times)}, ApparatusConfig(), 0, 1.0)
+        TimestampStream({"d1": times}, ApparatusConfig(), 0, 1.0)
+
+
+def test_stream_holds_int64_ps():
+    stream = TimestampStream({"d1": np.array([0, 7], dtype=np.uint32)}, ApparatusConfig(), 0, 1.0)
+    assert stream.channels["d1"].dtype == np.int64 and stream.channels["d1"].tolist() == [0, 7]
 
 
 def test_config_dict_round_trip():
@@ -115,7 +126,7 @@ def test_dead_time_suppresses_close_events():
     stream = simulate(cfg, _periods(cfg, 20_000), seed=5)
     gaps = np.diff(stream.channels["alice"])
     assert gaps.size > 0
-    assert gaps.min() >= 20.0 - 1e-9
+    assert gaps.min() >= 20_000
 
 
 def test_stream_io_round_trip(tmp_path):
@@ -129,7 +140,23 @@ def test_stream_io_round_trip(tmp_path):
     assert back.duration_s == stream.duration_s
     assert back.config_hash == stream.config_hash
     for name in stream.channels:
-        np.testing.assert_allclose(back.channels[name], stream.channels[name], atol=1e-3)
+        assert back.channels[name].dtype == np.int64
+        assert np.array_equal(back.channels[name], stream.channels[name])
+
+
+def test_simulate_rounds_each_time_once_to_whole_ps(monkeypatch):
+    # Nearest ps, half to even (2.5 and 3.5 ps exactly), then the span cut on
+    # the rounded times: -0.4 ps is kept as 0, -0.6 ps is not, and a time
+    # 0.4 ps before the end of the last period rounds up past it.
+    cfg = ApparatusConfig(topology="hbt_xx", efficiency=1.0, dead_time_ns=0.0, bsm=BsmSettings(jitter_ps=0.0))
+    end_ns = 10 * cfg.period_ns
+    assert (0.0025 * 1000.0, 0.0035 * 1000.0, math.ceil(end_ns * 1000.0)) == (2.5, 3.5, 131_579)
+    raw = np.array([2.4996, 1.0004, 0.0035, 0.0025, 0.0006, -0.0004, -0.0006, end_ns - 0.0004, end_ns - 0.0006])
+    monkeypatch.setattr(mc, "_chunk_hbt", lambda config, start, n, rng: {"d1": raw.copy(), "d2": raw[:1].copy()})
+    stream = simulate(cfg, _periods(cfg, 10), seed=1)
+    assert stream.channels["d1"].dtype == np.int64
+    assert stream.channels["d1"].tolist() == [0, 1, 2, 4, 1000, 2500, 131_578]
+    assert stream.channels["d2"].tolist() == [2500]
 
 
 # The config block of a sidecar written before each parameter had one owner.
@@ -169,11 +196,33 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
     with pytest.raises(McError, match="dead_time_ns"):
         read_stream(path)
 
-    for key in ("channels", "seed", "duration_s"):
+    for key in ("channels", "seed", "duration_s", "records"):
         partial = {k: v for k, v in sidecar.items() if k != key}
         sidecar_path.write_text(json.dumps(partial))
         with pytest.raises(McError, match=key):
             read_stream(path)
+
+    # A channel id the sidecar does not name would be dropped.
+    named = dict(list(sidecar["channels"].items())[1:])
+    sidecar_path.write_text(json.dumps({**sidecar, "channels": named}))
+    with pytest.raises(McError, match="channel ids \\[0\\] are not named"):
+        read_stream(path)
+
+    sidecar_path.write_text(json.dumps({**sidecar, "records": sidecar["records"] + 1}))
+    with pytest.raises(McError, match=f"{sidecar['records']} records, the sidecar says"):
+        read_stream(path)
+
+    # A file cut inside a record, then by one whole record.
+    sidecar_path.write_text(json.dumps(sidecar))
+    data = path.read_bytes()
+    path.write_bytes(data[:-13])
+    with pytest.raises(McError, match="not a whole number of 9-byte records"):
+        read_stream(path)
+    path.write_bytes(data[:-9])
+    with pytest.raises(McError, match="records, the sidecar says"):
+        read_stream(path)
+    path.write_bytes(data)
+    assert sum(read_stream(path).counts().values()) == sidecar["records"]
 
 
 def test_g2_structure_and_purity():
@@ -326,46 +375,54 @@ def test_histogram_counts_are_raw():
     assert result.counts.sum() >= result.central_counts + sum(result.side_counts)
 
 
-# Times on a 0.25 ns grid are exact in binary, so deltas fall exactly on
-# +-span and on the shared edges of touching windows.
-_GRID_TIMES = st.lists(st.integers(0, 96), max_size=40).map(lambda v: 0.25 * np.sort(np.array(v, float)))
+# Times on a 125 ps grid, each moved by 0, 1 or 2 ps: deltas fall exactly on,
+# and 1 or 2 ps either side of, +-span, every bin edge (41 bins of 250 ps over
+# +-5125 ps) and the shared edges of touching windows.
+_GRID_TIMES = st.lists(st.tuples(st.integers(0, 192), st.sampled_from([0, 1, 2])), max_size=40).map(
+    lambda v: np.sort(np.array([125 * k + e for k, e in v], dtype=np.int64))
+)
 # HOM-like windows: +-1 ns at 2 ns spacing, touching at their edges.
-_OFFSETS = [-4.0, -2.0, 0.0, 2.0, 4.0]
+_OFFSETS = [-4000.0, -2000.0, 0.0, 2000.0, 4000.0]
+_SPAN = 5125.0
 
 
 @given(ta=_GRID_TIMES, tb=_GRID_TIMES, budget=st.sampled_from([1, 2, 3, 5, 64, mc._PAIR_BUDGET]))
 @settings(max_examples=200)
 def test_streamed_coincidences_match_all_pairs(ta, tb, budget):
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
-        centers, hist, windows = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
-        no_hist = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0)
-    want_centers, want_hist, want_windows = all_pairs_coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
-    assert np.array_equal(centers, want_centers)
+        centers, hist, windows = mc._coincidences(ta, tb, _SPAN, _OFFSETS, 1000, 250.0)
+        no_hist = mc._coincidences(ta, tb, _SPAN, _OFFSETS, 1000)
+    want_centers, want_hist, want_windows = all_pairs_coincidences(ta, tb, _SPAN, _OFFSETS, 1000, 250.0)
+    assert np.array_equal(centers, want_centers) and np.allclose(np.diff(centers), 250.0)
     assert np.array_equal(hist, want_hist) and hist.dtype == np.int64
     assert windows == want_windows
     assert no_hist == (None, None, want_windows)
 
 
 def test_streamed_coincidences_edges_and_empty_channels():
-    # Pairs span [-span, span): -5 is a pair, +5 is not; a delta on a shared
-    # window edge counts in both windows.
-    ta, tb = np.array([0.0]), np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
-    _, hist, windows = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+    # Pairs span [-span, span): -5000 is a pair, +5000 is not; a delta on a
+    # shared window edge counts in both windows.
+    ta, tb = np.array([0]), np.array([-5000, -3000, -1000, 1000, 3000, 5000])
+    _, hist, windows = mc._coincidences(ta, tb, 5000.0, _OFFSETS, 1000, 250.0)
     assert windows == [2, 2, 2, 2, 1]
     assert hist.sum() == 5
-    for a, b in ((ta, np.empty(0)), (np.empty(0), tb)):
-        _, hist, windows = mc._coincidences(a, b, 5.0, _OFFSETS, 1.0, 250.0)
+    # The last bin takes every delta up to the pair window's end.
+    _, hist, _ = mc._coincidences(ta, np.array([4999, 5000]), 5000.0, [0.0], 500, 100.0)
+    assert hist[-1] == 1 and hist.sum() == 1
+    empty = np.empty(0, dtype=np.int64)
+    for a, b in ((ta, empty), (empty, tb)):
+        _, hist, windows = mc._coincidences(a, b, 5000.0, _OFFSETS, 1000, 250.0)
         assert hist.shape == (41,) and hist.sum() == 0 and windows == [0] * 5
     cfg = ApparatusConfig()
-    stream = TimestampStream({"alice": np.empty(0), "bob": tb + 10.0}, cfg, 0, 1.0)
+    stream = TimestampStream({"alice": empty, "bob": tb + 10_000}, cfg, 0, 1.0)
     assert twofold_control_coincidences(stream) == 0
 
 
 def test_one_event_with_more_partners_than_the_budget():
-    ta = np.array([0.0, 0.5])
-    tb = np.linspace(-4.0, 4.0, 3 * mc._PAIR_BUDGET + 7)
-    got = mc._coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
-    want = all_pairs_coincidences(ta, tb, 5.0, _OFFSETS, 1.0, 250.0)
+    ta = np.array([0, 500])
+    tb = np.linspace(-4000, 4000, 3 * mc._PAIR_BUDGET + 7).astype(np.int64)
+    got = mc._coincidences(ta, tb, 5000.0, _OFFSETS, 1000, 250.0)
+    want = all_pairs_coincidences(ta, tb, 5000.0, _OFFSETS, 1000, 250.0)
     assert got[1].sum() == 2 * tb.size
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
 
@@ -381,34 +438,44 @@ def _neighbours(values, steps: int = 2) -> np.ndarray:
     return np.concatenate(out)
 
 
-# Cuts off any grid, on the 1/8 grid (cell boundaries at every scale up to 8
-# cells per unit) and repeated; values from ~1e-3 to ~1e3 apart.
-_CUTS = st.lists(
-    st.one_of(
-        st.floats(-1e3, 1e3, allow_nan=False),
-        st.floats(-1e-2, 1e-2, allow_nan=False),
-        st.integers(-64, 64).map(lambda k: k / 8.0),
+@given(
+    cuts=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300), st.integers(0, 64).map(lambda k: k / 64.0)),
+        min_size=1,
+        max_size=40,
     ),
-    min_size=1,
-    max_size=40,
+    cells=st.integers(1, 600),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=30),
 )
-
-
-@given(cuts=_CUTS, cells=st.integers(1, 600), extra=st.lists(st.floats(-2e3, 2e3, allow_nan=False), max_size=30))
 @example(cuts=[0.0, 0.0, 0.125, 0.125, 0.125, 1.0], cells=8, extra=[])
-@example(cuts=[-1e-300, 1e-300, 5e-324], cells=256, extra=[0.0, -0.0])
+@example(cuts=[0.0, 1e-300, 5e-324], cells=256, extra=[0.0, -0.0])
 @settings(max_examples=300)
 def test_ranker_matches_searchsorted(cuts, cells, extra):
     values = np.unique(cuts)
-    # Every dyadic cell boundary k / 2**m next to a cut, for cells 2**-20 to 2**40 wide.
-    boundaries = [np.ldexp(np.floor(np.ldexp(values, m)) + k, -m) for m in range(-40, 21) for k in (0, 1)]
-    x = np.concatenate([
-        _neighbours(values), _neighbours(np.concatenate(boundaries), 1), extra,
-        [np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0],
-    ])  # fmt: skip
-    with np.errstate(over="ignore"):  # 1e300 times the cell scale
-        got = mc._ranker(values, cells)(x)
+    # Each cut, every cell boundary j / cells and the floats either side of them.
+    x = np.concatenate([_neighbours(values), _neighbours(np.arange(cells + 1) / cells, 1), extra, [0.0, 1.0]])
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    got = mc._ranker(values, cells)(x)
     assert np.array_equal(got, np.searchsorted(values, x, side="right"))
+
+
+@given(
+    cuts=st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-40, 40)), min_size=1, max_size=40),
+    cells=st.integers(1, 600),
+    extra=st.lists(st.integers(-(2**62), 2**62), max_size=30),
+)
+@example(cuts=[0, 1, 2, 3, 7, 8], cells=2, extra=[])
+@settings(max_examples=300)
+def test_ranker_matches_searchsorted_on_ints(cuts, cells, extra):
+    values = np.unique(np.array(cuts, dtype=np.int64))
+    # Each cut and every cell boundary lo + j * 2**k next to one, for cells 1
+    # to 2**22 wide, and 1 either side of them.
+    lo = values[0]
+    boundaries = [lo + ((((values - lo) >> k) + j) << k) for k in range(23) for j in (0, 1)]
+    near = np.concatenate([values, *boundaries])
+    x = np.concatenate([near - 1, near, near + 1, np.array(extra, dtype=np.int64)])
+    got = mc._ranker(values, cells)(x)
+    assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(values, x, side="right"))
 
 
 @given(
@@ -431,68 +498,61 @@ def test_sampler_matches_binary_search(weights, draws):
     assert np.array_equal(got, categorical_oracle(cdf, u) + 32)
 
 
-# g2's geometry: 1447 bins of 100.03 ps over +-72.37 ns and eleven 1 ns windows.
-_G2_PERIOD = ApparatusConfig().period_ns
+# g2's geometry in ps: 1447 bins of 100.03 ps over +-72368 ps and eleven 1 ns windows.
+_G2_PERIOD = ApparatusConfig().period_ns * 1000.0
 _G2_SPAN = 5.5 * _G2_PERIOD
 _G2_OFFSETS = [0.0] + [sign * k * _G2_PERIOD for k in range(1, 6) for sign in (-1.0, 1.0)]
 
 
 def _g2_edge_deltas() -> np.ndarray:
-    """Deltas within two floats of every g2 histogram edge and window edge."""
-    nbins = 2 * int(_G2_SPAN * 1000.0 / 100.0) + 1
-    edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=(-_G2_SPAN * 1000.0, _G2_SPAN * 1000.0))
-    windows = [off + sign * 0.5 for off in _G2_OFFSETS for sign in (-1.0, 1.0)]
-    return np.sort(_neighbours(np.concatenate([edges / 1000.0, windows])))
+    """The whole-ps deltas on and 1 ps either side of every g2 histogram and
+    window edge (on an edge when it is whole, else the two around it)."""
+    nbins = 2 * int(_G2_SPAN / 100.0) + 1
+    edges = np.histogram_bin_edges(np.empty(0), bins=nbins, range=(-_G2_SPAN, _G2_SPAN))
+    edges = np.concatenate([edges, [off + sign * 500 for off in _G2_OFFSETS for sign in (-1, 1)]])
+    near = [np.floor(edges) - 1, np.floor(edges), np.ceil(edges), np.ceil(edges) + 1]
+    return np.unique(np.concatenate(near)).astype(np.int64)
 
 
 @given(
-    ta=st.lists(st.floats(0.0, 300.0), max_size=30).map(lambda v: np.sort(np.array(v, float))),
-    tb=st.lists(st.floats(0.0, 300.0), max_size=30).map(lambda v: np.sort(np.array(v, float))),
+    ta=st.lists(st.integers(0, 300_000), max_size=30).map(lambda v: np.sort(np.array(v, np.int64))),
+    tb=st.lists(st.integers(0, 300_000), max_size=30).map(lambda v: np.sort(np.array(v, np.int64))),
     planted=st.lists(st.sampled_from(_g2_edge_deltas().tolist()), max_size=30),
     budget=st.sampled_from([1, 7, mc._PAIR_BUDGET]),
 )
 @settings(max_examples=200)
 def test_coincidences_match_all_pairs_off_grid(ta, tb, planted, budget):
     # One event at 150 ns sees tb events at exactly the planted deltas.
-    ta = np.sort(np.append(ta, 150.0))
-    tb = np.sort(np.concatenate([tb, 150.0 + np.array(planted)]))
+    ta = np.sort(np.append(ta, 150_000))
+    tb = np.sort(np.concatenate([tb, 150_000 + np.array(planted, dtype=np.int64)]))
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
-        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, 100.0)
-        no_hist = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5)
-    want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, 100.0)
+        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 100.0)
+        no_hist = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500)
+    want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 100.0)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
     assert no_hist == (None, None, want[2])
 
 
 def test_coincidences_at_every_edge_neighbour():
-    # Deltas exactly at and next to every bin and window edge, including the
-    # closed last bin's upper edge and the first bin's lower edge.
-    ta = np.array([0.0])
+    # Deltas on and 1 ps either side of every bin and window edge, including
+    # the first bin's lower edge and the pair window's ends.
+    ta = np.array([0])
     tb = _g2_edge_deltas()
-    tb = tb[(tb >= -_G2_SPAN) & (tb < _G2_SPAN)]
-    for bin_ps in (100.0, 7.0, None):
-        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, bin_ps)
-        want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 0.5, bin_ps or 100.0)
+    assert tb[0] < -_G2_SPAN and tb[-1] > _G2_SPAN
+    for bin_ps in (100.0, 7.0, 0.5, None):
+        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, bin_ps)
+        want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, bin_ps or 100.0)
         if bin_ps is None:
             assert got[:2] == (None, None)
         else:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
-    # The closed last bin: a delta of +span is not a pair, but at this span
-    # the float below it lands on the last edge in ps, and np.histogram
-    # counts it in the last bin.
-    span = 7.209074334506057
-    last = np.nextafter(span, -np.inf)
-    assert last * 1000.0 == span * 1000.0
-    got = mc._coincidences(ta, np.array([last]), span, [0.0], 0.5, 100.0)
-    want = all_pairs_coincidences(ta, np.array([last]), span, [0.0], 0.5, 100.0)
-    assert np.array_equal(got[1], want[1]) and got[1][-1] == 1
 
 
 @pytest.mark.parametrize("bin_ps", [100.0, 250.0, 37.5, 1000.0])
 def test_histogram_bins_are_bin_ps_wide(bin_ps):
     # An odd bin count about bin_ps wide, the central bin on zero delay.
-    times = {"d1": np.array([10.0]), "d2": np.array([10.2])}
+    times = {"d1": np.array([10_000]), "d2": np.array([10_200])}
     g2 = g2_histogram(TimestampStream(dict(times), ApparatusConfig(topology="hbt_xx"), 0, 1.0), bin_ps=bin_ps)
     hom = ApparatusConfig(topology="hom")
     co, cross = (TimestampStream(dict(times), replace(hom, hom_copolarized=c), 0, 1.0) for c in (True, False))
@@ -505,8 +565,8 @@ def test_histogram_bins_are_bin_ps_wide(bin_ps):
 
 
 @given(
-    keys=st.lists(st.floats(-10.0, 110.0), max_size=60).map(np.array),
-    table=st.lists(st.integers(0, 400).map(lambda k: k / 4.0), max_size=60).map(lambda v: np.sort(np.array(v, float))),
+    keys=st.lists(st.integers(-10_000, 110_000), max_size=60).map(lambda v: np.array(v, np.int64)),
+    table=st.lists(st.integers(0, 400).map(lambda k: 250 * k), max_size=60).map(lambda v: np.sort(np.array(v, np.int64))),
     block=st.sampled_from([1, 2, 3, mc._SEARCH_BLOCK]),
     ordered=st.booleans(),
 )
@@ -527,30 +587,39 @@ def test_block_ranks_match_searchsorted(keys, table, block, ordered):
     b2=_GRID_TIMES,
     alice=_GRID_TIMES,
     bob=_GRID_TIMES,
-    gate=st.sampled_from([250.0, 500.0, 1000.0, 2000.0, math.inf]),
+    gate=st.sampled_from([250.0, 500.0, 999.0, 1000.0, 2000.0, 2001.0, math.inf]),
     budget=st.sampled_from([1, 2, 3, 64, mc._PAIR_BUDGET]),
 )
-# One BSM event with eight partners (6.0 is on the gate's open edge) against
-# a budget of three. Its first pair takes Alice's 1.5 and Bob's 3.5 on their
-# windows' closed edges, its last pair 4.25 and 6.25 inside them; 4.375 and
-# 6.375 sit on open edges. Four-folds: the first and last pair.
+# One BSM event with eight partners (6000 is on the gate's open edge) against
+# a budget of three. Its first pair takes Alice's 1500 and Bob's 3500 on their
+# windows' closed edges, its last pair 4250 and 6250 inside them; 4375 and
+# 6375 sit on open edges. Four-folds: the first and last pair.
 @example(
-    b1=np.array([5.0]),
-    b2=4.0 + 0.25 * np.arange(9.0),
-    alice=np.array([1.5, 4.25, 4.375]),
-    bob=np.array([3.5, 6.25, 6.375]),
+    b1=np.array([5000]),
+    b2=4000 + 250 * np.arange(9),
+    alice=np.array([1500, 4250, 4375]),
+    bob=np.array([3500, 6250, 6375]),
     gate=2000.0,
     budget=3,
 )
+# A heralding time of 5000.5 ps: Alice's window is [2000.5, 4000.5) and
+# Bob's [4000.5, 6000.5), so 4000 and 6000 make a four-fold, 2000 and 4000 not.
+@example(b1=np.array([5000]), b2=np.array([5001]), alice=np.array([4000]), bob=np.array([6000]), gate=999.0, budget=1)
+@example(b1=np.array([5000]), b2=np.array([5001]), alice=np.array([2000]), bob=np.array([4000]), gate=999.0, budget=1)
+# A 999 ps gate takes deltas from -499 to 499 ps: -500 is out.
+@example(b1=np.array([5000]), b2=np.array([4500]), alice=np.array([2750]), bob=np.array([4750]), gate=999.0, budget=1)
+# An infinite gate pairs events as far apart as the last time.
+@example(b1=np.array([0]), b2=np.array([3000]), alice=np.array([0]), bob=np.array([1500]), gate=math.inf, budget=1)
 @settings(max_examples=200)
 def test_fourfold_coincidences_match_loop_oracle(b1, b2, alice, bob, gate, budget):
-    # On the 0.25 ns grid the heralding times and analyzer windows fall
-    # exactly on each other's edges.
+    # On the 125 ps grid, moved by up to 2 ps, the heralding times and analyzer
+    # windows fall on, and 1 ps either side of, each other's edges, and the
+    # heralding times fall on whole and half ps.
     cfg = ApparatusConfig()
     stream = TimestampStream({"bsm1": b1, "bsm2": b2, "alice": alice, "bob": bob}, cfg, 0, 1.0)
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
         got = fourfold_coincidences(stream, gate)
-    assert got == loop_fourfold(b1, b2, alice, bob, gate, cfg.mzi_delay_ns, 1.0)
+    assert got == loop_fourfold(b1, b2, alice, bob, gate, 2000, 1000)
 
 
 @pytest.mark.parametrize("budget", [None, 13])
@@ -560,10 +629,10 @@ def test_coincidence_analyses_match_all_pairs_oracle(monkeypatch, budget):
     hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, **FAST)
     stream = simulate(hbt, _periods(hbt, 20_000), seed=5)
     period = hbt.period_ns
-    offsets = [0.0] + [sign * k * period for k in range(1, 6) for sign in (-1.0, 1.0)]
+    offsets = [0.0] + [sign * k * period * 1000.0 for k in range(1, 6) for sign in (-1.0, 1.0)]
     g2 = g2_histogram(stream)
     centers, hist, windows = all_pairs_coincidences(
-        stream.channels["d1"], stream.channels["d2"], 5.5 * period, offsets, 0.5, 100.0
+        stream.channels["d1"], stream.channels["d2"], 5.5 * period * 1000.0, offsets, 500, 100.0
     )
     assert hist.sum() > 100_000  # thousands of chunks at the small budget
     assert np.array_equal(g2.bin_centers_ps, centers) and np.array_equal(g2.counts, hist)
@@ -579,7 +648,7 @@ def test_coincidence_analyses_match_all_pairs_oracle(monkeypatch, budget):
     central = []
     for s, h in ((co, hom.copolarized), (cross, hom.crossed)):
         centers, hist, windows = all_pairs_coincidences(
-            s.channels["d1"], s.channels["d2"], 2.5 * mzi, offsets, 1.0, 100.0
+            s.channels["d1"], s.channels["d2"], 2.5 * mzi * 1000.0, [1000.0 * o for o in offsets], 1000, 100.0
         )
         assert np.array_equal(h.bin_centers_ps, centers) and np.array_equal(h.counts, hist)
         assert h.cluster_counts == dict(zip(offsets, windows))
@@ -589,10 +658,39 @@ def test_coincidence_analyses_match_all_pairs_oracle(monkeypatch, budget):
     swap = ApparatusConfig(**FAST)
     stream = simulate(swap, _periods(swap, 100_000), seed=8)
     _, _, (want,) = all_pairs_coincidences(
-        stream.channels["alice"], stream.channels["bob"], 3.0 * mzi, [mzi], 1.0, 100.0
+        stream.channels["alice"], stream.channels["bob"], 3.0 * mzi * 1000.0, [mzi * 1000.0], 1000, 100.0
     )
     assert want > 0
     assert twofold_control_coincidences(stream) == want
+
+
+def test_analyses_of_a_read_back_stream_equal_those_in_memory(tmp_path):
+    # The file holds the very int64 ps times the analyses read in memory.
+    hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, **FAST)
+    swap = ApparatusConfig(**FAST)
+    base = ApparatusConfig(topology="hom", **FAST)
+    streams = {
+        "hbt": simulate(hbt, _periods(hbt, 300_000), seed=3),
+        "swap": simulate(swap, _periods(swap, 100_000), seed=4),
+        "short": simulate(swap, _periods(swap, 5_000), seed=4),  # an infinite gate pairs all BSM events
+        "co": simulate(replace(base, hom_copolarized=True), _periods(base, 100_000), seed=6),
+        "cross": simulate(replace(base, hom_copolarized=False), _periods(base, 100_000), seed=7),
+    }
+    back = {}
+    for name, stream in streams.items():
+        write_stream(stream, tmp_path / f"{name}.bin")
+        back[name] = read_stream(tmp_path / f"{name}.bin")
+        assert back[name].channels.keys() == stream.channels.keys()
+        for channel, times in stream.channels.items():
+            assert np.array_equal(back[name].channels[channel], times)
+    for bin_ps in (100.0, 1.0):
+        a, b = g2_histogram(streams["hbt"], bin_ps), g2_histogram(back["hbt"], bin_ps)
+        assert np.array_equal(a.counts, b.counts) and a.side_counts == b.side_counts and a.g2_zero == b.g2_zero
+    a, b = hom_histogram((streams["co"], streams["cross"])), hom_histogram((back["co"], back["cross"]))
+    assert np.array_equal(a.copolarized.counts, b.copolarized.counts) and a.visibility == b.visibility
+    for name, gate in (("swap", 2000.0), ("short", math.inf)):
+        assert fourfold_coincidences(streams[name], gate) == fourfold_coincidences(back[name], gate) > 0
+    assert twofold_control_coincidences(streams["swap"]) == twofold_control_coincidences(back["swap"]) > 0
 
 
 def test_g2_memory_does_not_grow_with_pair_count():
@@ -607,8 +705,8 @@ def test_g2_memory_does_not_grow_with_pair_count():
     ceiling = 2 * 10 * 8 * mc._PAIR_BUDGET + 6 * 8 * 20_000
     pairs = []
     for n in (10_000, 20_000):
-        ta = np.arange(n) * 0.25
-        stream = TimestampStream({"d1": ta, "d2": ta + 0.1}, cfg, 0, 1.0)
+        ta = np.arange(n) * 250
+        stream = TimestampStream({"d1": ta, "d2": ta + 100}, cfg, 0, 1.0)
         tracemalloc.start()
         try:
             result = g2_histogram(stream)
@@ -618,6 +716,24 @@ def test_g2_memory_does_not_grow_with_pair_count():
         assert peak < ceiling, (n, peak, ceiling)
         pairs.append(int(result.counts.sum()))
     assert pairs[0] >= 5_000_000 and pairs[1] >= 2 * pairs[0] - 10_000
+
+
+def test_coincidences_memory_per_histogram_bin():
+    # 1.45M bins of 0.1 ps over g2's +-72 ns on 2,000-event channels: the
+    # centers, the integer cuts, their rank table and the counts, below the
+    # 7.5 float64 per bin of the analysis before the rank kernel (10.1 with
+    # float cuts).
+    rng = np.random.default_rng(5)
+    ta, tb = (np.sort(rng.integers(0, 10**8, 2000)) for _ in range(2))
+    nbins = 2 * int(_G2_SPAN / 0.1) + 1
+    tracemalloc.start()
+    try:
+        centers, hist, _ = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert centers.size == hist.size == nbins > 1_440_000
+    assert peak < 7.5 * 8 * nbins, peak / (8 * nbins)
 
 
 def test_fourfold_memory_does_not_grow_with_pair_count():
@@ -633,8 +749,8 @@ def test_fourfold_memory_does_not_grow_with_pair_count():
     ceiling = 12 * 8 * mc._PAIR_BUDGET + 6 * 8 * 25_000
     counts = []
     for n in (12_500, 25_000):
-        t = np.arange(n) * 0.25
-        channels = {"bsm1": t, "bsm2": t + 0.1, "alice": t, "bob": t + 0.05}
+        t = np.arange(n) * 250
+        channels = {"bsm1": t, "bsm2": t + 100, "alice": t, "bob": t + 50}
         stream = TimestampStream(channels, cfg, 0, 1.0)
         tracemalloc.start()
         try:
@@ -669,7 +785,7 @@ def test_dark_counts_fill_dead_apparatus():
         expected = cfg.dark_rate_hz * duration
         assert abs(times.size - expected) < 5 * math.sqrt(expected)
         # homogeneous in time: mean near the middle of the span
-        assert abs(float(times.mean()) - duration * 1e9 / 2) < duration * 1e9 * 0.05
+        assert abs(float(times.mean()) - duration * 1e12 / 2) < duration * 1e12 * 0.05
 
 
 def _assert_stream_matches_oracle(monkeypatch, cfg: ApparatusConfig, **oracles) -> None:
@@ -751,66 +867,63 @@ def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
 
 
 @given(
-    grid_ns=st.sampled_from([0.1, 0.25]),
-    dead_ns=st.sampled_from([0.3, 1.1, ApparatusConfig().period_ns, 20.0]),
+    grid_ps=st.sampled_from([100, 250]),
+    dead_ps=st.sampled_from([300, 1100, math.ceil(ApparatusConfig().period_ns * 1000.0), 20_000]),
     start=st.integers(0, 10**7),
     steps=st.lists(st.integers(0, 250), max_size=80),
 )
-# On the 0.1 ns grid t - last >= D and t >= last + D disagree: 1.0 - 0.7 < 0.3
-# but 1.0 >= 0.7 + 0.3, and 1.8 - 0.7 >= 1.1 but 1.8 < 0.7 + 1.1.
-@example(grid_ns=0.1, dead_ns=0.3, start=0, steps=[7, 3])
-@example(grid_ns=0.1, dead_ns=1.1, start=0, steps=[7, 11])
-@example(grid_ns=0.25, dead_ns=0.3, start=0, steps=[])
-@example(grid_ns=0.25, dead_ns=20.0, start=3, steps=[0])
-@example(grid_ns=0.25, dead_ns=20.0, start=0, steps=[1] * 400)  # one cluster 100 ns long
-def test_dead_time_filter_matches_serial_loop(grid_ns, dead_ns, start, steps):
-    times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ns
-    assert np.array_equal(mc._dead_time_filter(times, dead_ns), serial_dead_time_filter(times, dead_ns))
+# An event exactly the dead time after the last kept one is kept.
+@example(grid_ps=100, dead_ps=300, start=0, steps=[7, 3])
+@example(grid_ps=100, dead_ps=1100, start=0, steps=[7, 11])
+@example(grid_ps=250, dead_ps=300, start=0, steps=[])
+@example(grid_ps=250, dead_ps=20_000, start=3, steps=[0])
+@example(grid_ps=250, dead_ps=20_000, start=0, steps=[1] * 400)  # one cluster 100 ns long
+def test_dead_time_filter_matches_serial_loop(grid_ps, dead_ps, start, steps):
+    times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ps
+    assert np.array_equal(mc._dead_time_filter(times, dead_ps), serial_dead_time_filter(times, dead_ps))
 
 
-def _long_clusters(times: np.ndarray, dead_ns: float) -> np.ndarray:
-    """Lengths of the clusters of three or more events (gaps below dead_ns)."""
-    starts = np.flatnonzero(np.diff(times, prepend=-np.inf) >= dead_ns)
+def _long_clusters(times: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Lengths of the clusters of three or more events (gaps below dead_ps)."""
+    starts = np.flatnonzero(np.diff(times, prepend=times[:1] - dead_ps) >= dead_ps)
     lengths = np.diff(starts, append=times.size)
     return lengths[lengths > 2]
 
 
 @given(
-    grid_ns=st.sampled_from([0.1, 0.25]),
-    dead_ns=st.sampled_from([0.3, 1.1, ApparatusConfig().period_ns, 20.0]),
+    grid_ps=st.sampled_from([100, 250]),
+    dead_ps=st.sampled_from([300, 1100, math.ceil(ApparatusConfig().period_ns * 1000.0), 20_000]),
     start=st.integers(0, 10**7),
     clusters=st.lists(
         st.binary(min_size=2, max_size=10), min_size=mc._SERIAL_CLUSTERS + 1, max_size=2 * mc._SERIAL_CLUSTERS
     ),
     tail=st.binary(min_size=100, max_size=500),
 )  # fmt: skip
-# Many 3-event clusters whose third event lands on the dead time: on the
-# 0.1 ns grid t - last >= D and t >= last + D disagree on 107 of the 200 at
-# D = 0.3 and on 64 at D = 1.1; on the 0.25 ns grid t - last == 20 exactly.
-@example(grid_ns=0.1, dead_ns=0.3, start=0, clusters=[bytes([1, 2])] * 200, tail=bytes([1] * 100))
-@example(grid_ns=0.1, dead_ns=1.1, start=0, clusters=[bytes([4, 7])] * 200, tail=bytes([3] * 100))
-@example(grid_ns=0.25, dead_ns=20.0, start=0, clusters=[bytes([40, 40])] * 200, tail=bytes([40] * 100))
-def test_dead_time_filter_rounds_and_serial_finish_match_serial_loop(grid_ns, dead_ns, start, clusters, tail):
-    # Steps below `inside` grid units stay in a cluster, one of `gap` units
+# Many 3-event clusters whose third event lands exactly on the dead time
+# after the first: 3 x 100 = 300, 11 x 100 = 1100 and 80 x 250 = 20000 ps.
+@example(grid_ps=100, dead_ps=300, start=0, clusters=[bytes([1, 2])] * 200, tail=bytes([1] * 100))
+@example(grid_ps=100, dead_ps=1100, start=0, clusters=[bytes([4, 7])] * 200, tail=bytes([3] * 100))
+@example(grid_ps=250, dead_ps=20_000, start=0, clusters=[bytes([40, 40])] * 200, tail=bytes([40] * 100))
+def test_dead_time_filter_rounds_and_serial_finish_match_serial_loop(grid_ps, dead_ps, start, clusters, tail):
+    # Steps below `gap` grid units stay in a cluster, one of `gap` units
     # starts the next; the `tail` cluster is longer than all the others, so one
     # call runs the vectorised rounds and then finishes it serially.
-    inside = int((dead_ns - 0.01) / grid_ns) + 1
-    gap = math.ceil((dead_ns + 0.01) / grid_ns)
-    steps = [k for cluster in [*clusters, tail] for k in [gap] + [s % inside for s in cluster]]
-    times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ns
-    lengths = _long_clusters(times, dead_ns)
+    gap = -(-dead_ps // grid_ps)
+    steps = [k for cluster in [*clusters, tail] for k in [gap] + [s % gap for s in cluster]]
+    times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ps
+    lengths = _long_clusters(times, dead_ps)
     assert lengths.size > mc._SERIAL_CLUSTERS and lengths[-1] > np.sort(lengths)[-2]
-    assert np.array_equal(mc._dead_time_filter(times, dead_ns), serial_dead_time_filter(times, dead_ns))
+    assert np.array_equal(mc._dead_time_filter(times, dead_ps), serial_dead_time_filter(times, dead_ps))
 
 
 def test_dead_time_filter_memory():
-    # 1M events at rate x dead time 0.6: the filter peaks at about 1.4 float64
+    # 1M events at rate x dead time 0.6: the filter peaks at about 1.4 int64
     # per event, the per-event loop at 4.66 (its tolist() plus the kept list).
-    n, dead_ns = 1_000_000, 20.0
-    times = np.sort(np.random.default_rng(7).random(n)) * (n * dead_ns / 0.6)
+    n, dead_ps = 1_000_000, 20_000
+    times = np.sort(np.random.default_rng(7).integers(0, int(n * dead_ps / 0.6), n))
     tracemalloc.start()
     try:
-        kept = mc._dead_time_filter(times, dead_ns)
+        kept = mc._dead_time_filter(times, dead_ps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -878,8 +991,8 @@ def test_dead_time_matches_serial_filter_of_live_stream(monkeypatch, recorded_po
     raw = simulate(replace(cfg, dead_time_ns=0.0), _periods(cfg, 30_000), seed=12)
     assert recorded_pools == [2, 2]
     for name, times in raw.channels.items():
-        assert _long_clusters(times, 20.0).size > mc._SERIAL_CLUSTERS, name
-        assert np.array_equal(live.channels[name], serial_dead_time_filter(times, 20.0))
+        assert _long_clusters(times, 20_000).size > mc._SERIAL_CLUSTERS, name
+        assert np.array_equal(live.channels[name], serial_dead_time_filter(times, 20_000))
 
 
 @pytest.mark.parametrize("cap", ["two", "0", "-3", ""])
@@ -922,6 +1035,16 @@ def test_per_channel_efficiency_mapping():
     back = sorted(to_dict(ApparatusConfig(**FAST)))  # dict form stays serializable
     assert "efficiency" in back
     assert from_dict(ApparatusConfig, to_dict(cfg)) == cfg
+
+
+def test_efficiency_mapping_must_name_every_detector_of_the_run():
+    # A detector left out would record nothing; an explicit 0.0 is allowed.
+    with pytest.raises(McError, match="no value for the hom detectors \\['d2'\\]"):
+        simulate(ApparatusConfig(topology="hom", efficiency={"d1": 0.8}), 1e-5, seed=1)
+    with pytest.raises(McError, match="no value for the swap detectors \\['bsm2'\\]"):
+        simulate(ApparatusConfig(efficiency={"alice": 0.8, "bob": 0.8, "bsm1": 0.8}), 1e-5, seed=1)
+    stream = simulate(ApparatusConfig(topology="hom", efficiency={"d1": 0.8, "d2": 0.0}), 1e-4, seed=1)
+    assert stream.counts()["d1"] > 0 and stream.counts()["d2"] == 0
 
 
 def test_efficiency_mapping_rejects_unknown_detectors():
