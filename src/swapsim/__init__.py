@@ -74,11 +74,11 @@ from .mc import (
     TimestampStream,
     fit_double_exponential,
     fourfold_coincidences,
-    fourfold_scan,
     g2_histogram,
     hom_histogram,
     read_stream,
     simulate,
+    simulate_runs,
     simulate_tomography_run,
     write_stream,
 )

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,11 @@ from .interference import InterferenceError, bsm_povm
 from .mc import (
     McError,
     fit_double_exponential,
-    fourfold_scan,
+    fourfold_coincidences,
     g2_histogram,
     hom_histogram,
     simulate,
+    simulate_runs,
     write_stream,
 )
 from .params import config_hash
@@ -190,9 +192,9 @@ def _cmd_g2(args, config: RunConfig) -> int:
 def _cmd_hom(args, config: RunConfig) -> int:
     seed = config.output.seed
     base = dataclasses.replace(config.apparatus, topology="hom")
-    co = simulate(dataclasses.replace(base, hom_copolarized=True), args.duration, seed)
-    cross = simulate(dataclasses.replace(base, hom_copolarized=False), args.duration, seed + 1)
-    result = hom_histogram((co, cross), bin_ps=args.bin_ps)
+    variants = [{"hom_copolarized": True}, {"hom_copolarized": False}]
+    streams = simulate_runs(base, args.duration, variants, seed, lambda stream: stream)
+    result = hom_histogram(tuple(streams), bin_ps=args.bin_ps)
     prov = _provenance(config, seed)
     prov["visibility"] = result.visibility
     fmt = args.format or config.output.format
@@ -205,25 +207,19 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
-    delays = _parse_range(args.delays)
     seed = config.output.seed
-    base = config.apparatus
-    rows = []
-    streams = []
-    for i, delay in enumerate(delays):
-        for j, (a, b) in enumerate((("D", "D"), ("D", "A"))):
-            cfg = dataclasses.replace(
-                base, bsm_delay_offset_ps=delay, alice_setting=a, bob_setting=b
-            )
-            streams.append(simulate(cfg, args.duration_per_point, seed + 101 * i + j))
-    points = fourfold_scan(streams, args.gate)
-    for p in points:
-        rows.append([p.delay_ps, p.copolarized, p.fourfolds])
-    co = [p for p in points if p.copolarized]
+    variants = [
+        {"bsm_delay_offset_ps": delay, "alice_setting": "D", "bob_setting": bob}
+        for delay in _parse_range(args.delays)
+        for bob in ("D", "A")
+    ]
+    fourfolds = partial(fourfold_coincidences, gate_ps=args.gate)
+    counts = simulate_runs(config.apparatus, args.duration_per_point, variants, seed, fourfolds)
+    rows = [[v["bsm_delay_offset_ps"], v["alice_setting"] == v["bob_setting"], n] for v, n in zip(variants, counts)]
+    co = [(delay, n) for delay, copolarized, n in rows if copolarized]
     fits = {}
     if len(co) >= 5:
-        x = np.array([p.delay_ps for p in co])
-        y = np.array([float(p.fourfolds) for p in co], dtype=float)
+        x, y = np.array(co, dtype=float).T
         try:
             fit = fit_double_exponential(x, y)
             fits = {
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourfold-scan", parents=[common], help="four-fold coincidences versus mutual delay")
     p.add_argument("--delays", required=True, help="delay range in ps, start:stop:step")
-    p.add_argument("--gate", type=float, default=2000.0, help="BSM gate in ps")
+    p.add_argument("--gate", type=float, default=2000.0, help="BSM gate in ps (inf: one interferometer delay)")
     p.add_argument("--duration-per-point", type=float, required=True)
     p.set_defaults(func=_cmd_fourfold_scan)
 

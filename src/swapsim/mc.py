@@ -17,8 +17,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -585,6 +586,23 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
     return TimestampStream(merged, config, int(seed), float(duration_s))
 
 
+def simulate_runs(
+    base: ApparatusConfig,
+    duration_s: float,
+    variants: Sequence[Mapping[str, object]],
+    seed: int,
+    analysis: Callable[[TimestampStream], object],
+) -> list:
+    """``analysis`` of one ``simulate`` run per variant, in order.
+
+    A variant maps ``ApparatusConfig`` fields to their values for its run.
+    Run i is seeded with ``SeedSequence(seed).generate_state(len(variants))[i]``,
+    and each stream is dropped once its analysis returns.
+    """
+    seeds = np.random.SeedSequence(seed).generate_state(len(variants))
+    return [analysis(simulate(replace(base, **variant), duration_s, int(s))) for variant, s in zip(variants, seeds)]
+
+
 def write_stream(stream: TimestampStream, path: str | os.PathLike) -> None:
     """Binary record stream {u8 channel, u64 time in ps} plus a JSON sidecar."""
     path = Path(path)
@@ -702,8 +720,8 @@ def _coincidences(
     """
     centers, hist, cuts = None, None, []
     if bin_ps is not None:
-        if not bin_ps > 0:
-            raise McError(f"histogram bin width must be positive, got {bin_ps}")
+        if not bin_ps >= 1:  # a narrower bin could hold no whole-ps delta
+            raise McError(f"histogram bin width must be positive and at least the 1 ps time unit, got {bin_ps}")
         side = span_ps / bin_ps  # bins on either side of the central one, before truncation
         if not side < _MAX_BINS // 2:
             raise McError(f"histogram bin width {bin_ps} ps gives more than {_MAX_BINS} bins over +-{span_ps} ps")
@@ -813,10 +831,12 @@ def hom_histogram(streams: tuple[TimestampStream, TimestampStream], bin_ps: floa
 def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
-    A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2 (an infinite
-    gate takes every pair). An analyzer detection t hits the heralding time
-    c = (t1 + t2) / 2 when c - X <= t < c + X, X = ``_ANALYZER_HALF_PS``;
-    Alice's c is shifted back by the compensation delay in whole ps.
+    A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2. An infinite
+    gate is one excitation-pulse splitting delay wide: it takes every
+    overlapped pair and none of the pairs one delay apart. An analyzer
+    detection t hits the heralding time c = (t1 + t2) / 2 when
+    c - X <= t < c + X, X = ``_ANALYZER_HALF_PS``; Alice's c is shifted back
+    by the compensation delay in whole ps.
     """
     cfg = stream.config
     if cfg.topology != "swap":
@@ -825,9 +845,10 @@ def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
         raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
     ch = stream.channels
     b1, b2 = ch["bsm1"], ch["bsm2"]
+    gate = gate_ps if gate_ps < math.inf else cfg.mzi_delay_ns * 1000.0
     # No pair is further apart than the last BSM event's time, so a wider
-    # gate, an infinite one too, gives the same pairs with int64 window ends.
-    half = min(gate_ps / 2.0, 1 + max((int(t[-1]) for t in (b1, b2) if t.size), default=0))
+    # gate gives the same pairs with int64 window ends.
+    half = min(gate / 2.0, 1 + max((int(t[-1]) for t in (b1, b2) if t.size), default=0))
     delay = round(cfg.mzi_delay_ns * 1000.0)
     count = 0
     for t1, t_bsm in _pair_chunks(b1, b2, -math.floor(half), math.ceil(half)):
@@ -852,23 +873,6 @@ def twofold_control_coincidences(stream: TimestampStream) -> int:
     mzi = cfg.mzi_delay_ns * 1000.0
     _, _, (count,) = _coincidences(alice, bob, 3.0 * mzi, [mzi], _ANALYZER_HALF_PS)
     return count
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    delay_ps: float
-    copolarized: bool
-    fourfolds: int
-
-
-def fourfold_scan(streams: Sequence[TimestampStream], gate_ps: float) -> list[ScanPoint]:
-    """Four-fold counts per mutual-delay stream, co/cross read from the config."""
-    points = []
-    for stream in streams:
-        cfg = stream.config
-        co = cfg.alice_setting == cfg.bob_setting
-        points.append(ScanPoint(float(cfg.bsm_delay_offset_ps), co, fourfold_coincidences(stream, gate_ps)))
-    return points
 
 
 @dataclass(frozen=True)
@@ -937,20 +941,12 @@ def simulate_tomography_run(
     heralded: bool,
     gate_ps: float = math.inf,
 ) -> TomographyRun:
-    """Per-setting coincidence counts from independent simulation runs.
+    """Per-setting coincidence counts, one ``simulate_runs`` run per setting.
 
-    Heralded counts are four-folds inside the gate; an infinite gate falls
-    back to a 2 ns pairing window, wide enough for every overlapped pair while
-    still excluding neighbouring-pulse coincidences. Unheralded counts are
-    Alice-Bob control coincidences ignoring the heralding signal.
+    Heralded counts are ``fourfold_coincidences`` inside the gate; unheralded
+    counts are Alice-Bob control coincidences ignoring the heralding signal.
     """
-    duration = periods_per_setting / config.rep_rate_hz
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(settings))
-    counts = []
-    effective_gate = gate_ps if math.isfinite(gate_ps) else 2e3
-    for setting, child in zip(settings, child_seeds):
-        run_cfg = replace(config, alice_setting=setting.projector_a, bob_setting=setting.projector_b)
-        stream = simulate(run_cfg, duration, int(child))
-        count = fourfold_coincidences(stream, effective_gate) if heralded else twofold_control_coincidences(stream)
-        counts.append(count)
+    variants = [{"alice_setting": s.projector_a, "bob_setting": s.projector_b} for s in settings]
+    analysis = partial(fourfold_coincidences, gate_ps=gate_ps) if heralded else twofold_control_coincidences
+    counts = simulate_runs(config, periods_per_setting / config.rep_rate_hz, variants, seed, analysis)
     return TomographyRun(tuple(settings), np.array(counts, dtype=float))

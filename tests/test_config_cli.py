@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swapsim import cli
+from swapsim import cli, mc
 from swapsim.cli import main
 from swapsim.config import (
     ConfigError,
@@ -309,9 +310,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          "gate width must be positive"),
         (["mc-run", "--duration", "nan"], "duration must be positive and finite"),
         (["mc-run", "--duration", "inf"], "duration must be positive and finite"),
-        (["g2", "--duration", "1e-4", "--bin-ps", "1e-6"], "bins over"),
-        (["g2", "--duration", "1e-4", "--bin-ps", "1e-320"], "bins over"),
-        (["hom", "--duration", "1e-4", "--bin-ps", "1e-6"], "bins over"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "0.5"], "at least the 1 ps time unit"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "1e-6"], "at least the 1 ps time unit"),
+        (["g2", "--duration", "1e-4", "--bin-ps", "1e-320"], "at least the 1 ps time unit"),
+        (["hom", "--duration", "1e-4", "--bin-ps", "1e-6"], "at least the 1 ps time unit"),
         (["swap-predict", "--gates", "nan:10:1"], "invalid range"),
         (["swap-predict", "--gates", "0:inf:1"], "invalid range"),
         (["swap-predict", "--gates", "10:20:nan"], "invalid range"),
@@ -327,3 +329,59 @@ def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):
     assert main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_cli_rejects_more_bins_than_the_cap(tmp_path, capsys):
+    # At 100 kHz the g2 span of +-5.5 periods holds 1.1e8 one-ps bins.
+    cfg_path = tmp_path / "slow.cfg"
+    cfg_path.write_text("[apparatus]\nrep_rate_hz = 1e5\n")
+    argv = ["g2", "--duration", "1e-3", "--bin-ps", "1", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bins over" in err
+
+
+def test_cli_scan_takes_an_infinite_gate(tmp_path):
+    # An infinite gate is one 2 ns interferometer delay wide, not every BSM pair.
+    rows = {}
+    for gate in ("inf", "2000"):
+        assert main(["fourfold-scan", "--delays=0:100:100", "--gate", gate, "--duration-per-point", "2e-4",
+                     "--out-dir", str(tmp_path / gate)]) == 0
+        lines = (tmp_path / gate / "fourfold_scan.csv").read_text().splitlines()
+        rows[gate] = [line for line in lines if not line.startswith("#")]
+    assert len(rows["inf"]) == 5 and rows["inf"] == rows["2000"]
+
+
+def test_scan_runs_of_different_seeds_never_share_a_stream(monkeypatch, tmp_path):
+    # Seeded as seed + 101 i + j, point 1 of --seed 5 and point 0 of --seed
+    # 106 were one stream; both are the co-polarized run at delay 0 here.
+    streams, simulate = [], mc.simulate
+
+    def recording_simulate(config, duration_s, seed):
+        streams.append(simulate(config, duration_s, seed))
+        return streams[-1]
+
+    monkeypatch.setattr(mc, "simulate", recording_simulate)
+    for seed, delays in ((5, "-100:0:100"), (106, "0:0:1")):
+        argv = ["fourfold-scan", f"--delays={delays}", "--duration-per-point", "1e-4", "--seed", str(seed)]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    first, second = streams[2], streams[4]
+    assert first.config == second.config and first.seed != second.seed
+    assert not all(np.array_equal(first.channels[k], second.channels[k]) for k in first.channels)
+
+
+def test_fourfold_scan_memory_does_not_grow_with_points(tmp_path):
+    # Each stream is dropped after its four-fold count. Holding them all, the
+    # peak was 7.8 MB at 2 delay points and 15.5 MB at 8.
+    import scipy.optimize  # noqa: F401  (the fit at 5+ co-polarized points loads it; not measured)
+
+    peaks = []
+    for delays in ("0:100:100", "0:700:100"):
+        tracemalloc.start()
+        try:
+            assert main(["fourfold-scan", f"--delays={delays}", "--duration-per-point", "1e-3",
+                         "--out-dir", str(tmp_path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks

@@ -28,11 +28,11 @@ from swapsim.mc import (
     TimestampStream,
     fit_double_exponential,
     fourfold_coincidences,
-    fourfold_scan,
     g2_histogram,
     hom_histogram,
     read_stream,
     simulate,
+    simulate_runs,
     simulate_tomography_run,
     twofold_control_coincidences,
     write_stream,
@@ -293,14 +293,12 @@ def test_hom_mismatched_delay_rejected():
 def test_fourfold_scan_shape_and_fit():
     base = ApparatusConfig(**FAST)
     delays = [-600.0, -400.0, -200.0, 0.0, 200.0, 400.0, 600.0]
-    streams = []
+    co, cross = {}, {}
     for i, d in enumerate(delays):
         for j, (a, b) in enumerate((("D", "D"), ("D", "A"))):
             cfg = replace(base, bsm_delay_offset_ps=d, alice_setting=a, bob_setting=b)
-            streams.append(simulate(cfg, _periods(cfg, 400_000), seed=900 + 10 * i + j))
-    points = fourfold_scan(streams, gate_ps=2000.0)
-    co = {p.delay_ps: p.fourfolds for p in points if p.copolarized}
-    cross = {p.delay_ps: p.fourfolds for p in points if not p.copolarized}
+            stream = simulate(cfg, _periods(cfg, 400_000), seed=900 + 10 * i + j)
+            (co, cross)[j][d] = fourfold_coincidences(stream, 2000.0)
     assert co[0.0] > 1.8 * cross[0.0]
     # zero-delay contrast consistent with the ungated heralded coherence:
     # P(co)/P(cross) = (1+u)/(1-u) with u about 0.424
@@ -539,7 +537,7 @@ def test_coincidences_at_every_edge_neighbour():
     ta = np.array([0])
     tb = _g2_edge_deltas()
     assert tb[0] < -_G2_SPAN and tb[-1] > _G2_SPAN
-    for bin_ps in (100.0, 7.0, 0.5, None):
+    for bin_ps in (100.0, 7.0, 1.0, None):
         got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, bin_ps)
         want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, bin_ps or 100.0)
         if bin_ps is None:
@@ -608,8 +606,12 @@ def test_block_ranks_match_searchsorted(keys, table, block, ordered):
 @example(b1=np.array([5000]), b2=np.array([5001]), alice=np.array([2000]), bob=np.array([4000]), gate=999.0, budget=1)
 # A 999 ps gate takes deltas from -499 to 499 ps: -500 is out.
 @example(b1=np.array([5000]), b2=np.array([4500]), alice=np.array([2750]), bob=np.array([4750]), gate=999.0, budget=1)
-# An infinite gate pairs events as far apart as the last time.
-@example(b1=np.array([0]), b2=np.array([3000]), alice=np.array([0]), bob=np.array([1500]), gate=math.inf, budget=1)
+# An infinite gate is one 2000 ps interferometer delay: deltas from -1000 to
+# 999 ps. 4000 and 5999 make four-folds, 6000 (it would too) is out.
+@example(
+    b1=np.array([5000]), b2=np.array([4000, 5999, 6000]), alice=np.array([3000]), bob=np.array([5000]),
+    gate=math.inf, budget=1,
+)  # fmt: skip
 @settings(max_examples=200)
 def test_fourfold_coincidences_match_loop_oracle(b1, b2, alice, bob, gate, budget):
     # On the 125 ps grid, moved by up to 2 ps, the heralding times and analyzer
@@ -619,7 +621,7 @@ def test_fourfold_coincidences_match_loop_oracle(b1, b2, alice, bob, gate, budge
     stream = TimestampStream({"bsm1": b1, "bsm2": b2, "alice": alice, "bob": bob}, cfg, 0, 1.0)
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
         got = fourfold_coincidences(stream, gate)
-    assert got == loop_fourfold(b1, b2, alice, bob, gate, 2000, 1000)
+    assert got == loop_fourfold(b1, b2, alice, bob, gate if gate < math.inf else 2000.0, 2000, 1000)
 
 
 @pytest.mark.parametrize("budget", [None, 13])
@@ -719,16 +721,16 @@ def test_g2_memory_does_not_grow_with_pair_count():
 
 
 def test_coincidences_memory_per_histogram_bin():
-    # 1.45M bins of 0.1 ps over g2's +-72 ns on 2,000-event channels: the
-    # centers, the integer cuts, their rank table and the counts, below the
-    # 7.5 float64 per bin of the analysis before the rank kernel (10.1 with
-    # float cuts).
+    # 1.45M bins of 1 ps over ten times g2's +-72 ns on 2,000-event channels:
+    # the centers, the integer cuts, their rank table and the counts, below
+    # the 7.5 float64 per bin of the analysis before the rank kernel (10.1
+    # with float cuts).
     rng = np.random.default_rng(5)
     ta, tb = (np.sort(rng.integers(0, 10**8, 2000)) for _ in range(2))
-    nbins = 2 * int(_G2_SPAN / 0.1) + 1
+    nbins = 2 * int(10 * _G2_SPAN) + 1
     tracemalloc.start()
     try:
-        centers, hist, _ = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 0.1)
+        centers, hist, _ = mc._coincidences(ta, tb, 10 * _G2_SPAN, _G2_OFFSETS, 500, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -773,6 +775,39 @@ def test_simulate_tomography_run_shapes():
     heralded = simulate_tomography_run(cfg, settings, periods_per_setting=50_000, seed=5,
                                        heralded=True, gate_ps=2000.0)
     assert heralded.counts.sum() < run.counts.sum()
+
+
+@pytest.mark.parametrize("mzi_delay_ns", [2.0, 3.0005])
+def test_infinite_gate_is_one_interferometer_delay(mzi_delay_ns):
+    cfg = ApparatusConfig(mzi_delay_ns=mzi_delay_ns, alice_setting="D", bob_setting="D", **FAST)
+    stream = simulate(cfg, _periods(cfg, 20_000), seed=36)
+    assert fourfold_coincidences(stream, math.inf) == fourfold_coincidences(stream, 1000 * mzi_delay_ns) > 0
+
+
+@given(
+    variants=st.lists(
+        st.fixed_dictionaries(
+            {"alice_setting": st.sampled_from(["H", "D", None]), "bob_setting": st.sampled_from(["V", "A", None])},
+            optional={"bsm_delay_offset_ps": st.sampled_from([-300.0, 0.0, 250.0])},
+        ),
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=12)
+def test_simulate_runs_seeds_each_run_from_one_seed_sequence(variants, seed):
+    # 3000 periods in 1024-period chunks, so two workers really run.
+    cfg = ApparatusConfig(**FAST)
+    duration = _periods(cfg, 3000)
+    seeds = np.random.SeedSequence(seed).generate_state(len(variants))
+    with mock.patch.object(mc, "_CHUNK_PERIODS", 1024), mock.patch.object(mc.os, "cpu_count", lambda: 4):
+        want = [simulate(replace(cfg, **v), duration, int(s)).channels for v, s in zip(variants, seeds)]
+        for threads in ("1", "2"):
+            with mock.patch.dict(mc.os.environ, {"SWAPSIM_THREADS": threads}):
+                got = simulate_runs(cfg, duration, variants, seed, lambda stream: stream.channels)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys() and all(np.array_equal(g[k], w[k]) for k in w)
 
 
 def test_dark_counts_fill_dead_apparatus():
