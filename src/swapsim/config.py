@@ -48,6 +48,8 @@ class OutputSettings:
     format: str = "csv"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.format!r}")
 

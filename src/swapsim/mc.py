@@ -30,7 +30,7 @@ from .source import SourceParams, emit_pair
 from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
 
-_CHUNK_PERIODS = 1 << 20
+_CHUNK_PERIODS = 1 << 18  # a live swap chunk holds about 20 MB of temporaries
 _PAIR_BUDGET = 1 << 16
 _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at 7.2 8 B values per bin
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells of one categorical draw (at most 32 outcomes)
@@ -139,7 +139,7 @@ class TimestampStream:
             if arr.dtype.kind not in "iu":  # a float array would truncate silently
                 raise McError(f"channel {name} times are {arr.dtype}, not integer ps")
             arr = arr.astype(np.int64, copy=False)
-            if arr.size > 1 and np.any(np.diff(arr) < 0):
+            if np.any(arr[1:] < arr[:-1]):
                 raise McError(f"channel {name} times are not sorted")
             if arr.size and arr[0] < 0:
                 raise McError(f"channel {name} has negative times")
@@ -503,6 +503,20 @@ def _period_count(duration_s: float, rep_rate_hz: float) -> int:
     return n - 1 if n / rep_rate_hz > duration_s else n
 
 
+def _merge_chunks(chunks: list[dict[str, np.ndarray]], end: int, dead_ps: int) -> dict[str, np.ndarray]:
+    """Each channel's sorted chunk parts joined, sorted, cut to [0, end) ps
+    and dead-time filtered, one channel at a time. A channel's parts leave
+    ``chunks`` as they are joined, and a single part is taken without a copy."""
+    merged = {}
+    for name in list(chunks[0]):
+        times = chunks[0].pop(name) if len(chunks) == 1 else np.concatenate([c.pop(name) for c in chunks])
+        times.sort(kind="stable")  # the parts arrive sorted, so a stable (merge) sort is near-linear
+        lo, hi = np.searchsorted(times, (0, end))
+        merged[name] = _dead_time_filter(times[lo:hi], dead_ps)
+        del times
+    return merged
+
+
 def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> TimestampStream:
     """Generate detector timestamp streams for the configured topology."""
     if not 0 < duration_s < math.inf:
@@ -575,14 +589,8 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
                 chunk_results = list(pool.map(run_chunk, range(n_chunks)))
         else:
             chunk_results = [run_chunk(ci) for ci in range(n_chunks)]
-        merged = {name: np.concatenate([c[name] for c in chunk_results]) for name in channels}
         end = math.ceil(n_periods * config.period_ns * 1000.0)  # whole ps before the last period's end
-        for name in channels:
-            times = merged[name]
-            times = times[(times >= 0) & (times < end)]
-            # The chunks arrive sorted, so a stable (merge) sort is near-linear.
-            times.sort(kind="stable")
-            merged[name] = _dead_time_filter(times, math.ceil(config.dead_time_ns * 1000.0))
+        merged = _merge_chunks(chunk_results, end, math.ceil(config.dead_time_ns * 1000.0))
     return TimestampStream(merged, config, int(seed), float(duration_s))
 
 
@@ -675,24 +683,27 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
     """Yield the paired times (a, b) of every ta event a with each of its
     ``_partners`` b, ordered by ta event, then by tb event, as new arrays.
 
-    Pairs are cut into chunks of at most ``_PAIR_BUDGET``, splitting inside a
-    ta event's partners where needed, so memory does not grow with the pair
-    count.
+    The search runs on blocks of ``_PAIR_BUDGET`` ta events, and a block's
+    pairs are cut into chunks of at most ``_PAIR_BUDGET``, splitting inside a
+    ta event's partners where needed, so memory grows with neither the event
+    nor the pair count.
     """
-    first, counts = _partners(ta, tb, lo, hi)
-    ends = np.cumsum(counts)
-    # Pair p (numbered across all events) of event a is tb[p + shift[a]].
-    shift = np.subtract(first, ends - counts, out=first)
-    total = int(ends[-1]) if ends.size else 0
-    for p0 in range(0, total, _PAIR_BUDGET):
-        p1 = min(p0 + _PAIR_BUDGET, total)
-        # The events holding the chunk's first and last pair.
-        a0, a1 = np.searchsorted(ends, (p0, p1 - 1), side="right")
-        n = counts[a0 : a1 + 1].copy()
-        n[0] -= p0 - (ends[a0] - counts[a0])
-        n[-1] -= ends[a1] - p1
-        bi = np.arange(p0, p1) + np.repeat(shift[a0 : a1 + 1], n)
-        yield np.repeat(ta[a0 : a1 + 1], n), tb[bi]
+    for s in range(0, ta.size, _PAIR_BUDGET):
+        block = ta[s : s + _PAIR_BUDGET]
+        first, counts = _partners(block, tb, lo, hi)
+        ends = np.cumsum(counts)
+        # Pair p (numbered across the block's events) of event a is tb[p + shift[a]].
+        shift = np.subtract(first, ends - counts, out=first)
+        total = int(ends[-1])
+        for p0 in range(0, total, _PAIR_BUDGET):
+            p1 = min(p0 + _PAIR_BUDGET, total)
+            # The events holding the chunk's first and last pair.
+            a0, a1 = np.searchsorted(ends, (p0, p1 - 1), side="right")
+            n = counts[a0 : a1 + 1].copy()
+            n[0] -= p0 - (ends[a0] - counts[a0])
+            n[-1] -= ends[a1] - p1
+            bi = np.arange(p0, p1) + np.repeat(shift[a0 : a1 + 1], n)
+            yield np.repeat(block[a0 : a1 + 1], n), tb[bi]
 
 
 def _coincidences(

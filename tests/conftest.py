@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import settings
 from scipy.special import erf
 
+from swapsim import mc
 from swapsim.interference import InterferenceError
 from swapsim.qstate import PureState, QStateError, project_to_physical
 from swapsim.tomography import TomographyRun, linear_inversion
@@ -437,6 +438,34 @@ def serial_dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
             kept.append(t)
             last = t
     return np.array(kept, dtype=np.int64)
+
+
+def whole_stream_merge(chunks: list[dict], end: int, dead_ps: int) -> dict[str, np.ndarray]:
+    """Oracle for ``mc._merge_chunks``: every channel joined at once, cut to
+    [0, end) by a mask, sorted and dead-time filtered. Leaves ``chunks`` as is."""
+    merged = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    for name, times in merged.items():
+        times = times[(times >= 0) & (times < end)]
+        times.sort(kind="stable")
+        merged[name] = mc._dead_time_filter(times, dead_ps)
+    return merged
+
+
+def whole_channel_pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
+    """Oracle for ``mc._pair_chunks``: one partner search over all of ta, its
+    pairs cut into chunks of at most ``mc._PAIR_BUDGET``."""
+    first, counts = mc._partners(ta, tb, lo, hi)
+    ends = np.cumsum(counts)
+    shift = first - (ends - counts)
+    total = int(ends[-1]) if ends.size else 0
+    for p0 in range(0, total, mc._PAIR_BUDGET):
+        p1 = min(p0 + mc._PAIR_BUDGET, total)
+        a0, a1 = np.searchsorted(ends, (p0, p1 - 1), side="right")
+        n = counts[a0 : a1 + 1].copy()
+        n[0] -= p0 - (ends[a0] - counts[a0])
+        n[-1] -= ends[a1] - p1
+        bi = np.arange(p0, p1) + np.repeat(shift[a0 : a1 + 1], n)
+        yield np.repeat(ta[a0 : a1 + 1], n), tb[bi]
 
 
 def profile_loglike(rho: np.ndarray, ops: np.ndarray, counts, exposures) -> tuple[float, np.ndarray]:

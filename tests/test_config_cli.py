@@ -331,6 +331,20 @@ def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["g2", "hom", "mc-run"])
+def test_negative_seed_rejected_from_flag_and_file(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    path.write_text("[output]\nseed = -4\n")
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -4"):
+        load_config(path)
+    for extra in (["--seed", "-3"], ["--config", str(path)]):
+        argv = [command, "--duration", "1e-5", *extra, "--out-dir", str(tmp_path)]
+        assert main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be a non-negative integer" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_cli_rejects_more_bins_than_the_cap(tmp_path, capsys):
     # At 100 kHz the g2 span of +-5.5 periods holds 1.1e8 one-ps bins.
     cfg_path = tmp_path / "slow.cfg"

@@ -18,6 +18,8 @@ from conftest import (
     loop_fourfold,
     loop_swap_tables,
     serial_dead_time_filter,
+    whole_channel_pair_chunks,
+    whole_stream_merge,
 )
 
 from swapsim import cli, mc
@@ -384,6 +386,8 @@ _OFFSETS = [-4000.0, -2000.0, 0.0, 2000.0, 4000.0]
 _SPAN = 5125.0
 
 
+# The partner search runs on blocks of _PAIR_BUDGET ta events, so the small
+# budgets cut both the pairs and the up to 40 events into several blocks.
 @given(ta=_GRID_TIMES, tb=_GRID_TIMES, budget=st.sampled_from([1, 2, 3, 5, 64, mc._PAIR_BUDGET]))
 @settings(max_examples=200)
 def test_streamed_coincidences_match_all_pairs(ta, tb, budget):
@@ -695,29 +699,32 @@ def test_analyses_of_a_read_back_stream_equal_those_in_memory(tmp_path):
     assert twofold_control_coincidences(streams["swap"]) == twofold_control_coincidences(back["swap"]) > 0
 
 
-def test_g2_memory_does_not_grow_with_pair_count():
+def test_g2_memory_does_not_grow_with_pair_count(monkeypatch):
     """Dense streams of 5.7M and 11.5M pairs stay under one fixed ceiling.
 
     Materialising every pair costs about 72 bytes a pair (400 MB here); the
-    streamed analysis holds one budget of pairs plus a few arrays per event.
+    streamed analysis holds one budget of pairs and one block of events.
     """
+    # 10,000 and 20,000 events are two and three search blocks of 8192.
+    monkeypatch.setattr(mc, "_PAIR_BUDGET", 1 << 13)
     cfg = ApparatusConfig(topology="hbt_xx")
-    # Ten 8-byte temporaries per budgeted pair, twice over, plus six 8-byte
-    # arrays per event (searchsorted bounds and their sums) of the larger run.
-    ceiling = 2 * 10 * 8 * mc._PAIR_BUDGET + 6 * 8 * 20_000
-    pairs = []
+    # Ten 8-byte temporaries per budgeted pair, twice over, and nothing per event.
+    ceiling = 2 * 10 * 8 * mc._PAIR_BUDGET
+    pairs, peaks = [], []
     for n in (10_000, 20_000):
         ta = np.arange(n) * 250
         stream = TimestampStream({"d1": ta, "d2": ta + 100}, cfg, 0, 1.0)
         tracemalloc.start()
         try:
             result = g2_histogram(stream)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < ceiling, (n, peak, ceiling)
+        assert peaks[-1] < ceiling, (n, peaks[-1], ceiling)
         pairs.append(int(result.counts.sum()))
     assert pairs[0] >= 5_000_000 and pairs[1] >= 2 * pairs[0] - 10_000
+    # Twice the events add less than one 8-byte value per budgeted pair to the peak.
+    assert peaks[1] < peaks[0] + 8 * mc._PAIR_BUDGET, peaks
 
 
 def test_coincidences_memory_per_histogram_bin():
@@ -738,18 +745,19 @@ def test_coincidences_memory_per_histogram_bin():
     assert peak < 7.5 * 8 * nbins, peak / (8 * nbins)
 
 
-def test_fourfold_memory_does_not_grow_with_pair_count():
+def test_fourfold_memory_does_not_grow_with_pair_count(monkeypatch):
     """Dense streams of about 1M and 2M BSM pairs stay under one fixed ceiling.
 
     Materialising every pair costs about 56 bytes a pair (56 and 113 MB
-    here); the streamed count holds one budget of pairs plus a few arrays
-    per event.
+    here); the streamed count holds one budget of pairs and one block of
+    BSM1 events.
     """
+    # 12,500 and 25,000 BSM1 events are two and four search blocks of 8192.
+    monkeypatch.setattr(mc, "_PAIR_BUDGET", 1 << 13)
     cfg = ApparatusConfig()
-    # Twelve 8-byte temporaries per budgeted pair, plus six 8-byte arrays per
-    # BSM1 event (searchsorted bounds and their sums) of the larger run.
-    ceiling = 12 * 8 * mc._PAIR_BUDGET + 6 * 8 * 25_000
-    counts = []
+    # Twelve 8-byte temporaries per budgeted pair, and nothing per event.
+    ceiling = 12 * 8 * mc._PAIR_BUDGET
+    counts, peaks = [], []
     for n in (12_500, 25_000):
         t = np.arange(n) * 250
         channels = {"bsm1": t, "bsm2": t + 100, "alice": t, "bob": t + 50}
@@ -758,11 +766,75 @@ def test_fourfold_memory_does_not_grow_with_pair_count():
         try:
             # A 20 ns gate pairs each BSM1 event with 80 BSM2 events.
             counts.append(fourfold_coincidences(stream, 20_000.0))
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < ceiling, (n, peak, ceiling)
+        assert peaks[-1] < ceiling, (n, peaks[-1], ceiling)
     assert counts[0] >= 990_000 and counts[1] >= 2 * counts[0] - 10_000
+    # Twice the events add less than one 8-byte value per budgeted pair to the peak.
+    assert peaks[1] < peaks[0] + 8 * mc._PAIR_BUDGET, peaks
+
+
+@pytest.mark.parametrize("topology, per_period", [("hbt_xx", 24), ("swap", 80)])
+@pytest.mark.parametrize("chunks", [2, 8])
+def test_simulate_holds_its_stream_plus_one_channel(monkeypatch, topology, per_period, chunks):
+    """Beyond its output, a run holds at most ``per_period`` B per chunk
+    period in each live worker's chunk, plus one channel while it merges.
+
+    Without dead time the output is every generated event, so a merge that
+    held the stream twice would exceed the ceiling at 8 chunks.
+    """
+    chunk = 1 << 14
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SWAPSIM_THREADS", "2")
+    cfg = ApparatusConfig(topology=topology, dead_time_ns=0.0, background_ratio=0.01, dark_rate_hz=1e5)
+    simulate(cfg, _periods(cfg, 100), seed=1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        stream = simulate(cfg, _periods(cfg, chunks * chunk), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [times.nbytes for times in stream.channels.values()]
+    ceiling = 2 * per_period * chunk + max(sizes)
+    assert peak - sum(sizes) < ceiling, (peak - sum(sizes)) / chunk
+
+
+def test_merge_and_blocked_search_match_the_whole_stream_oracles(monkeypatch):
+    # At 2**20-period chunks, two per run, the channel-by-channel merge and
+    # the blocked pair search give the streams and counts of the whole-stream
+    # merge and the whole-channel search.
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 20)
+    merge = mc._merge_chunks
+
+    def checked_merge(chunks, end, dead_ps):
+        want = whole_stream_merge(chunks, end, dead_ps)
+        got = merge(chunks, end, dead_ps)
+        assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
+        merged.append(got)
+        return got
+
+    merged = []
+    monkeypatch.setattr(mc, "_merge_chunks", checked_merge)
+    hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055)
+    swap = ApparatusConfig()
+    streams = [simulate(cfg, _periods(cfg, (1 << 20) + 50_000), seed=17) for cfg in (hbt, swap)]
+    assert len(merged) == 2
+
+    def analyses():
+        g2 = g2_histogram(streams[0])
+        return (
+            g2.counts, g2.side_counts, g2.g2_zero,
+            [fourfold_coincidences(streams[1], gate) for gate in (47.0, 2000.0, math.inf)],
+            twofold_control_coincidences(streams[1]),
+        )  # fmt: skip
+
+    got = analyses()
+    monkeypatch.setattr(mc, "_pair_chunks", whole_channel_pair_chunks)
+    want = analyses()
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert streams[0].channels["d1"].size > 2 * mc._PAIR_BUDGET and got[3][1] > 0
 
 
 def test_simulate_tomography_run_shapes():
