@@ -39,7 +39,6 @@ from .interference import (
     BsmPovm,
     BsmSettings,
     InterferenceError,
-    TemporalModel,
     bsm_povm,
     calibrate_temporal,
     effective_indistinguishability,

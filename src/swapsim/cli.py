@@ -116,14 +116,7 @@ def _emit_table(
 
 def _cmd_swap_predict(args, config: RunConfig) -> int:
     gates = _parse_range(args.gates) if args.gates else [config.bsm.gate_ps]
-    temporal = config.bsm.temporal_model()
-    curve = predict(
-        config.source,
-        temporal,
-        gates,
-        intrinsic_limit=config.bsm.intrinsic_limit,
-        convention=config.bsm.convention,
-    )
+    curve = predict(config.source, config.bsm, gates)
     columns = ["gate_ps", "i_eff", "fidelity", "s_value", "herald_prob", "rate_factor"]
     rows = [list(row) for row in zip(curve.gate_ps, *(getattr(curve, c).tolist() for c in columns[1:]))]
     out = Path(args.out_dir or config.output.out_dir) / "swap_predict"
@@ -143,7 +136,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
             f"run has {len(run.settings)} settings, expected {args.settings}"
         )
     rho = mle_reconstruct(run, strict=True)
-    resamples = args.bootstrap or config.tomography.bootstrap_resamples
+    resamples = args.bootstrap if args.bootstrap is not None else config.tomography.bootstrap_resamples
     errors = bootstrap_errors(run, resamples=resamples, rng_seed=config.output.seed)
     payload = {
         "provenance": _provenance(config, config.output.seed),
@@ -247,15 +240,7 @@ def _cmd_fourfold_scan(args, config: RunConfig) -> int:
 
 
 def _cmd_report(args, config: RunConfig) -> int:
-    temporal = config.bsm.temporal_model()
-    intrinsic = config.bsm.intrinsic_limit
-    ungated, gated = predict(
-        config.source,
-        temporal,
-        [math.inf, 47.0],
-        intrinsic_limit=intrinsic,
-        convention=config.bsm.convention,
-    )
+    ungated, gated = predict(config.source, config.bsm, [math.inf, 47.0])
     rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2))
     ideal = herald(rho4, bsm_povm(1.0, config.bsm.convention))
     control = control_no_heralding(rho4)

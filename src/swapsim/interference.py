@@ -2,8 +2,9 @@
 
 The bosonic mode calculus of a balanced beam splitter as one POVM element per
 output occupation pattern (both routes' description of the measurement; the
-heralding POVM is one of its elements), and the temporal model mapping
-detection gating to effective indistinguishability.
+heralding POVM is one of its elements), and the heralding-measurement
+settings with the gate response that maps them to effective
+indistinguishability.
 """
 from __future__ import annotations
 
@@ -102,46 +103,6 @@ def convention_bell_state(convention: BsmConvention) -> PureState:
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
-@dataclass(frozen=True)
-class TemporalModel:
-    """Wavepacket and detection-timing parameters of the interfering photons."""
-
-    t1_ns: float = 0.12           # emitter lifetime of the interfering photons
-    t2_ns: float = 0.24           # coherence time, t2 <= 2*t1
-    jitter_fwhm_ps: float = 50.0  # per-detector timing resolution
-    gate_ps: float = math.inf     # coincidence gate width (inf = ungated)
-
-    def __post_init__(self):
-        if self.t1_ns <= 0.0:
-            raise InterferenceError(f"lifetime {self.t1_ns} must be positive")
-        if not 0.0 < self.t2_ns <= 2.0 * self.t1_ns + 1e-12:
-            raise InterferenceError(
-                f"coherence time {self.t2_ns} outside (0, 2*t1] with t1={self.t1_ns}"
-            )
-        if self.jitter_fwhm_ps < 0.0:
-            raise InterferenceError("jitter must be >= 0")
-        if not (self.gate_ps > 0.0):
-            raise InterferenceError("gate width must be positive (inf allowed)")
-
-    @property
-    def dephasing_rate(self) -> float:
-        """Pure-dephasing rate 1/t2 - 1/(2 t1), in 1/ns."""
-        return 1.0 / self.t2_ns - 1.0 / (2.0 * self.t1_ns)
-
-    @property
-    def jitter_sigma_ns(self) -> float:
-        """Std dev of one detector's timing jitter."""
-        return self.jitter_fwhm_ps * 1e-3 * _FWHM_TO_SIGMA
-
-    @property
-    def diff_jitter_sigma_ns(self) -> float:
-        """Std dev of the detection-time difference jitter."""
-        return math.sqrt(2.0) * self.jitter_fwhm_ps * 1e-3 * _FWHM_TO_SIGMA
-
-    def with_gate(self, gate_ps: float) -> "TemporalModel":
-        return replace(self, gate_ps=gate_ps)
-
-
 # Temporal defaults calibrated so the ungated effective indistinguishability
 # equals 0.569 and the 47 ps gated value equals 0.8314 (calibrate_temporal
 # with t1 = 0.12 ns, 50 ps jitter).
@@ -153,9 +114,9 @@ CALIBRATED_INTRINSIC_LIMIT = 0.938878
 class BsmSettings:
     """Heralding-measurement parameters (section [bsm]), read by both routes.
 
-    Biexciton photon lifetime and coherence time, per-detector jitter (FWHM),
-    coincidence gate, gating-insensitive indistinguishability limit and the
-    announced Bell state.
+    Biexciton photon lifetime and coherence time (t2 <= 2 t1), per-detector
+    jitter (FWHM), coincidence gate (inf = ungated), gating-insensitive
+    indistinguishability limit and the announced Bell state.
     """
 
     convention: BsmConvention = BsmConvention.PSI_PLUS
@@ -166,12 +127,41 @@ class BsmSettings:
     intrinsic_limit: float = CALIBRATED_INTRINSIC_LIMIT
 
     def __post_init__(self):
-        self.temporal_model()  # lifetime, coherence time, jitter and gate checks
+        # Each bound is written so that NaN fails it.
+        if not 0.0 < self.t1_xx_ns < math.inf:
+            raise InterferenceError(f"lifetime {self.t1_xx_ns} must be positive and finite")
+        if not 0.0 < self.t2_xx_ns <= 2.0 * self.t1_xx_ns + 1e-12:
+            raise InterferenceError(
+                f"coherence time {self.t2_xx_ns} outside (0, 2*t1] with t1={self.t1_xx_ns}"
+            )
+        if not 0.0 <= self.jitter_ps < math.inf:
+            raise InterferenceError(f"jitter {self.jitter_ps} must be >= 0 and finite")
+        if not self.gate_ps > 0.0:
+            raise InterferenceError("gate width must be positive (inf allowed)")
         if not 0.0 <= self.intrinsic_limit <= 1.0:
             raise InterferenceError(f"intrinsic limit {self.intrinsic_limit} outside [0, 1]")
 
-    def temporal_model(self) -> TemporalModel:
-        return TemporalModel(self.t1_xx_ns, self.t2_xx_ns, self.jitter_ps, self.gate_ps)
+    @property
+    def dephasing_rate(self) -> float:
+        """Pure-dephasing rate 1/t2 - 1/(2 t1), in 1/ns."""
+        return 1.0 / self.t2_xx_ns - 1.0 / (2.0 * self.t1_xx_ns)
+
+    @property
+    def jitter_sigma_ns(self) -> float:
+        """Std dev of one detector's timing jitter."""
+        return self.jitter_ps * 1e-3 * _FWHM_TO_SIGMA
+
+    @property
+    def diff_jitter_sigma_ns(self) -> float:
+        """Std dev of the detection-time difference jitter."""
+        return math.sqrt(2.0) * self.jitter_ps * 1e-3 * _FWHM_TO_SIGMA
+
+    def with_gate(self, gate_ps: float) -> "BsmSettings":
+        return replace(self, gate_ps=gate_ps)
+
+    def temporal_model(self) -> "BsmSettings":
+        # The settings are their own temporal model; perfbench/workloads.py still calls this.
+        return self
 
 
 _NARROW_A = 4.0  # half-widths below 4 z take the quadrature branch
@@ -303,78 +293,75 @@ def _damped_acceptance(kappa: np.ndarray, half_ns: np.ndarray, z: float) -> np.n
     return out
 
 
-def _gated_integrals(model: TemporalModel, gates_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gated_integrals(bsm: BsmSettings, gates_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(numerator, denominator) of the gated average of the coherence kernel
     exp(-2 gamma |d|) over the Laplace density exp(-|d|/t1)/(2 t1) of the
     detection-time difference d, one entry per gate."""
-    t1, z = model.t1_ns, math.sqrt(2.0) * model.diff_jitter_sigma_ns
+    t1, z = bsm.t1_xx_ns, math.sqrt(2.0) * bsm.diff_jitter_sigma_ns
     half = gates_ps * 1e-3 / 2.0
-    num, den = _damped_acceptance(np.array([1.0 / t1 + 2.0 * model.dephasing_rate, 1.0 / t1]), half, z) / t1
+    num, den = _damped_acceptance(np.array([1.0 / t1 + 2.0 * bsm.dephasing_rate, 1.0 / t1]), half, z) / t1
     return num, den
 
 
-def gate_response(
-    model: TemporalModel, gates_ps, intrinsic_limit: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def gate_response(bsm: BsmSettings, gates_ps, intrinsic_limit: float) -> tuple[np.ndarray, np.ndarray]:
     """Effective indistinguishability and heralding-rate factor at each gate width.
 
-    Gates must be positive (inf allowed); ``model``'s own gate is ignored.
+    Gates must be positive (inf allowed); ``bsm``'s own gate is ignored.
     """
     if not 0.0 <= intrinsic_limit <= 1.0:
         raise InterferenceError(f"intrinsic limit {intrinsic_limit} outside [0, 1]")
     gates = np.asarray(gates_ps, dtype=float).reshape(-1)
     if not np.all(gates > 0.0):
         raise InterferenceError("gate width must be positive (inf allowed)")
-    num, den = _gated_integrals(model, gates)
+    num, den = _gated_integrals(bsm, gates)
     i_eff = np.full(gates.shape, float(intrinsic_limit))
-    if model.dephasing_rate > 1e-15:
+    if bsm.dephasing_rate > 1e-15:
         np.divide(intrinsic_limit * num, den, out=i_eff, where=den > 0.0)
     return i_eff, np.where(np.isinf(gates), 1.0, np.clip(den, 0.0, 1.0))
 
 
-def effective_indistinguishability(model: TemporalModel, intrinsic_limit: float = 1.0) -> float:
+def effective_indistinguishability(bsm: BsmSettings, intrinsic_limit: float) -> float:
     """Gate-dependent indistinguishability.
 
     Averages the pure-dephasing coherence kernel exp(-2*gamma*|t1-t2|) over
     detection-time pairs accepted by the (jitter-smeared) gate, scaled by the
     gating-insensitive intrinsic limit. Non-increasing in gate width.
     """
-    return float(gate_response(model, [model.gate_ps], intrinsic_limit)[0][0])
+    return float(gate_response(bsm, [bsm.gate_ps], intrinsic_limit)[0][0])
 
 
-def heralding_rate_factor(model: TemporalModel) -> float:
+def heralding_rate_factor(bsm: BsmSettings) -> float:
     """Fraction of coincidences whose time difference survives the gate."""
-    return float(gate_response(model, [model.gate_ps])[1][0])
+    return float(gate_response(bsm, [bsm.gate_ps], bsm.intrinsic_limit)[1][0])
 
 
 def calibrate_temporal(
-    i_ungated: float,
-    i_gated: float,
-    gate_ps: float,
-    t1_ns: float = 0.12,
-    jitter_fwhm_ps: float = 50.0,
-) -> tuple[TemporalModel, float]:
-    """Solve (t2, intrinsic_limit) so the model hits two indistinguishability targets.
+    i_ungated: float, i_gated: float, gate_ps: float, bsm: BsmSettings = BsmSettings()
+) -> BsmSettings:
+    """Solve (t2, intrinsic_limit) so the gate response hits two indistinguishability targets.
 
-    Returns an ungated model plus the intrinsic limit such that the ungated
-    effective indistinguishability equals ``i_ungated`` and the value at
-    ``gate_ps`` equals ``i_gated``.
+    Returns ``bsm`` with the coherence time and intrinsic limit such that the
+    ungated effective indistinguishability equals ``i_ungated`` and the value
+    at ``gate_ps`` equals ``i_gated``; lifetime, jitter and the rest come from
+    ``bsm``.
     """
     if not 0.0 < i_ungated < i_gated <= 1.0:
         raise InterferenceError("targets must satisfy 0 < ungated < gated <= 1")
 
+    def response(t2: float) -> np.ndarray:
+        return gate_response(replace(bsm, t2_xx_ns=t2), [math.inf, gate_ps], 1.0)[0]
+
     def ratio_gap(t2: float) -> float:
-        r_inf, r_gate = gate_response(TemporalModel(t1_ns, t2, jitter_fwhm_ps), [math.inf, gate_ps])[0]
+        r_inf, r_gate = response(t2)
         return r_inf / r_gate - i_ungated / i_gated
 
     from scipy.optimize import brentq
 
-    lo, hi = 1e-4 * t1_ns, 2.0 * t1_ns
+    lo, hi = 1e-4 * bsm.t1_xx_ns, 2.0 * bsm.t1_xx_ns
     if ratio_gap(hi) < 0.0:
         raise InterferenceError("gated target is unreachable for this lifetime/jitter")
     t2 = float(brentq(ratio_gap, lo, hi, xtol=1e-12))
-    base = TemporalModel(t1_ns, t2, jitter_fwhm_ps, math.inf)
-    intrinsic = i_ungated / effective_indistinguishability(base, 1.0)
+    intrinsic = i_ungated / float(response(t2)[0])
     if intrinsic > 1.0 + 1e-9:
         raise InterferenceError(f"targets require intrinsic limit {intrinsic:.4f} > 1")
-    return base, min(intrinsic, 1.0)
+    return replace(bsm, t2_xx_ns=t2, intrinsic_limit=min(intrinsic, 1.0))

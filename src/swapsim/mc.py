@@ -89,8 +89,13 @@ class ApparatusConfig:
     bob_setting: str | None = "V"
 
     def __post_init__(self):
-        if self.rep_rate_hz <= 0:
-            raise McError("repetition rate must be positive")
+        # Each bound is written so that NaN fails it.
+        for name, value in (
+            ("repetition rate", self.rep_rate_hz),
+            ("excitation-pulse splitting delay", self.mzi_delay_ns),
+        ):
+            if not 0 < value < math.inf:
+                raise McError(f"{name} {value} must be positive and finite")
         if self.topology not in ("swap", "hbt_x", "hbt_xx", "hom"):
             raise McError(f"unknown topology {self.topology!r}")
         for name, value in (
@@ -98,8 +103,10 @@ class ApparatusConfig:
             ("dark rate", self.dark_rate_hz),
             ("background ratio", self.background_ratio),
         ):
-            if value < 0:
-                raise McError(f"{name} must be >= 0")
+            if not 0 <= value < math.inf:
+                raise McError(f"{name} {value} must be >= 0 and finite")
+        if not math.isfinite(self.bsm_delay_offset_ps):
+            raise McError(f"BSM delay offset {self.bsm_delay_offset_ps} must be finite")
         if isinstance(self.efficiency, Mapping):
             if unknown := sorted(set(self.efficiency) - {"bsm1", "bsm2", "alice", "bob", "d1", "d2"}):
                 raise McError(f"efficiency for unknown detectors {unknown}")
@@ -111,8 +118,6 @@ class ApparatusConfig:
         for setting in (self.alice_setting, self.bob_setting):
             if setting is not None and setting not in POLARIZATION_KETS:
                 raise McError(f"unknown analyzer setting {setting!r}")
-        if self.mzi_delay_ns <= 0:
-            raise McError("excitation-pulse splitting delay must be positive")
 
     @property
     def period_ns(self) -> float:
@@ -356,7 +361,7 @@ def _interferes(
     coherence kernel exp(-2*gamma*|delta|) at its arrival-time difference,
     scaled by the intrinsic limit.
     """
-    gamma = bsm.temporal_model().dephasing_rate
+    gamma = bsm.dephasing_rate
     delta = e1 - e2 + off
     support = (e1 + off >= 0.0) & (e2 - off >= 0.0)
     p_flag = bsm.intrinsic_limit * np.exp(-2.0 * gamma * np.abs(delta)) * support
@@ -528,7 +533,7 @@ def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> Timestamp
         efficiency = dict.fromkeys(channels, efficiency)
     elif missing := sorted(set(channels) - set(efficiency)):
         raise McError(f"efficiency mapping has no value for the {config.topology} detectors {missing}")
-    sigma_ns = config.bsm.temporal_model().jitter_sigma_ns
+    sigma_ns = config.bsm.jitter_sigma_ns
     flux = _signal_flux_per_pulse(config)
 
     tables: dict = {}

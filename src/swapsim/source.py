@@ -6,6 +6,7 @@ pair fidelity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,10 +45,10 @@ class NoiseModel:
         if self.kind in (NoiseKind.DEPHASING, NoiseKind.DEPOLARIZING):
             if not 0.0 <= self.strength <= 1.0:
                 raise SourceError(f"noise strength {self.strength} outside [0, 1]")
-        if self.fss_uev < 0.0:
+        if not self.fss_uev >= 0.0:
             raise SourceError(f"fine-structure splitting {self.fss_uev} must be >= 0")
-        if self.t1_x_ns <= 0.0:
-            raise SourceError(f"exciton lifetime {self.t1_x_ns} must be positive")
+        if not 0.0 < self.t1_x_ns < math.inf:  # NaN fails it too
+            raise SourceError(f"exciton lifetime {self.t1_x_ns} must be positive and finite")
 
 
 def dephasing(strength: float) -> NoiseModel:
@@ -79,8 +80,8 @@ class SourceParams:
         for f in (self.f1, self.f2):
             if not 0.25 <= f <= 1.0:
                 raise SourceError(f"target fidelity {f} outside [0.25, 1]")
-        if self.t1_x_ns <= 0.0:
-            raise SourceError(f"exciton lifetime {self.t1_x_ns} must be positive")
+        if not 0.0 < self.t1_x_ns < math.inf:  # NaN fails it too
+            raise SourceError(f"exciton lifetime {self.t1_x_ns} must be positive and finite")
 
 
 def ideal_pair() -> DensityMatrix:
@@ -125,8 +126,9 @@ def apply_noise(rho: DensityMatrix, model: NoiseModel) -> DensityMatrix:
 def calibrate(target_fidelity: float, kind: NoiseKind, t1_x_ns: float = 0.25) -> NoiseModel:
     """Return a channel whose output pair has the requested Phi+ fidelity.
 
-    Closed forms for the dephasing and depolarizing kinds; the phase-diffusion
-    kind is solved by bisection on the splitting energy.
+    Closed forms for every kind. Phase diffusion gives f = (1 + c)/2 with
+    coherence c = 1/sqrt(1 + x^2), x = S t1/hbar, so the splitting is
+    S = hbar/t1 sqrt((1 - c)(1 + c))/c.
     """
     f = float(target_fidelity)
     if not 0.25 < f <= 1.0:
@@ -140,20 +142,8 @@ def calibrate(target_fidelity: float, kind: NoiseKind, t1_x_ns: float = 0.25) ->
     if kind is NoiseKind.FSS_PHASE_DIFFUSION:
         if f <= 0.5:
             raise SourceError(f"phase diffusion cannot reach fidelity {f} at or below 0.5")
-        if f == 1.0:
-            return fss_phase_diffusion(0.0, t1_x_ns)
-        from scipy.optimize import bisect
-
-        def gap(s_uev: float) -> float:
-            return (1.0 + fss_coherence_factor(s_uev, t1_x_ns)) / 2.0 - f
-
-        hi = 1.0
-        while gap(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e9:  # pragma: no cover
-                raise SourceError(f"no splitting reaches fidelity {f}")
-        s = bisect(gap, 0.0, hi, xtol=1e-12)
-        return fss_phase_diffusion(float(s), t1_x_ns)
+        c = 2.0 * f - 1.0
+        return fss_phase_diffusion(HBAR_UEV_NS / t1_x_ns * math.sqrt((1.0 - c) * (1.0 + c)) / c, t1_x_ns)
     raise SourceError(f"unhandled noise kind {kind}")  # pragma: no cover
 
 

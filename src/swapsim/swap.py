@@ -3,7 +3,7 @@
 Compose two emitted pairs into the four-photon state, apply the heralding
 coincidence POVM, and report the heralded two-photon state together with its
 fidelity, CHSH value and heralding probability. Gate-width prediction curves
-combine this with the temporal interference model.
+combine this with the gate response of the heralding-measurement settings.
 """
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ from typing import ClassVar
 import numpy as np
 
 from .interference import (
-    BsmConvention,
     BsmPovm,
+    BsmSettings,
     InterferenceError,
-    TemporalModel,
     bsm_povm,
     convention_bell_state,
     gate_response,
@@ -151,34 +150,30 @@ def control_no_heralding(rho4: DensityMatrix) -> DensityMatrix:
     return partial_trace(rho4, ("X1", "X2"))
 
 
-def predict(
-    params: SourceParams,
-    temporal: TemporalModel,
-    gates_ps: Sequence[float],
-    intrinsic_limit: float = 1.0,
-    convention: BsmConvention = BsmConvention.PSI_PLUS,
-) -> SwapCurve:
+def predict(params: SourceParams, bsm: BsmSettings, gates_ps: Sequence[float]) -> SwapCurve:
     """Swap outcome versus detection gate width.
 
-    For each gate the effective indistinguishability I feeds the heralding
-    POVM and the heralding probability is scaled by the surviving-coincidence
-    fraction of that gate. The heralded state is affine in I: with n0, n1 and
-    p0, p1 the unnormalised states and probabilities heralded at I = 0 and 1,
-    it is ((1 - I) n0 + I n1) / p(I), p(I) = (1 - I) p0 + I p1.
+    For each gate the effective indistinguishability I (with ``bsm``'s
+    intrinsic limit) feeds the heralding POVM of ``bsm``'s convention, and the
+    heralding probability is scaled by the surviving-coincidence fraction of
+    that gate; ``bsm``'s own gate is ignored. The heralded state is affine in
+    I: with n0, n1 and p0, p1 the unnormalised states and probabilities
+    heralded at I = 0 and 1, it is ((1 - I) n0 + I n1) / p(I),
+    p(I) = (1 - I) p0 + I p1.
     """
     gates = tuple(gates_ps)
-    i_eff, factor = gate_response(temporal, gates, intrinsic_limit)
+    i_eff, factor = gate_response(bsm, gates, bsm.intrinsic_limit)
     if not np.all((i_eff >= 0.0) & (i_eff <= 1.0)):
         raise InterferenceError(f"indistinguishability {i_eff.min()}..{i_eff.max()} outside [0, 1]")
     rho4 = compose(emit_pair(params, 1), emit_pair(params, 2))
-    ends = [herald(rho4, bsm_povm(i, convention)) for i in (0.0, 1.0)]
+    ends = [herald(rho4, bsm_povm(i, bsm.convention)) for i in (0.0, 1.0)]
     p = (1.0 - i_eff) * ends[0].herald_prob + i_eff * ends[1].herald_prob
     if np.any(p < 1e-12):
         raise SwapError(f"heralding probability {p.min():.3e} vanishes")
     w = i_eff[:, None, None]
     n0, n1 = (r.herald_prob * r.rho_ab.matrix for r in ends)
     rho = ((1.0 - w) * n0 + w * n1) / p[:, None, None]
-    target = convention_bell_state(convention).amplitudes
+    target = convention_bell_state(bsm.convention).amplitudes
     fidelity = np.clip(np.einsum("i,gij,j->g", target.conj(), rho, target).real, 0.0, 1.0)
     s_value, prob = horodecki_s(rho), p * factor
     validate_density(rho, lambda k: f"gate {gates[k]} ps")

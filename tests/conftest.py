@@ -148,19 +148,19 @@ def povm_from_mode_calculus(
     return e
 
 
-def gate_acceptance(delta_ns: float, model) -> float:
-    """Probability that a true time difference passes the jittered gate of ``model``."""
-    if math.isinf(model.gate_ps):
+def gate_acceptance(delta_ns: float, bsm) -> float:
+    """Probability that a true time difference passes the jittered gate of ``bsm``."""
+    if math.isinf(bsm.gate_ps):
         return 1.0
-    half = model.gate_ps * 1e-3 / 2.0
-    sigma = model.diff_jitter_sigma_ns
+    half = bsm.gate_ps * 1e-3 / 2.0
+    sigma = bsm.diff_jitter_sigma_ns
     if sigma == 0.0:
         return 1.0 if abs(delta_ns) <= half else 0.0
     z = sigma * math.sqrt(2.0)
     return 0.5 * (erf((half - delta_ns) / z) + erf((half + delta_ns) / z))
 
 
-def quadrature_gated_integrals(model) -> tuple[float, float]:
+def quadrature_gated_integrals(bsm) -> tuple[float, float]:
     """(numerator, denominator) of the gated coherence average by adaptive quadrature.
 
     Integrates the Laplace density exp(-|d|/t1)/(2 t1) of the detection-time
@@ -173,9 +173,9 @@ def quadrature_gated_integrals(model) -> tuple[float, float]:
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    t1, gamma = model.t1_ns, model.dephasing_rate
-    sigma = model.diff_jitter_sigma_ns
-    half = model.gate_ps * 1e-3 / 2.0
+    t1, gamma = bsm.t1_xx_ns, bsm.dephasing_rate
+    sigma = bsm.diff_jitter_sigma_ns
+    half = bsm.gate_ps * 1e-3 / 2.0
     end = 60.0 * t1
     points = {0.0}
     if not math.isinf(half):
@@ -185,7 +185,7 @@ def quadrature_gated_integrals(model) -> tuple[float, float]:
 
     def integral(rate: float) -> float:
         def integrand(d: float) -> float:
-            return math.exp(-rate * d) * gate_acceptance(d, model)
+            return math.exp(-rate * d) * gate_acceptance(d, bsm)
 
         # On segments a few sigma wide quad flags round-off in its own error
         # estimate long before it matters to the sum, which matches a 30-digit

@@ -32,7 +32,7 @@ from swapsim.interference import (
     CALIBRATED_INTRINSIC_LIMIT,
     CALIBRATED_T2_XX_NS,
     BsmConvention,
-    TemporalModel,
+    BsmSettings,
     bsm_povm,
     effective_indistinguishability,
     heralding_rate_factor,
@@ -67,8 +67,9 @@ from swapsim.tomography import (
 )
 
 PARAMS = SourceParams()  # f1 = 0.9369, f2 = 0.9267, dephasing
-TEMPORAL = TemporalModel(0.12, CALIBRATED_T2_XX_NS, 50.0)
-INTRINSIC = CALIBRATED_INTRINSIC_LIMIT
+BSM = BsmSettings(
+    t1_xx_ns=0.12, t2_xx_ns=CALIBRATED_T2_XX_NS, jitter_ps=50.0, intrinsic_limit=CALIBRATED_INTRINSIC_LIMIT
+)
 FAST_APPARATUS = ApparatusConfig(efficiency=0.8, dead_time_ns=0.0)
 
 
@@ -166,7 +167,7 @@ def test_swap_bound_for_every_noise_kind(kind, f1, f2):
 
 def test_criterion_05_chsh_values():
     ideal = herald(_noisy_rho4(), bsm_povm(1.0))
-    gated = predict(PARAMS, TEMPORAL, [47.0], intrinsic_limit=INTRINSIC)[0]
+    gated = predict(PARAMS, BSM, [47.0])[0]
     ok_max = abs(ideal.s_value - 2.47) <= 0.10
     ok_gated = gated.s_value > 2.0 + 0.2 and abs(gated.s_value - 2.28) <= 0.13
     ok = ok_max and ok_gated
@@ -293,7 +294,7 @@ def test_criterion_10_g2_pipeline():
 
 def test_criterion_11_gate_width_tradeoff():
     gates = [20.0, 47.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, math.inf]
-    results = predict(PARAMS, TEMPORAL, gates, intrinsic_limit=INTRINSIC)
+    results = predict(PARAMS, BSM, gates)
     fids = [r.fidelity for r in results]
     rates = [r.rate_factor for r in results]
     monotone_f = all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
@@ -331,7 +332,7 @@ def test_criterion_12_event_level_cross_validation():
     est = mle_reconstruct(run)
     f_mc = fidelity_pure(est, bell_state(BellKind.PSI_PLUS))
 
-    i_eff = effective_indistinguishability(TEMPORAL.with_gate(gate_ps), INTRINSIC)
+    i_eff = effective_indistinguishability(BSM.with_gate(gate_ps), BSM.intrinsic_limit)
     f_analytic = herald(_noisy_rho4(), bsm_povm(i_eff)).fidelity
 
     sigma = bootstrap_errors(run, resamples=100, rng_seed=3).fidelity_psi_plus_std

@@ -122,7 +122,7 @@ def test_one_owner_per_parameter(tmp_path, monkeypatch):
         "[bsm]\njitter_ps = 20\nt1_xx_ns = 0.15\nt2_xx_ns = 0.2\nintrinsic_limit = 0.9\n\n"
         "[apparatus]\ndead_time_ns = 0\n"
     )
-    temporal = load_config(path).bsm.temporal_model()
+    bsm = load_config(path).bsm
     received = []
     real_simulate = cli.simulate
 
@@ -134,11 +134,34 @@ def test_one_owner_per_parameter(tmp_path, monkeypatch):
     assert main(["mc-run", "--duration", "1e-5", "--config", str(path),
                  "--out-dir", str(tmp_path)]) == 0
     (apparatus,) = received
-    assert (apparatus.bsm.t1_xx_ns, apparatus.bsm.t2_xx_ns, apparatus.bsm.jitter_ps) == (
-        temporal.t1_ns, temporal.t2_ns, temporal.jitter_fwhm_ps,
-    ) == (0.15, 0.2, 20.0)
-    assert apparatus.bsm.intrinsic_limit == 0.9
+    assert apparatus.bsm == bsm
+    assert (bsm.t1_xx_ns, bsm.t2_xx_ns, bsm.jitter_ps, bsm.intrinsic_limit) == (0.15, 0.2, 20.0, 0.9)
     assert apparatus.source.t1_x_ns == 0.3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("apparatus", "rep_rate_hz"),
+        ("apparatus", "mzi_delay_ns"),
+        ("apparatus", "dead_time_ns"),
+        ("apparatus", "dark_rate_hz"),
+        ("apparatus", "background_ratio"),
+        ("apparatus", "bsm_delay_offset_ps"),
+        ("bsm", "t1_xx_ns"),
+        ("bsm", "jitter_ps"),
+        ("source", "t1_x_ns"),
+    ],
+)
+def test_cli_rejects_non_finite_physical_parameters(tmp_path, capsys, section, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    argv = ["mc-run", "--duration", "1e-5", "--config", str(path), "--out-dir", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f" {value} must be " in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_physical_validation_at_load(tmp_path):
@@ -227,7 +250,7 @@ def test_cli_json_format(tmp_path):
     assert len(payload["rows"]) == 1
 
 
-def test_cli_tomo_reconstruct(tmp_path):
+def _write_pair_counts(tmp_path) -> Path:
     from swapsim.qstate import relabel
     from swapsim.source import SourceParams, emit_pair
     from swapsim.tomography import run_to_csv, simulate_counts, standard_settings
@@ -236,12 +259,27 @@ def test_cli_tomo_reconstruct(tmp_path):
     run = simulate_counts(src, standard_settings(16), 20000, rng_seed=4)
     csv_path = tmp_path / "run.csv"
     csv_path.write_text(run_to_csv(run))
+    return csv_path
+
+
+def test_cli_tomo_reconstruct(tmp_path):
+    csv_path = _write_pair_counts(tmp_path)
     assert main(["tomo", "reconstruct", "--input", str(csv_path), "--settings", "16",
                  "--bootstrap", "100", "--out-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "tomo_reconstruct.json").read_text())
     assert payload["fidelity_phiplus"] == pytest.approx(0.9369, abs=0.02)
     assert payload["errors"]["resamples"] == 100
     assert payload["errors"]["fidelity_phiplus"] > 0
+
+
+def test_cli_tomo_takes_a_zero_bootstrap_count_literally(tmp_path, capsys):
+    # --bootstrap 0 is a count below the minimum, not "use the configured 250".
+    csv_path = _write_pair_counts(tmp_path)
+    argv = ["tomo", "reconstruct", "--input", str(csv_path), "--bootstrap", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 100 bootstrap resamples" in err
+    assert not (tmp_path / "tomo_reconstruct.json").exists()
 
 
 def test_cli_mc_run_and_g2(tmp_path):

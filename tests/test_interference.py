@@ -16,10 +16,11 @@ from conftest import (
 )
 from swapsim.interference import (
     PATTERNS,
+    CALIBRATED_INTRINSIC_LIMIT,
+    CALIBRATED_T2_XX_NS,
     BsmConvention,
     BsmSettings,
     InterferenceError,
-    TemporalModel,
     _erfcx,
     _gated_integrals,
     bsm_povm,
@@ -151,32 +152,49 @@ def test_hom_against_mode_calculus():
         assert cross == pytest.approx(coincidence(i, KET_HV), abs=1e-12)
 
 
-def test_temporal_model_validation():
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"t1_xx_ns": 0.0},
+        {"t1_xx_ns": math.nan},
+        {"t1_xx_ns": math.inf, "t2_xx_ns": 0.2},
+        {"t2_xx_ns": 0.0},
+        {"t2_xx_ns": 0.3},  # t2 > 2 t1
+        {"t2_xx_ns": math.nan},
+        {"jitter_ps": -1.0},
+        {"jitter_ps": math.nan},
+        {"jitter_ps": math.inf},
+        {"gate_ps": 0.0},
+        {"gate_ps": math.nan},
+        {"intrinsic_limit": 1.5},
+        {"intrinsic_limit": math.nan},
+    ],
+)
+def test_bsm_settings_validation(changes):
     with pytest.raises(InterferenceError):
-        TemporalModel(t1_ns=0.0, t2_ns=0.2)
+        BsmSettings(**changes)
+
+
+def test_bsm_settings_limits_and_derived_values():
+    assert BsmSettings(t2_xx_ns=0.24).dephasing_rate == 0.0  # t2 = 2 t1 is allowed
+    bsm = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.2, jitter_ps=50.0)
+    assert bsm.dephasing_rate == 1.0 / 0.2 - 1.0 / 0.24
+    assert bsm.jitter_sigma_ns == pytest.approx(0.05 / (2.0 * math.sqrt(2.0 * math.log(2.0))), rel=1e-15)
+    assert bsm.diff_jitter_sigma_ns == pytest.approx(math.sqrt(2.0) * bsm.jitter_sigma_ns, rel=1e-15)
+    assert bsm.with_gate(47.0) == BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.2, jitter_ps=50.0, gate_ps=47.0)
     with pytest.raises(InterferenceError):
-        BsmSettings(t1_xx_ns=0.0)  # the heralding measurement owns the XX lifetime
-    with pytest.raises(InterferenceError):
-        BsmSettings(intrinsic_limit=1.5)
-    with pytest.raises(InterferenceError):
-        TemporalModel(t1_ns=0.12, t2_ns=0.3)  # t2 > 2 t1
-    with pytest.raises(InterferenceError):
-        TemporalModel(t1_ns=0.12, t2_ns=0.2, gate_ps=0.0)
-    with pytest.raises(InterferenceError):
-        TemporalModel(t1_ns=0.12, t2_ns=0.2, jitter_fwhm_ps=-1.0)
-    with pytest.raises(InterferenceError):
-        effective_indistinguishability(TemporalModel(), intrinsic_limit=1.5)
+        effective_indistinguishability(bsm, 1.5)
 
 
 def test_effective_indistinguishability_limits():
     t1, t2 = 0.12, 0.17
-    model = TemporalModel(t1, t2, jitter_fwhm_ps=0.0, gate_ps=math.inf)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0)
     assert effective_indistinguishability(model, 0.9) == pytest.approx(
         0.9 * t2 / (2 * t1), rel=1e-8
     )
     tiny = model.with_gate(1e-3)
     assert effective_indistinguishability(tiny, 0.9) == pytest.approx(0.9, rel=1e-6)
-    no_dephasing = TemporalModel(t1, 2 * t1, jitter_fwhm_ps=0.0)
+    no_dephasing = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2 * t1, jitter_ps=0.0)
     for gate in (10.0, 120.0, math.inf):
         assert effective_indistinguishability(no_dephasing.with_gate(gate), 0.77) == (
             pytest.approx(0.77, rel=1e-12)
@@ -188,7 +206,7 @@ def test_effective_indistinguishability_gate_equal_lifetime():
     t1, t2 = 0.12, 0.17
     gamma = 1 / t2 - 1 / (2 * t1)
     g = t1  # ns
-    model = TemporalModel(t1, t2, jitter_fwhm_ps=0.0, gate_ps=g * 1e3)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0, gate_ps=g * 1e3)
     a = 1 / t1 + 2 * gamma
     num = (1 - math.exp(-a * g / 2)) / (a * t1)
     den = 1 - math.exp(-g / (2 * t1))
@@ -197,7 +215,7 @@ def test_effective_indistinguishability_gate_equal_lifetime():
 
 
 def test_effective_indistinguishability_monotone():
-    base = TemporalModel(0.12, 0.15, jitter_fwhm_ps=50.0)
+    base = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.15, jitter_ps=50.0)
     gates = [20.0, 47.0, 100.0, 200.0, 500.0, 2000.0, math.inf]
     values = [
         effective_indistinguishability(base.with_gate(g), 0.94) for g in gates
@@ -209,7 +227,7 @@ def test_effective_indistinguishability_monotone():
     for gate in (47.0, 500.0):
         vals_t2 = [
             effective_indistinguishability(
-                TemporalModel(0.12, t2, 50.0, gate), 0.94
+                BsmSettings(t1_xx_ns=0.12, t2_xx_ns=t2, jitter_ps=50.0, gate_ps=gate), 0.94
             )
             for t2 in (0.05, 0.1, 0.15, 0.2, 0.24)
         ]
@@ -217,7 +235,7 @@ def test_effective_indistinguishability_monotone():
 
 
 def test_rate_factor_limits():
-    model = TemporalModel(0.12, 0.2, 50.0, math.inf)
+    model = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.2, jitter_ps=50.0)
     assert heralding_rate_factor(model) == 1.0
     assert heralding_rate_factor(model.with_gate(1e-3)) < 1e-4
     # jitter spreads the acceptance: with a wide-open gate, still 1
@@ -227,11 +245,11 @@ def test_rate_factor_limits():
 def test_gated_integrals_resolve_a_sharp_gate_edge():
     # 5 ps jitter against a 1 ns lifetime: the gate edge is a few ps wide, so
     # an adaptive rule over long segments can step over it.
-    model = TemporalModel(1.0, 0.3, 5.0, 1000.0)
+    model = BsmSettings(t1_xx_ns=1.0, t2_xx_ns=0.3, jitter_ps=5.0, gate_ps=1000.0)
     assert abs(heralding_rate_factor(model) - (1.0 - math.exp(-0.5))) < 1e-5
     gated = model.with_gate(47.0)
     num, den = quadrature_gated_integrals(gated)
-    assert effective_indistinguishability(gated) == pytest.approx(num / den, rel=1e-9)
+    assert effective_indistinguishability(gated, 1.0) == pytest.approx(num / den, rel=1e-9)
 
 
 LIFETIMES = st.floats(0.05, 2.0)
@@ -243,7 +261,7 @@ GATES = st.one_of(st.just(math.inf), st.floats(-3.0, 5.0).map(lambda e: 10.0**e)
 @settings(max_examples=300)
 @given(LIFETIMES, T2_FRACTIONS, JITTERS, GATES)
 def test_gated_integrals_match_quadrature(t1, t2_fraction, jitter, gate):
-    model = TemporalModel(t1, 2.0 * t1 * t2_fraction, jitter, gate)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2.0 * t1 * t2_fraction, jitter_ps=jitter, gate_ps=gate)
     num, den = _gated_integrals(model, np.array([gate]))
     oracle_num, oracle_den = quadrature_gated_integrals(model)
     assert num[0] == pytest.approx(oracle_num, rel=1e-9)
@@ -253,7 +271,7 @@ def test_gated_integrals_match_quadrature(t1, t2_fraction, jitter, gate):
 @settings(max_examples=200)
 @given(LIFETIMES, T2_FRACTIONS, JITTERS.filter(lambda j: j > 0.0), st.floats(0.0, 1.0))
 def test_gate_response_monotone_across_branch_switches(t1, t2_fraction, jitter, intrinsic):
-    model = TemporalModel(t1, 2.0 * t1 * t2_fraction, jitter)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2.0 * t1 * t2_fraction, jitter_ps=jitter)
     # The closed form hands over to the quadrature rule at a = h/z = 4 and
     # switches erfcx branch at b = a, that is h = kappa z^2 / 2.
     z = math.sqrt(2.0) * model.diff_jitter_sigma_ns
@@ -286,7 +304,7 @@ def test_erfcx_matches_scipy():
 @pytest.mark.parametrize("jitter", [0.0, 1e-3, 300.0])
 @pytest.mark.parametrize("t1, t2", [(0.12, 0.14545), (0.05, 1e-4), (2.0, 4.0), (2.0, 2.0)])
 def test_gate_response_is_warning_free_at_extreme_gates(jitter, t1, t2):
-    model = TemporalModel(t1, t2, jitter)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=jitter)
     gates = np.concatenate([np.geomspace(1e-3, 1e300, 604), [math.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -296,10 +314,21 @@ def test_gate_response_is_warning_free_at_extreme_gates(jitter, t1, t2):
 
 
 def test_calibrate_temporal_round_trip():
-    model, intrinsic = calibrate_temporal(0.569, 0.8314, 47.0, t1_ns=0.12, jitter_fwhm_ps=50.0)
-    assert 0 < intrinsic <= 1
-    assert effective_indistinguishability(model, intrinsic) == pytest.approx(0.569, abs=1e-9)
-    gated = model.with_gate(47.0)
-    assert effective_indistinguishability(gated, intrinsic) == pytest.approx(0.8314, abs=1e-9)
+    bsm = calibrate_temporal(0.569, 0.8314, 47.0)
+    # Lifetime, jitter, gate and convention come from the default settings.
+    assert bsm == BsmSettings(t2_xx_ns=bsm.t2_xx_ns, intrinsic_limit=bsm.intrinsic_limit)
+    # The calibrated [bsm] defaults are this solution to their six printed digits.
+    assert (round(bsm.t2_xx_ns, 6), round(bsm.intrinsic_limit, 6)) == (
+        CALIBRATED_T2_XX_NS, CALIBRATED_INTRINSIC_LIMIT,
+    )
+    assert effective_indistinguishability(bsm, bsm.intrinsic_limit) == pytest.approx(0.569, abs=1e-9)
+    gated = bsm.with_gate(47.0)
+    assert effective_indistinguishability(gated, bsm.intrinsic_limit) == pytest.approx(0.8314, abs=1e-9)
+    psi_minus = BsmSettings(BsmConvention.PSI_MINUS, t1_xx_ns=0.2, jitter_ps=20.0, t2_xx_ns=0.3)
+    other = calibrate_temporal(0.569, 0.8314, 47.0, psi_minus)
+    assert (other.convention, other.t1_xx_ns, other.jitter_ps) == (BsmConvention.PSI_MINUS, 0.2, 20.0)
+    assert effective_indistinguishability(other.with_gate(47.0), other.intrinsic_limit) == pytest.approx(
+        0.8314, abs=1e-9
+    )
     with pytest.raises(InterferenceError):
         calibrate_temporal(0.8, 0.5, 47.0)

@@ -315,12 +315,7 @@ def test_fourfold_scan_shape_and_fit():
 
 def test_gate_sweep_matches_quadrature_model():
     # event-level gating reproduces the analytic indistinguishability curve
-    from swapsim.interference import (
-        CALIBRATED_INTRINSIC_LIMIT,
-        CALIBRATED_T2_XX_NS,
-        TemporalModel,
-        effective_indistinguishability,
-    )
+    from swapsim.interference import effective_indistinguishability
 
     base = ApparatusConfig(**FAST)
     counts = {}
@@ -328,7 +323,7 @@ def test_gate_sweep_matches_quadrature_model():
         cfg = replace(base, alice_setting=a, bob_setting=b)
         stream = simulate(cfg, _periods(cfg, 4_000_000), seed=700 + j)
         counts[(a, b)] = {g: fourfold_coincidences(stream, g) for g in (2000.0, 200.0, 47.0)}
-    model = TemporalModel(0.12, CALIBRATED_T2_XX_NS, 50.0)
+    bsm = base.bsm
     c1c2 = (2 * 0.9369 - 1) * (2 * 0.9267 - 1)
     prev_total = math.inf
     for gate in (2000.0, 200.0, 47.0):
@@ -338,7 +333,7 @@ def test_gate_sweep_matches_quadrature_model():
         prev_total = total
         u_mc = (dd - da) / total
         u_model = (
-            effective_indistinguishability(model.with_gate(gate), CALIBRATED_INTRINSIC_LIMIT)
+            effective_indistinguishability(bsm.with_gate(gate), bsm.intrinsic_limit)
             * c1c2
         )
         assert abs(u_mc - u_model) < 4.0 / math.sqrt(total)

@@ -1,7 +1,8 @@
 """Start-up guard: importing swapsim, and the commands that never need scipy, load none of it.
 
-Only the two calibrations and the double-exponential fit import scipy; the
-gate response behind `swap-predict` and `report` uses numpy alone. The check
+Only `calibrate_temporal` and the double-exponential fit import scipy; the
+gate response behind `swap-predict` and `report` uses numpy alone, and so does
+the source calibration, under every noise kind. The check
 runs in a fresh interpreter because this test session has already imported
 scipy (tests/conftest.py uses it as an oracle).
 """
@@ -38,6 +39,8 @@ rho = qstate.DensityMatrix(
 )
 run = tomography.simulate_counts(rho, tomography.standard_settings(16), 2000, rng_seed=1)
 (out / "counts.csv").write_text(tomography.run_to_csv(run))
+(out / "fss.ini").write_text("[source]\nmodel = fss\n")
+fss = ["--config", str(out / "fss.ini")]
 commands = {
     "tomo": ["tomo", "reconstruct", "--input", str(out / "counts.csv"), "--bootstrap", "100"],
     "mc-run": ["mc-run", "--duration", "1e-4"],
@@ -45,6 +48,8 @@ commands = {
     "hom": ["hom", "--duration", "1e-4"],
     "report": ["report"],
     "swap-predict": ["swap-predict", "--gates", "10:500:10"],
+    "report fss": ["report", *fss],
+    "swap-predict fss": ["swap-predict", "--gates", "10:500:10", *fss],
 }
 for name, argv in commands.items():
     code = cli.main([*argv, "--out-dir", str(out)])

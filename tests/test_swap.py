@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from swapsim.interference import (
     BsmConvention,
+    BsmSettings,
     InterferenceError,
-    TemporalModel,
     bsm_povm,
     effective_indistinguishability,
     gate_response,
@@ -161,9 +161,8 @@ def test_control_no_heralding():
 
 def test_predict_monotone_and_plateau():
     params = SourceParams()
-    temporal = TemporalModel(0.12, 0.145450, 50.0)
     gates = [20.0, 47.0, 100.0, 200.0, 500.0, 2000.0, math.inf]
-    results = predict(params, temporal, gates, intrinsic_limit=0.938878)
+    results = predict(params, BsmSettings(), gates)
     fids = [r.fidelity for r in results]
     assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
     rates = [r.rate_factor for r in results]
@@ -177,8 +176,7 @@ def test_predict_monotone_and_plateau():
 
 def test_predict_depolarizing_is_distinct():
     params = SourceParams(model=NoiseKind.DEPOLARIZING)
-    temporal = TemporalModel(0.12, 0.145450, 50.0)
-    res = predict(params, temporal, [math.inf], intrinsic_limit=0.938878)[0]
+    res = predict(params, BsmSettings(), [math.inf])[0]
     assert res.fidelity == pytest.approx(0.6917, abs=2e-3)
 
 
@@ -186,32 +184,31 @@ def test_predict_fss_matches_dephasing_values():
     # the phase-diffusion channel is calibrated to the same pair fidelities,
     # so the heralded numbers coincide with the dephasing route
     params = SourceParams(model=NoiseKind.FSS_PHASE_DIFFUSION, t1_x_ns=0.25)
-    temporal = TemporalModel(0.12, 0.145450, 50.0)
-    res = predict(params, temporal, [math.inf], intrinsic_limit=0.938878)[0]
+    res = predict(params, BsmSettings(), [math.inf])[0]
     assert res.fidelity == pytest.approx(0.7122, abs=1e-3)
     assert abs(res.herald_prob - 0.125) < 1e-14
 
 
 def test_predict_gate_validation():
-    params, temporal = SourceParams(), TemporalModel(0.12, 0.145450, 50.0)
+    params, bsm = SourceParams(), BsmSettings()
     for gates in ([0.0], [float("nan")], [47.0, -5.0]):
         with pytest.raises(InterferenceError):
-            predict(params, temporal, gates)
-    assert len(predict(params, temporal, [])) == 0
+            predict(params, bsm, gates)
+    assert len(predict(params, bsm, [])) == 0
 
 
 def test_predict_range_error_names_the_gate(monkeypatch):
-    params, temporal = SourceParams(), TemporalModel(0.12, 0.145450, 50.0)
+    params, bsm = SourceParams(), BsmSettings()
     gates = [20.0, 47.0, 100.0]
 
-    def inflated_rate(model, gates_ps, intrinsic_limit=1.0):
-        i_eff, factor = gate_response(model, gates_ps, intrinsic_limit)
+    def inflated_rate(bsm, gates_ps, intrinsic_limit):
+        i_eff, factor = gate_response(bsm, gates_ps, intrinsic_limit)
         factor[1] = 5.0  # heralding probability 0.125 * 5 > 1/2
         return i_eff, factor
 
     monkeypatch.setattr(swap, "gate_response", inflated_rate)
     with pytest.raises(SwapError, match=r"^gate 47.0 ps: heralding probability 0.62\d* outside \[0, 1/2\]"):
-        predict(params, temporal, gates)
+        predict(params, bsm, gates)
 
 
 @settings(max_examples=80)
@@ -228,14 +225,14 @@ def test_predict_range_error_names_the_gate(monkeypatch):
 def test_predict_equals_per_gate_herald(kind, f1, f2, convention, intrinsic, t2_fraction, jitter, gates):
     # t2_fraction = 1 removes dephasing, so I equals the drawn intrinsic limit.
     params = SourceParams(f1, f2, kind)
-    temporal = TemporalModel(0.12, 0.24 * t2_fraction, jitter)
-    results = predict(params, temporal, gates, intrinsic, convention)
+    bsm = BsmSettings(convention, t2_xx_ns=0.24 * t2_fraction, jitter_ps=jitter, intrinsic_limit=intrinsic)
+    results = predict(params, bsm, gates)
     rho4 = compose(emit_pair(params, 1), emit_pair(params, 2))
     for i in (0.0, 1.0):
         assert abs(herald(rho4, bsm_povm(i, convention)).herald_prob - 0.125) < 1e-14
     assert [r.gate_ps for r in results] == gates
     for r in results:
-        gated = temporal.with_gate(r.gate_ps)
+        gated = bsm.with_gate(r.gate_ps)
         assert r.i_eff == pytest.approx(effective_indistinguishability(gated, intrinsic), rel=1e-15)
         ref = herald(rho4, bsm_povm(r.i_eff, convention))
         assert np.max(np.abs(r.rho_ab.matrix - ref.rho_ab.matrix)) < 1e-12
