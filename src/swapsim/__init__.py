@@ -70,6 +70,7 @@ from .tomography import (
 from .mc import (
     ApparatusConfig,
     McError,
+    Run,
     TimestampStream,
     fit_double_exponential,
     fourfold_coincidences,

@@ -25,11 +25,11 @@ from .config import ConfigError, RunConfig, default_config, load_config
 from .interference import InterferenceError, bsm_povm
 from .mc import (
     McError,
+    Run,
     fit_double_exponential,
     fourfold_coincidences,
     g2_histogram,
     hom_histogram,
-    simulate,
     simulate_runs,
     write_stream,
 )
@@ -159,11 +159,10 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 
 
 def _cmd_mc_run(args, config: RunConfig) -> int:
-    stream = simulate(config.apparatus, args.duration, config.output.seed)
     out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_stream(stream, out)
-    print(f"wrote {out} ({stream.counts()})")
+    counts = write_stream(Run(config.apparatus, config.output.seed, args.duration), out)
+    print(f"wrote {out} ({counts})")
     return 0
 
 
@@ -171,8 +170,7 @@ def _cmd_g2(args, config: RunConfig) -> int:
     line = args.line
     apparatus = dataclasses.replace(config.apparatus, topology=f"hbt_{line}")
     seed = config.output.seed
-    stream = simulate(apparatus, args.duration, seed)
-    result = g2_histogram(stream, bin_ps=args.bin_ps)
+    result = g2_histogram(Run(apparatus, seed, args.duration), bin_ps=args.bin_ps)
     prov = _provenance(config, seed)
     prov["g2_zero"] = result.g2_zero
     rows = [list(row) for row in zip(result.bin_centers_ps.tolist(), result.counts.tolist())]
@@ -186,8 +184,9 @@ def _cmd_hom(args, config: RunConfig) -> int:
     seed = config.output.seed
     base = dataclasses.replace(config.apparatus, topology="hom")
     variants = [{"hom_copolarized": True}, {"hom_copolarized": False}]
-    streams = simulate_runs(base, args.duration, variants, seed, lambda stream: stream)
-    result = hom_histogram(tuple(streams), bin_ps=args.bin_ps)
+    # Each run is generated as hom_histogram reads it, one after the other.
+    runs = simulate_runs(base, args.duration, variants, seed, lambda run: run)
+    result = hom_histogram(tuple(runs), bin_ps=args.bin_ps)
     prov = _provenance(config, seed)
     prov["visibility"] = result.visibility
     fmt = args.format or config.output.format

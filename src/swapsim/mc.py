@@ -15,11 +15,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -157,6 +160,10 @@ class TimestampStream:
 
     def counts(self) -> dict[str, int]:
         return {name: int(arr.size) for name, arr in self.channels.items()}
+
+    def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+        """The stream as one segment, its boundary above every event."""
+        yield 1 + max((int(t[-1]) for t in self.channels.values() if t.size), default=-1), self.channels
 
 
 def _signal_flux_per_pulse(config: ApparatusConfig) -> dict[str, float]:
@@ -508,95 +515,160 @@ def _period_count(duration_s: float, rep_rate_hz: float) -> int:
     return n - 1 if n / rep_rate_hz > duration_s else n
 
 
-def _merge_chunks(chunks: list[dict[str, np.ndarray]], end: int, dead_ps: int) -> dict[str, np.ndarray]:
-    """Each channel's sorted chunk parts joined, sorted, cut to [0, end) ps
-    and dead-time filtered, one channel at a time. A channel's parts leave
-    ``chunks`` as they are joined, and a single part is taken without a copy."""
-    merged = {}
-    for name in list(chunks[0]):
-        times = chunks[0].pop(name) if len(chunks) == 1 else np.concatenate([c.pop(name) for c in chunks])
-        times.sort(kind="stable")  # the parts arrive sorted, so a stable (merge) sort is near-linear
-        lo, hi = np.searchsorted(times, (0, end))
-        merged[name] = _dead_time_filter(times[lo:hi], dead_ps)
-        del times
-    return merged
+def _in_order(run_chunk: Callable[[int], dict], n_chunks: int) -> Iterator[dict]:
+    """``run_chunk(0)``, ``run_chunk(1)``, ... in order, on ``worker_count()``
+    threads when there are several chunks. At most that many chunks are
+    alive at once, counting the one last yielded, and the pool is shut down
+    when the consumer stops early."""
+    workers = min(worker_count(), n_chunks)
+    if workers <= 1:
+        yield from map(run_chunk, range(n_chunks))
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures: deque = deque()
+        for ci in range(n_chunks):
+            while len(futures) < workers and ci + len(futures) < n_chunks:
+                futures.append(pool.submit(run_chunk, ci + len(futures)))
+            yield futures.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@dataclass(frozen=True)
+class Run:
+    """One Monte Carlo run, generated each time its ``segments`` are read.
+
+    Segment k is a boundary b_k and, per channel, the final events below it
+    and at or above b_(k-1): cut to the run's [0, end) ps and dead-time
+    filtered. Joined, the segments are the ``simulate`` stream.
+    """
+
+    config: ApparatusConfig
+    seed: int
+    duration_s: float
+
+    def __post_init__(self):
+        if not 0 < self.duration_s < math.inf:
+            raise McError(f"duration must be positive and finite, got {self.duration_s}")
+
+    def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+        config = self.config
+        n_periods = _period_count(self.duration_s, config.rep_rate_hz)
+        channels = config.channels()
+        efficiency = config.efficiency
+        if not isinstance(efficiency, Mapping):
+            efficiency = dict.fromkeys(channels, efficiency)
+        elif missing := sorted(set(channels) - set(efficiency)):
+            raise McError(f"efficiency mapping has no value for the {config.topology} detectors {missing}")
+        sigma_ns = config.bsm.jitter_sigma_ns
+        flux = _signal_flux_per_pulse(config)
+
+        tables: dict = {}
+        if config.topology == "swap":
+            tables = _swap_tables(config)
+        elif config.topology == "hom":
+            tables = _hom_tables(config)
+
+        n_chunks = -(-n_periods // _CHUNK_PERIODS)
+        children = np.random.SeedSequence(self.seed).spawn(n_chunks)
+
+        def run_chunk(ci: int) -> dict[str, np.ndarray]:
+            start = ci * _CHUNK_PERIODS
+            n = min(_CHUNK_PERIODS, n_periods - start)
+            rng = np.random.default_rng(children[ci])
+            if config.topology == "swap":
+                raw = _chunk_swap(config, tables, start, n, rng)
+            elif config.topology == "hom":
+                raw = _chunk_hom(config, tables, start, n, rng)
+            else:
+                raw = _chunk_hbt(config, start, n, rng)
+            out = {}
+            span = (start * config.period_ns, (start + n) * config.period_ns)
+            for name in channels:
+                times = raw[name]
+                eta = float(efficiency[name])
+                if eta < 1.0:
+                    times = np.compress(rng.random(times.size) < eta, times)
+                if config.background_ratio > 0.0:
+                    per_pulse = config.background_ratio * flux[name] * eta
+                    n_bg = rng.poisson(per_pulse * 2 * n)
+                    pulse = rng.integers(0, 2 * n, n_bg)
+                    bg = span[0] + (pulse // 2) * config.period_ns + (pulse % 2) * config.mzi_delay_ns
+                    bg += rng.random(n_bg) * _BACKGROUND_WINDOW_NS
+                    times = np.concatenate([times, bg])
+                if sigma_ns > 0.0 and times.size:
+                    times += rng.normal(0.0, sigma_ns, times.size)
+                if config.dark_rate_hz > 0.0:
+                    n_dark = rng.poisson(config.dark_rate_hz * (span[1] - span[0]) * 1e-9)
+                    dark = span[0] + rng.random(n_dark) * (span[1] - span[0])
+                    times = np.concatenate([times, dark])
+                # Whole ps from here on: rounded half to even, in place (the cast
+                # reads each element before it writes that element's int64).
+                times *= 1000.0
+                np.rint(times, out=times)
+                ps = times.view(np.int64)
+                ps[...] = times
+                ps.sort()
+                out[name] = ps
+            return out
+
+        end = math.ceil(n_periods * config.period_ns * 1000.0)  # whole ps before the last period's end
+        dead_ps = math.ceil(config.dead_time_ns * 1000.0)
+        pending = dict.fromkeys(channels, np.empty(0, dtype=np.int64))  # sorted, at or above the last boundary
+        last: dict[str, int] = {}  # each channel's last kept time
+
+        def release(bound: int) -> dict[str, np.ndarray]:
+            # The first event at least the dead time after the last kept one
+            # is kept, and the filter restarts there: t - last >= dead_ps is
+            # t >= last + dead_ps in whole ps.
+            segment = {}
+            for name in channels:
+                times = pending[name]
+                cut = np.searchsorted(times, bound)
+                pending[name] = times[cut:].copy()  # usually empty; no view keeps the chunk alive
+                lo, hi = np.searchsorted(times[:cut], (last[name] + dead_ps if name in last else 0, end))
+                segment[name] = kept = _dead_time_filter(times[lo:hi], dead_ps)
+                if kept.size:
+                    last[name] = int(kept[-1])
+            return segment
+
+        released = None
+        with closing(_in_order(run_chunk, n_chunks)) as chunks:
+            for ci, chunk in enumerate(chunks):
+                # Every later chunk starts at or after this one's first event
+                # (checked as it arrives), so the pending events below it are final.
+                bound = min((int(t[0]) for t in chunk.values() if t.size), default=None)
+                segment = None
+                if bound is not None:
+                    if released is not None and bound < released:
+                        raise McError(f"chunk {ci} has an event at {bound} ps, below the released boundary {released}")
+                    released = min(bound, end)
+                    segment = release(released) if ci else None
+                for name, times in chunk.items():
+                    if pending[name].size:  # events of earlier chunks at or after this one's first
+                        times = np.concatenate([pending[name], times])
+                        times.sort(kind="stable")
+                    pending[name] = times
+                del chunk
+                if segment is not None:
+                    yield released, segment
+                    del segment
+        yield end, release(end)
 
 
 def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> TimestampStream:
-    """Generate detector timestamp streams for the configured topology."""
-    if not 0 < duration_s < math.inf:
-        raise McError(f"duration must be positive and finite, got {duration_s}")
-    n_periods = _period_count(duration_s, config.rep_rate_hz)
-    channels = config.channels()
-    efficiency = config.efficiency
-    if not isinstance(efficiency, Mapping):
-        efficiency = dict.fromkeys(channels, efficiency)
-    elif missing := sorted(set(channels) - set(efficiency)):
-        raise McError(f"efficiency mapping has no value for the {config.topology} detectors {missing}")
-    sigma_ns = config.bsm.jitter_sigma_ns
-    flux = _signal_flux_per_pulse(config)
-
-    tables: dict = {}
-    if config.topology == "swap":
-        tables = _swap_tables(config)
-    elif config.topology == "hom":
-        tables = _hom_tables(config)
-
-    n_chunks = max(1, -(-n_periods // _CHUNK_PERIODS))
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def run_chunk(ci: int) -> dict[str, np.ndarray]:
-        start = ci * _CHUNK_PERIODS
-        n = min(_CHUNK_PERIODS, n_periods - start)
-        rng = np.random.default_rng(children[ci])
-        if config.topology == "swap":
-            raw = _chunk_swap(config, tables, start, n, rng)
-        elif config.topology == "hom":
-            raw = _chunk_hom(config, tables, start, n, rng)
-        else:
-            raw = _chunk_hbt(config, start, n, rng)
-        out = {}
-        span = (start * config.period_ns, (start + n) * config.period_ns)
-        for name in channels:
-            times = raw[name]
-            eta = float(efficiency[name])
-            if eta < 1.0:
-                times = np.compress(rng.random(times.size) < eta, times)
-            if config.background_ratio > 0.0:
-                per_pulse = config.background_ratio * flux[name] * eta
-                n_bg = rng.poisson(per_pulse * 2 * n)
-                pulse = rng.integers(0, 2 * n, n_bg)
-                bg = span[0] + (pulse // 2) * config.period_ns + (pulse % 2) * config.mzi_delay_ns
-                bg += rng.random(n_bg) * _BACKGROUND_WINDOW_NS
-                times = np.concatenate([times, bg])
-            if sigma_ns > 0.0 and times.size:
-                times += rng.normal(0.0, sigma_ns, times.size)
-            if config.dark_rate_hz > 0.0:
-                n_dark = rng.poisson(config.dark_rate_hz * (span[1] - span[0]) * 1e-9)
-                dark = span[0] + rng.random(n_dark) * (span[1] - span[0])
-                times = np.concatenate([times, dark])
-            # Whole ps from here on: rounded half to even, in place (the cast
-            # reads each element before it writes that element's int64).
-            times *= 1000.0
-            np.rint(times, out=times)
-            ps = times.view(np.int64)
-            ps[...] = times
-            ps.sort()
-            out[name] = ps
-        return out
-
-    if n_periods == 0:
-        merged = {name: np.empty(0, dtype=np.int64) for name in channels}
-    else:
-        workers = min(worker_count(), n_chunks)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunk_results = list(pool.map(run_chunk, range(n_chunks)))
-        else:
-            chunk_results = [run_chunk(ci) for ci in range(n_chunks)]
-        end = math.ceil(n_periods * config.period_ns * 1000.0)  # whole ps before the last period's end
-        merged = _merge_chunks(chunk_results, end, math.ceil(config.dead_time_ns * 1000.0))
-    return TimestampStream(merged, config, int(seed), float(duration_s))
+    """Detector timestamp streams for the configured topology: the segments
+    of ``Run(config, seed, duration_s)`` joined, a single one without a copy."""
+    parts: dict[str, list] = {name: [] for name in config.channels()}
+    for _, channels in Run(config, int(seed), float(duration_s)).segments():
+        for name, times in channels.items():
+            parts[name].append(times)
+    joined = {}
+    for name in list(parts):  # a channel's parts are freed once it is joined
+        p = parts.pop(name)
+        joined[name] = p[0] if len(p) == 1 else np.concatenate(p)
+    return TimestampStream(joined, config, int(seed), float(duration_s))
 
 
 def simulate_runs(
@@ -604,38 +676,54 @@ def simulate_runs(
     duration_s: float,
     variants: Sequence[Mapping[str, object]],
     seed: int,
-    analysis: Callable[[TimestampStream], object],
+    analysis: Callable[[Run], object],
 ) -> list:
-    """``analysis`` of one ``simulate`` run per variant, in order.
+    """``analysis`` of one ``Run`` per variant, in order.
 
     A variant maps ``ApparatusConfig`` fields to their values for its run.
-    Run i is seeded with ``SeedSequence(seed).generate_state(len(variants))[i]``,
-    and each stream is dropped once its analysis returns.
+    Run i is seeded with ``SeedSequence(seed).generate_state(len(variants))[i]``.
+    A run is generated as its analysis reads its segments, so none is held whole.
     """
     seeds = np.random.SeedSequence(seed).generate_state(len(variants))
-    return [analysis(simulate(replace(base, **variant), duration_s, int(s))) for variant, s in zip(variants, seeds)]
+    return [analysis(Run(replace(base, **variant), int(s), duration_s)) for variant, s in zip(variants, seeds)]
 
 
-def write_stream(stream: TimestampStream, path: str | os.PathLike) -> None:
-    """Binary record stream {u8 channel, u64 time in ps} plus a JSON sidecar."""
+def write_stream(stream: TimestampStream | Run, path: str | os.PathLike) -> dict[str, int]:
+    """Binary record stream {u8 channel, u64 time in ps} plus a JSON sidecar;
+    returns the events per channel.
+
+    Records are in time order, channels in name order at equal times. Every
+    event of a segment comes before every event of the next, so each segment
+    is sorted and written on its own. The file appears once it is complete.
+    """
     path = Path(path)
-    names = sorted(stream.channels)
-    ids = {name: i for i, name in enumerate(names)}
-    times = [stream.channels[name] for name in names]
-    records = np.empty(sum(t.size for t in times), dtype=RECORD_DTYPE)
-    records["channel"] = np.repeat(np.arange(len(names)), [t.size for t in times])
-    records["time_ps"] = np.concatenate([np.empty(0, dtype=np.int64), *times])
-    records = records[np.argsort(records["time_ps"], kind="stable")]
-    records.tofile(path)
+    counts: dict[str, int] = {}
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".swapsim-")
+    try:
+        with os.fdopen(fd, "wb") as handle, closing(stream.segments()) as segments:
+            for _, channels in segments:
+                names = sorted(channels)
+                times = [channels[name] for name in names]
+                records = np.empty(sum(t.size for t in times), dtype=RECORD_DTYPE)
+                records["channel"] = np.repeat(np.arange(len(names)), [t.size for t in times])
+                records["time_ps"] = np.concatenate([np.empty(0, dtype=np.int64), *times])
+                records[np.argsort(records["time_ps"], kind="stable")].tofile(handle)
+                for name, t in channels.items():
+                    counts[name] = counts.get(name, 0) + int(t.size)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     sidecar = {
         "config": to_dict(stream.config),
-        "config_hash": stream.config_hash,
+        "config_hash": config_hash(stream.config),
         "seed": stream.seed,
         "duration_s": stream.duration_s,
-        "channels": ids,
-        "records": int(records.size),
+        "channels": {name: i for i, name in enumerate(sorted(counts))},
+        "records": sum(counts.values()),
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    return counts
 
 
 def read_stream(path: str | os.PathLike) -> TimestampStream:
@@ -711,16 +799,54 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
             yield np.repeat(block[a0 : a1 + 1], n), tb[bi]
 
 
+def _windows(stream: TimestampStream | Run, names: Sequence[str], span_ps: float, totals: dict | None = None):
+    """Yield the sorted events of the ``names`` channels of ``stream`` window by
+    window: every event of the first channel (the anchors) in exactly one
+    window, and of each other channel at least the events within ``span_ps``
+    of the window's anchors. ``totals`` gains each channel's event count.
+
+    An anchor waits for the segment that releases its whole reach. The
+    waiting anchors and the new ones that reach back across the boundary form
+    one small window over copies of the nearby partner events; the rest of a
+    segment's anchors form one window over its partner events as views.
+    """
+    span = math.ceil(span_ps)
+    empty = np.empty(0, dtype=np.int64)
+    waiting, near, edge = empty, [empty] * (len(names) - 1), None
+    with closing(stream.segments()) as segments:
+        for bound, channels in segments:
+            if missing := [name for name in names if name not in channels]:
+                raise McError(f"stream has no channel {missing[0]!r}")
+            ta, *tbs = (channels[name] for name in names)
+            if totals is not None:
+                for name in names:
+                    totals[name] = totals.get(name, 0) + channels[name].size
+            c, done = (np.searchsorted(t, bound - span, side="right") for t in (waiting, ta))
+            split = 0 if edge is None else min(done, np.searchsorted(ta, edge + span))
+            head = np.concatenate([waiting[:c], ta[:split]])
+            if head.size:
+                reach = head[-1] + span
+                yield head, *(np.concatenate([n, b[: np.searchsorted(b, reach, "right")]]) for n, b in zip(near, tbs))
+            if done > split:
+                yield ta[split:done], *tbs
+            waiting = np.concatenate([waiting[c:], ta[done:]])
+            keep = (waiting[0] if waiting.size else bound) - span  # no later anchor reaches below it
+            near = [np.concatenate([x[np.searchsorted(x, keep) :] for x in pair]) for pair in zip(near, tbs)]
+            edge = bound
+            del channels, ta, tbs
+    if waiting.size:
+        yield waiting, *near
+
+
 def _coincidences(
-    ta: np.ndarray,
-    tb: np.ndarray,
+    windows,
     span_ps: float,
     offsets_ps: Sequence[float],
     half_ps: float,
     bin_ps: float | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, list[int]]:
     """Streamed coincidence counts of the pair deltas d = b - a with
-    -span_ps <= d < span_ps.
+    -span_ps <= d < span_ps, over the (ta, tb) ``windows`` of ``_windows``.
 
     Returns the bin centers and counts of the delta histogram over [-span,
     span], in an odd number of bins about ``bin_ps`` wide (None without
@@ -754,12 +880,13 @@ def _coincidences(
     rank = _ranker(distinct, 2 * distinct.size)
     segments = np.zeros(distinct.size + 1, dtype=np.int64)
     del distinct  # the ranker holds its own copy
-    for a, deltas in _pair_chunks(ta, tb, math.ceil(-span_ps), math.ceil(span_ps)):
-        # b - a in place, freeing a before the temporaries below: holding both
-        # arrays through the chunk slowed a 10M-pair g2 pass by 5-7 %.
-        deltas -= a
-        del a
-        segments += np.bincount(rank(deltas), minlength=segments.size)
+    for ta, tb in windows:
+        for a, deltas in _pair_chunks(ta, tb, math.ceil(-span_ps), math.ceil(span_ps)):
+            # b - a in place, freeing a before the temporaries below: holding both
+            # arrays through the chunk slowed a 10M-pair g2 pass by 5-7 %.
+            deltas -= a
+            del a
+            segments += np.bincount(rank(deltas), minlength=segments.size)
     del rank
     # The deltas under each bin and window edge.
     below = np.cumsum(segments, out=segments)[where]
@@ -778,22 +905,26 @@ class G2Result:
     side_counts: tuple[int, ...]
 
 
-def g2_histogram(stream: TimestampStream, bin_ps: float = 100.0) -> G2Result:
+def _d1_d2_coincidences(stream: TimestampStream | Run, span_ps: float, offsets_ps, half_ps, bin_ps):
+    """``_coincidences`` of the d1-d2 pairs of ``stream``, which needs events on both."""
+    totals: dict[str, int] = {}
+    with closing(_windows(stream, ("d1", "d2"), span_ps, totals)) as windows:
+        result = _coincidences(windows, span_ps, offsets_ps, half_ps, bin_ps)
+    if not (totals["d1"] and totals["d2"]):
+        raise McError("empty stream")
+    return result
+
+
+def g2_histogram(stream: TimestampStream | Run, bin_ps: float = 100.0) -> G2Result:
     """Pulsed d1-d2 cross-correlation histogram and the zero-delay peak ratio.
 
     g2_zero is the central-peak area divided by the mean area of the five
     peaks on either side, at multiples of the pulse period. Histogram counts
     are raw coincidences.
     """
-    for name in ("d1", "d2"):
-        if name not in stream.channels:
-            raise McError(f"stream has no channel {name!r}")
-    ta, tb = stream.channels["d1"], stream.channels["d2"]
-    if ta.size == 0 or tb.size == 0:
-        raise McError("empty stream")
     period = stream.config.period_ns
     offsets = [0.0] + [sign * k * period * 1000.0 for k in range(1, 6) for sign in (-1.0, 1.0)]
-    centers, hist, (central, *side) = _coincidences(ta, tb, 5.5 * period * 1000.0, offsets, _G2_HALF_PS, bin_ps)
+    centers, hist, (central, *side) = _d1_d2_coincidences(stream, 5.5 * period * 1000.0, offsets, _G2_HALF_PS, bin_ps)
     side_mean = float(np.mean(side))
     g2_zero = central / side_mean if side_mean > 0 else math.inf
     return G2Result(centers, hist, float(g2_zero), central, tuple(side))
@@ -814,20 +945,22 @@ class HomResult:
     visibility: float
 
 
-def _hom_single(stream: TimestampStream, bin_ps: float) -> HomHistogram:
-    ta, tb = stream.channels["d1"], stream.channels["d2"]
-    if ta.size == 0 or tb.size == 0:
-        raise McError("empty stream")
+def _hom_single(stream: TimestampStream | Run, bin_ps: float) -> HomHistogram:
     mzi = stream.config.mzi_delay_ns
     offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
     offsets_ps = [1000.0 * offset for offset in offsets]
-    centers, hist, counts = _coincidences(ta, tb, 2.5 * mzi * 1000.0, offsets_ps, _HOM_HALF_PS, bin_ps)
+    centers, hist, counts = _d1_d2_coincidences(stream, 2.5 * mzi * 1000.0, offsets_ps, _HOM_HALF_PS, bin_ps)
     cluster = dict(zip(offsets, counts))
     return HomHistogram(centers, hist, cluster[0.0], cluster)
 
 
-def hom_histogram(streams: tuple[TimestampStream, TimestampStream], bin_ps: float = 100.0) -> HomResult:
-    """Five-peak coincidence clusters for a co/cross stream pair plus visibility."""
+def hom_histogram(streams: tuple[TimestampStream | Run, TimestampStream | Run], bin_ps: float = 100.0) -> HomResult:
+    """Five-peak coincidence clusters for a co/cross stream pair plus visibility.
+
+    The streams are checked first and then histogrammed in turn, so of two
+    runs the crossed one is generated after the co-polarized one's histogram
+    is taken.
+    """
     co, cross = streams
     for s, want in ((co, True), (cross, False)):
         if s.config.topology != "hom":
@@ -844,7 +977,7 @@ def hom_histogram(streams: tuple[TimestampStream, TimestampStream], bin_ps: floa
     return HomResult(h_co, h_cross, float(visibility))
 
 
-def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
+def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
     A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2. An infinite
@@ -859,35 +992,38 @@ def fourfold_coincidences(stream: TimestampStream, gate_ps: float) -> int:
         raise McError("four-fold analysis expects the heralding topology")
     if not gate_ps > 0:
         raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
-    ch = stream.channels
-    b1, b2 = ch["bsm1"], ch["bsm2"]
     gate = gate_ps if gate_ps < math.inf else cfg.mzi_delay_ns * 1000.0
-    # No pair is further apart than the last BSM event's time, so a wider
-    # gate gives the same pairs with int64 window ends.
-    half = min(gate / 2.0, 1 + max((int(t[-1]) for t in (b1, b2) if t.size), default=0))
+    # No two events are 2**61 ps (27 days) apart, so a wider gate gives the
+    # same pairs with int64 window ends.
+    half = min(gate / 2.0, 2.0**61)
     delay = round(cfg.mzi_delay_ns * 1000.0)
+    # A heralding time is within half a gate of its BSM1 event, and its
+    # analyzer windows within the delay and X of it.
+    span = math.ceil(half) + delay + _ANALYZER_HALF_PS
     count = 0
-    for t1, t_bsm in _pair_chunks(b1, b2, -math.floor(half), math.ceil(half)):
-        # c is whole or half a ps, so for whole-ps t and X the analyzer test
-        # c - X <= t < c + X is ceil(c) - X <= t < ceil(c) + X.
-        t_bsm += t1 + 1
-        t_bsm >>= 1  # ceil(c)
-        # Emission 1 feeds Alice one compensation delay before the heralding
-        # time; emission 2 feeds Bob right at it.
-        hit = _partners(t_bsm - delay, ch["alice"], -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
-        hit &= _partners(t_bsm, ch["bob"], -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
-        count += int(np.count_nonzero(hit))
+    with closing(_windows(stream, ("bsm1", "bsm2", "alice", "bob"), span)) as windows:
+        for b1, b2, alice, bob in windows:
+            for t1, t_bsm in _pair_chunks(b1, b2, -math.floor(half), math.ceil(half)):
+                # c is whole or half a ps, so for whole-ps t and X the analyzer test
+                # c - X <= t < c + X is ceil(c) - X <= t < ceil(c) + X.
+                t_bsm += t1 + 1
+                t_bsm >>= 1  # ceil(c)
+                # Emission 1 feeds Alice one compensation delay before the heralding
+                # time; emission 2 feeds Bob right at it.
+                hit = _partners(t_bsm - delay, alice, -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
+                hit &= _partners(t_bsm, bob, -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
+                count += int(np.count_nonzero(hit))
     return count
 
 
-def twofold_control_coincidences(stream: TimestampStream) -> int:
+def twofold_control_coincidences(stream: TimestampStream | Run) -> int:
     """Alice-Bob coincidences around the emission separation, no BSM condition."""
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("control analysis expects the heralding topology")
-    alice, bob = stream.channels["alice"], stream.channels["bob"]
     mzi = cfg.mzi_delay_ns * 1000.0
-    _, _, (count,) = _coincidences(alice, bob, 3.0 * mzi, [mzi], _ANALYZER_HALF_PS)
+    with closing(_windows(stream, ("alice", "bob"), 3.0 * mzi)) as windows:
+        _, _, (count,) = _coincidences(windows, 3.0 * mzi, [mzi], _ANALYZER_HALF_PS)
     return count
 
 

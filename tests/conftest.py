@@ -441,8 +441,9 @@ def serial_dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
 
 
 def whole_stream_merge(chunks: list[dict], end: int, dead_ps: int) -> dict[str, np.ndarray]:
-    """Oracle for ``mc._merge_chunks``: every channel joined at once, cut to
-    [0, end) by a mask, sorted and dead-time filtered. Leaves ``chunks`` as is."""
+    """Oracle for the joined segments of ``mc.Run``: every chunk of each channel
+    joined at once, cut to [0, end) by a mask, sorted and dead-time filtered.
+    Leaves ``chunks`` as is."""
     merged = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     for name, times in merged.items():
         times = times[(times >= 0) & (times < end)]
@@ -535,3 +536,58 @@ def lbfgs_mle(run: TomographyRun, max_iter: int = 10000, grad_tol: float = 1e-8)
                 break  # no representable improvement left
     rho = to_rho(theta)[1]
     return (rho + rho.conj().T) / 2.0
+
+
+def joined_segments(run) -> dict[str, np.ndarray]:
+    """Each channel's events over every segment of ``run``, joined, after
+    checking the segment order: the boundaries never fall, and every event of
+    a segment is below its boundary and at or above the previous one."""
+    parts, edge = {}, None
+    for bound, channels in run.segments():
+        assert edge is None or bound >= edge
+        for name, times in channels.items():
+            assert np.all(times < bound) and (edge is None or np.all(times >= edge))
+            parts.setdefault(name, []).append(times)
+        edge = bound
+    return {name: np.concatenate(p) for name, p in parts.items()}
+
+
+class CutStream:
+    """``stream`` read as segments cut at the sorted ``bounds``, by masks, and
+    a last segment up to a boundary above every event."""
+
+    def __init__(self, stream: mc.TimestampStream, bounds: list[int]):
+        self.config, self.seed, self.duration_s = stream.config, stream.seed, stream.duration_s
+        self.stream, self.bounds = stream, bounds
+
+    def segments(self):
+        ((top, channels),) = self.stream.segments()
+        edge = np.iinfo(np.int64).min
+        for bound in [*self.bounds, max([top, *self.bounds])]:
+            yield bound, {name: t[(t >= edge) & (t < bound)] for name, t in channels.items()}
+            edge = bound
+
+
+def whole_stream_write(stream: mc.TimestampStream, path) -> None:
+    """Oracle for ``mc.write_stream``: every record of the stream built at once,
+    ordered by one stable argsort of the times, plus the same sidecar."""
+    import json
+
+    from swapsim.params import config_hash, to_dict
+
+    names = sorted(stream.channels)
+    times = [stream.channels[name] for name in names]
+    records = np.empty(sum(t.size for t in times), dtype=mc.RECORD_DTYPE)
+    records["channel"] = np.repeat(np.arange(len(names)), [t.size for t in times])
+    records["time_ps"] = np.concatenate([np.empty(0, dtype=np.int64), *times])
+    records = records[np.argsort(records["time_ps"], kind="stable")]
+    records.tofile(path)
+    sidecar = {
+        "config": to_dict(stream.config),
+        "config_hash": config_hash(stream.config),
+        "seed": stream.seed,
+        "duration_s": stream.duration_s,
+        "channels": {name: i for i, name in enumerate(names)},
+        "records": int(records.size),
+    }
+    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))

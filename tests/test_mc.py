@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,16 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CutStream,
     all_pairs_coincidences,
     categorical_oracle,
     full_array_chunk_hbt,
     full_array_chunk_hom,
     full_array_chunk_swap,
+    joined_segments,
     loop_fourfold,
     loop_swap_tables,
     serial_dead_time_filter,
     whole_channel_pair_chunks,
     whole_stream_merge,
+    whole_stream_write,
 )
 
 from swapsim import cli, mc
@@ -27,6 +32,7 @@ from swapsim.interference import BsmConvention, BsmSettings
 from swapsim.mc import (
     ApparatusConfig,
     McError,
+    Run,
     TimestampStream,
     fit_double_exponential,
     fourfold_coincidences,
@@ -387,8 +393,8 @@ _SPAN = 5125.0
 @settings(max_examples=200)
 def test_streamed_coincidences_match_all_pairs(ta, tb, budget):
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
-        centers, hist, windows = mc._coincidences(ta, tb, _SPAN, _OFFSETS, 1000, 250.0)
-        no_hist = mc._coincidences(ta, tb, _SPAN, _OFFSETS, 1000)
+        centers, hist, windows = mc._coincidences([(ta, tb)], _SPAN, _OFFSETS, 1000, 250.0)
+        no_hist = mc._coincidences([(ta, tb)], _SPAN, _OFFSETS, 1000)
     want_centers, want_hist, want_windows = all_pairs_coincidences(ta, tb, _SPAN, _OFFSETS, 1000, 250.0)
     assert np.array_equal(centers, want_centers) and np.allclose(np.diff(centers), 250.0)
     assert np.array_equal(hist, want_hist) and hist.dtype == np.int64
@@ -400,15 +406,15 @@ def test_streamed_coincidences_edges_and_empty_channels():
     # Pairs span [-span, span): -5000 is a pair, +5000 is not; a delta on a
     # shared window edge counts in both windows.
     ta, tb = np.array([0]), np.array([-5000, -3000, -1000, 1000, 3000, 5000])
-    _, hist, windows = mc._coincidences(ta, tb, 5000.0, _OFFSETS, 1000, 250.0)
+    _, hist, windows = mc._coincidences([(ta, tb)], 5000.0, _OFFSETS, 1000, 250.0)
     assert windows == [2, 2, 2, 2, 1]
     assert hist.sum() == 5
     # The last bin takes every delta up to the pair window's end.
-    _, hist, _ = mc._coincidences(ta, np.array([4999, 5000]), 5000.0, [0.0], 500, 100.0)
+    _, hist, _ = mc._coincidences([(ta, np.array([4999, 5000]))], 5000.0, [0.0], 500, 100.0)
     assert hist[-1] == 1 and hist.sum() == 1
     empty = np.empty(0, dtype=np.int64)
     for a, b in ((ta, empty), (empty, tb)):
-        _, hist, windows = mc._coincidences(a, b, 5000.0, _OFFSETS, 1000, 250.0)
+        _, hist, windows = mc._coincidences([(a, b)], 5000.0, _OFFSETS, 1000, 250.0)
         assert hist.shape == (41,) and hist.sum() == 0 and windows == [0] * 5
     cfg = ApparatusConfig()
     stream = TimestampStream({"alice": empty, "bob": tb + 10_000}, cfg, 0, 1.0)
@@ -418,7 +424,7 @@ def test_streamed_coincidences_edges_and_empty_channels():
 def test_one_event_with_more_partners_than_the_budget():
     ta = np.array([0, 500])
     tb = np.linspace(-4000, 4000, 3 * mc._PAIR_BUDGET + 7).astype(np.int64)
-    got = mc._coincidences(ta, tb, 5000.0, _OFFSETS, 1000, 250.0)
+    got = mc._coincidences([(ta, tb)], 5000.0, _OFFSETS, 1000, 250.0)
     want = all_pairs_coincidences(ta, tb, 5000.0, _OFFSETS, 1000, 250.0)
     assert got[1].sum() == 2 * tb.size
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
@@ -523,8 +529,8 @@ def test_coincidences_match_all_pairs_off_grid(ta, tb, planted, budget):
     ta = np.sort(np.append(ta, 150_000))
     tb = np.sort(np.concatenate([tb, 150_000 + np.array(planted, dtype=np.int64)]))
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
-        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 100.0)
-        no_hist = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500)
+        got = mc._coincidences([(ta, tb)], _G2_SPAN, _G2_OFFSETS, 500, 100.0)
+        no_hist = mc._coincidences([(ta, tb)], _G2_SPAN, _G2_OFFSETS, 500)
     want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 100.0)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
     assert no_hist == (None, None, want[2])
@@ -537,7 +543,7 @@ def test_coincidences_at_every_edge_neighbour():
     tb = _g2_edge_deltas()
     assert tb[0] < -_G2_SPAN and tb[-1] > _G2_SPAN
     for bin_ps in (100.0, 7.0, 1.0, None):
-        got = mc._coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, bin_ps)
+        got = mc._coincidences([(ta, tb)], _G2_SPAN, _G2_OFFSETS, 500, bin_ps)
         want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, bin_ps or 100.0)
         if bin_ps is None:
             assert got[:2] == (None, None)
@@ -732,7 +738,7 @@ def test_coincidences_memory_per_histogram_bin():
     nbins = 2 * int(10 * _G2_SPAN) + 1
     tracemalloc.start()
     try:
-        centers, hist, _ = mc._coincidences(ta, tb, 10 * _G2_SPAN, _G2_OFFSETS, 500, 1.0)
+        centers, hist, _ = mc._coincidences([(ta, tb)], 10 * _G2_SPAN, _G2_OFFSETS, 500, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -796,39 +802,37 @@ def test_simulate_holds_its_stream_plus_one_channel(monkeypatch, topology, per_p
     assert peak - sum(sizes) < ceiling, (peak - sum(sizes)) / chunk
 
 
-def test_merge_and_blocked_search_match_the_whole_stream_oracles(monkeypatch):
-    # At 2**20-period chunks, two per run, the channel-by-channel merge and
-    # the blocked pair search give the streams and counts of the whole-stream
+def test_merge_and_blocked_search_match_the_whole_stream_oracles(monkeypatch, recorded_chunks):
+    # At 2**20-period chunks, two per run, the joined segments and the
+    # blocked pair search give the streams and counts of the whole-stream
     # merge and the whole-channel search.
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 20)
-    merge = mc._merge_chunks
-
-    def checked_merge(chunks, end, dead_ps):
-        want = whole_stream_merge(chunks, end, dead_ps)
-        got = merge(chunks, end, dead_ps)
-        assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
-        merged.append(got)
-        return got
-
-    merged = []
-    monkeypatch.setattr(mc, "_merge_chunks", checked_merge)
     hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055)
     swap = ApparatusConfig()
-    streams = [simulate(cfg, _periods(cfg, (1 << 20) + 50_000), seed=17) for cfg in (hbt, swap)]
-    assert len(merged) == 2
+    streams = []
+    for cfg in (hbt, swap):
+        recorded_chunks.clear()
+        streams.append(simulate(cfg, _periods(cfg, (1 << 20) + 50_000), seed=17))
+        assert len(recorded_chunks) == 2
+        want = whole_stream_merge(recorded_chunks, *_end_and_dead_ps(cfg, (1 << 20) + 50_000))
+        got = streams[-1].channels
+        assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
 
-    def analyses():
-        g2 = g2_histogram(streams[0])
+    def analyses(hbt_source, swap_source):
+        g2 = g2_histogram(hbt_source)
         return (
             g2.counts, g2.side_counts, g2.g2_zero,
-            [fourfold_coincidences(streams[1], gate) for gate in (47.0, 2000.0, math.inf)],
-            twofold_control_coincidences(streams[1]),
+            [fourfold_coincidences(swap_source, gate) for gate in (47.0, 2000.0, math.inf)],
+            twofold_control_coincidences(swap_source),
         )  # fmt: skip
 
-    got = analyses()
+    # The runs read as two segments give the counts of their joined streams.
+    runs = [Run(s.config, s.seed, s.duration_s) for s in streams]
+    got, segmented = analyses(*streams), analyses(*runs)
     monkeypatch.setattr(mc, "_pair_chunks", whole_channel_pair_chunks)
-    want = analyses()
-    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    want = analyses(*streams)
+    for result in (got, segmented):
+        assert np.array_equal(result[0], want[0]) and result[1:] == want[1:]
     assert streams[0].channels["d1"].size > 2 * mc._PAIR_BUDGET and got[3][1] > 0
 
 
@@ -871,7 +875,7 @@ def test_simulate_runs_seeds_each_run_from_one_seed_sequence(variants, seed):
         want = [simulate(replace(cfg, **v), duration, int(s)).channels for v, s in zip(variants, seeds)]
         for threads in ("1", "2"):
             with mock.patch.dict(mc.os.environ, {"SWAPSIM_THREADS": threads}):
-                got = simulate_runs(cfg, duration, variants, seed, lambda stream: stream.channels)
+                got = simulate_runs(cfg, duration, variants, seed, joined_segments)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.keys() == w.keys() and all(np.array_equal(g[k], w[k]) for k in w)
@@ -1164,3 +1168,222 @@ def test_fourfold_requires_swap_topology():
         fourfold_coincidences(stream, 100.0)
     with pytest.raises(McError):
         twofold_control_coincidences(stream)
+
+
+def _end_and_dead_ps(cfg: ApparatusConfig, periods: int) -> tuple[int, int]:
+    """A run's [0, end) cut in whole ps and its dead time in whole ps."""
+    return math.ceil(periods * cfg.period_ns * 1000.0), math.ceil(cfg.dead_time_ns * 1000.0)
+
+
+@pytest.fixture
+def recorded_chunks(monkeypatch) -> list[dict]:
+    """Copies of every chunk ``mc._in_order`` hands to the segment generator."""
+    chunks, in_order = [], mc._in_order
+
+    def recording(run_chunk, n_chunks):
+        for chunk in in_order(run_chunk, n_chunks):
+            chunks.append({name: times.copy() for name, times in chunk.items()})
+            yield chunk
+
+    monkeypatch.setattr(mc, "_in_order", recording)
+    return chunks
+
+
+_NOISY = dict(background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=20.0)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "topology, apparatus, seed",
+    [("swap", _NOISY, 4), ("hbt_x", _NOISY, 4), ("hom", _NOISY, 4), ("hbt_xx", _NOISY, 4),
+     # The g2 apparatus of the benchmark: its first chunk has a d1 event at -17 ps.
+     ("hbt_xx", dict(background_ratio=0.0055, dead_time_ns=0.0), 1416005386)],
+)  # fmt: skip
+def test_joined_segments_match_the_whole_stream_merge(monkeypatch, recorded_chunks, threads, topology, apparatus, seed):
+    periods = 5 * (1 << 14) + 1000  # six chunks
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 14)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SWAPSIM_THREADS", threads)
+    cfg = ApparatusConfig(topology=topology, **apparatus)
+    got = joined_segments(Run(cfg, seed, _periods(cfg, periods)))
+    assert len(recorded_chunks) == 6
+    if seed == 1416005386:
+        assert min(int(t[0]) for t in recorded_chunks[0].values()) < 0
+    want = whole_stream_merge(recorded_chunks, *_end_and_dead_ps(cfg, periods))
+    stream = simulate(cfg, _periods(cfg, periods), seed)
+    assert got.keys() == want.keys() == stream.channels.keys()
+    for name in want:
+        assert want[name].size > 0
+        assert np.array_equal(got[name], want[name]) and np.array_equal(stream.channels[name], want[name])
+
+
+def test_a_chunk_below_a_released_boundary_is_an_error(monkeypatch):
+    # The third chunk gains an event at 0 ps, below the first event of the
+    # second chunk, which the generator has already released up to.
+    chunk, chunk_hbt = 1 << 12, mc._chunk_hbt
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
+
+    def late_event(config, start, n, rng):
+        raw = chunk_hbt(config, start, n, rng)
+        if start == 2 * chunk:
+            raw["d1"] = np.append(raw["d1"], 0.0)
+        return raw
+
+    monkeypatch.setattr(mc, "_chunk_hbt", late_event)
+    cfg = ApparatusConfig(topology="hbt_xx", bsm=BsmSettings(jitter_ps=0.0), **FAST)
+    with pytest.raises(McError, match="chunk 2 has an event at 0 ps, below the released boundary"):
+        simulate(cfg, _periods(cfg, 4 * chunk), seed=1)
+
+
+def test_a_consumer_that_stops_early_leaves_no_worker_behind(monkeypatch):
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 12)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SWAPSIM_THREADS", "2")
+    cfg = ApparatusConfig(topology="hbt_xx", **FAST)
+    duration = _periods(cfg, 20 * (1 << 12))
+    before = threading.active_count()
+    # An analysis that raises mid-run, its traceback still held.
+    pair_chunks, calls = mc._pair_chunks, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("analysis failed")
+        return pair_chunks(*args)
+
+    monkeypatch.setattr(mc, "_pair_chunks", failing)
+    with pytest.raises(RuntimeError, match="analysis failed") as raised:
+        simulate_runs(cfg, duration, [{}], 1, g2_histogram)
+    assert raised.traceback and threading.active_count() == before
+    # A reader that closes the segments after the first.
+    segments = Run(cfg, 1, duration).segments()
+    next(segments)
+    assert threading.active_count() > before
+    segments.close()
+    assert threading.active_count() == before
+
+
+_CUT_GATES = (47.0, 2000.0, math.inf)
+
+
+@functools.cache
+def _one_window_analyses() -> tuple[dict[str, TimestampStream], dict]:
+    """The streams the segment-cut test reads, and their analyses as one window."""
+    hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.01, **FAST)
+    hom = ApparatusConfig(topology="hom", **FAST)
+    swap = ApparatusConfig(alice_setting="D", bob_setting="D", **FAST)
+    streams = {
+        "hbt": simulate(hbt, _periods(hbt, 4000), seed=5),
+        "co": simulate(hom, _periods(hom, 4000), seed=6),
+        "cross": simulate(replace(hom, hom_copolarized=False), _periods(hom, 4000), seed=7),
+        "swap": simulate(swap, _periods(swap, 20_000), seed=8),
+    }
+    want = {
+        "g2": [g2_histogram(streams["hbt"], bin_ps) for bin_ps in (100.0, 7.0)],
+        "hom": hom_histogram((streams["co"], streams["cross"])),
+        "fourfold": [fourfold_coincidences(streams["swap"], gate) for gate in _CUT_GATES],
+        "control": twofold_control_coincidences(streams["swap"]),
+    }
+    return streams, want
+
+
+@given(
+    # Boundaries anywhere in the streams, down to segments far shorter than
+    # any analysis span, empty ones and repeated boundaries.
+    cuts=st.lists(st.integers(-1000, 300_000_000), max_size=12).map(sorted),
+    short=st.lists(st.integers(0, 60_000), max_size=6),
+)
+@example(cuts=[], short=[])
+@example(cuts=[0, 0, 1], short=[1, 1, 2, 3, 5, 8])
+@settings(max_examples=30)
+def test_analyses_of_segments_cut_anywhere_equal_one_window(cuts, short):
+    streams, want = _one_window_analyses()
+    # Some boundaries close together, inside every run (the shortest ends at 52.6 us).
+    bounds = sorted(cuts + [25_000_000 + 10_000 * k for k in short])
+
+    def cut(name):
+        return CutStream(streams[name], bounds)
+
+    for bin_ps, w in zip((100.0, 7.0), want["g2"]):
+        got = g2_histogram(cut("hbt"), bin_ps)
+        assert np.array_equal(got.counts, w.counts) and got.side_counts == w.side_counts
+        assert got.central_counts == w.central_counts and got.g2_zero == w.g2_zero
+    got = hom_histogram((cut("co"), cut("cross")))
+    for w, g in ((want["hom"].copolarized, got.copolarized), (want["hom"].crossed, got.crossed)):
+        assert np.array_equal(g.counts, w.counts) and g.cluster_counts == w.cluster_counts
+    assert got.visibility == want["hom"].visibility
+    assert [fourfold_coincidences(cut("swap"), gate) for gate in _CUT_GATES] == want["fourfold"]
+    assert twofold_control_coincidences(cut("swap")) == want["control"]
+    assert min(want["fourfold"]) > 0 and want["control"] > 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch, tmp_path, threads):
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 14)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SWAPSIM_THREADS", threads)
+    cfg = ApparatusConfig(alice_setting="D", bob_setting=None, **_NOISY)
+    duration = _periods(cfg, 5 * (1 << 14) + 1000)
+    counts = write_stream(Run(cfg, 7, duration), tmp_path / "segments.bin")
+    stream = simulate(cfg, duration, seed=7)
+    whole_stream_write(stream, tmp_path / "whole.bin")
+    assert counts == stream.counts() and min(counts.values()) > 0
+    for suffix in (".bin", ".json"):
+        assert (tmp_path / f"segments{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+def test_a_failed_write_leaves_no_file(monkeypatch, tmp_path):
+    monkeypatch.setenv("SWAPSIM_THREADS", "two")
+    with pytest.raises(McError, match="SWAPSIM_THREADS"):
+        write_stream(Run(ApparatusConfig(**FAST), 1, 1e-5), tmp_path / "stream.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch, workers):
+    # 2**14-period hbt_xx chunks, background 0.01 and the default 20 ns dead
+    # time. A run read segment by segment holds a few chunks, however long:
+    # its peak, less one chunk's output per worker, does not grow with it.
+    # Holding every chunk until a whole-run merge, it grew by 4 MB here.
+    chunk = 1 << 14
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SWAPSIM_THREADS", str(workers))
+    cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.01)
+    events = []
+
+    def count(run):
+        events.append(sum(sum(t.size for t in channels.values()) for _, channels in run.segments()))
+
+    simulate_runs(cfg, _periods(cfg, 100), [{}], 1, count)  # first-call allocations
+    peaks = [_traced_peak(lambda: simulate_runs(cfg, _periods(cfg, n * chunk), [{}], 3, count)) for n in (4, 16)]
+    # Which chunks' generation overlaps on two workers varies from run to
+    # run, by up to one generating chunk (under 5 float64 per period).
+    slack = workers * 8 * events[-1] / 16 + (workers - 1) * 5 * 8 * chunk
+    assert peaks[1] < peaks[0] + slack, (peaks, slack)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_g2_memory_does_not_grow_with_duration(monkeypatch, workers):
+    # Twice the run, the same peak to 10 %: a streamed g2 holds a few chunks,
+    # one budget of pairs and the strip of events near a segment boundary.
+    # On two workers, which chunk is being generated at the analysis' peak
+    # varies from run to run, by up to one chunk (under 5 float64 per period).
+    chunk = 1 << 14
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SWAPSIM_THREADS", str(workers))
+    cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, dead_time_ns=0.0)
+    g2_histogram(Run(cfg, 1, _periods(cfg, 100)))  # first-call allocations
+    peaks = [_traced_peak(lambda: g2_histogram(Run(cfg, 2, _periods(cfg, n * chunk)))) for n in (8, 16)]
+    assert peaks[1] < 1.1 * peaks[0] + (workers - 1) * 5 * 8 * chunk, peaks
