@@ -42,7 +42,7 @@ from .interference import (
     bsm_povm,
     calibrate_temporal,
     effective_indistinguishability,
-    heralding_rate_factor,
+    gate_response,
     pattern_operators,
 )
 from .swap import (

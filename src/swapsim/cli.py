@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourfold-scan", parents=[common], help="four-fold coincidences versus mutual delay")
     p.add_argument("--delays", required=True, help="delay range in ps, start:stop:step")
-    p.add_argument("--gate", type=float, default=2000.0, help="BSM gate in ps (inf: one interferometer delay)")
+    p.add_argument("--gate", type=float, help="BSM gate in ps (default [bsm] gate_ps; inf: one MZI delay)")
     p.add_argument("--duration-per-point", type=float, required=True)
     p.set_defaults(func=_cmd_fourfold_scan)
 

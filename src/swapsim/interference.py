@@ -303,20 +303,18 @@ def _gated_integrals(bsm: BsmSettings, gates_ps: np.ndarray) -> tuple[np.ndarray
     return num, den
 
 
-def gate_response(bsm: BsmSettings, gates_ps, intrinsic_limit: float) -> tuple[np.ndarray, np.ndarray]:
+def gate_response(bsm: BsmSettings, gates_ps) -> tuple[np.ndarray, np.ndarray]:
     """Effective indistinguishability and heralding-rate factor at each gate width.
 
     Gates must be positive (inf allowed); ``bsm``'s own gate is ignored.
     """
-    if not 0.0 <= intrinsic_limit <= 1.0:
-        raise InterferenceError(f"intrinsic limit {intrinsic_limit} outside [0, 1]")
     gates = np.asarray(gates_ps, dtype=float).reshape(-1)
     if not np.all(gates > 0.0):
         raise InterferenceError("gate width must be positive (inf allowed)")
     num, den = _gated_integrals(bsm, gates)
-    i_eff = np.full(gates.shape, float(intrinsic_limit))
+    i_eff = np.full(gates.shape, float(bsm.intrinsic_limit))
     if bsm.dephasing_rate > 1e-15:
-        np.divide(intrinsic_limit * num, den, out=i_eff, where=den > 0.0)
+        np.divide(bsm.intrinsic_limit * num, den, out=i_eff, where=den > 0.0)
     return i_eff, np.where(np.isinf(gates), 1.0, np.clip(den, 0.0, 1.0))
 
 
@@ -326,13 +324,11 @@ def effective_indistinguishability(bsm: BsmSettings, intrinsic_limit: float) -> 
     Averages the pure-dephasing coherence kernel exp(-2*gamma*|t1-t2|) over
     detection-time pairs accepted by the (jitter-smeared) gate, scaled by the
     gating-insensitive intrinsic limit. Non-increasing in gate width.
+    ``intrinsic_limit`` may only repeat ``bsm.intrinsic_limit``.
     """
-    return float(gate_response(bsm, [bsm.gate_ps], intrinsic_limit)[0][0])
-
-
-def heralding_rate_factor(bsm: BsmSettings) -> float:
-    """Fraction of coincidences whose time difference survives the gate."""
-    return float(gate_response(bsm, [bsm.gate_ps], bsm.intrinsic_limit)[1][0])
+    if intrinsic_limit != bsm.intrinsic_limit:
+        raise InterferenceError(f"intrinsic limit {intrinsic_limit} differs from the settings' {bsm.intrinsic_limit}")
+    return float(gate_response(bsm, [bsm.gate_ps])[0][0])
 
 
 def calibrate_temporal(
@@ -349,7 +345,7 @@ def calibrate_temporal(
         raise InterferenceError("targets must satisfy 0 < ungated < gated <= 1")
 
     def response(t2: float) -> np.ndarray:
-        return gate_response(replace(bsm, t2_xx_ns=t2), [math.inf, gate_ps], 1.0)[0]
+        return gate_response(replace(bsm, t2_xx_ns=t2, intrinsic_limit=1.0), [math.inf, gate_ps])[0]
 
     def ratio_gap(t2: float) -> float:
         r_inf, r_gate = response(t2)

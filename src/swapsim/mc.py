@@ -134,7 +134,11 @@ class ApparatusConfig:
 
 @dataclass(frozen=True)
 class TimestampStream:
-    """Sorted per-channel detection times (int64 ps) plus reproducibility metadata."""
+    """Sorted per-channel detection times (int64 ps) plus reproducibility metadata.
+
+    ``channels`` becomes the stream's own dict of read-only views (int64
+    arrays are not copied); the caller's dict and arrays are left as they are.
+    """
 
     channels: dict[str, np.ndarray]
     config: ApparatusConfig
@@ -142,17 +146,21 @@ class TimestampStream:
     duration_s: float
 
     def __post_init__(self):
+        channels = {}
         for name, times in self.channels.items():
             arr = np.asarray(times)
             if arr.dtype.kind not in "iu":  # a float array would truncate silently
                 raise McError(f"channel {name} times are {arr.dtype}, not integer ps")
-            arr = arr.astype(np.int64, copy=False)
+            if arr.ndim != 1:
+                raise McError(f"channel {name} times have shape {arr.shape}, not one dimension")
+            arr = arr.astype(np.int64, copy=False).view()
             if np.any(arr[1:] < arr[:-1]):
                 raise McError(f"channel {name} times are not sorted")
             if arr.size and arr[0] < 0:
                 raise McError(f"channel {name} has negative times")
             arr.setflags(write=False)
-            self.channels[name] = arr
+            channels[name] = arr
+        object.__setattr__(self, "channels", channels)
 
     @property
     def config_hash(self) -> str:
@@ -428,17 +436,15 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
     arr2 += xx2_port1 * (mzi + off)
 
     # Each period's outcome comes from the table of its group: the branch
-    # (interference 0-3, distinguishable 4-7) by destination config. One
-    # stable sort gathers the groups, and each group is one categorical draw.
+    # (interference 0-3, distinguishable 4-7) by destination config. Each
+    # group's periods, in period order, are one categorical draw.
     key = np.uint8(4) + np.uint8(2) * ~x1_alice + ~x2_alice
     key[pairs] -= 4
-    order = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=len(tables["draws"])))[:-1]
-    groups = np.split(u_outcome[order], ends)
-    del u_outcome
     outcome = np.empty(n, dtype=np.uint8)
-    outcome[order] = np.concatenate([draw(u) for draw, u in zip(tables["draws"], groups)])
-    del key, order, groups
+    for group, draw in enumerate(tables["draws"]):
+        sel = np.flatnonzero(key == group)
+        outcome[sel] = draw(u_outcome[sel])
+    del key, sel, u_outcome
     pol1, pol2, x_pass1, x_pass2 = (
         np.take(tables[k], outcome) for k in ("pol1", "pol2", "x_pass1", "x_pass2")
     )
@@ -551,6 +557,8 @@ class Run:
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
             raise McError(f"duration must be positive and finite, got {self.duration_s}")
+        if not self.duration_s * 1e12 < 2.0**63:
+            raise McError(f"duration {self.duration_s} s ends past 2**63 ps (106.7 days), the int64 time range")
 
     def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
         config = self.config
@@ -571,12 +579,12 @@ class Run:
             tables = _hom_tables(config)
 
         n_chunks = -(-n_periods // _CHUNK_PERIODS)
-        children = np.random.SeedSequence(self.seed).spawn(n_chunks)
 
         def run_chunk(ci: int) -> dict[str, np.ndarray]:
             start = ci * _CHUNK_PERIODS
             n = min(_CHUNK_PERIODS, n_periods - start)
-            rng = np.random.default_rng(children[ci])
+            # Chunk ci's seed is SeedSequence(seed).spawn(n_chunks)[ci], made on its own.
+            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(ci,)))
             if config.topology == "swap":
                 raw = _chunk_swap(config, tables, start, n, rng)
             elif config.topology == "hom":
@@ -730,12 +738,23 @@ def read_stream(path: str | os.PathLike) -> TimestampStream:
     """The stream ``write_stream`` wrote, checked against its sidecar's record
     count and channel ids."""
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
     try:
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"sidecar is a JSON {type(sidecar).__name__}, not an object")
         config = from_dict(ApparatusConfig, sidecar.get("config"), "sidecar config", complete=True)
         missing = sorted({"channels", "seed", "duration_s", "records"} - set(sidecar))
         if missing:
             raise ValueError(f"missing keys {missing} in sidecar")
+        ids, seed, duration_s = sidecar["channels"], sidecar["seed"], sidecar["duration_s"]
+        if not isinstance(ids, dict) or not all(type(i) is int and 0 <= i <= 255 for i in ids.values()):
+            raise ValueError(f"channels {ids!r} must map names to integer ids in 0-255")
+        if len(set(ids.values())) < len(ids):
+            raise ValueError(f"channel ids {ids!r} are not distinct")
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r} is not a non-negative integer")
+        if type(duration_s) not in (int, float) or not 0 < duration_s < math.inf:
+            raise ValueError(f"duration_s {duration_s!r} is not a positive finite number")
     except ValueError as exc:
         raise McError(f"{path.with_suffix('.json')}: {exc}") from exc
     size = path.stat().st_size
@@ -744,11 +763,11 @@ def read_stream(path: str | os.PathLike) -> TimestampStream:
     records = np.fromfile(path, dtype=RECORD_DTYPE)
     if records.size != sidecar["records"]:
         raise McError(f"{path}: {records.size} records, the sidecar says {sidecar['records']}")
-    ids = records["channel"]
-    if unknown := sorted(set(np.unique(ids).tolist()) - set(sidecar["channels"].values())):
+    channel = records["channel"]
+    if unknown := sorted(set(np.unique(channel).tolist()) - set(ids.values())):
         raise McError(f"{path}: channel ids {unknown} are not named in the sidecar")
-    channels = {name: records["time_ps"][ids == cid].view("<i8") for name, cid in sidecar["channels"].items()}
-    return TimestampStream(channels, config, int(sidecar["seed"]), float(sidecar["duration_s"]))
+    channels = {name: records["time_ps"][channel == cid].view("<i8") for name, cid in ids.items()}
+    return TimestampStream(channels, config, seed, float(duration_s))
 
 
 def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -977,11 +996,12 @@ def hom_histogram(streams: tuple[TimestampStream | Run, TimestampStream | Run], 
     return HomResult(h_co, h_cross, float(visibility))
 
 
-def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float) -> int:
+def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None = None) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
-    A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2. An infinite
-    gate is one excitation-pulse splitting delay wide: it takes every
+    A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2, the gate
+    being the stream config's ``bsm.gate_ps`` unless ``gate_ps`` is given. An
+    infinite gate is one excitation-pulse splitting delay wide: it takes every
     overlapped pair and none of the pairs one delay apart. An analyzer
     detection t hits the heralding time c = (t1 + t2) / 2 when
     c - X <= t < c + X, X = ``_ANALYZER_HALF_PS``; Alice's c is shifted back
@@ -990,6 +1010,8 @@ def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float) -> int:
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("four-fold analysis expects the heralding topology")
+    if gate_ps is None:
+        gate_ps = cfg.bsm.gate_ps
     if not gate_ps > 0:
         raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
     gate = gate_ps if gate_ps < math.inf else cfg.mzi_delay_ns * 1000.0
@@ -1091,12 +1113,12 @@ def simulate_tomography_run(
     periods_per_setting: int,
     seed: int,
     heralded: bool,
-    gate_ps: float = math.inf,
+    gate_ps: float | None = None,
 ) -> TomographyRun:
     """Per-setting coincidence counts, one ``simulate_runs`` run per setting.
 
-    Heralded counts are ``fourfold_coincidences`` inside the gate; unheralded
-    counts are Alice-Bob control coincidences ignoring the heralding signal.
+    Heralded counts are ``fourfold_coincidences`` inside the gate (``config``'s
+    own by default); unheralded ones are Alice-Bob control coincidences.
     """
     variants = [{"alice_setting": s.projector_a, "bob_setting": s.projector_b} for s in settings]
     analysis = partial(fourfold_coincidences, gate_ps=gate_ps) if heralded else twofold_control_coincidences

@@ -162,7 +162,7 @@ def predict(params: SourceParams, bsm: BsmSettings, gates_ps: Sequence[float]) -
     p(I) = (1 - I) p0 + I p1.
     """
     gates = tuple(gates_ps)
-    i_eff, factor = gate_response(bsm, gates, bsm.intrinsic_limit)
+    i_eff, factor = gate_response(bsm, gates)
     if not np.all((i_eff >= 0.0) & (i_eff <= 1.0)):
         raise InterferenceError(f"indistinguishability {i_eff.min()}..{i_eff.max()} outside [0, 1]")
     rho4 = compose(emit_pair(params, 1), emit_pair(params, 2))

@@ -35,7 +35,6 @@ from swapsim.interference import (
     BsmSettings,
     bsm_povm,
     effective_indistinguishability,
-    heralding_rate_factor,
 )
 from swapsim.mc import (
     ApparatusConfig,

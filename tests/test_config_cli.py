@@ -348,6 +348,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          "gate width must be positive"),
         (["mc-run", "--duration", "nan"], "duration must be positive and finite"),
         (["mc-run", "--duration", "inf"], "duration must be positive and finite"),
+        (["g2", "--duration", "1e300"], "ends past 2**63 ps"),
+        (["mc-run", "--duration", "1e7"], "ends past 2**63 ps"),
         (["g2", "--duration", "1e-4", "--bin-ps", "0.5"], "at least the 1 ps time unit"),
         (["g2", "--duration", "1e-4", "--bin-ps", "1e-6"], "at least the 1 ps time unit"),
         (["g2", "--duration", "1e-4", "--bin-ps", "1e-320"], "at least the 1 ps time unit"),
@@ -402,6 +404,24 @@ def test_cli_scan_takes_an_infinite_gate(tmp_path):
         lines = (tmp_path / gate / "fourfold_scan.csv").read_text().splitlines()
         rows[gate] = [line for line in lines if not line.startswith("#")]
     assert len(rows["inf"]) == 5 and rows["inf"] == rows["2000"]
+
+
+def test_cli_scan_gate_defaults_to_the_configured_gate(tmp_path):
+    # Without --gate the scan counts inside [bsm] gate_ps: inf (one 2 ns
+    # interferometer delay) by default, 47 ps when the config says so.
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text("[bsm]\ngate_ps = 47\n")
+    text = {}
+    for name, extra in (("default", []), ("2000", ["--gate", "2000"]),
+                        ("narrow", ["--config", str(narrow)]), ("narrow-47", ["--config", str(narrow), "--gate", "47"])):
+        out = tmp_path / name
+        assert main(["fourfold-scan", "--delays=0:100:100", "--duration-per-point", "1e-3", *extra,
+                     "--out-dir", str(out)]) == 0
+        text[name] = (out / "fourfold_scan.csv").read_text()
+    assert text["default"] == text["2000"] and text["narrow"] == text["narrow-47"]
+    rows = {name: [line for line in t.splitlines() if not line.startswith("#")][1:] for name, t in text.items()}
+    counts = {name: sum(int(row.rsplit(",", 1)[1]) for row in r) for name, r in rows.items()}
+    assert 0 < counts["narrow"] < counts["default"], counts
 
 
 def test_scan_runs_of_different_seeds_never_share_a_stream(monkeypatch, tmp_path):

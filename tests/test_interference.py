@@ -27,7 +27,6 @@ from swapsim.interference import (
     calibrate_temporal,
     effective_indistinguishability,
     gate_response,
-    heralding_rate_factor,
     pattern_operators,
 )
 from swapsim.qstate import BellKind, PureState, bell_state
@@ -186,15 +185,24 @@ def test_bsm_settings_limits_and_derived_values():
         effective_indistinguishability(bsm, 1.5)
 
 
+def test_effective_indistinguishability_rejects_a_differing_limit():
+    # The settings own the limit; the argument may only repeat it.
+    bsm = BsmSettings(gate_ps=47.0)
+    assert effective_indistinguishability(bsm, bsm.intrinsic_limit) == gate_response(bsm, [47.0])[0][0]
+    for other in (0.9, 1.0, math.nan):
+        with pytest.raises(InterferenceError, match="differs"):
+            effective_indistinguishability(bsm, other)
+
+
 def test_effective_indistinguishability_limits():
     t1, t2 = 0.12, 0.17
-    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0, intrinsic_limit=0.9)
     assert effective_indistinguishability(model, 0.9) == pytest.approx(
         0.9 * t2 / (2 * t1), rel=1e-8
     )
     tiny = model.with_gate(1e-3)
     assert effective_indistinguishability(tiny, 0.9) == pytest.approx(0.9, rel=1e-6)
-    no_dephasing = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2 * t1, jitter_ps=0.0)
+    no_dephasing = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2 * t1, jitter_ps=0.0, intrinsic_limit=0.77)
     for gate in (10.0, 120.0, math.inf):
         assert effective_indistinguishability(no_dephasing.with_gate(gate), 0.77) == (
             pytest.approx(0.77, rel=1e-12)
@@ -206,28 +214,28 @@ def test_effective_indistinguishability_gate_equal_lifetime():
     t1, t2 = 0.12, 0.17
     gamma = 1 / t2 - 1 / (2 * t1)
     g = t1  # ns
-    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0, gate_ps=g * 1e3)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0, gate_ps=g * 1e3, intrinsic_limit=1.0)
     a = 1 / t1 + 2 * gamma
     num = (1 - math.exp(-a * g / 2)) / (a * t1)
     den = 1 - math.exp(-g / (2 * t1))
     assert effective_indistinguishability(model, 1.0) == pytest.approx(num / den, rel=1e-8)
-    assert heralding_rate_factor(model) == pytest.approx(den, rel=1e-8)
+    assert gate_response(model, [model.gate_ps])[1][0] == pytest.approx(den, rel=1e-8)
 
 
 def test_effective_indistinguishability_monotone():
-    base = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.15, jitter_ps=50.0)
+    base = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.15, jitter_ps=50.0, intrinsic_limit=0.94)
     gates = [20.0, 47.0, 100.0, 200.0, 500.0, 2000.0, math.inf]
     values = [
         effective_indistinguishability(base.with_gate(g), 0.94) for g in gates
     ]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-    rates = [heralding_rate_factor(base.with_gate(g)) for g in gates]
+    rates = [gate_response(base, [g])[1][0] for g in gates]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
     # non-decreasing in coherence time
     for gate in (47.0, 500.0):
         vals_t2 = [
             effective_indistinguishability(
-                BsmSettings(t1_xx_ns=0.12, t2_xx_ns=t2, jitter_ps=50.0, gate_ps=gate), 0.94
+                BsmSettings(t1_xx_ns=0.12, t2_xx_ns=t2, jitter_ps=50.0, gate_ps=gate, intrinsic_limit=0.94), 0.94
             )
             for t2 in (0.05, 0.1, 0.15, 0.2, 0.24)
         ]
@@ -236,8 +244,8 @@ def test_effective_indistinguishability_monotone():
 
 def test_rate_factor_limits():
     model = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.2, jitter_ps=50.0)
-    assert heralding_rate_factor(model) == 1.0
-    assert heralding_rate_factor(model.with_gate(1e-3)) < 1e-4
+    assert gate_response(model, [model.gate_ps])[1][0] == 1.0
+    assert gate_response(model, [1e-3])[1][0] < 1e-4
     # jitter spreads the acceptance: with a wide-open gate, still 1
     assert gate_acceptance(0.0, model) == 1.0
 
@@ -245,8 +253,8 @@ def test_rate_factor_limits():
 def test_gated_integrals_resolve_a_sharp_gate_edge():
     # 5 ps jitter against a 1 ns lifetime: the gate edge is a few ps wide, so
     # an adaptive rule over long segments can step over it.
-    model = BsmSettings(t1_xx_ns=1.0, t2_xx_ns=0.3, jitter_ps=5.0, gate_ps=1000.0)
-    assert abs(heralding_rate_factor(model) - (1.0 - math.exp(-0.5))) < 1e-5
+    model = BsmSettings(t1_xx_ns=1.0, t2_xx_ns=0.3, jitter_ps=5.0, gate_ps=1000.0, intrinsic_limit=1.0)
+    assert abs(gate_response(model, [model.gate_ps])[1][0] - (1.0 - math.exp(-0.5))) < 1e-5
     gated = model.with_gate(47.0)
     num, den = quadrature_gated_integrals(gated)
     assert effective_indistinguishability(gated, 1.0) == pytest.approx(num / den, rel=1e-9)
@@ -271,7 +279,7 @@ def test_gated_integrals_match_quadrature(t1, t2_fraction, jitter, gate):
 @settings(max_examples=200)
 @given(LIFETIMES, T2_FRACTIONS, JITTERS.filter(lambda j: j > 0.0), st.floats(0.0, 1.0))
 def test_gate_response_monotone_across_branch_switches(t1, t2_fraction, jitter, intrinsic):
-    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2.0 * t1 * t2_fraction, jitter_ps=jitter)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2.0 * t1 * t2_fraction, jitter_ps=jitter, intrinsic_limit=intrinsic)
     # The closed form hands over to the quadrature rule at a = h/z = 4 and
     # switches erfcx branch at b = a, that is h = kappa z^2 / 2.
     z = math.sqrt(2.0) * model.diff_jitter_sigma_ns
@@ -279,7 +287,7 @@ def test_gate_response_monotone_across_branch_switches(t1, t2_fraction, jitter, 
     switches_ps = [8e3 * z] + [1e3 * k * z * z for k in kappas]
     near = [s * f for s in switches_ps for f in (0.9, 1 - 1e-6, 1 + 1e-6, 1.1)]
     gates = np.sort(np.concatenate([np.geomspace(1e-3, 1e5, 41), near, [math.inf]]))
-    i_eff, rate = gate_response(model, gates, intrinsic)
+    i_eff, rate = gate_response(model, gates)
     assert np.all(np.diff(i_eff) <= 1e-12)
     assert np.all(np.diff(rate) >= -1e-12)
     assert np.all((rate >= 0.0) & (rate <= 1.0)) and rate[-1] == 1.0
@@ -304,11 +312,11 @@ def test_erfcx_matches_scipy():
 @pytest.mark.parametrize("jitter", [0.0, 1e-3, 300.0])
 @pytest.mark.parametrize("t1, t2", [(0.12, 0.14545), (0.05, 1e-4), (2.0, 4.0), (2.0, 2.0)])
 def test_gate_response_is_warning_free_at_extreme_gates(jitter, t1, t2):
-    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=jitter)
+    model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=jitter, intrinsic_limit=0.94)
     gates = np.concatenate([np.geomspace(1e-3, 1e300, 604), [math.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        i_eff, rate = gate_response(model, gates, 0.94)
+        i_eff, rate = gate_response(model, gates)
     assert np.all((i_eff >= 0.0) & (i_eff <= 0.94)) and np.all((rate >= 0.0) & (rate <= 1.0))
     assert rate[-1] == 1.0
 

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -74,6 +75,8 @@ def test_config_validation():
         (np.array([0.0, 1000.0]), "float64, not integer ps"),
         (np.empty(0), "float64, not integer ps"),
         (np.array([0, 1], dtype=np.uint64) - np.uint64(2), "negative"),
+        (np.array(5), r"shape \(\), not one dimension"),
+        (np.array([[0, 1]]), r"shape \(1, 2\), not one dimension"),
     ],
 )
 def test_stream_rejects_malformed_times(times, message):
@@ -84,6 +87,15 @@ def test_stream_rejects_malformed_times(times, message):
 def test_stream_holds_int64_ps():
     stream = TimestampStream({"d1": np.array([0, 7], dtype=np.uint32)}, ApparatusConfig(), 0, 1.0)
     assert stream.channels["d1"].dtype == np.int64 and stream.channels["d1"].tolist() == [0, 7]
+
+
+def test_stream_keeps_read_only_views_of_the_callers_arrays():
+    times = np.array([0, 7], dtype=np.int64)
+    channels = {"d1": times}
+    stream = TimestampStream(channels, ApparatusConfig(), 0, 1.0)
+    assert stream.channels is not channels and channels == {"d1": times}
+    assert times.flags.writeable and not stream.channels["d1"].flags.writeable
+    assert np.shares_memory(stream.channels["d1"], times)  # a view, not a copy
 
 
 def test_config_dict_round_trip():
@@ -219,6 +231,23 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
     sidecar_path.write_text(json.dumps({**sidecar, "records": sidecar["records"] + 1}))
     with pytest.raises(McError, match=f"{sidecar['records']} records, the sidecar says"):
         read_stream(path)
+
+    # Each of these is an McError naming the sidecar, not a crash or a silent load.
+    ids = sidecar["channels"]  # alice, bob, bsm1, bsm2 -> 0-3
+    for text, message in (
+        ("[1, 2]", "JSON list, not an object"),
+        ("{not json", "Expecting property name"),
+        (json.dumps({**sidecar, "channels": list(ids)}), "must map names to integer ids"),
+        (json.dumps({**sidecar, "channels": {**ids, "bob": 0, "extra": 1}}), "are not distinct"),
+        (json.dumps({**sidecar, "channels": {**ids, "extra": 256}}), "integer ids in 0-255"),
+        (json.dumps({**sidecar, "channels": {**ids, "bob": 1.0}}), "integer ids in 0-255"),
+        (json.dumps({**sidecar, "seed": "twelve"}), "seed 'twelve' is not a non-negative integer"),
+        (json.dumps({**sidecar, "seed": 12.5}), "seed 12.5 is not a non-negative integer"),
+        (json.dumps({**sidecar, "duration_s": "long"}), "duration_s 'long' is not a positive finite number"),
+    ):
+        sidecar_path.write_text(text)
+        with pytest.raises(McError, match=rf"^{re.escape(str(sidecar_path))}: .*{message}"):
+            read_stream(path)
 
     # A file cut inside a record, then by one whole record.
     sidecar_path.write_text(json.dumps(sidecar))
@@ -848,11 +877,24 @@ def test_simulate_tomography_run_shapes():
     assert heralded.counts.sum() < run.counts.sum()
 
 
+def test_simulate_tomography_run_defaults_to_the_configured_gate():
+    # The default [bsm] gate is inf, one 2 ns interferometer delay wide.
+    settings = standard_settings(16)[1:5]
+    counts = {}
+    for bsm_gate, gate in ((math.inf, None), (math.inf, 2000.0), (47.0, None), (47.0, 47.0)):
+        cfg = ApparatusConfig(bsm=BsmSettings(gate_ps=bsm_gate), **FAST)
+        counts[bsm_gate, gate] = simulate_tomography_run(cfg, settings, 60_000, seed=8, heralded=True, gate_ps=gate).counts
+    assert np.array_equal(counts[math.inf, None], counts[math.inf, 2000.0])
+    assert np.array_equal(counts[47.0, None], counts[47.0, 47.0])
+    assert counts[47.0, None].sum() < counts[math.inf, None].sum()
+
+
 @pytest.mark.parametrize("mzi_delay_ns", [2.0, 3.0005])
 def test_infinite_gate_is_one_interferometer_delay(mzi_delay_ns):
     cfg = ApparatusConfig(mzi_delay_ns=mzi_delay_ns, alice_setting="D", bob_setting="D", **FAST)
     stream = simulate(cfg, _periods(cfg, 20_000), seed=36)
     assert fourfold_coincidences(stream, math.inf) == fourfold_coincidences(stream, 1000 * mzi_delay_ns) > 0
+    assert fourfold_coincidences(stream) == fourfold_coincidences(stream, math.inf)  # the default [bsm] gate
 
 
 @given(
