@@ -72,7 +72,6 @@ from .mc import (
     McError,
     Run,
     TimestampStream,
-    fit_double_exponential,
     fourfold_coincidences,
     g2_histogram,
     hom_histogram,

@@ -18,16 +18,14 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, default_config, load_config
 from .interference import InterferenceError, bsm_povm
 from .mc import (
     McError,
     Run,
-    fit_double_exponential,
     fourfold_coincidences,
+    fourfold_gate_ps,
     g2_histogram,
     hom_histogram,
     simulate_runs,
@@ -45,8 +43,10 @@ from .swap import (
     predict,
 )
 from .tomography import (
+    MeasurementSetting,
     MleConvergenceError,
     TomographyError,
+    born_probabilities,
     bootstrap_errors,
     mle_reconstruct,
     run_from_csv,
@@ -74,10 +74,10 @@ def _parse_range(text: str) -> list[float]:
     if (bound - start) / step >= _MAX_RANGE_VALUES:
         raise ConfigError(f"range {text!r} gives more than {_MAX_RANGE_VALUES} values")
     values = []
-    v = start
-    while v <= bound:
-        values.append(round(v, 9))
-        v += step
+    # Each value is computed from its index, so rounding does not accumulate;
+    # "or 0.0" turns a -0.0 into 0.0.
+    while (v := start + len(values) * step) <= bound:
+        values.append(round(v, 9) or 0.0)
     return values
 
 
@@ -116,7 +116,7 @@ def _emit_table(
 
 def _cmd_swap_predict(args, config: RunConfig) -> int:
     gates = _parse_range(args.gates) if args.gates else [config.bsm.gate_ps]
-    curve = predict(config.source, config.bsm, gates)
+    curve = predict(config.source, config.bsm, gates, config.apparatus.bsm_delay_offset_ps)
     columns = ["gate_ps", "i_eff", "fidelity", "s_value", "herald_prob", "rate_factor"]
     rows = [list(row) for row in zip(curve.gate_ps, *(getattr(curve, c).tolist() for c in columns[1:]))]
     out = Path(args.out_dir or config.output.out_dir) / "swap_predict"
@@ -159,9 +159,10 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 
 
 def _cmd_mc_run(args, config: RunConfig) -> int:
+    run = Run(config.apparatus, config.output.seed, args.duration)  # checks the input before any directory is made
     out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
-    counts = write_stream(Run(config.apparatus, config.output.seed, args.duration), out)
+    counts = write_stream(run, out)
     print(f"wrote {out} ({counts})")
     return 0
 
@@ -200,36 +201,35 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
     seed = config.output.seed
+    delays = _parse_range(args.delays)
+    gate = fourfold_gate_ps(config.apparatus, args.gate)
+    curve = predict(config.source, config.bsm, [gate] * len(delays), delays)
+    settings = [MeasurementSetting("D", bob) for bob in ("D", "A")]
     variants = [
-        {"bsm_delay_offset_ps": delay, "alice_setting": "D", "bob_setting": bob}
-        for delay in _parse_range(args.delays)
-        for bob in ("D", "A")
+        {"bsm_delay_offset_ps": delay, "alice_setting": "D", "bob_setting": s.projector_b}
+        for delay in delays
+        for s in settings
     ]
-    fourfolds = partial(fourfold_coincidences, gate_ps=args.gate)
+    fourfolds = partial(fourfold_coincidences, gate_ps=gate)
     counts = simulate_runs(config.apparatus, args.duration_per_point, variants, seed, fourfolds)
-    rows = [[v["bsm_delay_offset_ps"], v["alice_setting"] == v["bob_setting"], n] for v, n in zip(variants, counts)]
-    co = [(delay, n) for delay, copolarized, n in rows if copolarized]
-    fits = {}
-    if len(co) >= 5:
-        x, y = np.array(co, dtype=float).T
-        try:
-            fit = fit_double_exponential(x, y)
-            fits = {
-                "amplitude": fit.amplitude,
-                "center_ps": fit.center,
-                "left_rate_per_ps": fit.left_rate,
-                "right_rate_per_ps": fit.right_rate,
-                "offset": fit.offset,
-                "residual_norm": fit.residual_norm,
-            }
-        except McError:
-            fits = {}
+    # Each delay's D/D and D/A shares of its four-folds are the Born
+    # probabilities of the state heralded there, over their sum; chi2 is
+    # Pearson's over the delays that have counts.
+    rows, chi2, points = [], 0.0, 0
+    for k, delay in enumerate(delays):
+        pair = counts[2 * k : 2 * k + 2]
+        probs = born_probabilities(curve[k].rho_ab, settings).clip(0.0)
+        total = sum(pair)
+        points += total > 0
+        for s, n, share in zip(settings, pair, (probs / probs.sum()).tolist()):
+            rows.append([delay, s.projector_b == "D", float(curve.i_eff[k]), share, n])
+            chi2 += (n - total * share) ** 2 / (total * share) if share and total else (math.inf if n else 0.0)
     prov = _provenance(config, seed)
-    prov.update({f"fit_{k}": v for k, v in fits.items()})
+    prov.update(chi2=chi2, chi2_points=points)
     out = Path(args.out_dir or config.output.out_dir) / "fourfold_scan"
     _emit_table(
         out,
-        ["delay_ps", "copolarized", "fourfolds"],
+        ["delay_ps", "copolarized", "i_eff", "predicted_share", "fourfolds"],
         rows,
         prov,
         args.format or config.output.format,
@@ -239,7 +239,7 @@ def _cmd_fourfold_scan(args, config: RunConfig) -> int:
 
 
 def _cmd_report(args, config: RunConfig) -> int:
-    ungated, gated = predict(config.source, config.bsm, [math.inf, 47.0])
+    ungated, gated = predict(config.source, config.bsm, [math.inf, 47.0], config.apparatus.bsm_delay_offset_ps)
     rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2))
     ideal = herald(rho4, bsm_povm(1.0, config.bsm.convention))
     control = control_no_heralding(rho4)

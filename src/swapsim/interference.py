@@ -293,28 +293,72 @@ def _damped_acceptance(kappa: np.ndarray, half_ns: np.ndarray, z: float) -> np.n
     return out
 
 
-def _gated_integrals(bsm: BsmSettings, gates_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rejected_share(rate: float, half_ns: np.ndarray, z: float) -> np.ndarray:
+    """1 - rate J: the share of the Laplace density of ``rate`` that the
+    jittered gate of half-width h rejects.
+
+    It is ``_damped_acceptance``'s closed form without its leading 1, which
+    leaves no cancellation at any a: exp(b (b - 2a)) - [erfcx(a + b)
+    + erfcx(a - b) - 2 erfcx(a)] exp(-a^2)/2 for b < a, and
+    -[erfcx(a + b) - erfcx(b - a) - 2 erfcx(a)] exp(-a^2)/2 otherwise.
+    """
+    if z == 0.0:
+        return np.exp(-rate * half_ns)
+    a, b = half_ns / z, rate * z / 2.0
+    e_sum, e_diff, e_a = _erfcx(np.stack(np.broadcast_arrays(a + b, np.abs(a - b), a)))
+    below = b < a
+    lead = np.where(below, np.exp(np.minimum(b * (b - 2.0 * a), 0.0)), 0.0)
+    tail = np.exp(-np.square(np.minimum(a, 28.0))) / 2.0
+    return lead - tail * (e_sum + np.where(below, e_diff, -e_diff) - 2.0 * e_a)
+
+
+def _gated_integrals(bsm: BsmSettings, gates_ps: np.ndarray, offsets_ps=0.0) -> tuple[np.ndarray, np.ndarray]:
     """(numerator, denominator) of the gated average of the coherence kernel
     exp(-2 gamma |d|) over the Laplace density exp(-|d|/t1)/(2 t1) of the
-    detection-time difference d, one entry per gate."""
+    detection-time difference d, one entry per gate.
+
+    A BSM delay offset delta (one, or one per gate) delays photon 1 as the
+    Monte Carlo does. A pair interferes only when both photons are emitted
+    after they could meet, which scales the numerator by exp(-|delta|/t1),
+    and d's density is shifted by delta. As the jittered acceptance is odd in
+    the half-width h, the shifted denominator is
+    [den(h + |delta|) + sgn(h - |delta|) den(|h - |delta||)] / 2. Past
+    |delta| = h the two terms would cancel, so there it is half the
+    difference of the rejected shares at |delta| - h and |delta| + h.
+    """
     t1, z = bsm.t1_xx_ns, math.sqrt(2.0) * bsm.diff_jitter_sigma_ns
     half = gates_ps * 1e-3 / 2.0
     num, den = _damped_acceptance(np.array([1.0 / t1 + 2.0 * bsm.dephasing_rate, 1.0 / t1]), half, z) / t1
+    shift = np.abs(np.broadcast_to(offsets_ps, half.shape)) * 1e-3
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        h, s = half[moved], shift[moved]
+        far, near = h + s, np.abs(h - s)
+        inside = _damped_acceptance(np.array([1.0 / t1]), np.concatenate([far, near]), z).reshape(2, -1) / t1
+        outside = _rejected_share(1.0 / t1, near, z) - _rejected_share(1.0 / t1, far, z)
+        num[moved] *= np.exp(-s / t1)
+        den[moved] = np.where(s <= h, inside.sum(axis=0), outside) / 2.0
     return num, den
 
 
-def gate_response(bsm: BsmSettings, gates_ps) -> tuple[np.ndarray, np.ndarray]:
-    """Effective indistinguishability and heralding-rate factor at each gate width.
+def gate_response(bsm: BsmSettings, gates_ps, offsets_ps=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Effective indistinguishability and heralding-rate factor at each gate
+    width and BSM delay offset (one offset, or one per gate).
 
-    Gates must be positive (inf allowed); ``bsm``'s own gate is ignored.
+    Gates must be positive (inf allowed) and offsets finite; ``bsm``'s own
+    gate is ignored.
     """
     gates = np.asarray(gates_ps, dtype=float).reshape(-1)
     if not np.all(gates > 0.0):
         raise InterferenceError("gate width must be positive (inf allowed)")
-    num, den = _gated_integrals(bsm, gates)
+    offsets = np.broadcast_to(np.asarray(offsets_ps, dtype=float), gates.shape)
+    if not np.all(np.isfinite(offsets)):
+        raise InterferenceError("BSM delay offset must be finite")
+    num, den = _gated_integrals(bsm, gates, offsets)
     i_eff = np.full(gates.shape, float(bsm.intrinsic_limit))
-    if bsm.dephasing_rate > 1e-15:
-        np.divide(bsm.intrinsic_limit * num, den, out=i_eff, where=den > 0.0)
+    # Without dephasing or offset the kernel is 1 and I is the limit itself.
+    coherent = (offsets != 0.0) | (bsm.dephasing_rate > 1e-15)
+    np.divide(bsm.intrinsic_limit * num, den, out=i_eff, where=coherent & (den > 0.0))
     return i_eff, np.where(np.isinf(gates), 1.0, np.clip(den, 0.0, 1.0))
 
 

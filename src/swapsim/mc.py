@@ -996,13 +996,23 @@ def hom_histogram(streams: tuple[TimestampStream | Run, TimestampStream | Run], 
     return HomResult(h_co, h_cross, float(visibility))
 
 
+def fourfold_gate_ps(config: ApparatusConfig, gate_ps: float | None = None) -> float:
+    """The finite BSM gate a four-fold count uses: ``gate_ps``, or
+    ``config.bsm.gate_ps`` when none is given. An infinite gate is one
+    excitation-pulse splitting delay wide: it takes every overlapped pair and
+    none of the pairs one delay apart."""
+    if gate_ps is None:
+        gate_ps = config.bsm.gate_ps
+    if not gate_ps > 0:
+        raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
+    return gate_ps if gate_ps < math.inf else config.mzi_delay_ns * 1000.0
+
+
 def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None = None) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
     A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2, the gate
-    being the stream config's ``bsm.gate_ps`` unless ``gate_ps`` is given. An
-    infinite gate is one excitation-pulse splitting delay wide: it takes every
-    overlapped pair and none of the pairs one delay apart. An analyzer
+    being ``fourfold_gate_ps(stream.config, gate_ps)``. An analyzer
     detection t hits the heralding time c = (t1 + t2) / 2 when
     c - X <= t < c + X, X = ``_ANALYZER_HALF_PS``; Alice's c is shifted back
     by the compensation delay in whole ps.
@@ -1010,11 +1020,7 @@ def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None =
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("four-fold analysis expects the heralding topology")
-    if gate_ps is None:
-        gate_ps = cfg.bsm.gate_ps
-    if not gate_ps > 0:
-        raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
-    gate = gate_ps if gate_ps < math.inf else cfg.mzi_delay_ns * 1000.0
+    gate = fourfold_gate_ps(cfg, gate_ps)
     # No two events are 2**61 ps (27 days) apart, so a wider gate gives the
     # same pairs with int64 window ends.
     half = min(gate / 2.0, 2.0**61)
@@ -1049,64 +1055,6 @@ def twofold_control_coincidences(stream: TimestampStream | Run) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class DoubleExponentialFit:
-    amplitude: float
-    center: float
-    left_rate: float
-    right_rate: float
-    offset: float
-    residual_norm: float
-
-
-def fit_double_exponential(x: np.ndarray, y: np.ndarray) -> DoubleExponentialFit:
-    """Least-squares fit of A*exp(-|t-t0|*r_side) + c with side-dependent rates.
-
-    Initialized deterministically from peak position and half-area widths.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 5:
-        raise McError("need at least 5 histogram points")
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    n_edge = max(1, x.size // 10)
-    offset0 = float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
-    peak = int(np.argmax(y))
-    amp0 = max(float(y[peak] - offset0), 1e-9)
-    center0 = float(x[peak])
-    above = np.nonzero(y - offset0 > amp0 / 2.0)[0]
-    width = float(np.mean(np.diff(x)))
-    if above.size:
-        width = max(float(x[above[-1]] - x[above[0]]), width)
-    rate0 = 2.0 * math.log(2.0) / width
-
-    def model(p):
-        a, t0, rl, rr, c = p
-        rate = np.where(x < t0, rl, rr)
-        return a * np.exp(-np.abs(x - t0) * rate) + c
-
-    from scipy.optimize import least_squares
-
-    p0 = np.array([amp0, center0, rate0, rate0, offset0])
-    bounds = (
-        [0.0, float(x[0]), 1e-12, 1e-12, -np.inf],
-        [np.inf, float(x[-1]), np.inf, np.inf, np.inf],
-    )
-    result = least_squares(lambda p: model(p) - y, p0, bounds=bounds, max_nfev=20000)
-    if not result.success:
-        raise McError(f"double-exponential fit did not converge: {result.message}")
-    a, t0, rl, rr, c = result.x
-    return DoubleExponentialFit(
-        amplitude=float(a),
-        center=float(t0),
-        left_rate=float(rl),
-        right_rate=float(rr),
-        offset=float(c),
-        residual_norm=float(np.linalg.norm(result.fun)),
-    )
-
-
 def simulate_tomography_run(
     config: ApparatusConfig,
     settings: Sequence[MeasurementSetting],
@@ -1118,8 +1066,11 @@ def simulate_tomography_run(
     """Per-setting coincidence counts, one ``simulate_runs`` run per setting.
 
     Heralded counts are ``fourfold_coincidences`` inside the gate (``config``'s
-    own by default); unheralded ones are Alice-Bob control coincidences.
+    own by default); unheralded ones are Alice-Bob control coincidences, which
+    have no gate to give.
     """
+    if not heralded and gate_ps is not None:
+        raise McError("unheralded control counts take no BSM gate")
     variants = [{"alice_setting": s.projector_a, "bob_setting": s.projector_b} for s in settings]
     analysis = partial(fourfold_coincidences, gate_ps=gate_ps) if heralded else twofold_control_coincidences
     counts = simulate_runs(config, periods_per_setting / config.rep_rate_hz, variants, seed, analysis)

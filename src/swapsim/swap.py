@@ -150,8 +150,11 @@ def control_no_heralding(rho4: DensityMatrix) -> DensityMatrix:
     return partial_trace(rho4, ("X1", "X2"))
 
 
-def predict(params: SourceParams, bsm: BsmSettings, gates_ps: Sequence[float]) -> SwapCurve:
-    """Swap outcome versus detection gate width.
+def predict(
+    params: SourceParams, bsm: BsmSettings, gates_ps: Sequence[float], offsets_ps: float | Sequence[float] = 0.0
+) -> SwapCurve:
+    """Swap outcome versus detection gate width and BSM delay offset (one
+    offset, or one per gate).
 
     For each gate the effective indistinguishability I (with ``bsm``'s
     intrinsic limit) feeds the heralding POVM of ``bsm``'s convention, and the
@@ -162,7 +165,7 @@ def predict(params: SourceParams, bsm: BsmSettings, gates_ps: Sequence[float]) -
     p(I) = (1 - I) p0 + I p1.
     """
     gates = tuple(gates_ps)
-    i_eff, factor = gate_response(bsm, gates)
+    i_eff, factor = gate_response(bsm, gates, offsets_ps)
     if not np.all((i_eff >= 0.0) & (i_eff <= 1.0)):
         raise InterferenceError(f"indistinguishability {i_eff.min()}..{i_eff.max()} outside [0, 1]")
     rho4 = compose(emit_pair(params, 1), emit_pair(params, 2))

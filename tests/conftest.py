@@ -160,43 +160,49 @@ def gate_acceptance(delta_ns: float, bsm) -> float:
     return 0.5 * (erf((half - delta_ns) / z) + erf((half + delta_ns) / z))
 
 
-def quadrature_gated_integrals(bsm) -> tuple[float, float]:
+def quadrature_gated_integrals(bsm, offset_ps: float = 0.0) -> tuple[float, float]:
     """(numerator, denominator) of the gated coherence average by adaptive quadrature.
 
-    Integrates the Laplace density exp(-|d|/t1)/(2 t1) of the detection-time
-    difference, times the coherence kernel exp(-2 gamma |d|) for the
-    numerator, times ``gate_acceptance``, over d >= 0 and doubles it. The
-    segments break at 0, at half and at half +- {1, 3, 6, 12} sigma, so the
-    acceptance edge always sits on segment boundaries and ``quad`` cannot
-    step over it. The integral stops at 60 t1 or 12 sigma past the edge,
-    where the integrand is below double precision of the total.
+    The denominator integrates the detection-time difference density, the
+    Laplace density exp(-|d - delta|/t1)/(2 t1) shifted by the BSM delay
+    offset delta, times ``gate_acceptance``, over the whole line. The
+    numerator integrates the unshifted density times the coherence kernel
+    exp(-2 gamma |d|) and the acceptance, scaled by exp(-|delta|/t1): the
+    chance that both photons are emitted late enough to meet. The segments
+    break at the density's cusp and at +-half +- {0, 1, 3, 6, 12} sigma, so
+    the acceptance edges always sit on segment boundaries and ``quad``
+    cannot step over them. The integral stops at 60 t1 from the cusp or 12
+    sigma past the edges, where the integrand is below double precision of
+    the total.
     """
     from scipy.integrate import IntegrationWarning, quad
 
     t1, gamma = bsm.t1_xx_ns, bsm.dephasing_rate
     sigma = bsm.diff_jitter_sigma_ns
     half = bsm.gate_ps * 1e-3 / 2.0
-    end = 60.0 * t1
-    points = {0.0}
-    if not math.isinf(half):
-        end = min(end, half + 12.0 * sigma)
-        points |= {half + s * k * sigma for k in (0, 1, 3, 6, 12) for s in (-1.0, 1.0)}
-    edges = sorted(p for p in points if 0.0 <= p < end) + [end]
+    delta = offset_ps * 1e-3
 
-    def integral(rate: float) -> float:
+    def integral(rate: float, cusp: float) -> float:
+        lo, hi = cusp - 60.0 * t1, cusp + 60.0 * t1
+        points = {cusp}
+        if not math.isinf(half):
+            lo, hi = max(lo, -half - 12.0 * sigma), min(hi, half + 12.0 * sigma)
+            points |= {e * half + s * k * sigma for k in (0, 1, 3, 6, 12) for s in (-1.0, 1.0) for e in (-1.0, 1.0)}
+        edges = [lo] + sorted(p for p in points if lo < p < hi) + [hi]
+
         def integrand(d: float) -> float:
-            return math.exp(-rate * d) * gate_acceptance(d, bsm)
+            return math.exp(-rate * abs(d - cusp)) * gate_acceptance(d, bsm)
 
         # On segments a few sigma wide quad flags round-off in its own error
         # estimate long before it matters to the sum, which matches a 30-digit
         # evaluation to about 1e-12.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            parts = [quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-                     for lo, hi in zip(edges[:-1], edges[1:])]
-        return sum(parts) / t1
+            parts = [quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]) if a < b]
+        return sum(parts) / (2.0 * t1)
 
-    return integral(1.0 / t1 + 2.0 * gamma), integral(1.0 / t1)
+    return math.exp(-abs(delta) / t1) * integral(1.0 / t1 + 2.0 * gamma, 0.0), integral(1.0 / t1, delta)
 
 
 def pair_deltas(ta: np.ndarray, tb: np.ndarray, span_ps: float) -> np.ndarray:

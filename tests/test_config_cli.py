@@ -1,10 +1,13 @@
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swapsim import cli, mc
 from swapsim.cli import main
@@ -14,9 +17,10 @@ from swapsim.config import (
     load_config,
     write_default_config,
 )
-from swapsim.interference import BsmConvention
+from swapsim.interference import BsmConvention, gate_response
 from swapsim.params import config_hash
 from swapsim.source import NoiseKind
+from swapsim.swap import predict
 
 # Keys that once loaded but changed no output; each is now an unknown key.
 REMOVED_KEYS = (
@@ -229,6 +233,25 @@ def test_cli_swap_predict_monotone(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(fid, fid[1:]))
 
 
+def test_delay_offset_reaches_swap_predict_and_report(tmp_path):
+    # [apparatus] bsm_delay_offset_ps moves every Monte Carlo four-fold; the
+    # density-matrix route reads the same offset.
+    path = tmp_path / "offset.cfg"
+    path.write_text("[apparatus]\nbsm_delay_offset_ps = 100\n")
+    config = load_config(path)
+    assert main(["swap-predict", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "swap_predict.csv").read_text()
+    header, line = [line for line in text.splitlines() if not line.startswith("#")]
+    assert header == "gate_ps,i_eff,fidelity,s_value,herald_prob,rate_factor"
+    row = [float(x) for x in line.split(",")]
+    (want,) = predict(config.source, config.bsm, [math.inf], offsets_ps=100.0)
+    assert row == [math.inf, want.i_eff, want.fidelity, want.s_value, want.herald_prob, want.rate_factor]
+    assert want.i_eff == pytest.approx(0.2473, abs=1e-4) and want.fidelity < 0.7
+    assert main(["report", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert (payload["i_eff_ungated"], payload["fidelity_ungated"]) == (want.i_eff, want.fidelity)
+
+
 def test_cli_swap_predict_rejects_zero_gate(tmp_path, capsys):
     assert main(["swap-predict", "--gates", "0:10:5", "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "gate width must be positive" in capsys.readouterr().err
@@ -309,6 +332,15 @@ def test_cli_hom_and_scan(tmp_path, capsys):
     lines = (tmp_path / "fourfold_scan.csv").read_text().splitlines()
     rows = [l for l in lines if not l.startswith("#") and l]
     assert len(rows) == 1 + 2 * 5  # header + co/cross per delay
+    assert rows[0] == "delay_ps,copolarized,i_eff,predicted_share,fourfolds"
+    provenance = dict(l[2:].split(" = ") for l in lines if l.startswith("#"))
+    assert set(provenance) == {"config_hash", "seed", "version", "chi2", "chi2_points"}
+    assert float(provenance["chi2"]) >= 0.0 and int(provenance["chi2_points"]) <= 5
+    for co, cross in zip(rows[1::2], rows[2::2]):
+        (delay, _, i_co, share_co, _), (*_, i_cross, share_cross, _) = co.split(","), cross.split(",")
+        assert i_co == i_cross and float(share_co) + float(share_cross) == pytest.approx(1.0)
+        # The prediction reads each row's delay, inside the counted 2000 ps gate.
+        assert float(i_co) == gate_response(default_config().bsm, [2000.0], float(delay))[0][0]
 
 
 def test_cli_histogram_csv_columns_are_plain_numbers(tmp_path):
@@ -366,9 +398,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     ],
 )
 def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):
-    assert main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    # Input is checked before any artifact directory is made.
+    assert main([*argv, "--out-dir", str(tmp_path / "a" / "new")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(-10**6, 10**6), st.integers(0, 2000), st.sampled_from(["1", "0.5", "0.25", "0.1", "0.05", "0.01", "0.001"])
+)
+@example(start_steps=10_000_000, count=10_000, step="0.01")  # 100000:100100:0.01
+@example(start_steps=-7, count=7, step="0.1")  # -0.7:0:0.1 ends at 0.0, not -0.0
+def test_parse_range_values_sit_on_their_grid(start_steps, count, step):
+    start = start_steps * Decimal(step)
+    values = cli._parse_range(f"{start}:{start + count * Decimal(step)}:{step}")
+    assert values == [float(start + k * Decimal(step)) for k in range(count + 1)]
+    assert all(math.copysign(1.0, v) == 1.0 for v in values if v == 0.0)
 
 
 @pytest.mark.parametrize("command", ["g2", "hom", "mc-run"])
@@ -448,8 +495,6 @@ def test_scan_runs_of_different_seeds_never_share_a_stream(monkeypatch, tmp_path
 def test_fourfold_scan_memory_does_not_grow_with_points(tmp_path):
     # Each stream is dropped after its four-fold count. Holding them all, the
     # peak was 7.8 MB at 2 delay points and 15.5 MB at 8.
-    import scipy.optimize  # noqa: F401  (the fit at 5+ co-polarized points loads it; not measured)
-
     peaks = []
     for delays in ("0:100:100", "0:700:100"):
         tracemalloc.start()

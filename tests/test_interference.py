@@ -264,16 +264,36 @@ LIFETIMES = st.floats(0.05, 2.0)
 T2_FRACTIONS = st.one_of(st.just(1.0), st.floats(1e-3, 1.0))  # t2 / (2 t1)
 JITTERS = st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(-3.0, 2.5).map(lambda e: 10.0**e))
 GATES = st.one_of(st.just(math.inf), st.floats(-3.0, 5.0).map(lambda e: 10.0**e))
+OFFSETS = st.one_of(st.just(0.0), st.floats(-2000.0, 2000.0))  # BSM delay offsets in ps
 
 
 @settings(max_examples=300)
-@given(LIFETIMES, T2_FRACTIONS, JITTERS, GATES)
-def test_gated_integrals_match_quadrature(t1, t2_fraction, jitter, gate):
+@given(LIFETIMES, T2_FRACTIONS, JITTERS, GATES, OFFSETS)
+@example(t1=0.05, t2_fraction=1.0, jitter=0.0, gate=1e-3, offset=-600.0)  # far past a tiny gate
+@example(t1=2.0, t2_fraction=1.0, jitter=1e-3, gate=1e-3, offset=2000.0)
+def test_gated_integrals_match_quadrature(t1, t2_fraction, jitter, gate, offset):
     model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2.0 * t1 * t2_fraction, jitter_ps=jitter, gate_ps=gate)
-    num, den = _gated_integrals(model, np.array([gate]))
-    oracle_num, oracle_den = quadrature_gated_integrals(model)
-    assert num[0] == pytest.approx(oracle_num, rel=1e-9)
-    assert den[0] == pytest.approx(oracle_den, rel=1e-9)
+    num, den = _gated_integrals(model, np.array([gate]), offset)
+    oracle_num, oracle_den = quadrature_gated_integrals(model, offset)
+    # abs=0: far past a narrow gate both integrals are far below approx's default 1e-12.
+    assert num[0] == pytest.approx(oracle_num, rel=1e-9, abs=0.0)
+    assert den[0] == pytest.approx(oracle_den, rel=1e-9, abs=0.0)
+
+
+def test_offset_response_is_symmetric_and_costs_coherence():
+    model = BsmSettings()
+    gates = [47.0, 200.0, 2000.0, math.inf]
+    at_zero = gate_response(model, gates)
+    assert all(np.array_equal(a, b) for a, b in zip(gate_response(model, gates, 0.0), at_zero))
+    for offset in (50.0, 400.0):
+        plus, minus = gate_response(model, gates, offset), gate_response(model, gates, -offset)
+        assert all(np.array_equal(a, b) for a, b in zip(plus, minus))
+        assert np.all(plus[0] < at_zero[0])
+    # 100 ps ungated: the coherent share falls from 0.569 to 0.247.
+    assert gate_response(model, [math.inf], 100.0)[0][0] == pytest.approx(0.2473, abs=1e-4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InterferenceError, match="offset must be finite"):
+            gate_response(model, gates, bad)
 
 
 @settings(max_examples=200)

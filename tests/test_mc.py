@@ -29,13 +29,12 @@ from conftest import (
 )
 
 from swapsim import cli, mc
-from swapsim.interference import BsmConvention, BsmSettings
+from swapsim.interference import BsmConvention, BsmSettings, gate_response
 from swapsim.mc import (
     ApparatusConfig,
     McError,
     Run,
     TimestampStream,
-    fit_double_exponential,
     fourfold_coincidences,
     g2_histogram,
     hom_histogram,
@@ -47,7 +46,8 @@ from swapsim.mc import (
     write_stream,
 )
 from swapsim.params import config_hash, from_dict, to_dict
-from swapsim.tomography import standard_settings
+from swapsim.swap import predict
+from swapsim.tomography import MeasurementSetting, born_probabilities, standard_settings
 
 FAST = dict(efficiency=0.8, dead_time_ns=0.0)
 
@@ -327,7 +327,15 @@ def test_hom_mismatched_delay_rejected():
         hom_histogram((cross, co))
 
 
-def test_fourfold_scan_shape_and_fit():
+def _copolarized_shares(cfg: ApparatusConfig, gate_ps: float, delays) -> np.ndarray:
+    """Predicted D/D share of each delay's D/D plus D/A four-folds."""
+    curve = predict(cfg.source, cfg.bsm, [gate_ps] * len(delays), delays)
+    settings = [MeasurementSetting("D", b) for b in ("D", "A")]
+    probs = np.array([born_probabilities(result.rho_ab, settings) for result in curve])
+    return probs[:, 0] / probs.sum(axis=1)
+
+
+def test_fourfold_scan_matches_the_delay_prediction():
     base = ApparatusConfig(**FAST)
     delays = [-600.0, -400.0, -200.0, 0.0, 200.0, 400.0, 600.0]
     co, cross = {}, {}
@@ -342,10 +350,40 @@ def test_fourfold_scan_shape_and_fit():
     ratio = co[0.0] / max(cross[0.0], 1)
     assert 1.9 < ratio < 3.2
     assert abs(co[600.0] - cross[600.0]) < 0.35 * max(co[0.0] - cross[0.0], 1)
-    x = np.array(sorted(co))
-    y = np.array([float(co[d]) for d in sorted(co)])
-    fit = fit_double_exponential(x, y)
-    assert abs(fit.center) <= 200.0  # within one grid step of zero delay
+    n_co = np.array([co[d] for d in delays], dtype=float)
+    total = n_co + [cross[d] for d in delays]
+
+    def pearson_chi2(share):
+        return float(np.sum((n_co - total * share) ** 2 / (total * share * (1.0 - share))))
+
+    # 24.3 is chi2 with 7 degrees of freedom at p = 0.001. The same counts
+    # against the zero-offset prediction fail it, so the offset response is
+    # what passes.
+    assert pearson_chi2(_copolarized_shares(base, 2000.0, delays)) <= 24.3
+    assert pearson_chi2(_copolarized_shares(base, 2000.0, [0.0] * len(delays))) > 24.3
+
+
+@pytest.mark.parametrize("offset_ps", [0.0, 50.0, -50.0, -100.0, 200.0, 400.0])
+def test_interference_sampling_matches_the_offset_gate_response(offset_ps):
+    # The Monte Carlo's interference draw and a jittered gate on its detection
+    # times, against gate_response's I and rate factor at that BSM delay offset.
+    bsm, off = BsmSettings(), offset_ps * 1e-3
+    gates = np.array([47.0, 200.0, 2000.0])
+    rng = np.random.default_rng(4100 + int(offset_ps))
+    draws, accepted, interfering = 0, np.zeros(3), np.zeros(3)
+    for _ in range(4):
+        n = 1 << 20
+        e1, e2 = rng.exponential(bsm.t1_xx_ns, (2, n))
+        hit = mc._interferes(bsm, e1, e2, off, rng.random(n))
+        diff = np.abs(e2 - e1 - off + rng.normal(0.0, bsm.diff_jitter_sigma_ns, n))
+        inside = diff[:, None] < gates * 1e-3 / 2.0
+        draws += n
+        accepted += inside.sum(axis=0)
+        interfering += (inside & hit[:, None]).sum(axis=0)
+    i_eff, rate = gate_response(bsm, gates, offset_ps)
+    z_rate = (accepted / draws - rate) / np.sqrt(rate * (1.0 - rate) / draws)
+    z_i = (interfering / accepted - i_eff) / np.sqrt(i_eff * (1.0 - i_eff) / accepted)
+    assert np.all(np.abs(z_rate) < 4.0) and np.all(np.abs(z_i) < 4.0), (z_rate, z_i)
 
 
 def test_gate_sweep_matches_quadrature_model():
@@ -372,29 +410,6 @@ def test_gate_sweep_matches_quadrature_model():
             * c1c2
         )
         assert abs(u_mc - u_model) < 4.0 / math.sqrt(total)
-
-
-def test_fit_double_exponential_exact():
-    x = np.linspace(-800, 800, 81)
-    truth = dict(amplitude=120.0, center=40.0, left_rate=0.004, right_rate=0.008, offset=5.0)
-    rate = np.where(x < truth["center"], truth["left_rate"], truth["right_rate"])
-    y = truth["amplitude"] * np.exp(-np.abs(x - truth["center"]) * rate) + truth["offset"]
-    fit = fit_double_exponential(x, y)
-    assert fit.amplitude == pytest.approx(truth["amplitude"], abs=1e-5)
-    assert fit.center == pytest.approx(truth["center"], abs=1e-4)
-    assert fit.left_rate == pytest.approx(truth["left_rate"], rel=1e-5)
-    assert fit.right_rate == pytest.approx(truth["right_rate"], rel=1e-5)
-    assert fit.offset == pytest.approx(truth["offset"], abs=1e-5)
-    assert fit.residual_norm < 1e-6
-
-
-def test_fit_double_exponential_flat():
-    x = np.linspace(-500, 500, 41)
-    y = np.full_like(x, 7.0)
-    fit = fit_double_exponential(x, y)
-    assert fit.amplitude == pytest.approx(0.0, abs=1e-6)
-    with pytest.raises(McError):
-        fit_double_exponential(x[:3], y[:3])
 
 
 def test_histogram_counts_are_raw():
@@ -875,6 +890,9 @@ def test_simulate_tomography_run_shapes():
     heralded = simulate_tomography_run(cfg, settings, periods_per_setting=50_000, seed=5,
                                        heralded=True, gate_ps=2000.0)
     assert heralded.counts.sum() < run.counts.sum()
+    # Control counts have no BSM gate, so a gate for them is an error, not ignored.
+    with pytest.raises(McError, match="take no BSM gate"):
+        simulate_tomography_run(cfg, settings, periods_per_setting=50_000, seed=5, heralded=False, gate_ps=47.0)
 
 
 def test_simulate_tomography_run_defaults_to_the_configured_gate():

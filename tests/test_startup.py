@@ -1,8 +1,8 @@
 """Start-up guard: importing swapsim, and the commands that never need scipy, load none of it.
 
-Only `calibrate_temporal` and the double-exponential fit import scipy; the
-gate response behind `swap-predict` and `report` uses numpy alone, and so does
-the source calibration, under every noise kind. The check
+Only `calibrate_temporal` imports scipy in the package; the gate response
+behind `swap-predict`, `report` and `fourfold-scan`'s prediction uses numpy
+alone, and so does the source calibration, under every noise kind. The check
 runs in a fresh interpreter because this test session has already imported
 scipy (tests/conftest.py uses it as an oracle).
 """
@@ -46,6 +46,7 @@ commands = {
     "mc-run": ["mc-run", "--duration", "1e-4"],
     "g2": ["g2", "--duration", "1e-4"],
     "hom": ["hom", "--duration", "1e-4"],
+    "fourfold-scan": ["fourfold-scan", "--delays=-300:300:150", "--duration-per-point", "1e-4"],
     "report": ["report"],
     "swap-predict": ["swap-predict", "--gates", "10:500:10"],
     "report fss": ["report", *fss],

@@ -201,8 +201,8 @@ def test_predict_range_error_names_the_gate(monkeypatch):
     params, bsm = SourceParams(), BsmSettings()
     gates = [20.0, 47.0, 100.0]
 
-    def inflated_rate(bsm, gates_ps):
-        i_eff, factor = gate_response(bsm, gates_ps)
+    def inflated_rate(bsm, gates_ps, offsets_ps):
+        i_eff, factor = gate_response(bsm, gates_ps, offsets_ps)
         factor[1] = 5.0  # heralding probability 0.125 * 5 > 1/2
         return i_eff, factor
 
