@@ -94,6 +94,20 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _json_text(payload: dict) -> str:
+    """Strict JSON (RFC 8259) of an artifact payload: a non-finite float is
+    written as its CSV text, "inf", "-inf" or "nan", and one missed raises."""
+
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False)
+
+
 def _provenance(config: RunConfig, seed: int) -> dict:
     return {"config_hash": config_hash(config), "seed": seed, "version": __version__}
 
@@ -105,7 +119,7 @@ def _emit_table(
         payload = {"provenance": provenance, "columns": columns, "rows": rows}
         if rho_ab is not None:
             payload["rho_ab"] = rho_ab
-        _atomic_write(path.with_suffix(".json"), json.dumps(payload, indent=2))
+        _atomic_write(path.with_suffix(".json"), _json_text(payload))
         return
     lines = [f"# {k} = {v}" for k, v in provenance.items()]
     lines.append(",".join(columns))
@@ -153,7 +167,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
         },
     }
     out = Path(args.out_dir or config.output.out_dir) / "tomo_reconstruct.json"
-    _atomic_write(out, json.dumps(payload, indent=2))
+    _atomic_write(out, _json_text(payload))
     print(f"wrote {out}")
     return 0
 
@@ -264,7 +278,7 @@ def _cmd_report(args, config: RunConfig) -> int:
         "bell_margin_47ps": check.bell_margin,
     }
     out = Path(args.out_dir or config.output.out_dir) / "report.json"
-    _atomic_write(out, json.dumps(payload, indent=2))
+    _atomic_write(out, _json_text(payload))
     for key in (
         "fidelity_ungated",
         "fidelity_47ps",

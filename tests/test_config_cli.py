@@ -273,6 +273,41 @@ def test_cli_json_format(tmp_path):
     assert len(payload["rows"]) == 1
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_cli_json_artifacts_are_strict_json(tmp_path):
+    # RFC 8259 has no Infinity or NaN: a non-finite float is written as the
+    # string its CSV cell holds, so a strict parser reads every artifact.
+    csv_path = _write_pair_counts(tmp_path)
+    out = tmp_path / "out"
+    common = ["--format", "json", "--out-dir", str(out)]
+    for argv in (
+        ["swap-predict"],  # the configured gate is infinite
+        ["report"],
+        ["tomo", "reconstruct", "--input", str(csv_path), "--bootstrap", "100"],
+        ["g2", "--duration", "1e-4"],
+        ["hom", "--duration", "1e-4"],
+        ["fourfold-scan", "--delays=0:100:100", "--gate", "inf", "--duration-per-point", "1e-4"],
+    ):
+        assert main([*argv, *common]) == 0
+    payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant) for path in out.glob("*.json")}
+    assert len(payloads) == 7
+    assert payloads["swap_predict.json"]["rows"][0][0] == "inf"
+    assert float(payloads["swap_predict.json"]["rows"][0][0]) == math.inf
+
+
+def test_json_text_names_non_finite_floats_and_keeps_finite_bytes():
+    payload = {"a": [1.5, math.inf, (-math.inf, np.float64("nan"))], "b": {"c": np.float64(0.1), "d": True, "e": None}}
+    text = cli._json_text(payload)
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "a": [1.5, "inf", ["-inf", "nan"]], "b": {"c": 0.1, "d": True, "e": None}
+    }  # fmt: skip
+    finite = {"provenance": {"seed": 3}, "rows": [[0.1, 2, 1e-300], (4.0,)], "flag": False}
+    assert cli._json_text(finite) == json.dumps(finite, indent=2)
+
+
 def _write_pair_counts(tmp_path) -> Path:
     from swapsim.qstate import relabel
     from swapsim.source import SourceParams, emit_pair
@@ -382,6 +417,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["mc-run", "--duration", "inf"], "duration must be positive and finite"),
         (["g2", "--duration", "1e300"], "ends past 2**63 ps"),
         (["mc-run", "--duration", "1e7"], "ends past 2**63 ps"),
+        (["mc-run", "--duration", "1e-4", "--config", "<config without bob>"], "no value for the swap detectors ['bob']"),
         (["g2", "--duration", "1e-4", "--bin-ps", "0.5"], "at least the 1 ps time unit"),
         (["g2", "--duration", "1e-4", "--bin-ps", "1e-6"], "at least the 1 ps time unit"),
         (["g2", "--duration", "1e-4", "--bin-ps", "1e-320"], "at least the 1 ps time unit"),
@@ -397,8 +433,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["fourfold-scan", "--delays=1e17:1e17:1", "--duration-per-point", "1e-4"], "does not advance"),
     ],
 )
-def test_cli_rejects_malformed_analysis_inputs(tmp_path, capsys, argv, message):
+def test_cli_rejects_malformed_analysis_inputs(tmp_path_factory, tmp_path, capsys, argv, message):
     # Input is checked before any artifact directory is made.
+    config = tmp_path_factory.mktemp("config") / "no_bob.json"
+    config.write_text(json.dumps({"apparatus": {"efficiency": {"bsm1": 0.8, "bsm2": 0.8, "alice": 0.8}}}))
+    argv = [str(config) if arg == "<config without bob>" else arg for arg in argv]
     assert main([*argv, "--out-dir", str(tmp_path / "a" / "new")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err

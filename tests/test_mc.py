@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import re
@@ -955,16 +956,21 @@ def test_dark_counts_fill_dead_apparatus():
 
 
 def _assert_stream_matches_oracle(monkeypatch, cfg: ApparatusConfig, **oracles) -> None:
-    """simulate() equals a run with the given mc functions swapped for their oracles."""
+    """simulate() equals a run with the given mc functions swapped for their
+    oracles, at the default draw block and at one that 8192-period chunks end inside."""
     # Several chunks, so the draws of later chunks and the pool are covered too.
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
-    stream = simulate(cfg, _periods(cfg, 30_000), seed=9)
+    streams = []
+    for block in (mc._DRAW_BLOCK, 1000):
+        monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
+        streams.append(simulate(cfg, _periods(cfg, 30_000), seed=9))
     for name, oracle_fn in oracles.items():
         monkeypatch.setattr(mc, name, oracle_fn)
     oracle = simulate(cfg, _periods(cfg, 30_000), seed=9)
     for name in oracle.channels:
-        assert stream.channels[name].size > 0
-        assert np.array_equal(stream.channels[name], oracle.channels[name])
+        for stream in streams:
+            assert stream.channels[name].size > 0
+            assert np.array_equal(stream.channels[name], oracle.channels[name])
 
 
 def _noise(noisy: bool) -> dict:
@@ -1012,9 +1018,10 @@ def test_swap_tables_match_loop_oracle(convention):
             assert np.array_equal(tables["cdfs"][4 + ci], oracle["dist_cdf"][ci])
 
 
-@pytest.mark.parametrize("topology, float_arrays", [("hom", 7), ("hbt_xx", 5), ("hbt_x", 5), ("swap", 12)])
+@pytest.mark.parametrize("topology, float_arrays", [("hom", 5), ("hbt_xx", 4.5), ("hbt_x", 4.5), ("swap", 8)])
 def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
-    # The full-array versions peak at 103 B (hom), 60 B (hbt) and 180 B (swap) per period.
+    # The full-array versions peak at 103 B (hom), 60 B (hbt) and 180 B (swap)
+    # per period; these peak at 34, 35 and 54 B.
     n = 1 << 17
     cfg = ApparatusConfig(topology=topology, hom_copolarized=False, **FAST)
     rng = np.random.default_rng(2)
@@ -1030,6 +1037,101 @@ def test_chunk_generators_hold_few_period_arrays(topology, float_arrays):
     finally:
         tracemalloc.stop()
     assert peak < float_arrays * 8 * n, peak / n
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.8])
+def test_per_channel_stage_holds_few_event_arrays(monkeypatch, efficiency):
+    # Efficiency, background, jitter, rounding and sort of one chunk's raw
+    # channels, made before tracing starts: the kept events of a channel
+    # are built in one new array, every draw goes a block at a time. This
+    # peaks at about 1 float64 per raw event, the whole-array draws at 1.53
+    # (efficiency 1) and 1.28 (0.8).
+    n = 1 << 17
+    cfg = ApparatusConfig(
+        topology="hbt_xx", efficiency=efficiency, background_ratio=0.01, dead_time_ns=0.0,
+        bsm=BsmSettings(jitter_ps=30.0),
+    )  # fmt: skip
+    raw = mc._chunk_hbt(cfg, 0, n, np.random.default_rng(2))
+    events = sum(t.size for t in raw.values())
+    monkeypatch.setattr(mc, "_chunk_hbt", lambda *args: raw)
+    tracemalloc.start()
+    try:
+        ((_, channels),) = Run(cfg, 3, _periods(cfg, n)).segments()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.size for t in channels.values()) > efficiency * 0.99 * events
+    assert peak < 1.1 * 8 * events, peak / (8 * events)
+
+
+@pytest.mark.parametrize("n", [0, 1, "B-1", "B", "B+1", "3B+7"])
+def test_blocked_draws_match_whole_array_expressions(n):
+    b = mc._DRAW_BLOCK
+    n = {"B-1": b - 1, "B": b, "B+1": b + 1, "3B+7": 3 * b + 7}.get(n, n)
+    rng, want = np.random.default_rng(5), np.random.default_rng(5)
+    idx = np.flatnonzero(want.random(n) < 0.3)
+    arr, mask = want.random(n), want.random(n) < 0.6
+    rng.random(3 * n)
+    # Each pair of calls draws the same values and leaves the generators in step.
+    assert np.array_equal(mc._coins(rng, n, 0.8), want.random(n) < 0.8)
+    assert np.array_equal(mc._uniforms_at(rng, n, idx), want.random(n)[idx])
+    blocks = [u.copy() for _, u in mc._uniform_blocks(rng, n)]
+    assert np.array_equal(np.concatenate([np.empty(0), *blocks]), want.random(n))
+    got = arr.copy()
+    mc._add_draws(got, rng.standard_exponential, 2.5)
+    assert np.array_equal(got, arr + want.exponential(2.5, n))
+    got = arr.copy()
+    mc._add_draws(got, rng.standard_normal, 0.03)
+    assert np.array_equal(got, arr + want.normal(0.0, 0.03, n))
+    assert rng.random() == want.random()
+    # The helpers that draw nothing.
+    got = arr.copy()
+    mc._add_masked(got, mask, 2.12)
+    assert np.array_equal(got, arr + mask * 2.12)
+    head = np.arange(3.0)
+    assert np.array_equal(mc._channel(head, (mask, arr), arr[:5]), np.concatenate([head, arr[mask], arr[:5]]))
+    cfg = ApparatusConfig()
+    got1, got2 = arr.copy(), arr[::-1].copy()
+    mc._pulse_arrivals(cfg, 77, got1, got2)
+    base = (77 + np.arange(n, dtype=float)) * cfg.period_ns
+    assert np.array_equal(got1, arr + base) and np.array_equal(got2, arr[::-1] + (base + cfg.mzi_delay_ns))
+
+
+# sha256 of each channel's name and int64 times, in name order, for the runs
+# of `_pinned_run`. They were computed before block-wise generation, from
+# the whole-array draws. Regenerate (only for a deliberate change of the
+# streams) by printing `_run_digest(topology)` for each topology.
+_RUN_DIGESTS = {
+    "swap": "e7fb788c78702be9882f754eec40fa6ba46a33b3efe77855df437a061cfe1dea",
+    "hbt_x": "88a7652bab2d17c578fe2c1eb939912339f8e518a8246dcab37efc6875df0350",
+    "hbt_xx": "d29c09c04eb69cacaa76608333f3294f2cd1bd1fc2bfb4894e3b1d2135bb8dbd",
+    "hom": "aad55973c58fcda856593cdf873c81c4a62fedc737bc9530d9baaec36d7cfc5c",
+}
+
+
+def _run_digest(topology: str) -> str:
+    """Digest of a fixed-seed three-chunk run (8192-period chunks) with every
+    noise source on: per-channel efficiencies, background, dark counts,
+    jitter, dead time and a BSM delay offset."""
+    efficiency = {"bsm1": 0.7, "bsm2": 0.6, "alice": 0.9, "bob": 0.5, "d1": 0.65, "d2": 0.75}
+    cfg = ApparatusConfig(
+        topology=topology, hom_copolarized=False, bsm_delay_offset_ps=120.0, efficiency=efficiency,
+        background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=5.0, bsm=BsmSettings(jitter_ps=30.0),
+    )  # fmt: skip
+    stream = simulate(cfg, _periods(cfg, 20_000), seed=22)
+    digest = hashlib.sha256()
+    for name in sorted(stream.channels):
+        digest.update(name.encode())
+        digest.update(stream.channels[name].astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("topology", sorted(_RUN_DIGESTS))
+def test_whole_runs_match_pinned_digests(monkeypatch, topology):
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
+    for block in (mc._DRAW_BLOCK, 1000):
+        monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
+        assert _run_digest(topology) == _RUN_DIGESTS[topology]
 
 
 @given(
