@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
-import os
 import sys
-import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +28,7 @@ from .mc import (
     simulate_runs,
     write_stream,
 )
-from .params import config_hash
+from .params import atomic_file, config_hash, json_text
 from .qstate import QStateError, density_payload, fidelity_mixed, maximally_mixed
 from .source import SourceError, emit_pair
 from .swap import (
@@ -81,33 +78,6 @@ def _parse_range(text: str) -> list[float]:
     return values
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".swapsim-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _json_text(payload: dict) -> str:
-    """Strict JSON (RFC 8259) of an artifact payload: a non-finite float is
-    written as its CSV text, "inf", "-inf" or "nan", and one missed raises."""
-
-    def finite(v):
-        if isinstance(v, dict):
-            return {k: finite(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [finite(x) for x in v]
-        return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
-
-    return json.dumps(finite(payload), indent=2, allow_nan=False)
-
-
 def _provenance(config: RunConfig, seed: int) -> dict:
     return {"config_hash": config_hash(config), "seed": seed, "version": __version__}
 
@@ -119,13 +89,15 @@ def _emit_table(
         payload = {"provenance": provenance, "columns": columns, "rows": rows}
         if rho_ab is not None:
             payload["rho_ab"] = rho_ab
-        _atomic_write(path.with_suffix(".json"), _json_text(payload))
-        return
-    lines = [f"# {k} = {v}" for k, v in provenance.items()]
-    lines.append(",".join(columns))
-    # Rows hold Python scalars: numpy 2 reprs a numpy float as "np.float64(...)".
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    _atomic_write(path.with_suffix(".csv"), "\n".join(lines) + "\n")
+        text = json_text(payload)
+    else:
+        lines = [f"# {k} = {v}" for k, v in provenance.items()]
+        lines.append(",".join(columns))
+        # Rows hold Python scalars: numpy 2 reprs a numpy float as "np.float64(...)".
+        lines.extend(",".join(map(repr, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    with atomic_file(path.with_suffix("." + fmt)) as handle:
+        handle.write(text)
 
 
 def _cmd_swap_predict(args, config: RunConfig) -> int:
@@ -142,8 +114,6 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
 
 
 def _cmd_tomo(args, config: RunConfig) -> int:
-    if args.action != "reconstruct":
-        raise ConfigError(f"unknown tomo action {args.action!r}")
     run = run_from_csv(Path(args.input).read_text())
     if args.settings and len(run.settings) != args.settings:
         raise ConfigError(
@@ -167,7 +137,8 @@ def _cmd_tomo(args, config: RunConfig) -> int:
         },
     }
     out = Path(args.out_dir or config.output.out_dir) / "tomo_reconstruct.json"
-    _atomic_write(out, _json_text(payload))
+    with atomic_file(out) as handle:
+        handle.write(json_text(payload))
     print(f"wrote {out}")
     return 0
 
@@ -175,7 +146,6 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 def _cmd_mc_run(args, config: RunConfig) -> int:
     run = Run(config.apparatus, config.output.seed, args.duration)  # checks the input before any directory is made
     out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
-    out.parent.mkdir(parents=True, exist_ok=True)
     counts = write_stream(run, out)
     print(f"wrote {out} ({counts})")
     return 0
@@ -278,7 +248,8 @@ def _cmd_report(args, config: RunConfig) -> int:
         "bell_margin_47ps": check.bell_margin,
     }
     out = Path(args.out_dir or config.output.out_dir) / "report.json"
-    _atomic_write(out, _json_text(payload))
+    with atomic_file(out) as handle:
+        handle.write(json_text(payload))
     for key in (
         "fidelity_ungated",
         "fidelity_47ps",

@@ -13,8 +13,9 @@ from pathlib import Path
 
 from .interference import BsmSettings
 from .mc import ApparatusConfig
-from .params import from_dict, to_dict
+from .params import atomic_file, from_dict, to_dict
 from .source import SourceParams
+from .tomography import MIN_BOOTSTRAP_RESAMPLES
 
 # Background level that reproduces the reported zero-delay autocorrelation
 # band in the tuned configuration.
@@ -35,8 +36,8 @@ class TomographySettings:
     bootstrap_resamples: int = 250
 
     def __post_init__(self):
-        if self.bootstrap_resamples <= 0:
-            raise ConfigError("bootstrap resample count must be positive")
+        if self.bootstrap_resamples < MIN_BOOTSTRAP_RESAMPLES:
+            raise ConfigError(f"[tomography] bootstrap_resamples must be at least {MIN_BOOTSTRAP_RESAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -135,4 +136,5 @@ def write_default_config(path: str | Path) -> None:
         for key, value in values.items():
             lines.append(f"{key} = {'none' if value is None else value}")
         lines.append("")
-    Path(path).write_text("\n".join(lines))
+    with atomic_file(path) as handle:
+        handle.write("\n".join(lines))

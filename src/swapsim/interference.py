@@ -255,6 +255,16 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _emg_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b < a, min(b (b - 2a), 0), [erfcx(a + b) +- erfcx(|a - b|) - 2 erfcx(a)] exp(-a^2)/2
+    with + for b < a): the closed form's shared terms, from one erfcx call."""
+    e_sum, e_diff, e_a = _erfcx(np.stack(np.broadcast_arrays(a + b, np.abs(a - b), a)))
+    below = b < a
+    # exp(-a^2) is 0 beyond a = 27.3; the cap keeps a^2 finite.
+    tail = np.exp(-np.square(np.minimum(a, 28.0))) / 2.0
+    return below, np.minimum(b * (b - 2.0 * a), 0.0), tail * (e_sum + np.where(below, e_diff, -e_diff) - 2.0 * e_a)
+
+
 def _damped_acceptance(kappa: np.ndarray, half_ns: np.ndarray, z: float) -> np.ndarray:
     """J = int_0^inf exp(-kappa d) A(d) dd for each damping rate (rows) and
     gate half-width h (columns).
@@ -283,13 +293,8 @@ def _damped_acceptance(kappa: np.ndarray, half_ns: np.ndarray, z: float) -> np.n
         terms = np.exp(-x * x) * _erfcx(b[:, :, None] - x) * _GL_WEIGHTS
         out[:, narrow] = half_ns[narrow] / 2.0 * np.sum(terms, axis=-1)
     if wide.any():
-        a = a[wide]
-        e_sum, e_diff, e_a = _erfcx(np.stack(np.broadcast_arrays(a + b, np.abs(a - b), a)))
-        below = b < a
-        # exp(-a^2) is 0 beyond a = 27.3; the cap keeps a^2 finite.
-        tail = np.exp(-np.square(np.minimum(a, 28.0))) / 2.0
-        lead = np.where(below, -np.expm1(np.minimum(b * (b - 2.0 * a), 0.0)), 1.0)
-        out[:, wide] = (lead + tail * (e_sum + np.where(below, e_diff, -e_diff) - 2.0 * e_a)) / kappa
+        below, exponent, bracket = _emg_terms(a[wide], b)
+        out[:, wide] = (np.where(below, -np.expm1(exponent), 1.0) + bracket) / kappa
     return out
 
 
@@ -304,12 +309,8 @@ def _rejected_share(rate: float, half_ns: np.ndarray, z: float) -> np.ndarray:
     """
     if z == 0.0:
         return np.exp(-rate * half_ns)
-    a, b = half_ns / z, rate * z / 2.0
-    e_sum, e_diff, e_a = _erfcx(np.stack(np.broadcast_arrays(a + b, np.abs(a - b), a)))
-    below = b < a
-    lead = np.where(below, np.exp(np.minimum(b * (b - 2.0 * a), 0.0)), 0.0)
-    tail = np.exp(-np.square(np.minimum(a, 28.0))) / 2.0
-    return lead - tail * (e_sum + np.where(below, e_diff, -e_diff) - 2.0 * e_a)
+    below, exponent, bracket = _emg_terms(half_ns / z, rate * z / 2.0)
+    return np.where(below, np.exp(exponent), 0.0) - bracket
 
 
 def _gated_integrals(bsm: BsmSettings, gates_ps: np.ndarray, offsets_ps=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -395,12 +396,13 @@ def calibrate_temporal(
         r_inf, r_gate = response(t2)
         return r_inf / r_gate - i_ungated / i_gated
 
-    from scipy.optimize import brentq
-
+    # The gap rises with t2: bisect to a width of 1e-12 ns or until a midpoint is an end.
     lo, hi = 1e-4 * bsm.t1_xx_ns, 2.0 * bsm.t1_xx_ns
-    if ratio_gap(hi) < 0.0:
-        raise InterferenceError("gated target is unreachable for this lifetime/jitter")
-    t2 = float(brentq(ratio_gap, lo, hi, xtol=1e-12))
+    if ratio_gap(lo) > 0.0 or ratio_gap(hi) < 0.0:
+        raise InterferenceError("targets are unreachable for this lifetime/jitter")
+    while hi - lo > 1e-12 and lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if ratio_gap(mid) < 0.0 else (lo, mid)
+    t2 = (lo + hi) / 2.0
     intrinsic = i_ungated / float(response(t2)[0])
     if intrinsic > 1.0 + 1e-9:
         raise InterferenceError(f"targets require intrinsic limit {intrinsic:.4f} > 1")

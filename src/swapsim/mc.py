@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -27,7 +26,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .interference import PATTERNS, BsmSettings, pattern_operators
-from .params import config_hash, from_dict, to_dict
+from .params import atomic_file, config_hash, from_dict, json_text, to_dict
 from .qstate import POLARIZATION_KETS
 from .source import SourceParams, emit_pair
 from .swap import compose
@@ -776,35 +775,30 @@ def write_stream(stream: TimestampStream | Run, path: str | os.PathLike) -> dict
 
     Records are in time order, channels in name order at equal times. Every
     event of a segment comes before every event of the next, so each segment
-    is sorted and written on its own. The file appears once it is complete.
+    is sorted and written on its own. Both files appear once both are complete.
     """
     path = Path(path)
     counts: dict[str, int] = {}
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".swapsim-")
-    try:
-        with os.fdopen(fd, "wb") as handle, closing(stream.segments()) as segments:
-            for _, channels in segments:
-                names = sorted(channels)
-                times = [channels[name] for name in names]
-                records = np.empty(sum(t.size for t in times), dtype=RECORD_DTYPE)
-                records["channel"] = np.repeat(np.arange(len(names)), [t.size for t in times])
-                records["time_ps"] = np.concatenate([np.empty(0, dtype=np.int64), *times])
-                records[np.argsort(records["time_ps"], kind="stable")].tofile(handle)
-                for name, t in channels.items():
-                    counts[name] = counts.get(name, 0) + int(t.size)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    sidecar = {
-        "config": to_dict(stream.config),
-        "config_hash": config_hash(stream.config),
-        "seed": stream.seed,
-        "duration_s": stream.duration_s,
-        "channels": {name: i for i, name in enumerate(sorted(counts))},
-        "records": sum(counts.values()),
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    with atomic_file(path, "wb") as handle, closing(stream.segments()) as segments:
+        for _, channels in segments:
+            names = sorted(channels)
+            times = [channels[name] for name in names]
+            records = np.empty(sum(t.size for t in times), dtype=RECORD_DTYPE)
+            records["channel"] = np.repeat(np.arange(len(names)), [t.size for t in times])
+            records["time_ps"] = np.concatenate([np.empty(0, dtype=np.int64), *times])
+            records[np.argsort(records["time_ps"], kind="stable")].tofile(handle)
+            for name, t in channels.items():
+                counts[name] = counts.get(name, 0) + int(t.size)
+        sidecar = {
+            "config": to_dict(stream.config),
+            "config_hash": config_hash(stream.config),
+            "seed": stream.seed,
+            "duration_s": stream.duration_s,
+            "channels": {name: i for i, name in enumerate(sorted(counts))},
+            "records": sum(counts.values()),
+        }
+        with atomic_file(path.with_suffix(".json")) as side:
+            side.write(json_text(sidecar))
     return counts
 
 

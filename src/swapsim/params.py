@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import os
+from contextlib import contextmanager
 from enum import Enum
 from typing import Mapping
 
@@ -29,6 +32,37 @@ def config_hash(params) -> str:
     """Short digest of ``to_dict(params)``: the provenance tag of every artifact."""
     payload = json.dumps(to_dict(params), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@contextmanager
+def atomic_file(path: str | os.PathLike, mode: str = "w"):
+    """Open a new temp file beside ``path`` (mode "w" or "wb", parent directories made) that
+    replaces ``path`` when the block ends and is deleted if the block raises."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".swapsim-{os.urandom(8).hex()}")
+    handle = open(tmp, mode.replace("w", "x"))
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def json_text(payload: dict) -> str:
+    """Strict JSON (RFC 8259) of an artifact payload: a non-finite float is
+    written as its CSV text, "inf", "-inf" or "nan", and one missed raises."""
+
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False)
 
 
 def from_dict(cls, data, where: str = "config", complete: bool = False):

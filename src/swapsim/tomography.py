@@ -194,6 +194,7 @@ def _profile_loglike(rho: np.ndarray, ops, counts, exposures):
 _FLAT_ITERATES, _ROUNDING = 3, 16 * np.finfo(float).eps
 _MAX_HALVINGS, _STEP_GROWTH = 60, 1.2
 _MAX_ITER, _GRAD_TOL = 10000, 1e-8
+MIN_BOOTSTRAP_RESAMPLES = 100  # the fewest bootstrap_errors and [tomography] bootstrap_resamples take
 
 
 def _solve(ops, counts, exposures, rho, max_iter, grad_tol, history=None):
@@ -319,8 +320,8 @@ def bootstrap_errors(run: TomographyRun, resamples: int = 250, rng_seed: int = 0
     resample with no usable linear inversion or that does not converge counts
     as a failure.
     """
-    if resamples < 100:
-        raise TomographyError("use at least 100 bootstrap resamples")
+    if resamples < MIN_BOOTSTRAP_RESAMPLES:
+        raise TomographyError(f"use at least {MIN_BOOTSTRAP_RESAMPLES} bootstrap resamples")
     ops, pinv = _born_map(run.settings)
     children = np.random.SeedSequence(rng_seed).spawn(resamples)
     counts = np.stack([np.random.default_rng(c).poisson(run.counts) for c in children]).astype(float)

@@ -577,9 +577,7 @@ class CutStream:
 def whole_stream_write(stream: mc.TimestampStream, path) -> None:
     """Oracle for ``mc.write_stream``: every record of the stream built at once,
     ordered by one stable argsort of the times, plus the same sidecar."""
-    import json
-
-    from swapsim.params import config_hash, to_dict
+    from swapsim.params import config_hash, json_text, to_dict
 
     names = sorted(stream.channels)
     times = [stream.channels[name] for name in names]
@@ -596,4 +594,4 @@ def whole_stream_write(stream: mc.TimestampStream, path) -> None:
         "channels": {name: i for i, name in enumerate(names)},
         "records": int(records.size),
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    path.with_suffix(".json").write_text(json_text(sidecar))

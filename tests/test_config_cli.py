@@ -18,7 +18,7 @@ from swapsim.config import (
     write_default_config,
 )
 from swapsim.interference import BsmConvention, gate_response
-from swapsim.params import config_hash
+from swapsim.params import config_hash, json_text
 from swapsim.source import NoiseKind
 from swapsim.swap import predict
 
@@ -183,6 +183,20 @@ def test_physical_validation_at_load(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_bootstrap_resamples_below_the_minimum_rejected_at_load(tmp_path, capsys):
+    # Rejected when the config loads, before any reconstruction runs.
+    path = tmp_path / "run.cfg"
+    path.write_text("[tomography]\nbootstrap_resamples = 99\n")
+    with pytest.raises(ConfigError, match=r"\[tomography\] bootstrap_resamples must be at least 100"):
+        load_config(path)
+    argv = ["tomo", "reconstruct", "--input", str(tmp_path / "nope.csv"), "--config", str(path)]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "bootstrap_resamples must be at least 100" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+    path.write_text("[tomography]\nbootstrap_resamples = 100\n")
+    assert load_config(path).tomography.bootstrap_resamples == 100
+
+
 def test_efficiency_for_unknown_detector_rejected(tmp_path, capsys):
     path = tmp_path / "run.json"
     efficiency = {"alice": 0.8, "bob": 0.8, "bsm1": 0.8, "bms2": 0.8}
@@ -290,22 +304,24 @@ def test_cli_json_artifacts_are_strict_json(tmp_path):
         ["g2", "--duration", "1e-4"],
         ["hom", "--duration", "1e-4"],
         ["fourfold-scan", "--delays=0:100:100", "--gate", "inf", "--duration-per-point", "1e-4"],
+        ["mc-run", "--duration", "1e-4"],  # the stream's sidecar
     ):
         assert main([*argv, *common]) == 0
     payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant) for path in out.glob("*.json")}
-    assert len(payloads) == 7
+    assert len(payloads) == 8
     assert payloads["swap_predict.json"]["rows"][0][0] == "inf"
     assert float(payloads["swap_predict.json"]["rows"][0][0]) == math.inf
+    assert payloads["stream.json"]["config"]["bsm"]["gate_ps"] == "inf"
 
 
 def test_json_text_names_non_finite_floats_and_keeps_finite_bytes():
     payload = {"a": [1.5, math.inf, (-math.inf, np.float64("nan"))], "b": {"c": np.float64(0.1), "d": True, "e": None}}
-    text = cli._json_text(payload)
+    text = json_text(payload)
     assert json.loads(text, parse_constant=_reject_constant) == {
         "a": [1.5, "inf", ["-inf", "nan"]], "b": {"c": 0.1, "d": True, "e": None}
     }  # fmt: skip
     finite = {"provenance": {"seed": 3}, "rows": [[0.1, 2, 1e-300], (4.0,)], "flag": False}
-    assert cli._json_text(finite) == json.dumps(finite, indent=2)
+    assert json_text(finite) == json.dumps(finite, indent=2)
 
 
 def _write_pair_counts(tmp_path) -> Path:

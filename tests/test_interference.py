@@ -360,3 +360,6 @@ def test_calibrate_temporal_round_trip():
     )
     with pytest.raises(InterferenceError):
         calibrate_temporal(0.8, 0.5, 47.0)
+    # An ungated/gated ratio below what any t2 in the bracket gives: an InterferenceError, not a bare ValueError.
+    with pytest.raises(InterferenceError, match="unreachable"):
+        calibrate_temporal(0.01, 0.9, 47.0)

@@ -46,7 +46,7 @@ from swapsim.mc import (
     twofold_control_coincidences,
     write_stream,
 )
-from swapsim.params import config_hash, from_dict, to_dict
+from swapsim.params import atomic_file, config_hash, from_dict, to_dict
 from swapsim.swap import predict
 from swapsim.tomography import MeasurementSetting, born_probabilities, standard_settings
 
@@ -163,6 +163,15 @@ def test_stream_io_round_trip(tmp_path):
     for name in stream.channels:
         assert back.channels[name].dtype == np.int64
         assert np.array_equal(back.channels[name], stream.channels[name])
+    # A sidecar written before the strict-JSON writer: sorted keys, and the
+    # default infinite gate as a bare Infinity.
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    assert sidecar["config"]["bsm"]["gate_ps"] == "inf"
+    old = json.dumps({**sidecar, "config": to_dict(stream.config)}, indent=2, sort_keys=True)
+    assert '"gate_ps": Infinity' in old
+    path.with_suffix(".json").write_text(old)
+    back = read_stream(path)
+    assert (back.config, back.seed, back.duration_s) == (stream.config, stream.seed, stream.duration_s)
 
 
 def test_simulate_rounds_each_time_once_to_whole_ps(monkeypatch):
@@ -1500,6 +1509,29 @@ def test_a_failed_write_leaves_no_file(monkeypatch, tmp_path):
     with pytest.raises(McError, match="SWAPSIM_THREADS"):
         write_stream(Run(ApparatusConfig(**FAST), 1, 1e-5), tmp_path / "stream.bin")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_exception_in_an_atomic_file_block_leaves_no_file(monkeypatch, tmp_path):
+    target = tmp_path / "out" / "report.json"
+    with pytest.raises(RuntimeError, match="interrupted"), atomic_file(target) as handle:
+        handle.write("{}")
+        raise RuntimeError("interrupted")
+    assert list(target.parent.iterdir()) == []
+    # A complete file takes the permissions a plain open() gives, not a temp file's 0600.
+    with atomic_file(target) as handle:
+        handle.write("{}")
+    (tmp_path / "plain.json").write_text("{}")
+    assert target.stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+    assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+
+    def interrupted(payload):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(mc, "json_text", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_stream(Run(ApparatusConfig(**FAST), 1, 1e-5), tmp_path / "stream.bin")
+    # The stream is replaced only after its sidecar, so neither file is left.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain.json"]
 
 
 def _traced_peak(fn) -> int:

@@ -1,8 +1,8 @@
-"""Start-up guard: importing swapsim, and the commands that never need scipy, load none of it.
+"""Start-up guard: importing swapsim, every command and the temporal calibration load no scipy.
 
-Only `calibrate_temporal` imports scipy in the package; the gate response
-behind `swap-predict`, `report` and `fourfold-scan`'s prediction uses numpy
-alone, and so does the source calibration, under every noise kind. The check
+scipy is a test dependency only: the gate response behind `swap-predict`,
+`report` and `fourfold-scan`'s prediction, the source calibration under every
+noise kind and `calibrate_temporal`'s bisection use numpy alone. The check
 runs in a fresh interpreter because this test session has already imported
 scipy (tests/conftest.py uses it as an oracle).
 """
@@ -55,11 +55,13 @@ commands = {
 for name, argv in commands.items():
     code = cli.main([*argv, "--out-dir", str(out)])
     loaded[name] = [code, scipy_modules()]
+swapsim.calibrate_temporal(0.569, 0.8314, 47.0)
+loaded["calibrate_temporal"] = [0, scipy_modules()]
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_where_it_is_called(tmp_path):
+def test_swapsim_loads_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path)],
