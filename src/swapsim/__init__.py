@@ -67,20 +67,29 @@ from .tomography import (
     simulate_counts,
     standard_settings,
 )
-from .mc import (
-    ApparatusConfig,
-    McError,
-    Run,
-    TimestampStream,
-    fourfold_coincidences,
-    g2_histogram,
-    hom_histogram,
-    read_stream,
-    simulate,
-    simulate_runs,
-    simulate_tomography_run,
-    write_stream,
-)
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ApparatusConfig, ConfigError, McError, RunConfig, default_config, load_config
 
 __version__ = "0.1.0"
+
+# The Monte Carlo's names load swapsim.mc on first use (PEP 562), so that the
+# commands that do not simulate never compile it.
+_MC_NAMES = frozenset((
+    "Run", "TimestampStream", "fourfold_coincidences", "g2_histogram", "hom_histogram", "read_stream",
+    "simulate", "simulate_runs", "simulate_tomography_run", "write_stream",
+))
+
+
+def __getattr__(name: str):
+    if name in _MC_NAMES:
+        from . import mc
+        return getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# Star-import and dir() list every public name, the lazy ones and the
+# submodules (mc among them) included, whether or not mc has been loaded.
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")), "mc", *_MC_NAMES})
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

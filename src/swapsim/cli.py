@@ -5,6 +5,7 @@ tomography reconstruction from count files, Monte Carlo stream generation,
 autocorrelation, interference-visibility and delay-scan analyses, and a
 summary report of the headline quantities. Every artifact embeds the config
 hash, seed and tool version so outputs can be reproduced byte for byte.
+Only the four commands that simulate import the Monte Carlo (``mc``).
 """
 from __future__ import annotations
 
@@ -16,18 +17,8 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, McError, RunConfig, default_config, load_config
 from .interference import InterferenceError, bsm_povm
-from .mc import (
-    McError,
-    Run,
-    fourfold_coincidences,
-    fourfold_gate_ps,
-    g2_histogram,
-    hom_histogram,
-    simulate_runs,
-    write_stream,
-)
 from .params import atomic_file, config_hash, json_text
 from .qstate import QStateError, density_payload, fidelity_mixed, maximally_mixed
 from .source import SourceError, emit_pair
@@ -144,6 +135,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 
 
 def _cmd_mc_run(args, config: RunConfig) -> int:
+    from .mc import Run, write_stream
     run = Run(config.apparatus, config.output.seed, args.duration)  # checks the input before any directory is made
     out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
     counts = write_stream(run, out)
@@ -152,6 +144,7 @@ def _cmd_mc_run(args, config: RunConfig) -> int:
 
 
 def _cmd_g2(args, config: RunConfig) -> int:
+    from .mc import Run, g2_histogram
     line = args.line
     apparatus = dataclasses.replace(config.apparatus, topology=f"hbt_{line}")
     seed = config.output.seed
@@ -166,6 +159,7 @@ def _cmd_g2(args, config: RunConfig) -> int:
 
 
 def _cmd_hom(args, config: RunConfig) -> int:
+    from .mc import hom_histogram, simulate_runs
     seed = config.output.seed
     base = dataclasses.replace(config.apparatus, topology="hom")
     variants = [{"hom_copolarized": True}, {"hom_copolarized": False}]
@@ -184,6 +178,7 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
+    from .mc import fourfold_coincidences, fourfold_gate_ps, simulate_runs
     seed = config.output.seed
     delays = _parse_range(args.delays)
     gate = fourfold_gate_ps(config.apparatus, args.gate)

@@ -18,17 +18,18 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import ApparatusConfig, McError
 from .interference import PATTERNS, BsmSettings, pattern_operators
 from .params import atomic_file, config_hash, from_dict, json_text, to_dict
 from .qstate import POLARIZATION_KETS
-from .source import SourceParams, emit_pair
+from .source import emit_pair
 from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
 
@@ -49,10 +50,6 @@ _SERIAL_CLUSTERS = 64
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 
 
-class McError(ValueError):
-    """Invalid apparatus configuration or analysis input."""
-
-
 def worker_count() -> int:
     """Worker parallelism, capped by the SWAPSIM_THREADS environment variable."""
     cap = os.environ.get("SWAPSIM_THREADS")
@@ -66,70 +63,6 @@ def worker_count() -> int:
     if n < 1:
         raise McError(f"SWAPSIM_THREADS={cap!r} is not a positive integer")
     return min(avail, n)
-
-
-@dataclass(frozen=True)
-class ApparatusConfig:
-    """Every physical parameter of one Monte Carlo run.
-
-    The source and the heralding measurement are the same parameter sets the
-    density-matrix route reads; the remaining fields are the apparatus's own
-    pulse train, routing and detectors.
-    """
-
-    source: SourceParams = field(default_factory=SourceParams)
-    bsm: BsmSettings = field(default_factory=BsmSettings)
-    rep_rate_hz: float = 76e6
-    mzi_delay_ns: float = 2.0
-    efficiency: float | Mapping[str, float] = 0.8  # one value or one per channel
-    dead_time_ns: float = 20.0
-    dark_rate_hz: float = 0.0
-    background_ratio: float = 0.0
-    topology: str = "swap"  # swap | hbt_x | hbt_xx | hom
-    hom_copolarized: bool = True
-    bsm_delay_offset_ps: float = 0.0
-    alice_setting: str | None = "H"
-    bob_setting: str | None = "V"
-
-    def __post_init__(self):
-        # Each bound is written so that NaN fails it.
-        for name, value in (
-            ("repetition rate", self.rep_rate_hz),
-            ("excitation-pulse splitting delay", self.mzi_delay_ns),
-        ):
-            if not 0 < value < math.inf:
-                raise McError(f"{name} {value} must be positive and finite")
-        if self.topology not in ("swap", "hbt_x", "hbt_xx", "hom"):
-            raise McError(f"unknown topology {self.topology!r}")
-        for name, value in (
-            ("dead time", self.dead_time_ns),
-            ("dark rate", self.dark_rate_hz),
-            ("background ratio", self.background_ratio),
-        ):
-            if not 0 <= value < math.inf:
-                raise McError(f"{name} {value} must be >= 0 and finite")
-        if not math.isfinite(self.bsm_delay_offset_ps):
-            raise McError(f"BSM delay offset {self.bsm_delay_offset_ps} must be finite")
-        if isinstance(self.efficiency, Mapping):
-            if unknown := sorted(set(self.efficiency) - {"bsm1", "bsm2", "alice", "bob", "d1", "d2"}):
-                raise McError(f"efficiency for unknown detectors {unknown}")
-            bad = {k: v for k, v in self.efficiency.items() if not 0 <= v <= 1}
-        else:
-            bad = {} if 0 <= self.efficiency <= 1 else {"*": self.efficiency}
-        if bad:
-            raise McError(f"detector efficiencies outside [0, 1]: {bad}")
-        for setting in (self.alice_setting, self.bob_setting):
-            if setting is not None and setting not in POLARIZATION_KETS:
-                raise McError(f"unknown analyzer setting {setting!r}")
-
-    @property
-    def period_ns(self) -> float:
-        return 1e9 / self.rep_rate_hz
-
-    def channels(self) -> tuple[str, ...]:
-        if self.topology == "swap":
-            return ("bsm1", "bsm2", "alice", "bob")
-        return ("d1", "d2")
 
 
 @dataclass(frozen=True)

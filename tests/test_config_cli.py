@@ -128,13 +128,13 @@ def test_one_owner_per_parameter(tmp_path, monkeypatch):
     )
     bsm = load_config(path).bsm
     received = []
-    real_write = cli.write_stream
+    real_write = mc.write_stream
 
     def recording_write(run, out):
         received.append(run.config)
         return real_write(run, out)
 
-    monkeypatch.setattr(cli, "write_stream", recording_write)
+    monkeypatch.setattr(mc, "write_stream", recording_write)
     assert main(["mc-run", "--duration", "1e-5", "--config", str(path),
                  "--out-dir", str(tmp_path)]) == 0
     (apparatus,) = received
@@ -529,7 +529,7 @@ def test_cli_scan_gate_defaults_to_the_configured_gate(tmp_path):
 def test_scan_runs_of_different_seeds_never_share_a_stream(monkeypatch, tmp_path):
     # Seeded as seed + 101 i + j, point 1 of --seed 5 and point 0 of --seed
     # 106 were one stream; both are the co-polarized run at delay 0 here.
-    streams, simulate_runs = [], cli.simulate_runs
+    streams, simulate_runs = [], mc.simulate_runs
 
     def recording_simulate_runs(base, duration_s, variants, seed, analysis):
         def recorded(run):
@@ -538,7 +538,7 @@ def test_scan_runs_of_different_seeds_never_share_a_stream(monkeypatch, tmp_path
 
         return simulate_runs(base, duration_s, variants, seed, recorded)
 
-    monkeypatch.setattr(cli, "simulate_runs", recording_simulate_runs)
+    monkeypatch.setattr(mc, "simulate_runs", recording_simulate_runs)
     for seed, delays in ((5, "-100:0:100"), (106, "0:0:1")):
         argv = ["fourfold-scan", f"--delays={delays}", "--duration-per-point", "1e-4", "--seed", str(seed)]
         assert main([*argv, "--out-dir", str(tmp_path)]) == 0
