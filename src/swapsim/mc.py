@@ -333,6 +333,11 @@ def _coins(rng, n: int, p: float = 0.5) -> np.ndarray:
     return out
 
 
+def _bits(rng, n: int) -> np.ndarray:
+    """n fair coins as bools, eight to each random byte."""
+    return np.unpackbits(rng.integers(0, 256, -(-n // 8), dtype=np.uint8), count=n).view(bool)
+
+
 def _uniforms_at(rng, n: int, idx: np.ndarray) -> np.ndarray:
     """``rng.random(n)[idx]`` for sorted indices ``idx``, drawn a block at a time."""
     out = np.empty(idx.size)
@@ -473,7 +478,7 @@ def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np
         _add_draws(times, rng.standard_exponential, config.bsm.t1_xx_ns)
         if config.topology == "hbt_x":
             _add_draws(times, rng.standard_exponential, config.source.t1_x_ns)
-    to_d1 = _coins(rng, all_times.size)
+    to_d1 = _bits(rng, all_times.size)
     d1 = _channel((to_d1, all_times))
     return {"d1": d1, "d2": _channel((np.logical_not(to_d1, out=to_d1), all_times))}
 
@@ -482,12 +487,11 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
 
-    # The draws keep their order and sizes. The exponential draws become
-    # arrival times in place; the rest go through one block-sized buffer or
-    # are drawn for the overlapping pairs only.
+    # The exponential draws become arrival times in place. Fair coins are
+    # bits; the uniforms are drawn only for the periods that read them.
     arr1, arr2 = (rng.exponential(config.bsm.t1_xx_ns, n) for _ in range(2))
     # Input polarizer on each photon, then interferometer arm.
-    present1, present2, long1, long2 = (_coins(rng, n) for _ in range(4))
+    present1, present2, long1, long2 = (_bits(rng, n) for _ in range(4))
     overlap = np.flatnonzero(present1 & present2 & long1 & ~long2)
     e1, e2 = arr1.take(overlap), arr2.take(overlap)
     # arr1 = base + e1 (+ mzi + off on the long arm), arr2 = base + mzi + e2 (+ the same).
@@ -495,11 +499,11 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     _add_masked(arr1, long1, mzi + off)
     _add_masked(arr2, long2, mzi + off)
 
-    pairs = overlap[_interferes(config.bsm, e1, e2, off, _uniforms_at(rng, n, overlap))]
+    pairs = overlap[_interferes(config.bsm, e1, e2, off, rng.random(overlap.size))]
     del overlap, e1, e2
-    u_outcome = _uniforms_at(rng, n, pairs)
-    u_swap = _uniforms_at(rng, n, pairs) < 0.5
-    route1, route2 = (_coins(rng, n) for _ in range(2))
+    u_outcome = rng.random(pairs.size)
+    u_swap = _bits(rng, pairs.size)
+    route1, route2 = (_bits(rng, n) for _ in range(2))
 
     routed: dict[str, list] = {"d1": [], "d2": []}
     _route_pairs(arr1.take(pairs), arr2.take(pairs), u_swap, tables["draw"](u_outcome), _HOM_DETECTORS, routed)
@@ -561,6 +565,8 @@ class Run:
             raise McError(f"duration must be positive and finite, got {self.duration_s}")
         if not self.duration_s * 1e12 < 2.0**63:
             raise McError(f"duration {self.duration_s} s ends past 2**63 ps (106.7 days), the int64 time range")
+        if _period_count(self.duration_s, self.config.rep_rate_hz) == 0:
+            raise McError(f"duration {self.duration_s} s holds no whole period at {self.config.rep_rate_hz} Hz")
         efficiency, channels = self.config.efficiency, self.config.channels()
         if isinstance(efficiency, Mapping) and (missing := sorted(set(channels) - set(efficiency))):
             raise McError(f"efficiency mapping has no value for the {self.config.topology} detectors {missing}")
@@ -882,8 +888,8 @@ def _coincidences(
     """
     centers, hist, cuts = None, None, []
     if bin_ps is not None:
-        if not bin_ps >= 1:  # a narrower bin could hold no whole-ps delta
-            raise McError(f"histogram bin width must be positive and at least the 1 ps time unit, got {bin_ps}")
+        if not 1 <= bin_ps < math.inf:  # a narrower bin could hold no whole-ps delta
+            raise McError(f"histogram bin width must be positive, finite and at least the 1 ps time unit, got {bin_ps}")
         side = span_ps / bin_ps  # bins on either side of the central one, before truncation
         if not side < _MAX_BINS // 2:
             raise McError(f"histogram bin width {bin_ps} ps gives more than {_MAX_BINS} bins over +-{span_ps} ps")

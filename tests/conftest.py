@@ -258,6 +258,13 @@ def loop_fourfold(b1, b2, alice, bob, gate_ps: float, mzi_ps: int, x_window_ps: 
     return count
 
 
+def fair_bits(rng, n: int) -> np.ndarray:
+    """n fair coins: the bits of ceil(n / 8) random bytes, most significant first."""
+    packed = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
+    i = np.arange(n)
+    return ((packed[i // 8] >> (7 - i % 8)) & 1).astype(bool)
+
+
 def full_array_chunk_hbt(config, start: int, n: int, rng) -> dict[str, np.ndarray]:
     """Oracle for ``mc._chunk_hbt``: the same draws, every intermediate a full array."""
     base = (start + np.arange(n, dtype=float)) * config.period_ns
@@ -268,7 +275,7 @@ def full_array_chunk_hbt(config, start: int, n: int, rng) -> dict[str, np.ndarra
             t = t + rng.exponential(config.source.t1_x_ns, n)
         times.append(t)
     all_times = np.concatenate(times)
-    to_d1 = rng.random(all_times.size) < 0.5
+    to_d1 = fair_bits(rng, all_times.size)
     return {"d1": all_times[to_d1], "d2": all_times[~to_d1]}
 
 
@@ -292,16 +299,24 @@ def full_array_chunk_hom(config, tables: dict, start: int, n: int, rng) -> dict[
     base = (start + np.arange(n, dtype=float)) * config.period_ns
     e1 = rng.exponential(config.bsm.t1_xx_ns, n)
     e2 = rng.exponential(config.bsm.t1_xx_ns, n)
-    present1, present2, long1, long2 = (rng.random(n) < 0.5 for _ in range(4))
-    u_flag = rng.random(n)
-    u_outcome = rng.random(n)
-    u_swap, route1, route2 = (rng.random(n) < 0.5 for _ in range(3))
+    present1, present2, long1, long2 = (fair_bits(rng, n) for _ in range(4))
+    # Only the overlapping periods draw a flag uniform, and only the
+    # interfering ones an outcome uniform and a port-swap coin; the other
+    # entries are never read.
+    overlap = present1 & present2 & long1 & ~long2
+    u_flag = np.full(n, np.nan)
+    u_flag[overlap] = rng.random(np.count_nonzero(overlap))
+    flag = overlap & _interferes(config.bsm, e1, e2, off, u_flag)
+    u_outcome = np.full(n, np.nan)
+    u_outcome[flag] = rng.random(np.count_nonzero(flag))
+    u_swap = np.zeros(n, dtype=bool)
+    u_swap[flag] = fair_bits(rng, np.count_nonzero(flag))
+    route1, route2 = (fair_bits(rng, n) for _ in range(2))
     # The long arm's half-wave plate rotates its photon to V when crossed.
     pol1 = np.where(long1 & (not config.hom_copolarized), 1, 0)
     pol2 = np.where(long2 & (not config.hom_copolarized), 1, 0)
     arr1 = base + e1 + np.where(long1, mzi + off, 0.0)
     arr2 = base + mzi + e2 + np.where(long2, mzi + off, 0.0)
-    flag = present1 & present2 & long1 & ~long2 & _interferes(config.bsm, e1, e2, off, u_flag)
     occupations = [occ for occ, _ in hand_built_patterns()]
     ops = pattern_operators(1.0)[[PATTERNS.index(o) for o in occupations]]
     pattern = np.full(n, -1)

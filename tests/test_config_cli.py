@@ -438,6 +438,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["g2", "--duration", "1e-4", "--bin-ps", "1e-6"], "at least the 1 ps time unit"),
         (["g2", "--duration", "1e-4", "--bin-ps", "1e-320"], "at least the 1 ps time unit"),
         (["hom", "--duration", "1e-4", "--bin-ps", "1e-6"], "at least the 1 ps time unit"),
+        (["g2", "--duration", "1e-5", "--bin-ps", "inf"], "bin width must be positive, finite"),
+        (["hom", "--duration", "1e-5", "--bin-ps", "inf"], "bin width must be positive, finite"),
+        (["mc-run", "--duration", "1e-9"], "holds no whole period"),
+        (["g2", "--duration", "1e-9"], "holds no whole period"),
+        (["hom", "--duration", "1e-9"], "holds no whole period"),
+        (["fourfold-scan", "--delays=0:0:1", "--duration-per-point", "1e-9"], "holds no whole period"),
         (["swap-predict", "--gates", "nan:10:1"], "invalid range"),
         (["swap-predict", "--gates", "0:inf:1"], "invalid range"),
         (["swap-predict", "--gates", "10:20:nan"], "invalid range"),

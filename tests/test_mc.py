@@ -1106,15 +1106,28 @@ def test_blocked_draws_match_whole_array_expressions(n):
     assert np.array_equal(got1, arr + base) and np.array_equal(got2, arr[::-1] + (base + cfg.mzi_delay_ns))
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, "B+3"])
+def test_bits_are_the_unpacked_bits_of_random_bytes(n):
+    n = mc._DRAW_BLOCK + 3 if n == "B+3" else n
+    rng, want = np.random.default_rng(6), np.random.default_rng(6)
+    got = mc._bits(rng, n)
+    packed = want.integers(0, 256, -(-n // 8), dtype=np.uint8)
+    assert got.dtype == bool and np.array_equal(got, np.unpackbits(packed, count=n).astype(bool))
+    # It draws ceil(n / 8) bytes and nothing more.
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
 # sha256 of each channel's name and int64 times, in name order, for the runs
-# of `_pinned_run`. They were computed before block-wise generation, from
-# the whole-array draws. Regenerate (only for a deliberate change of the
-# streams) by printing `_run_digest(topology)` for each topology.
+# of `_run_digest`. "swap" was computed before block-wise generation, from
+# the whole-array draws. "hbt_x", "hbt_xx" and "hom" were regenerated when
+# their generators began to draw fair coins as bits and only the uniforms
+# they read. Regenerate an entry (only for a deliberate change of the
+# streams) from the digest a failing run puts in its message.
 _RUN_DIGESTS = {
     "swap": "e7fb788c78702be9882f754eec40fa6ba46a33b3efe77855df437a061cfe1dea",
-    "hbt_x": "88a7652bab2d17c578fe2c1eb939912339f8e518a8246dcab37efc6875df0350",
-    "hbt_xx": "d29c09c04eb69cacaa76608333f3294f2cd1bd1fc2bfb4894e3b1d2135bb8dbd",
-    "hom": "aad55973c58fcda856593cdf873c81c4a62fedc737bc9530d9baaec36d7cfc5c",
+    "hbt_x": "1ce3d259128fb2aa9d5a9135a7244d336f2441343f5765702ddda72f7d0def2c",
+    "hbt_xx": "d9911780ab63ec9d4808f50eeb5f153fb437a5808353267749054f8f11f8fb86",
+    "hom": "faf2eaab002f5f8673f8696aeda640fd001c20e856dff3e2ea0bc12b93ff5ee6",
 }
 
 
@@ -1140,7 +1153,8 @@ def test_whole_runs_match_pinned_digests(monkeypatch, topology):
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
     for block in (mc._DRAW_BLOCK, 1000):
         monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
-        assert _run_digest(topology) == _RUN_DIGESTS[topology]
+        digest = _run_digest(topology)
+        assert digest == _RUN_DIGESTS[topology], f"{topology} at _DRAW_BLOCK {block}: {digest}"
 
 
 @given(
@@ -1365,20 +1379,34 @@ _NOISY = dict(background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=20.0)
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
-    "topology, apparatus, seed",
-    [("swap", _NOISY, 4), ("hbt_x", _NOISY, 4), ("hom", _NOISY, 4), ("hbt_xx", _NOISY, 4),
-     # The g2 apparatus of the benchmark: its first chunk has a d1 event at -17 ps.
-     ("hbt_xx", dict(background_ratio=0.0055, dead_time_ns=0.0), 1416005386)],
+    "topology, apparatus, seed, below_zero",
+    [("swap", _NOISY, 4, False), ("hbt_x", _NOISY, 4, False), ("hom", _NOISY, 4, False),
+     ("hbt_xx", _NOISY, 4, False),
+     # The g2 apparatus of the benchmark, with a first-chunk d1 event moved
+     # below 0, as jitter can put one: the run's [0, end) cut drops it.
+     ("hbt_xx", dict(background_ratio=0.0055, dead_time_ns=0.0), 1416005386, True)],
 )  # fmt: skip
-def test_joined_segments_match_the_whole_stream_merge(monkeypatch, recorded_chunks, threads, topology, apparatus, seed):
+def test_joined_segments_match_the_whole_stream_merge(
+    monkeypatch, recorded_chunks, threads, topology, apparatus, seed, below_zero
+):
     periods = 5 * (1 << 14) + 1000  # six chunks
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 14)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("SWAPSIM_THREADS", threads)
+    if below_zero:
+        chunk_hbt = mc._chunk_hbt
+
+        def early_event(config, start, n, rng):
+            raw = chunk_hbt(config, start, n, rng)
+            if start == 0:
+                raw["d1"][0] = -0.5  # ns, so about 500 ps before the run starts after jitter
+            return raw
+
+        monkeypatch.setattr(mc, "_chunk_hbt", early_event)
     cfg = ApparatusConfig(topology=topology, **apparatus)
     got = joined_segments(Run(cfg, seed, _periods(cfg, periods)))
     assert len(recorded_chunks) == 6
-    if seed == 1416005386:
+    if below_zero:
         assert min(int(t[0]) for t in recorded_chunks[0].values()) < 0
     want = whole_stream_merge(recorded_chunks, *_end_and_dead_ps(cfg, periods))
     stream = simulate(cfg, _periods(cfg, periods), seed)
