@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, McError, RunConfig, default_config, load_config
+from .config import HISTOGRAM_BIN_PS, ConfigError, McError, RunConfig, default_config, load_config
 from .interference import InterferenceError, bsm_povm
 from .params import atomic_file, config_hash, json_text
 from .qstate import QStateError, density_payload, fidelity_mixed, maximally_mixed
@@ -178,10 +178,10 @@ def _cmd_hom(args, config: RunConfig) -> int:
 
 
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
-    from .mc import fourfold_coincidences, fourfold_gate_ps, simulate_runs
+    from .mc import fourfold_coincidences, simulate_runs
     seed = config.output.seed
     delays = _parse_range(args.delays)
-    gate = fourfold_gate_ps(config.apparatus, args.gate)
+    gate = config.apparatus.fourfold_gate_ps(args.gate)
     curve = predict(config.source, config.bsm, [gate] * len(delays), delays)
     settings = [MeasurementSetting("D", bob) for bob in ("D", "A")]
     variants = [
@@ -296,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("g2", parents=[common], help="pulsed autocorrelation of one emission line")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--line", choices=("x", "xx"), default="xx")
-    p.add_argument("--bin-ps", type=float, default=100.0)
+    p.add_argument("--bin-ps", type=float, default=HISTOGRAM_BIN_PS)
     p.set_defaults(func=_cmd_g2)
 
     p = sub.add_parser("hom", parents=[common], help="two-photon interference visibility")
     p.add_argument("--duration", type=float, required=True)
-    p.add_argument("--bin-ps", type=float, default=100.0)
+    p.add_argument("--bin-ps", type=float, default=HISTOGRAM_BIN_PS)
     p.set_defaults(func=_cmd_hom)
 
     p = sub.add_parser("fourfold-scan", parents=[common], help="four-fold coincidences versus mutual delay")

@@ -26,6 +26,21 @@ TUNED_G2_BACKGROUND_RATIO = 0.0055
 # The apparatus's nested parameter sets are file sections of their own.
 _NESTED_SECTIONS = ("source", "bsm")
 
+# Each topology's detectors in channel order, which fixes the per-channel
+# draw order, with the signal photons each receives per excitation pulse
+# (Alice's and Bob's without an analyzer).
+TOPOLOGIES = {
+    "swap": {"bsm1": 0.25, "bsm2": 0.25, "alice": 0.5, "bob": 0.5},
+    "hbt_x": {"d1": 0.5, "d2": 0.5},
+    "hbt_xx": {"d1": 0.5, "d2": 0.5},
+    "hom": {"d1": 0.25, "d2": 0.25},
+}
+BACKGROUND_WINDOW_NS = 2.0  # background photons arrive uniformly over this time after their pulse
+G2_HALF_PS = 500  # coincidence-window half-widths: g2 peak, HOM cluster, analyzer detection
+HOM_HALF_PS = 1000
+ANALYZER_HALF_PS = 1000
+HISTOGRAM_BIN_PS = 100.0  # default g2 and HOM histogram bin width
+
 
 class ConfigError(ValueError):
     """Malformed or physically invalid run configuration."""
@@ -52,7 +67,7 @@ class ApparatusConfig:
     dead_time_ns: float = 20.0
     dark_rate_hz: float = 0.0
     background_ratio: float = 0.0
-    topology: str = "swap"  # swap | hbt_x | hbt_xx | hom
+    topology: str = "swap"  # a key of TOPOLOGIES
     hom_copolarized: bool = True
     bsm_delay_offset_ps: float = 0.0
     alice_setting: str | None = "H"
@@ -66,7 +81,7 @@ class ApparatusConfig:
         ):
             if not 0 < value < math.inf:
                 raise McError(f"{name} {value} must be positive and finite")
-        if self.topology not in ("swap", "hbt_x", "hbt_xx", "hom"):
+        if self.topology not in TOPOLOGIES:
             raise McError(f"unknown topology {self.topology!r}")
         for name, value in (
             ("dead time", self.dead_time_ns),
@@ -78,7 +93,7 @@ class ApparatusConfig:
         if not math.isfinite(self.bsm_delay_offset_ps):
             raise McError(f"BSM delay offset {self.bsm_delay_offset_ps} must be finite")
         if isinstance(self.efficiency, Mapping):
-            if unknown := sorted(set(self.efficiency) - {"bsm1", "bsm2", "alice", "bob", "d1", "d2"}):
+            if unknown := sorted(set(self.efficiency).difference(*TOPOLOGIES.values())):
                 raise McError(f"efficiency for unknown detectors {unknown}")
             bad = {k: v for k, v in self.efficiency.items() if not 0 <= v <= 1}
         else:
@@ -94,9 +109,21 @@ class ApparatusConfig:
         return 1e9 / self.rep_rate_hz
 
     def channels(self) -> tuple[str, ...]:
-        if self.topology == "swap":
-            return ("bsm1", "bsm2", "alice", "bob")
-        return ("d1", "d2")
+        return tuple(TOPOLOGIES[self.topology])
+
+    def signal_flux_per_pulse(self) -> dict[str, float]:
+        """Expected signal photons arriving per excitation pulse at each
+        detector; an analyzer halves Alice's or Bob's."""
+        analyzed = {"alice": self.alice_setting is not None, "bob": self.bob_setting is not None}
+        return {name: flux / 2 if analyzed.get(name) else flux for name, flux in TOPOLOGIES[self.topology].items()}
+
+    def fourfold_gate_ps(self, gate_ps: float | None = None) -> float:
+        """The finite BSM gate a four-fold count uses: ``gate_ps``, held to
+        the ``[bsm] gate_ps`` check, or ``[bsm] gate_ps`` when none is given.
+        An infinite gate is one excitation-pulse splitting delay wide: it takes
+        every overlapped pair and none of the pairs one delay apart."""
+        gate = self.bsm.gate_ps if gate_ps is None else self.bsm.with_gate(gate_ps).gate_ps
+        return gate if gate < math.inf else self.mzi_delay_ns * 1000.0
 
 
 @dataclass(frozen=True)

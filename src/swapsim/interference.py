@@ -137,7 +137,7 @@ class BsmSettings:
         if not 0.0 <= self.jitter_ps < math.inf:
             raise InterferenceError(f"jitter {self.jitter_ps} must be >= 0 and finite")
         if not self.gate_ps > 0.0:
-            raise InterferenceError("gate width must be positive (inf allowed)")
+            raise InterferenceError(f"gate width must be positive (inf allowed), got {self.gate_ps}")
         if not 0.0 <= self.intrinsic_limit <= 1.0:
             raise InterferenceError(f"intrinsic limit {self.intrinsic_limit} outside [0, 1]")
 

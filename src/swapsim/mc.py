@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import ANALYZER_HALF_PS, BACKGROUND_WINDOW_NS, G2_HALF_PS, HISTOGRAM_BIN_PS, HOM_HALF_PS
 from .config import ApparatusConfig, McError
 from .interference import PATTERNS, BsmSettings, pattern_operators
 from .params import atomic_file, config_hash, from_dict, json_text, to_dict
@@ -39,10 +40,6 @@ _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells of one categorical draw (at most 32 outcomes)
 _SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
 _DRAW_BLOCK = 1 << 14  # values per block of a draw, gather or offset used element by element
-_BACKGROUND_WINDOW_NS = 2.0
-_G2_HALF_PS = 500  # coincidence-window half-widths: g2 peak, HOM cluster, analyzer detection
-_HOM_HALF_PS = 1000
-_ANALYZER_HALF_PS = 1000
 # Dead-time clusters still open when this few remain finish serially: a
 # vectorised round costs several microseconds however few clusters it tests.
 _SERIAL_CLUSTERS = 64
@@ -105,18 +102,6 @@ class TimestampStream:
     def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
         """The stream as one segment, its boundary above every event."""
         yield 1 + max((int(t[-1]) for t in self.channels.values() if t.size), default=-1), self.channels
-
-
-def _signal_flux_per_pulse(config: ApparatusConfig) -> dict[str, float]:
-    """Expected signal photons arriving per excitation pulse at each detector."""
-    if config.topology in ("hbt_x", "hbt_xx"):
-        return {"d1": 0.5, "d2": 0.5}
-    if config.topology == "hom":
-        return {"d1": 0.25, "d2": 0.25}
-    flux = {"bsm1": 0.25, "bsm2": 0.25}
-    for channel, setting in (("alice", config.alice_setting), ("bob", config.bob_setting)):
-        flux[channel] = 0.5 if setting is None else 0.25
-    return flux
 
 
 def _analyzer_projectors(setting: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -579,13 +564,14 @@ class Run:
         if not isinstance(efficiency, Mapping):
             efficiency = dict.fromkeys(channels, efficiency)
         sigma_ns = config.bsm.jitter_sigma_ns
-        flux = _signal_flux_per_pulse(config)
+        flux = config.signal_flux_per_pulse()
 
-        tables: dict = {}
         if config.topology == "swap":
-            tables = _swap_tables(config)
+            generate = partial(_chunk_swap, config, _swap_tables(config))
         elif config.topology == "hom":
-            tables = _hom_tables(config)
+            generate = partial(_chunk_hom, config, _hom_tables(config))
+        else:
+            generate = partial(_chunk_hbt, config)
 
         n_chunks = -(-n_periods // _CHUNK_PERIODS)
 
@@ -594,12 +580,7 @@ class Run:
             n = min(_CHUNK_PERIODS, n_periods - start)
             # Chunk ci's seed is SeedSequence(seed).spawn(n_chunks)[ci], made on its own.
             rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(ci,)))
-            if config.topology == "swap":
-                raw = _chunk_swap(config, tables, start, n, rng)
-            elif config.topology == "hom":
-                raw = _chunk_hom(config, tables, start, n, rng)
-            else:
-                raw = _chunk_hbt(config, start, n, rng)
+            raw = generate(start, n, rng)
             out = {}
             span = (start * config.period_ns, (start + n) * config.period_ns)
             for name in channels:
@@ -612,7 +593,7 @@ class Run:
                     n_bg = rng.poisson(per_pulse * 2 * n)
                     pulse = rng.integers(0, 2 * n, n_bg)
                     bg = span[0] + (pulse // 2) * config.period_ns + (pulse % 2) * config.mzi_delay_ns
-                    bg += rng.random(n_bg) * _BACKGROUND_WINDOW_NS
+                    bg += rng.random(n_bg) * BACKGROUND_WINDOW_NS
                     parts.append(bg)
                 if len(parts) > 1 or eta < 1.0:
                     times = _channel(*parts)
@@ -773,6 +754,8 @@ def read_stream(path: str | os.PathLike) -> TimestampStream:
     channel = records["channel"]
     if unknown := sorted(set(np.unique(channel).tolist()) - set(ids.values())):
         raise McError(f"{path}: channel ids {unknown} are not named in the sidecar")
+    if (names := sorted(ids)) != (want := sorted(config.channels())):
+        raise McError(f"{path.with_suffix('.json')}: channels {names} are not the {config.topology} detectors {want}")
     channels = {name: records["time_ps"][channel == cid].view("<i8") for name, cid in ids.items()}
     return TimestampStream(channels, config, seed, float(duration_s))
 
@@ -941,7 +924,7 @@ def _d1_d2_coincidences(stream: TimestampStream | Run, span_ps: float, offsets_p
     return result
 
 
-def g2_histogram(stream: TimestampStream | Run, bin_ps: float = 100.0) -> G2Result:
+def g2_histogram(stream: TimestampStream | Run, bin_ps: float = HISTOGRAM_BIN_PS) -> G2Result:
     """Pulsed d1-d2 cross-correlation histogram and the zero-delay peak ratio.
 
     g2_zero is the central-peak area divided by the mean area of the five
@@ -950,7 +933,7 @@ def g2_histogram(stream: TimestampStream | Run, bin_ps: float = 100.0) -> G2Resu
     """
     period = stream.config.period_ns
     offsets = [0.0] + [sign * k * period * 1000.0 for k in range(1, 6) for sign in (-1.0, 1.0)]
-    centers, hist, (central, *side) = _d1_d2_coincidences(stream, 5.5 * period * 1000.0, offsets, _G2_HALF_PS, bin_ps)
+    centers, hist, (central, *side) = _d1_d2_coincidences(stream, 5.5 * period * 1000.0, offsets, G2_HALF_PS, bin_ps)
     side_mean = float(np.mean(side))
     g2_zero = central / side_mean if side_mean > 0 else math.inf
     return G2Result(centers, hist, float(g2_zero), central, tuple(side))
@@ -975,12 +958,14 @@ def _hom_single(stream: TimestampStream | Run, bin_ps: float) -> HomHistogram:
     mzi = stream.config.mzi_delay_ns
     offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
     offsets_ps = [1000.0 * offset for offset in offsets]
-    centers, hist, counts = _d1_d2_coincidences(stream, 2.5 * mzi * 1000.0, offsets_ps, _HOM_HALF_PS, bin_ps)
+    centers, hist, counts = _d1_d2_coincidences(stream, 2.5 * mzi * 1000.0, offsets_ps, HOM_HALF_PS, bin_ps)
     cluster = dict(zip(offsets, counts))
     return HomHistogram(centers, hist, cluster[0.0], cluster)
 
 
-def hom_histogram(streams: tuple[TimestampStream | Run, TimestampStream | Run], bin_ps: float = 100.0) -> HomResult:
+def hom_histogram(
+    streams: tuple[TimestampStream | Run, TimestampStream | Run], bin_ps: float = HISTOGRAM_BIN_PS
+) -> HomResult:
     """Five-peak coincidence clusters for a co/cross stream pair plus visibility.
 
     The streams are checked first and then histogrammed in turn, so of two
@@ -1003,38 +988,26 @@ def hom_histogram(streams: tuple[TimestampStream | Run, TimestampStream | Run], 
     return HomResult(h_co, h_cross, float(visibility))
 
 
-def fourfold_gate_ps(config: ApparatusConfig, gate_ps: float | None = None) -> float:
-    """The finite BSM gate a four-fold count uses: ``gate_ps``, or
-    ``config.bsm.gate_ps`` when none is given. An infinite gate is one
-    excitation-pulse splitting delay wide: it takes every overlapped pair and
-    none of the pairs one delay apart."""
-    if gate_ps is None:
-        gate_ps = config.bsm.gate_ps
-    if not gate_ps > 0:
-        raise McError(f"gate width must be positive (inf allowed), got {gate_ps}")
-    return gate_ps if gate_ps < math.inf else config.mzi_delay_ns * 1000.0
-
-
 def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None = None) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
     A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2, the gate
-    being ``fourfold_gate_ps(stream.config, gate_ps)``. An analyzer
+    being ``stream.config.fourfold_gate_ps(gate_ps)``. An analyzer
     detection t hits the heralding time c = (t1 + t2) / 2 when
-    c - X <= t < c + X, X = ``_ANALYZER_HALF_PS``; Alice's c is shifted back
+    c - X <= t < c + X, X = ``ANALYZER_HALF_PS``; Alice's c is shifted back
     by the compensation delay in whole ps.
     """
     cfg = stream.config
     if cfg.topology != "swap":
         raise McError("four-fold analysis expects the heralding topology")
-    gate = fourfold_gate_ps(cfg, gate_ps)
+    gate = cfg.fourfold_gate_ps(gate_ps)
     # No two events are 2**61 ps (27 days) apart, so a wider gate gives the
     # same pairs with int64 window ends.
     half = min(gate / 2.0, 2.0**61)
     delay = round(cfg.mzi_delay_ns * 1000.0)
     # A heralding time is within half a gate of its BSM1 event, and its
     # analyzer windows within the delay and X of it.
-    span = math.ceil(half) + delay + _ANALYZER_HALF_PS
+    span = math.ceil(half) + delay + ANALYZER_HALF_PS
     count = 0
     with closing(_windows(stream, ("bsm1", "bsm2", "alice", "bob"), span)) as windows:
         for b1, b2, alice, bob in windows:
@@ -1045,8 +1018,8 @@ def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None =
                 t_bsm >>= 1  # ceil(c)
                 # Emission 1 feeds Alice one compensation delay before the heralding
                 # time; emission 2 feeds Bob right at it.
-                hit = _partners(t_bsm - delay, alice, -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
-                hit &= _partners(t_bsm, bob, -_ANALYZER_HALF_PS, _ANALYZER_HALF_PS)[1] > 0
+                hit = _partners(t_bsm - delay, alice, -ANALYZER_HALF_PS, ANALYZER_HALF_PS)[1] > 0
+                hit &= _partners(t_bsm, bob, -ANALYZER_HALF_PS, ANALYZER_HALF_PS)[1] > 0
                 count += int(np.count_nonzero(hit))
     return count
 
@@ -1058,7 +1031,7 @@ def twofold_control_coincidences(stream: TimestampStream | Run) -> int:
         raise McError("control analysis expects the heralding topology")
     mzi = cfg.mzi_delay_ns * 1000.0
     with closing(_windows(stream, ("alice", "bob"), 3.0 * mzi)) as windows:
-        _, _, (count,) = _coincidences(windows, 3.0 * mzi, [mzi], _ANALYZER_HALF_PS)
+        _, _, (count,) = _coincidences(windows, 3.0 * mzi, [mzi], ANALYZER_HALF_PS)
     return count
 
 

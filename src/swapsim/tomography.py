@@ -311,7 +311,7 @@ class BootstrapErrors:
     failures: int
 
 
-def bootstrap_errors(run: TomographyRun, resamples: int = 250, rng_seed: int = 0) -> BootstrapErrors:
+def bootstrap_errors(run: TomographyRun, resamples: int, rng_seed: int = 0) -> BootstrapErrors:
     """Poisson-resample the observed counts and re-reconstruct.
 
     Per-resample seeds are spawned deterministically so results do not depend

@@ -254,6 +254,11 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
         (json.dumps({**sidecar, "seed": "twelve"}), "seed 'twelve' is not a non-negative integer"),
         (json.dumps({**sidecar, "seed": 12.5}), "seed 12.5 is not a non-negative integer"),
         (json.dumps({**sidecar, "duration_s": "long"}), "duration_s 'long' is not a positive finite number"),
+        # Names that are not the topology's detectors: one renamed, one extra with no events.
+        (json.dumps({**sidecar, "channels": {("d1" if k == "bsm2" else k): i for k, i in ids.items()}}),
+         re.escape("channels ['alice', 'bob', 'bsm1', 'd1'] are not the swap detectors"
+                   " ['alice', 'bob', 'bsm1', 'bsm2']")),
+        (json.dumps({**sidecar, "channels": {**ids, "extra": 4}}), "are not the swap detectors"),
     ):
         sidecar_path.write_text(text)
         with pytest.raises(McError, match=rf"^{re.escape(str(sidecar_path))}: .*{message}"):
@@ -270,6 +275,32 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
         read_stream(path)
     path.write_bytes(data)
     assert sum(read_stream(path).counts().values()) == sidecar["records"]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"alice_setting": None, "bob_setting": None},
+        {"alice_setting": "D", "bob_setting": None},
+        {"topology": "hbt_x"},
+        {"topology": "hbt_xx"},
+        {"topology": "hom"},
+        {"topology": "hom", "hom_copolarized": False},
+    ],
+)
+def test_signal_flux_table_matches_the_generators(changes):
+    # The table scales every run's background. With ideal detectors and no
+    # background, dark counts or dead time, each channel detects its tabulated
+    # signal photons per excitation pulse, two pulses per period.
+    cfg = ApparatusConfig(efficiency=1.0, background_ratio=0.0, dark_rate_hz=0.0, dead_time_ns=0.0, **changes)
+    n = 100_000
+    counts = simulate(cfg, _periods(cfg, n), seed=8).counts()
+    flux = cfg.signal_flux_per_pulse()
+    assert tuple(flux) == tuple(counts) == cfg.channels()
+    for name, per_pulse in flux.items():
+        mean = per_pulse * 2 * n
+        assert abs(counts[name] - mean) < 5 * math.sqrt(mean), (name, counts[name], mean)
 
 
 def test_g2_structure_and_purity():
