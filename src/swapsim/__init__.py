@@ -74,8 +74,8 @@ __version__ = "0.1.0"
 # The Monte Carlo's names load swapsim.mc on first use (PEP 562), so that the
 # commands that do not simulate never compile it.
 _MC_NAMES = frozenset((
-    "Run", "TimestampStream", "fourfold_coincidences", "g2_histogram", "hom_histogram", "read_stream",
-    "simulate", "simulate_runs", "simulate_tomography_run", "write_stream",
+    "Run", "fourfold_coincidences", "g2_histogram", "hom_histogram", "read_stream", "simulate_runs",
+    "simulate_tomography_run", "write_stream",
 ))
 
 

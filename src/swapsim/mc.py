@@ -6,6 +6,12 @@ Hong-Ou-Mandel interferometer, then provides the coincidence analyses built
 on those streams (pulsed g2, HOM visibility, four-fold delay scans, heralded
 and unheralded tomography counts).
 
+Every analysis reads one input type, a run: anything with ``config``,
+``seed``, ``duration_s`` and ``segments()``, the time-ordered segments of its
+detector streams. A ``Run`` generates them; the ``RunFile`` that
+``read_stream`` returns reads them back from a stream file in bounded memory,
+with the same numbers.
+
 Simulation is partitioned into independent period blocks with per-block
 derived seeds, so identical (config, seed, duration) inputs reproduce
 bit-identical streams regardless of block execution order.
@@ -45,6 +51,7 @@ _DRAW_BLOCK = 1 << 14  # values per block of a draw, gather or offset used eleme
 _SERIAL_CLUSTERS = 64
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
+_READ_RECORDS = 1 << 20  # records per read block of a stream file, about 9 MB
 
 
 def worker_count() -> int:
@@ -60,48 +67,6 @@ def worker_count() -> int:
     if n < 1:
         raise McError(f"SWAPSIM_THREADS={cap!r} is not a positive integer")
     return min(avail, n)
-
-
-@dataclass(frozen=True)
-class TimestampStream:
-    """Sorted per-channel detection times (int64 ps) plus reproducibility metadata.
-
-    ``channels`` becomes the stream's own dict of read-only views (int64
-    arrays are not copied); the caller's dict and arrays are left as they are.
-    """
-
-    channels: dict[str, np.ndarray]
-    config: ApparatusConfig
-    seed: int
-    duration_s: float
-
-    def __post_init__(self):
-        channels = {}
-        for name, times in self.channels.items():
-            arr = np.asarray(times)
-            if arr.dtype.kind not in "iu":  # a float array would truncate silently
-                raise McError(f"channel {name} times are {arr.dtype}, not integer ps")
-            if arr.ndim != 1:
-                raise McError(f"channel {name} times have shape {arr.shape}, not one dimension")
-            arr = arr.astype(np.int64, copy=False).view()
-            if np.any(arr[1:] < arr[:-1]):
-                raise McError(f"channel {name} times are not sorted")
-            if arr.size and arr[0] < 0:
-                raise McError(f"channel {name} has negative times")
-            arr.setflags(write=False)
-            channels[name] = arr
-        object.__setattr__(self, "channels", channels)
-
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.config)
-
-    def counts(self) -> dict[str, int]:
-        return {name: int(arr.size) for name, arr in self.channels.items()}
-
-    def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-        """The stream as one segment, its boundary above every event."""
-        yield 1 + max((int(t[-1]) for t in self.channels.values() if t.size), default=-1), self.channels
 
 
 def _analyzer_projectors(setting: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -538,7 +503,7 @@ class Run:
 
     Segment k is a boundary b_k and, per channel, the final events below it
     and at or above b_(k-1): cut to the run's [0, end) ps and dead-time
-    filtered. Joined, the segments are the ``simulate`` stream.
+    filtered.
     """
 
     config: ApparatusConfig
@@ -546,8 +511,10 @@ class Run:
     duration_s: float
 
     def __post_init__(self):
-        if not 0 < self.duration_s < math.inf:
-            raise McError(f"duration must be positive and finite, got {self.duration_s}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise McError(f"seed {self.seed!r} is not a non-negative integer")
+        if type(self.duration_s) not in (int, float) or not 0 < self.duration_s < math.inf:
+            raise McError(f"duration_s {self.duration_s!r} is not a positive finite number")
         if not self.duration_s * 1e12 < 2.0**63:
             raise McError(f"duration {self.duration_s} s ends past 2**63 ps (106.7 days), the int64 time range")
         if _period_count(self.duration_s, self.config.rep_rate_hz) == 0:
@@ -658,20 +625,6 @@ class Run:
         yield end, release(end)
 
 
-def simulate(config: ApparatusConfig, duration_s: float, seed: int) -> TimestampStream:
-    """Detector timestamp streams for the configured topology: the segments
-    of ``Run(config, seed, duration_s)`` joined, a single one without a copy."""
-    parts: dict[str, list] = {name: [] for name in config.channels()}
-    for _, channels in Run(config, int(seed), float(duration_s)).segments():
-        for name, times in channels.items():
-            parts[name].append(times)
-    joined = {}
-    for name in list(parts):  # a channel's parts are freed once it is joined
-        p = parts.pop(name)
-        joined[name] = p[0] if len(p) == 1 else np.concatenate(p)
-    return TimestampStream(joined, config, int(seed), float(duration_s))
-
-
 def simulate_runs(
     base: ApparatusConfig,
     duration_s: float,
@@ -689,7 +642,7 @@ def simulate_runs(
     return [analysis(Run(replace(base, **variant), int(s), duration_s)) for variant, s in zip(variants, seeds)]
 
 
-def write_stream(stream: TimestampStream | Run, path: str | os.PathLike) -> dict[str, int]:
+def write_stream(stream: Run, path: str | os.PathLike) -> dict[str, int]:
     """Binary record stream {u8 channel, u64 time in ps} plus a JSON sidecar;
     returns the events per channel.
 
@@ -722,42 +675,78 @@ def write_stream(stream: TimestampStream | Run, path: str | os.PathLike) -> dict
     return counts
 
 
-def read_stream(path: str | os.PathLike) -> TimestampStream:
-    """The stream ``write_stream`` wrote, checked against its sidecar's record
-    count and channel ids."""
+@dataclass(frozen=True)
+class RunFile(Run):
+    """A run read back from its stream file at ``path``; ``ids`` maps each
+    channel to its record id.
+
+    The records are read a block of ``_READ_RECORDS`` at a time. A block's
+    segment ends at its last time, whose records carry into the next block,
+    so equal times never straddle a boundary; the last segment ends above
+    every event. Reading raises for a record out of time order (a u64 time
+    of 2**63 or more reads as a negative int64, so it is one) or with an id
+    the sidecar does not name.
+    """
+
+    path: Path
+    ids: Mapping[str, int]
+
+    def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+        channel, times = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)  # the carried records
+        read = 0
+        with open(self.path, "rb") as handle:
+            while True:
+                block = np.fromfile(handle, dtype=RECORD_DTYPE, count=_READ_RECORDS)
+                fresh = block["time_ps"].astype(np.int64)
+                if (back := np.flatnonzero(fresh < np.append(times[-1:] if times.size else 0, fresh[:-1]))).size:
+                    raise McError(f"{self.path}: record {read + int(back[0])} is out of time order or past 2**63 ps")
+                seen = np.flatnonzero(np.bincount(block["channel"], minlength=256)).tolist()
+                if unknown := sorted(set(seen) - set(self.ids.values())):
+                    raise McError(f"{self.path}: channel ids {unknown} are not named in the sidecar")
+                read += block.size
+                final = block.size < _READ_RECORDS
+                channel, times = np.concatenate([channel, block["channel"]]), np.concatenate([times, fresh])
+                del block, fresh
+                bound = int(times[-1]) + final if times.size else 0
+                cut = times.size if final else int(np.searchsorted(times, bound))
+                yield bound, {name: times[:cut][channel[:cut] == self.ids[name]] for name in self.config.channels()}
+                if final:
+                    return
+                channel, times = channel[cut:].copy(), times[cut:].copy()
+
+
+def read_stream(path: str | os.PathLike) -> RunFile:
+    """The run ``write_stream`` wrote, read back as segments. Its sidecar is
+    checked as a ``Run`` is, and against the file's record count and the
+    topology's channels."""
     path = Path(path)
+    sidecar_path = path.with_suffix(".json")
     try:
-        sidecar = json.loads(path.with_suffix(".json").read_text())
+        sidecar = json.loads(sidecar_path.read_text())
         if not isinstance(sidecar, dict):
             raise ValueError(f"sidecar is a JSON {type(sidecar).__name__}, not an object")
         config = from_dict(ApparatusConfig, sidecar.get("config"), "sidecar config", complete=True)
         missing = sorted({"channels", "seed", "duration_s", "records"} - set(sidecar))
         if missing:
             raise ValueError(f"missing keys {missing} in sidecar")
-        ids, seed, duration_s = sidecar["channels"], sidecar["seed"], sidecar["duration_s"]
+        ids, records = sidecar["channels"], sidecar["records"]
         if not isinstance(ids, dict) or not all(type(i) is int and 0 <= i <= 255 for i in ids.values()):
             raise ValueError(f"channels {ids!r} must map names to integer ids in 0-255")
         if len(set(ids.values())) < len(ids):
             raise ValueError(f"channel ids {ids!r} are not distinct")
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed {seed!r} is not a non-negative integer")
-        if type(duration_s) not in (int, float) or not 0 < duration_s < math.inf:
-            raise ValueError(f"duration_s {duration_s!r} is not a positive finite number")
+        if (names := sorted(ids)) != (want := sorted(config.channels())):
+            raise ValueError(f"channels {names} are not the {config.topology} detectors {want}")
+        if type(records) is not int or records < 0:
+            raise ValueError(f"records {records!r} is not a non-negative integer")
+        run = RunFile(config, sidecar["seed"], sidecar["duration_s"], path, ids)
     except ValueError as exc:
-        raise McError(f"{path.with_suffix('.json')}: {exc}") from exc
+        raise McError(f"{sidecar_path}: {exc}") from exc
     size = path.stat().st_size
     if size % RECORD_DTYPE.itemsize:
         raise McError(f"{path}: {size} bytes is not a whole number of {RECORD_DTYPE.itemsize}-byte records")
-    records = np.fromfile(path, dtype=RECORD_DTYPE)
-    if records.size != sidecar["records"]:
-        raise McError(f"{path}: {records.size} records, the sidecar says {sidecar['records']}")
-    channel = records["channel"]
-    if unknown := sorted(set(np.unique(channel).tolist()) - set(ids.values())):
-        raise McError(f"{path}: channel ids {unknown} are not named in the sidecar")
-    if (names := sorted(ids)) != (want := sorted(config.channels())):
-        raise McError(f"{path.with_suffix('.json')}: channels {names} are not the {config.topology} detectors {want}")
-    channels = {name: records["time_ps"][channel == cid].view("<i8") for name, cid in ids.items()}
-    return TimestampStream(channels, config, seed, float(duration_s))
+    if size // RECORD_DTYPE.itemsize != records:
+        raise McError(f"{path}: {size // RECORD_DTYPE.itemsize} records, the sidecar says {records}")
+    return run
 
 
 def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -808,7 +797,7 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
             yield np.repeat(block[a0 : a1 + 1], n), tb[bi]
 
 
-def _windows(stream: TimestampStream | Run, names: Sequence[str], span_ps: float, totals: dict | None = None):
+def _windows(stream: Run, names: Sequence[str], span_ps: float, totals: dict | None = None):
     """Yield the sorted events of the ``names`` channels of ``stream`` window by
     window: every event of the first channel (the anchors) in exactly one
     window, and of each other channel at least the events within ``span_ps``
@@ -914,7 +903,7 @@ class G2Result:
     side_counts: tuple[int, ...]
 
 
-def _d1_d2_coincidences(stream: TimestampStream | Run, span_ps: float, offsets_ps, half_ps, bin_ps):
+def _d1_d2_coincidences(stream: Run, span_ps: float, offsets_ps, half_ps, bin_ps):
     """``_coincidences`` of the d1-d2 pairs of ``stream``, which needs events on both."""
     totals: dict[str, int] = {}
     with closing(_windows(stream, ("d1", "d2"), span_ps, totals)) as windows:
@@ -924,7 +913,7 @@ def _d1_d2_coincidences(stream: TimestampStream | Run, span_ps: float, offsets_p
     return result
 
 
-def g2_histogram(stream: TimestampStream | Run, bin_ps: float = HISTOGRAM_BIN_PS) -> G2Result:
+def g2_histogram(stream: Run, bin_ps: float = HISTOGRAM_BIN_PS) -> G2Result:
     """Pulsed d1-d2 cross-correlation histogram and the zero-delay peak ratio.
 
     g2_zero is the central-peak area divided by the mean area of the five
@@ -954,7 +943,7 @@ class HomResult:
     visibility: float
 
 
-def _hom_single(stream: TimestampStream | Run, bin_ps: float) -> HomHistogram:
+def _hom_single(stream: Run, bin_ps: float) -> HomHistogram:
     mzi = stream.config.mzi_delay_ns
     offsets = [k * mzi for k in (-2, -1, 0, 1, 2)]
     offsets_ps = [1000.0 * offset for offset in offsets]
@@ -963,9 +952,7 @@ def _hom_single(stream: TimestampStream | Run, bin_ps: float) -> HomHistogram:
     return HomHistogram(centers, hist, cluster[0.0], cluster)
 
 
-def hom_histogram(
-    streams: tuple[TimestampStream | Run, TimestampStream | Run], bin_ps: float = HISTOGRAM_BIN_PS
-) -> HomResult:
+def hom_histogram(streams: tuple[Run, Run], bin_ps: float = HISTOGRAM_BIN_PS) -> HomResult:
     """Five-peak coincidence clusters for a co/cross stream pair plus visibility.
 
     The streams are checked first and then histogrammed in turn, so of two
@@ -988,7 +975,7 @@ def hom_histogram(
     return HomResult(h_co, h_cross, float(visibility))
 
 
-def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None = None) -> int:
+def fourfold_coincidences(stream: Run, gate_ps: float | None = None) -> int:
     """Count BSM1 & BSM2 & Alice & Bob coincidences.
 
     A BSM pair (t1, t2) counts when -gate/2 <= t2 - t1 < gate/2, the gate
@@ -1024,7 +1011,7 @@ def fourfold_coincidences(stream: TimestampStream | Run, gate_ps: float | None =
     return count
 
 
-def twofold_control_coincidences(stream: TimestampStream | Run) -> int:
+def twofold_control_coincidences(stream: Run) -> int:
     """Alice-Bob coincidences around the emission separation, no BSM condition."""
     cfg = stream.config
     if cfg.topology != "swap":

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import settings
@@ -570,14 +571,36 @@ def joined_segments(run) -> dict[str, np.ndarray]:
             assert np.all(times < bound) and (edge is None or np.all(times >= edge))
             parts.setdefault(name, []).append(times)
         edge = bound
-    return {name: np.concatenate(p) for name, p in parts.items()}
+    return {name: np.concatenate(parts.pop(name)) for name in list(parts)}  # each channel's parts freed once joined
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A run held whole: each channel's sorted int64 ps times, read as one
+    segment whose boundary is above every event."""
+
+    channels: dict[str, np.ndarray]
+    config: mc.ApparatusConfig
+    seed: int = 0
+    duration_s: float = 1.0
+
+    def counts(self) -> dict[str, int]:
+        return {name: int(times.size) for name, times in self.channels.items()}
+
+    def segments(self):
+        yield 1 + max((int(t[-1]) for t in self.channels.values() if t.size), default=-1), self.channels
+
+
+def simulate(config: mc.ApparatusConfig, duration_s: float, seed: int) -> Stream:
+    """``mc.Run(config, seed, duration_s)`` held whole: its segments joined."""
+    return Stream(joined_segments(mc.Run(config, seed, duration_s)), config, seed, duration_s)
 
 
 class CutStream:
     """``stream`` read as segments cut at the sorted ``bounds``, by masks, and
     a last segment up to a boundary above every event."""
 
-    def __init__(self, stream: mc.TimestampStream, bounds: list[int]):
+    def __init__(self, stream: Stream, bounds: list[int]):
         self.config, self.seed, self.duration_s = stream.config, stream.seed, stream.duration_s
         self.stream, self.bounds = stream, bounds
 
@@ -589,7 +612,7 @@ class CutStream:
             edge = bound
 
 
-def whole_stream_write(stream: mc.TimestampStream, path) -> None:
+def whole_stream_write(stream: Stream, path) -> None:
     """Oracle for ``mc.write_stream``: every record of the stream built at once,
     ordered by one stable argsort of the times, plus the same sidecar."""
     from swapsim.params import config_hash, json_text, to_dict

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import povm_from_mode_calculus
+from conftest import povm_from_mode_calculus, simulate
 from swapsim.config import TUNED_G2_BACKGROUND_RATIO
 from swapsim.interference import (
     CALIBRATED_INTRINSIC_LIMIT,
@@ -40,7 +40,6 @@ from swapsim.mc import (
     ApparatusConfig,
     g2_histogram,
     hom_histogram,
-    simulate,
     simulate_tomography_run,
 )
 from swapsim.qstate import (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import simulate
 from swapsim import cli, mc
 from swapsim.cli import main
 from swapsim.config import (
@@ -429,8 +430,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          "gate width must be positive"),
         (["fourfold-scan", "--delays=0:0:1", "--gate", "nan", "--duration-per-point", "1e-4"],
          "gate width must be positive"),
-        (["mc-run", "--duration", "nan"], "duration must be positive and finite"),
-        (["mc-run", "--duration", "inf"], "duration must be positive and finite"),
+        (["mc-run", "--duration", "nan"], "duration_s nan is not a positive finite number"),
+        (["mc-run", "--duration", "inf"], "duration_s inf is not a positive finite number"),
         (["g2", "--duration", "1e300"], "ends past 2**63 ps"),
         (["mc-run", "--duration", "1e7"], "ends past 2**63 ps"),
         (["mc-run", "--duration", "1e-4", "--config", "<config without bob>"], "no value for the swap detectors ['bob']"),
@@ -539,7 +540,7 @@ def test_scan_runs_of_different_seeds_never_share_a_stream(monkeypatch, tmp_path
 
     def recording_simulate_runs(base, duration_s, variants, seed, analysis):
         def recorded(run):
-            streams.append(mc.simulate(run.config, run.duration_s, run.seed))
+            streams.append(simulate(run.config, run.duration_s, run.seed))
             return analysis(run)
 
         return simulate_runs(base, duration_s, variants, seed, recorded)

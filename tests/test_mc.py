@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CutStream,
+    Stream,
     all_pairs_coincidences,
     categorical_oracle,
     full_array_chunk_hbt,
@@ -24,6 +25,7 @@ from conftest import (
     loop_fourfold,
     loop_swap_tables,
     serial_dead_time_filter,
+    simulate,
     whole_channel_pair_chunks,
     whole_stream_merge,
     whole_stream_write,
@@ -35,12 +37,10 @@ from swapsim.mc import (
     ApparatusConfig,
     McError,
     Run,
-    TimestampStream,
     fourfold_coincidences,
     g2_histogram,
     hom_histogram,
     read_stream,
-    simulate,
     simulate_runs,
     simulate_tomography_run,
     twofold_control_coincidences,
@@ -68,35 +68,11 @@ def test_config_validation():
         ApparatusConfig(dark_rate_hz=-1.0)
 
 
-@pytest.mark.parametrize(
-    "times, message",
-    [
-        (np.array([1000, 500]), "not sorted"),
-        (np.array([-1000, 500]), "negative"),
-        (np.array([0.0, 1000.0]), "float64, not integer ps"),
-        (np.empty(0), "float64, not integer ps"),
-        (np.array([0, 1], dtype=np.uint64) - np.uint64(2), "negative"),
-        (np.array(5), r"shape \(\), not one dimension"),
-        (np.array([[0, 1]]), r"shape \(1, 2\), not one dimension"),
-    ],
-)
-def test_stream_rejects_malformed_times(times, message):
-    with pytest.raises(McError, match=message):
-        TimestampStream({"d1": times}, ApparatusConfig(), 0, 1.0)
-
-
-def test_stream_holds_int64_ps():
-    stream = TimestampStream({"d1": np.array([0, 7], dtype=np.uint32)}, ApparatusConfig(), 0, 1.0)
-    assert stream.channels["d1"].dtype == np.int64 and stream.channels["d1"].tolist() == [0, 7]
-
-
-def test_stream_keeps_read_only_views_of_the_callers_arrays():
-    times = np.array([0, 7], dtype=np.int64)
-    channels = {"d1": times}
-    stream = TimestampStream(channels, ApparatusConfig(), 0, 1.0)
-    assert stream.channels is not channels and channels == {"d1": times}
-    assert times.flags.writeable and not stream.channels["d1"].flags.writeable
-    assert np.shares_memory(stream.channels["d1"], times)  # a view, not a copy
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_run_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # -1 and 1.5 once constructed and failed only when the segments were read.
+    with pytest.raises(McError, match=f"seed {seed!r} is not a non-negative integer"):
+        Run(ApparatusConfig(**FAST), seed, 1e-6)
 
 
 def test_config_dict_round_trip():
@@ -159,10 +135,13 @@ def test_stream_io_round_trip(tmp_path):
     back = read_stream(path)
     assert back.seed == stream.seed
     assert back.duration_s == stream.duration_s
-    assert back.config_hash == stream.config_hash
+    assert config_hash(back.config) == config_hash(stream.config)
+    for _, channels in back.segments():
+        assert all(times.dtype == np.int64 for times in channels.values())
+    got = joined_segments(back)
+    assert got.keys() == stream.channels.keys()
     for name in stream.channels:
-        assert back.channels[name].dtype == np.int64
-        assert np.array_equal(back.channels[name], stream.channels[name])
+        assert np.array_equal(got[name], stream.channels[name])
     # A sidecar written before the strict-JSON writer: sorted keys, and the
     # default infinite gate as a bare Infinity.
     sidecar = json.loads(path.with_suffix(".json").read_text())
@@ -232,11 +211,12 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
         with pytest.raises(McError, match=key):
             read_stream(path)
 
-    # A channel id the sidecar does not name would be dropped.
-    named = dict(list(sidecar["channels"].items())[1:])
-    sidecar_path.write_text(json.dumps({**sidecar, "channels": named}))
-    with pytest.raises(McError, match="channel ids \\[0\\] are not named"):
-        read_stream(path)
+    # A channel id the sidecar does not name would be dropped; the records
+    # are checked as they are read.
+    renumbered = {name: i + 1 for name, i in sidecar["channels"].items()}
+    sidecar_path.write_text(json.dumps({**sidecar, "channels": renumbered}))
+    with pytest.raises(McError, match=rf"^{re.escape(str(path))}: channel ids \[0\] are not named"):
+        joined_segments(read_stream(path))
 
     sidecar_path.write_text(json.dumps({**sidecar, "records": sidecar["records"] + 1}))
     with pytest.raises(McError, match=f"{sidecar['records']} records, the sidecar says"):
@@ -253,7 +233,13 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
         (json.dumps({**sidecar, "channels": {**ids, "bob": 1.0}}), "integer ids in 0-255"),
         (json.dumps({**sidecar, "seed": "twelve"}), "seed 'twelve' is not a non-negative integer"),
         (json.dumps({**sidecar, "seed": 12.5}), "seed 12.5 is not a non-negative integer"),
+        (json.dumps({**sidecar, "seed": True}), "seed True is not a non-negative integer"),
         (json.dumps({**sidecar, "duration_s": "long"}), "duration_s 'long' is not a positive finite number"),
+        # A run's own duration rule: a whole period, and an end before 2**63 ps.
+        (json.dumps({**sidecar, "duration_s": 1e-12}), "holds no whole period"),
+        (json.dumps({**sidecar, "duration_s": 1e8}), re.escape("ends past 2**63 ps")),
+        (json.dumps({**sidecar, "records": str(sidecar["records"])}), "records '.*' is not a non-negative integer"),
+        (json.dumps({**sidecar, "records": float(sidecar["records"])}), "records .* is not a non-negative integer"),
         # Names that are not the topology's detectors: one renamed, one extra with no events.
         (json.dumps({**sidecar, "channels": {("d1" if k == "bsm2" else k): i for k, i in ids.items()}}),
          re.escape("channels ['alice', 'bob', 'bsm1', 'd1'] are not the swap detectors"
@@ -274,7 +260,25 @@ def test_read_stream_rejects_bad_sidecar(tmp_path):
     with pytest.raises(McError, match="records, the sidecar says"):
         read_stream(path)
     path.write_bytes(data)
-    assert sum(read_stream(path).counts().values()) == sidecar["records"]
+    assert sum(times.size for times in joined_segments(read_stream(path)).values()) == sidecar["records"]
+
+
+@pytest.mark.parametrize("fault, bad", [("swapped", 41), ("first past 2**63", 0), ("last past 2**63", 79)])
+def test_read_stream_rejects_records_out_of_time_order(tmp_path, fault, bad):
+    # Each an McError naming the file as its segments are read: a swapped
+    # pair of records, and a u64 time of 2**63 ps or more (a negative int64,
+    # below 0 as the first record or below the one before it).
+    t = np.arange(0, 40_000, 1000)
+    path = tmp_path / "run.bin"
+    write_stream(Stream({"d1": t, "d2": t + 500}, ApparatusConfig(topology="hbt_xx")), path)
+    records = np.fromfile(path, dtype=mc.RECORD_DTYPE)
+    if fault == "swapped":
+        records[[40, 41]] = records[[41, 40]]
+    else:
+        records["time_ps"][bad] = 2**63
+    records.tofile(path)
+    with pytest.raises(McError, match=rf"^{re.escape(str(path))}: record {bad} is out of time order"):
+        joined_segments(read_stream(path))
 
 
 @pytest.mark.parametrize(
@@ -348,10 +352,7 @@ def test_hom_visibility_and_clusters():
 
     # feeding two crossed runs yields no visibility
     cross2 = simulate(replace(base, hom_copolarized=False), _periods(base, 800_000), seed=33)
-    co_like = TimestampStream(
-        dict(cross2.channels), replace(cross2.config, hom_copolarized=True), cross2.seed,
-        cross2.duration_s,
-    )
+    co_like = replace(cross2, config=replace(cross2.config, hom_copolarized=True))
     null = hom_histogram((co_like, cross))
     assert abs(null.visibility) < 0.05
 
@@ -502,7 +503,7 @@ def test_streamed_coincidences_edges_and_empty_channels():
         _, hist, windows = mc._coincidences([(a, b)], 5000.0, _OFFSETS, 1000, 250.0)
         assert hist.shape == (41,) and hist.sum() == 0 and windows == [0] * 5
     cfg = ApparatusConfig()
-    stream = TimestampStream({"alice": empty, "bob": tb + 10_000}, cfg, 0, 1.0)
+    stream = Stream({"alice": empty, "bob": tb + 10_000}, cfg, 0, 1.0)
     assert twofold_control_coincidences(stream) == 0
 
 
@@ -641,9 +642,9 @@ def test_coincidences_at_every_edge_neighbour():
 def test_histogram_bins_are_bin_ps_wide(bin_ps):
     # An odd bin count about bin_ps wide, the central bin on zero delay.
     times = {"d1": np.array([10_000]), "d2": np.array([10_200])}
-    g2 = g2_histogram(TimestampStream(dict(times), ApparatusConfig(topology="hbt_xx"), 0, 1.0), bin_ps=bin_ps)
+    g2 = g2_histogram(Stream(dict(times), ApparatusConfig(topology="hbt_xx"), 0, 1.0), bin_ps=bin_ps)
     hom = ApparatusConfig(topology="hom")
-    co, cross = (TimestampStream(dict(times), replace(hom, hom_copolarized=c), 0, 1.0) for c in (True, False))
+    co, cross = (Stream(dict(times), replace(hom, hom_copolarized=c), 0, 1.0) for c in (True, False))
     result = hom_histogram((co, cross), bin_ps=bin_ps)
     for centers in (g2.bin_centers_ps, result.copolarized.bin_centers_ps, result.crossed.bin_centers_ps):
         n = centers.size
@@ -708,7 +709,7 @@ def test_fourfold_coincidences_match_loop_oracle(b1, b2, alice, bob, gate, budge
     # windows fall on, and 1 ps either side of, each other's edges, and the
     # heralding times fall on whole and half ps.
     cfg = ApparatusConfig()
-    stream = TimestampStream({"bsm1": b1, "bsm2": b2, "alice": alice, "bob": bob}, cfg, 0, 1.0)
+    stream = Stream({"bsm1": b1, "bsm2": b2, "alice": alice, "bob": bob}, cfg, 0, 1.0)
     with mock.patch.object(mc, "_PAIR_BUDGET", budget):
         got = fourfold_coincidences(stream, gate)
     assert got == loop_fourfold(b1, b2, alice, bob, gate if gate < math.inf else 2000.0, 2000, 1000)
@@ -756,33 +757,83 @@ def test_coincidence_analyses_match_all_pairs_oracle(monkeypatch, budget):
     assert twofold_control_coincidences(stream) == want
 
 
-def test_analyses_of_a_read_back_stream_equal_those_in_memory(tmp_path):
-    # The file holds the very int64 ps times the analyses read in memory.
+def _file_analyses(runs: dict) -> list:
+    hom = hom_histogram((runs["co"], runs["cross"]))
+    return [
+        *((g2.counts.tolist(), g2.central_counts, g2.side_counts, g2.g2_zero)
+          for g2 in (g2_histogram(runs["hbt"], bin_ps) for bin_ps in (100.0, 1.0))),
+        hom.copolarized.counts.tolist(), hom.crossed.counts.tolist(),
+        hom.copolarized.cluster_counts, hom.crossed.cluster_counts, hom.visibility,
+        [fourfold_coincidences(runs["swap"], gate) for gate in (47.0, 2000.0, math.inf)],
+        twofold_control_coincidences(runs["swap"]),
+    ]  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def written_runs(tmp_path_factory):
+    """The folder of the stream files of an hbt_xx run with background, a
+    co/cross HOM pair and a swap run, and the analyses of those runs."""
     hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, **FAST)
-    swap = ApparatusConfig(**FAST)
-    base = ApparatusConfig(topology="hom", **FAST)
-    streams = {
-        "hbt": simulate(hbt, _periods(hbt, 300_000), seed=3),
-        "swap": simulate(swap, _periods(swap, 100_000), seed=4),
-        "short": simulate(swap, _periods(swap, 5_000), seed=4),  # an infinite gate pairs all BSM events
-        "co": simulate(replace(base, hom_copolarized=True), _periods(base, 100_000), seed=6),
-        "cross": simulate(replace(base, hom_copolarized=False), _periods(base, 100_000), seed=7),
+    hom = ApparatusConfig(topology="hom", **FAST)
+    swap = ApparatusConfig(alice_setting="D", bob_setting="D", **FAST)
+    runs = {
+        "hbt": Run(hbt, 3, _periods(hbt, 4000)),
+        "co": Run(hom, 6, _periods(hom, 4000)),
+        "cross": Run(replace(hom, hom_copolarized=False), 7, _periods(hom, 4000)),
+        "swap": Run(swap, 8, _periods(swap, 5000)),
     }
-    back = {}
-    for name, stream in streams.items():
-        write_stream(stream, tmp_path / f"{name}.bin")
-        back[name] = read_stream(tmp_path / f"{name}.bin")
-        assert back[name].channels.keys() == stream.channels.keys()
-        for channel, times in stream.channels.items():
-            assert np.array_equal(back[name].channels[channel], times)
-    for bin_ps in (100.0, 1.0):
-        a, b = g2_histogram(streams["hbt"], bin_ps), g2_histogram(back["hbt"], bin_ps)
-        assert np.array_equal(a.counts, b.counts) and a.side_counts == b.side_counts and a.g2_zero == b.g2_zero
-    a, b = hom_histogram((streams["co"], streams["cross"])), hom_histogram((back["co"], back["cross"]))
-    assert np.array_equal(a.copolarized.counts, b.copolarized.counts) and a.visibility == b.visibility
-    for name, gate in (("swap", 2000.0), ("short", math.inf)):
-        assert fourfold_coincidences(streams[name], gate) == fourfold_coincidences(back[name], gate) > 0
-    assert twofold_control_coincidences(streams["swap"]) == twofold_control_coincidences(back["swap"]) > 0
+    folder = tmp_path_factory.mktemp("runs")
+    for name, run in runs.items():
+        write_stream(run, folder / f"{name}.bin")
+    return folder, _file_analyses(runs)
+
+
+@pytest.mark.parametrize("read_records", [None, 997, 5])
+def test_analyses_of_a_stream_file_equal_those_of_its_run(monkeypatch, tmp_path, written_runs, read_records):
+    # The file holds the very int64 ps times the run's segments do; read
+    # back a block at a time, at the default, a prime and a single digit.
+    if read_records is not None:
+        monkeypatch.setattr(mc, "_READ_RECORDS", read_records)
+    folder, want = written_runs
+    files = {name: read_stream(folder / f"{name}.bin") for name in ("hbt", "co", "cross", "swap")}
+    assert _file_analyses(files) == want
+    assert min(want[-2]) > 0 and want[-1] > 0
+    # Written back, a file is the same bytes.
+    for name, run in files.items():
+        write_stream(run, tmp_path / f"{name}.bin")
+        for suffix in (".bin", ".json"):
+            assert (tmp_path / f"{name}{suffix}").read_bytes() == (folder / f"{name}{suffix}").read_bytes()
+
+    # One, two or three events at each time on both channels, so equal times
+    # on different channels and on one fall on every block edge.
+    t = np.repeat(np.arange(400) * 1000, 1 + np.arange(400) % 3)
+    hand = Stream({"d1": t, "d2": t.copy()}, ApparatusConfig(topology="hbt_xx"))
+    write_stream(hand, tmp_path / "hand.bin")
+    back = read_stream(tmp_path / "hand.bin")
+    got = joined_segments(back)  # which checks that no boundary splits a time
+    assert all(np.array_equal(got[name], times) for name, times in hand.channels.items())
+    assert sum(1 for _ in back.segments()) >= 2 * t.size // mc._READ_RECORDS
+    a, b = g2_histogram(hand), g2_histogram(back)
+    assert a.counts.tolist() == b.counts.tolist() and (a.central_counts, a.side_counts) == (b.central_counts, b.side_counts)
+
+
+def test_reading_a_stream_file_has_bounded_memory(monkeypatch, tmp_path):
+    # A file four times longer reads under the same ceiling, set by the block
+    # of _READ_RECORDS records: the block, its int64 times, the block joined
+    # to the carried records, the segment and the one the caller still holds
+    # (about 37 B per block record here), never the whole file (6.8 MB of
+    # records and times for the longer one).
+    monkeypatch.setattr(mc, "_READ_RECORDS", 1 << 12)
+    ceiling = 48 * mc._READ_RECORDS
+    cfg = ApparatusConfig(topology="hbt_xx")
+    peaks = []
+    for n in (50_000, 200_000):
+        t = np.arange(n) * 1000
+        path = tmp_path / f"{n}.bin"
+        write_stream(Stream({"d1": t, "d2": t + 500}, cfg), path)
+        run = read_stream(path)
+        peaks.append(_traced_peak(lambda: sum(1 for _ in run.segments())))
+    assert max(peaks) < ceiling, (peaks, ceiling)
 
 
 def test_g2_memory_does_not_grow_with_pair_count(monkeypatch):
@@ -799,7 +850,7 @@ def test_g2_memory_does_not_grow_with_pair_count(monkeypatch):
     pairs, peaks = [], []
     for n in (10_000, 20_000):
         ta = np.arange(n) * 250
-        stream = TimestampStream({"d1": ta, "d2": ta + 100}, cfg, 0, 1.0)
+        stream = Stream({"d1": ta, "d2": ta + 100}, cfg, 0, 1.0)
         tracemalloc.start()
         try:
             result = g2_histogram(stream)
@@ -847,7 +898,7 @@ def test_fourfold_memory_does_not_grow_with_pair_count(monkeypatch):
     for n in (12_500, 25_000):
         t = np.arange(n) * 250
         channels = {"bsm1": t, "bsm2": t + 100, "alice": t, "bob": t + 50}
-        stream = TimestampStream(channels, cfg, 0, 1.0)
+        stream = Stream(channels, cfg, 0, 1.0)
         tracemalloc.start()
         try:
             # A 20 ns gate pairs each BSM1 event with 80 BSM2 events.
@@ -1497,7 +1548,7 @@ _CUT_GATES = (47.0, 2000.0, math.inf)
 
 
 @functools.cache
-def _one_window_analyses() -> tuple[dict[str, TimestampStream], dict]:
+def _one_window_analyses() -> tuple[dict[str, Stream], dict]:
     """The streams the segment-cut test reads, and their analyses as one window."""
     hbt = ApparatusConfig(topology="hbt_xx", background_ratio=0.01, **FAST)
     hom = ApparatusConfig(topology="hom", **FAST)

@@ -92,12 +92,13 @@ def test_swapsim_loads_no_scipy(tmp_path):
         assert (command, mc_loaded) == (command, MC_MODULES if k >= simulating else [])
 
 
-# Every name `from swapsim import *` gave when the package imported mc eagerly.
+# Every name `from swapsim import *` gave when the package imported mc eagerly,
+# less the in-memory stream type and its `simulate`, which the tests now own.
 PARENT_NAMES = set(
     """
     ApparatusConfig BellKind BoundCheck BsmConvention BsmPovm BsmSettings ConfigError DensityMatrix
     InterferenceError McError MeasurementSetting NoiseKind NoiseModel PATTERNS PureState QStateError
-    Run RunConfig SourceError SourceParams SwapCurve SwapError SwapResult TimestampStream
+    Run RunConfig SourceError SourceParams SwapCurve SwapError SwapResult
     TomographyError TomographyRun apply_noise bell_density bell_state bootstrap_errors
     born_probabilities bsm_povm calibrate calibrate_temporal classical_bound_check compose config
     control_no_heralding default_config density_from_json density_to_json dephasing depolarizing
@@ -105,18 +106,16 @@ PARENT_NAMES = set(
     fss_phase_diffusion g2_histogram gate_response herald hom_histogram horodecki_s ideal_pair
     interference linear_inversion load_config maximally_mixed mc mle_reconstruct params
     partial_trace pattern_operators permute_qubits predict project_to_physical pure_density qstate
-    read_stream simulate simulate_counts simulate_runs simulate_tomography_run source
+    read_stream simulate_counts simulate_runs simulate_tomography_run source
     standard_settings swap tensor tomography write_stream
     """.split()
 )
 MC_NAMES = (
     "Run",
-    "TimestampStream",
     "fourfold_coincidences",
     "g2_histogram",
     "hom_histogram",
     "read_stream",
-    "simulate",
     "simulate_runs",
     "simulate_tomography_run",
     "write_stream",
