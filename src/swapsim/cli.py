@@ -6,6 +6,10 @@ autocorrelation, interference-visibility and delay-scan analyses, and a
 summary report of the headline quantities. Every artifact embeds the config
 hash, seed and tool version so outputs can be reproduced byte for byte.
 Only the four commands that simulate import the Monte Carlo (``mc``).
+Each subcommand takes only the options it reads, after its name; ``--format``
+belongs to the four that write tables. ``main`` resolves the output directory
+and format against ``[output]`` once. Exit codes: 1 bad input, 2 MLE
+non-convergence (and argparse usage errors), 3 I/O.
 """
 from __future__ import annotations
 
@@ -69,8 +73,8 @@ def _parse_range(text: str) -> list[float]:
     return values
 
 
-def _provenance(config: RunConfig, seed: int) -> dict:
-    return {"config_hash": config_hash(config), "seed": seed, "version": __version__}
+def _provenance(config: RunConfig) -> dict:
+    return {"config_hash": config_hash(config), "seed": config.output.seed, "version": __version__}
 
 
 def _emit_table(
@@ -96,16 +100,19 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
     curve = predict(config.source, config.bsm, gates, config.apparatus.bsm_delay_offset_ps)
     columns = ["gate_ps", "i_eff", "fidelity", "s_value", "herald_prob", "rate_factor"]
     rows = [list(row) for row in zip(curve.gate_ps, *(getattr(curve, c).tolist() for c in columns[1:]))]
-    out = Path(args.out_dir or config.output.out_dir) / "swap_predict"
-    fmt = args.format or config.output.format
-    rho_ab = [density_payload(rho, curve.labels) for rho in curve.rho] if fmt == "json" else None
-    _emit_table(out, columns, rows, _provenance(config, config.output.seed), fmt, rho_ab)
-    print(f"wrote {out.with_suffix('.' + fmt)}")
+    out = args.out_dir / "swap_predict"
+    rho_ab = [density_payload(rho, curve.labels) for rho in curve.rho] if args.format == "json" else None
+    _emit_table(out, columns, rows, _provenance(config), args.format, rho_ab)
+    print(f"wrote {out.with_suffix('.' + args.format)}")
     return 0
 
 
 def _cmd_tomo(args, config: RunConfig) -> int:
-    run = run_from_csv(Path(args.input).read_text())
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TomographyError(f"run CSV {args.input} is not UTF-8 text: {exc}") from exc
+    run = run_from_csv(text)
     if args.settings and len(run.settings) != args.settings:
         raise ConfigError(
             f"run has {len(run.settings)} settings, expected {args.settings}"
@@ -114,7 +121,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
     resamples = args.bootstrap if args.bootstrap is not None else config.tomography.bootstrap_resamples
     errors = bootstrap_errors(run, resamples=resamples, rng_seed=config.output.seed)
     payload = {
-        "provenance": _provenance(config, config.output.seed),
+        "provenance": _provenance(config),
         "rho": density_payload(rho.matrix, rho.labels),
         "fidelity_phiplus": fidelity_pure(rho, bell_state(BellKind.PHI_PLUS)),
         "fidelity_psiplus": fidelity_pure(rho, bell_state(BellKind.PSI_PLUS)),
@@ -127,7 +134,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
             "failures": errors.failures,
         },
     }
-    out = Path(args.out_dir or config.output.out_dir) / "tomo_reconstruct.json"
+    out = args.out_dir / "tomo_reconstruct.json"
     with atomic_file(out) as handle:
         handle.write(json_text(payload))
     print(f"wrote {out}")
@@ -137,7 +144,7 @@ def _cmd_tomo(args, config: RunConfig) -> int:
 def _cmd_mc_run(args, config: RunConfig) -> int:
     from .mc import Run, write_stream
     run = Run(config.apparatus, config.output.seed, args.duration)  # checks the input before any directory is made
-    out = Path(args.out_dir or config.output.out_dir) / "stream.bin"
+    out = args.out_dir / "stream.bin"
     counts = write_stream(run, out)
     print(f"wrote {out} ({counts})")
     return 0
@@ -147,39 +154,33 @@ def _cmd_g2(args, config: RunConfig) -> int:
     from .mc import Run, g2_histogram
     line = args.line
     apparatus = dataclasses.replace(config.apparatus, topology=f"hbt_{line}")
-    seed = config.output.seed
-    result = g2_histogram(Run(apparatus, seed, args.duration), bin_ps=args.bin_ps)
-    prov = _provenance(config, seed)
+    result = g2_histogram(Run(apparatus, config.output.seed, args.duration), bin_ps=args.bin_ps)
+    prov = _provenance(config)
     prov["g2_zero"] = result.g2_zero
     rows = [list(row) for row in zip(result.bin_centers_ps.tolist(), result.counts.tolist())]
-    out = Path(args.out_dir or config.output.out_dir) / f"g2_{line}"
-    _emit_table(out, ["bin_center_ps", "counts"], rows, prov, args.format or config.output.format)
+    _emit_table(args.out_dir / f"g2_{line}", ["bin_center_ps", "counts"], rows, prov, args.format)
     print(f"g2_zero = {result.g2_zero:.6f}")
     return 0
 
 
 def _cmd_hom(args, config: RunConfig) -> int:
     from .mc import hom_histogram, simulate_runs
-    seed = config.output.seed
     base = dataclasses.replace(config.apparatus, topology="hom")
     variants = [{"hom_copolarized": True}, {"hom_copolarized": False}]
     # Each run is generated as hom_histogram reads it, one after the other.
-    runs = simulate_runs(base, args.duration, variants, seed, lambda run: run)
+    runs = simulate_runs(base, args.duration, variants, config.output.seed, lambda run: run)
     result = hom_histogram(tuple(runs), bin_ps=args.bin_ps)
-    prov = _provenance(config, seed)
+    prov = _provenance(config)
     prov["visibility"] = result.visibility
-    fmt = args.format or config.output.format
-    out_dir = Path(args.out_dir or config.output.out_dir)
     for name, hist in (("co", result.copolarized), ("cross", result.crossed)):
         rows = [list(row) for row in zip(hist.bin_centers_ps.tolist(), hist.counts.tolist())]
-        _emit_table(out_dir / f"hom_{name}", ["bin_center_ps", "counts"], rows, prov, fmt)
+        _emit_table(args.out_dir / f"hom_{name}", ["bin_center_ps", "counts"], rows, prov, args.format)
     print(f"visibility = {result.visibility:.4f}")
     return 0
 
 
 def _cmd_fourfold_scan(args, config: RunConfig) -> int:
     from .mc import fourfold_coincidences, simulate_runs
-    seed = config.output.seed
     delays = _parse_range(args.delays)
     gate = config.apparatus.fourfold_gate_ps(args.gate)
     curve = predict(config.source, config.bsm, [gate] * len(delays), delays)
@@ -190,7 +191,7 @@ def _cmd_fourfold_scan(args, config: RunConfig) -> int:
         for s in settings
     ]
     fourfolds = partial(fourfold_coincidences, gate_ps=gate)
-    counts = simulate_runs(config.apparatus, args.duration_per_point, variants, seed, fourfolds)
+    counts = simulate_runs(config.apparatus, args.duration_per_point, variants, config.output.seed, fourfolds)
     # Each delay's D/D and D/A shares of its four-folds are the Born
     # probabilities of the state heralded there, over their sum; chi2 is
     # Pearson's over the delays that have counts.
@@ -203,16 +204,10 @@ def _cmd_fourfold_scan(args, config: RunConfig) -> int:
         for s, n, share in zip(settings, pair, (probs / probs.sum()).tolist()):
             rows.append([delay, s.projector_b == "D", float(curve.i_eff[k]), share, n])
             chi2 += (n - total * share) ** 2 / (total * share) if share and total else (math.inf if n else 0.0)
-    prov = _provenance(config, seed)
+    prov = _provenance(config)
     prov.update(chi2=chi2, chi2_points=points)
-    out = Path(args.out_dir or config.output.out_dir) / "fourfold_scan"
-    _emit_table(
-        out,
-        ["delay_ps", "copolarized", "i_eff", "predicted_share", "fourfolds"],
-        rows,
-        prov,
-        args.format or config.output.format,
-    )
+    columns = ["delay_ps", "copolarized", "i_eff", "predicted_share", "fourfolds"]
+    _emit_table(args.out_dir / "fourfold_scan", columns, rows, prov, args.format)
     print(f"wrote scan with {len(rows)} points")
     return 0
 
@@ -225,7 +220,7 @@ def _cmd_report(args, config: RunConfig) -> int:
     f_mix = fidelity_mixed(control, maximally_mixed(("X1", "X2")))
     check = classical_bound_check(gated)
     payload = {
-        "provenance": _provenance(config, config.output.seed),
+        "provenance": _provenance(config),
         "i_eff_ungated": ungated.i_eff,
         "i_eff_47ps": gated.i_eff,
         "fidelity_ungated": ungated.fidelity,
@@ -242,7 +237,7 @@ def _cmd_report(args, config: RunConfig) -> int:
         "bell_violated_47ps": check.bell_violated,
         "bell_margin_47ps": check.bell_margin,
     }
-    out = Path(args.out_dir or config.output.out_dir) / "report.json"
+    out = args.out_dir / "report.json"
     with atomic_file(out) as handle:
         handle.write(json_text(payload))
     for key in (
@@ -266,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=argparse.SUPPRESS, help="override the configured seed"
     )
     common.add_argument("--out-dir", default=argparse.SUPPRESS, help="artifact directory")
-    common.add_argument(
+    table = argparse.ArgumentParser(add_help=False, parents=[common])
+    table.add_argument(
         "--format", choices=("csv", "json"), default=argparse.SUPPRESS, help="table output format"
     )
     parser = argparse.ArgumentParser(
-        prog="swapsim",
-        description="Entanglement-swapping simulator and analysis toolkit",
-        parents=[common],
+        prog="swapsim", description="Entanglement-swapping simulator and analysis toolkit"
     )
+    # The subcommands' options default to unset; these fill in, so a command without --format has format None.
     parser.set_defaults(config=None, seed=None, out_dir=None, format=None)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("swap-predict", parents=[common], help="fidelity/CHSH versus BSM gate width")
+    p = sub.add_parser("swap-predict", parents=[table], help="fidelity/CHSH versus BSM gate width")
     p.add_argument("--gates", help="gate range in ps, start:stop:step")
     p.set_defaults(func=_cmd_swap_predict)
 
@@ -293,18 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, required=True, help="seconds of apparatus time")
     p.set_defaults(func=_cmd_mc_run)
 
-    p = sub.add_parser("g2", parents=[common], help="pulsed autocorrelation of one emission line")
+    p = sub.add_parser("g2", parents=[table], help="pulsed autocorrelation of one emission line")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--line", choices=("x", "xx"), default="xx")
     p.add_argument("--bin-ps", type=float, default=HISTOGRAM_BIN_PS)
     p.set_defaults(func=_cmd_g2)
 
-    p = sub.add_parser("hom", parents=[common], help="two-photon interference visibility")
+    p = sub.add_parser("hom", parents=[table], help="two-photon interference visibility")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--bin-ps", type=float, default=HISTOGRAM_BIN_PS)
     p.set_defaults(func=_cmd_hom)
 
-    p = sub.add_parser("fourfold-scan", parents=[common], help="four-fold coincidences versus mutual delay")
+    p = sub.add_parser("fourfold-scan", parents=[table], help="four-fold coincidences versus mutual delay")
     p.add_argument("--delays", required=True, help="delay range in ps, start:stop:step")
     p.add_argument("--gate", type=float, help="BSM gate in ps (default [bsm] gate_ps; inf: one MZI delay)")
     p.add_argument("--duration-per-point", type=float, required=True)
@@ -321,9 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
-            config = dataclasses.replace(
-                config, output=dataclasses.replace(config.output, seed=args.seed)
-            )
+            config = dataclasses.replace(config, output=dataclasses.replace(config.output, seed=args.seed))
+        # Not folded into config.output: the config hash would then depend on where artifacts go.
+        args.out_dir = Path(args.out_dir or config.output.out_dir)
+        args.format = args.format or config.output.format
         return args.func(args, config)
     except (ConfigError, SourceError, InterferenceError, QStateError, TomographyError, McError, SwapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

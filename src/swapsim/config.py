@@ -207,7 +207,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -73,21 +73,26 @@ class TomographyRun:
             raise TomographyError(
                 f"{counts.size} counts for {len(self.settings)} settings"
             )
-        if np.any(counts < 0):
-            raise TomographyError("counts must be non-negative")
         exposures = self.exposures
         if exposures is None:
             exposures = np.ones(counts.size)
         exposures = np.asarray(exposures, dtype=float).reshape(-1)
         if exposures.size != counts.size:
             raise TomographyError("exposures length must match settings")
-        if np.any(exposures <= 0):
-            raise TomographyError("exposures must be positive")
+        _check_counts(counts, exposures)
         counts.setflags(write=False)
         exposures.setflags(write=False)
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "exposures", exposures)
+
+
+def _check_counts(counts: np.ndarray | float, exposures: np.ndarray | float) -> None:
+    # Written so that a NaN fails each test.
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise TomographyError("counts must be finite and non-negative")
+    if not np.all(np.isfinite(exposures) & (exposures > 0)):
+        raise TomographyError("exposures must be finite and positive")
 
 
 def standard_settings(kind: int) -> list[MeasurementSetting]:
@@ -347,15 +352,23 @@ def run_to_csv(run: TomographyRun) -> str:
 
 
 def run_from_csv(text: str) -> TomographyRun:
+    """Parse a run CSV; a row that is not one valid setting, count and exposure
+    raises ``TomographyError`` naming its line."""
     reader = csv.DictReader(io.StringIO(text))
     required = {"setting_a", "setting_b", "counts", "exposure"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise TomographyError(f"run CSV must have columns {sorted(required)}")
     settings, counts, exposures = [], [], []
     for row in reader:
-        settings.append(MeasurementSetting(row["setting_a"].strip(), row["setting_b"].strip()))
-        counts.append(float(row["counts"]))
-        exposures.append(float(row["exposure"]))
+        try:
+            if None in row or None in row.values():  # a long row's extra cells, a short row's missing ones
+                raise TomographyError("the row does not have one cell per column")
+            settings.append(MeasurementSetting(row["setting_a"].strip(), row["setting_b"].strip()))
+            counts.append(float(row["counts"]))
+            exposures.append(float(row["exposure"]))
+            _check_counts(counts[-1], exposures[-1])
+        except ValueError as exc:  # float()'s error, or a TomographyError
+            raise TomographyError(f"run CSV line {reader.line_num}: {exc}") from exc
     if not settings:
         raise TomographyError("run CSV contains no rows")
     return TomographyRun(tuple(settings), np.array(counts), np.array(exposures))

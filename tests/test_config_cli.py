@@ -297,17 +297,17 @@ def test_cli_json_artifacts_are_strict_json(tmp_path):
     # string its CSV cell holds, so a strict parser reads every artifact.
     csv_path = _write_pair_counts(tmp_path)
     out = tmp_path / "out"
-    common = ["--format", "json", "--out-dir", str(out)]
+    table = ["--format", "json"]  # report, tomo and mc-run write JSON and take no --format
     for argv in (
-        ["swap-predict"],  # the configured gate is infinite
+        ["swap-predict", *table],  # the configured gate is infinite
         ["report"],
         ["tomo", "reconstruct", "--input", str(csv_path), "--bootstrap", "100"],
-        ["g2", "--duration", "1e-4"],
-        ["hom", "--duration", "1e-4"],
-        ["fourfold-scan", "--delays=0:100:100", "--gate", "inf", "--duration-per-point", "1e-4"],
+        ["g2", "--duration", "1e-4", *table],
+        ["hom", "--duration", "1e-4", *table],
+        ["fourfold-scan", "--delays=0:100:100", "--gate", "inf", "--duration-per-point", "1e-4", *table],
         ["mc-run", "--duration", "1e-4"],  # the stream's sidecar
     ):
-        assert main([*argv, *common]) == 0
+        assert main([*argv, "--out-dir", str(out)]) == 0
     payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant) for path in out.glob("*.json")}
     assert len(payloads) == 8
     assert payloads["swap_predict.json"]["rows"][0][0] == "inf"
@@ -411,6 +411,70 @@ def test_cli_histogram_csv_columns_are_plain_numbers(tmp_path):
             int(count)
 
 
+# Each subcommand's options besides -h/--help, --config, --seed and --out-dir.
+COMMAND_OPTIONS = {
+    "swap-predict": {"--gates", "--format"},
+    "tomo": {"--input", "--settings", "--bootstrap"},
+    "mc-run": {"--duration"},
+    "g2": {"--duration", "--line", "--bin-ps", "--format"},
+    "hom": {"--duration", "--bin-ps", "--format"},
+    "fourfold-scan": {"--delays", "--gate", "--duration-per-point", "--format"},
+    "report": set(),
+}
+
+
+def _options(parser) -> set[str]:
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    assert _options(parser) == {"-h", "--help", "--version"}
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    shared = {"-h", "--help", "--config", "--seed", "--out-dir"}
+    assert all(shared <= _options(p) for p in commands.values())
+    assert {name: _options(p) - shared for name, p in commands.items()} == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "5", "report"],
+        ["--out-dir", "d", "report"],
+        ["--config", "c.cfg", "report"],
+        ["--format", "json", "swap-predict"],
+        ["report", "--format", "json"],
+        ["tomo", "reconstruct", "--input", "run.csv", "--format", "json"],
+        ["mc-run", "--duration", "1e-5", "--format", "json"],
+    ],
+)
+def test_an_option_a_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: swapsim" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, artifacts",
+    [
+        (["swap-predict", "--gates", "47:47:1"], ["swap_predict.json"]),
+        (["g2", "--duration", "1e-4"], ["g2_xx.json"]),
+        (["hom", "--duration", "1e-4"], ["hom_co.json", "hom_cross.json"]),
+        (["fourfold-scan", "--delays=0:0:1", "--duration-per-point", "1e-4"], ["fourfold_scan.json"]),
+    ],
+)
+def test_table_options_after_the_command_reach_its_artifacts(tmp_path, monkeypatch, argv, artifacts):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", "5", "--out-dir", "d", "--format", "json"]) == 0
+    assert sorted(path.name for path in (tmp_path / "d").iterdir()) == artifacts
+    for name in artifacts:
+        assert json.loads((tmp_path / "d" / name).read_text())["provenance"]["seed"] == 5
+    assert [path.name for path in tmp_path.iterdir()] == ["d"]
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[source]\nf1 = 0.1\n")
@@ -465,6 +529,49 @@ def test_cli_rejects_malformed_analysis_inputs(tmp_path_factory, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+# Each row replaces the second data row (line 3) of a valid 16-setting run CSV.
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("H,V,many,1.0", "could not convert string to float: 'many'"),
+        ("H,V,933", "the row does not have one cell per column"),
+        ("H,V,933,1.0,1.0", "the row does not have one cell per column"),
+        ("H,V,,1.0", "could not convert string to float: ''"),
+        ("H,,933,1.0", "unknown projector ''"),
+        ("H,V,nan,1.0", "counts must be finite and non-negative"),
+        ("H,V,inf,1.0", "counts must be finite and non-negative"),
+        ("H,V,933,nan", "exposures must be finite and positive"),
+        ("H,V,933,inf", "exposures must be finite and positive"),
+    ],
+)
+def test_cli_rejects_malformed_count_files(tmp_path, capsys, row, message):
+    csv_path = _write_pair_counts(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    lines[2] = row
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = ["tomo", "reconstruct", "--input", str(csv_path), "--bootstrap", "100", "--out-dir", str(out)]
+    assert main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: run CSV line 3: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "counts"])
+def test_cli_names_a_file_that_is_not_utf8(tmp_path, capsys, kind):
+    path = tmp_path / "latin1.txt"
+    if kind == "config":
+        path.write_bytes("[source]\nf1 = 0.93 ; r\u00e9glage\n".encode("latin-1"))
+        argv = ["report", "--config", str(path)]
+    else:
+        path.write_bytes(_write_pair_counts(tmp_path).read_bytes().replace(b"H,H", b"H\xc9,H"))
+        argv = ["tomo", "reconstruct", "--input", str(path), "--bootstrap", "100"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path} is not UTF-8 text" in err
+    assert not out.exists()
 
 
 @settings(max_examples=200)

@@ -84,6 +84,11 @@ def test_run_validation():
         TomographyRun(tuple(settings), -np.ones(16))
     with pytest.raises(TomographyError):
         TomographyRun(tuple(settings), np.ones(16), np.zeros(16))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(TomographyError, match="counts must be finite and non-negative"):
+            TomographyRun(tuple(settings), np.full(16, bad))
+        with pytest.raises(TomographyError, match="exposures must be finite and positive"):
+            TomographyRun(tuple(settings), np.ones(16), np.full(16, bad))
 
 
 def test_linear_inversion_exact_recovery():
