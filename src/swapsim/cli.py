@@ -6,10 +6,11 @@ autocorrelation, interference-visibility and delay-scan analyses, and a
 summary report of the headline quantities. Every artifact embeds the config
 hash, seed and tool version so outputs can be reproduced byte for byte.
 Only the four commands that simulate import the Monte Carlo (``mc``).
-Each subcommand takes only the options it reads, after its name; ``--format``
-belongs to the four that write tables. ``main`` resolves the output directory
-and format against ``[output]`` once. Exit codes: 1 bad input, 2 MLE
-non-convergence (and argparse usage errors), 3 I/O.
+Each subcommand takes only the options it reads, after its name (one before
+it is a usage error that names it); ``--format`` belongs to the four that
+write tables. ``main`` resolves the output directory and format against
+``[output]`` once. Exit codes: 1 bad input, 2 MLE non-convergence (and
+argparse usage errors), 3 I/O.
 """
 from __future__ import annotations
 
@@ -109,7 +110,7 @@ def _cmd_swap_predict(args, config: RunConfig) -> int:
 
 def _cmd_tomo(args, config: RunConfig) -> int:
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise TomographyError(f"run CSV {args.input} is not UTF-8 text: {exc}") from exc
     run = run_from_csv(text)
@@ -312,6 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Only -h and --version (or an abbreviation of --help or --version) come
+    # before the subcommand, and argparse acts on either where it meets it.
+    first = argv[0].split("=")[0] if argv else ""
+    if first.startswith("-") and first != "-h" and not any(o.startswith(first) for o in ("--help", "--version")):
+        parser.error(f"{first} goes after the subcommand, as in: swapsim COMMAND {first} ...")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()

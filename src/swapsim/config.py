@@ -208,7 +208,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # spreadsheet exports start with a byte-order mark
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()

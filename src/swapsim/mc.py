@@ -40,7 +40,7 @@ from .source import emit_pair
 from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
 
-_CHUNK_PERIODS = 1 << 18  # a live swap chunk holds about 15 MB
+_CHUNK_PERIODS = 1 << 18  # a live swap chunk holds about 12 MB
 _PAIR_BUDGET = 1 << 16
 _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at 7.2 8 B values per bin
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells of one categorical draw (at most 32 outcomes)
@@ -275,7 +275,7 @@ def _uniform_blocks(rng, n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield s, rng.random(out=buf[: min(_DRAW_BLOCK, n - s)])
 
 
-def _coins(rng, n: int, p: float = 0.5) -> np.ndarray:
+def _coins(rng, n: int, p: float) -> np.ndarray:
     """``rng.random(n) < p``, drawn a block at a time."""
     out = np.empty(n, dtype=bool)
     for s, u in _uniform_blocks(rng, n):
@@ -286,15 +286,6 @@ def _coins(rng, n: int, p: float = 0.5) -> np.ndarray:
 def _bits(rng, n: int) -> np.ndarray:
     """n fair coins as bools, eight to each random byte."""
     return np.unpackbits(rng.integers(0, 256, -(-n // 8), dtype=np.uint8), count=n).view(bool)
-
-
-def _uniforms_at(rng, n: int, idx: np.ndarray) -> np.ndarray:
-    """``rng.random(n)[idx]`` for sorted indices ``idx``, drawn a block at a time."""
-    out = np.empty(idx.size)
-    ends = np.searchsorted(idx, np.arange(_DRAW_BLOCK, n + _DRAW_BLOCK, _DRAW_BLOCK)).tolist()
-    for (s, u), a, b in zip(_uniform_blocks(rng, n), [0, *ends], ends):
-        np.take(u, idx[a:b] - s, out=out[a:b])
-    return out
 
 
 def _add_blocks(arr: np.ndarray, fill: Callable[[np.ndarray, int], object]) -> None:
@@ -364,18 +355,17 @@ def _route_pairs(a1, a2, u_swap, pattern, detector: dict, parts: dict) -> None:
 def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
     mzi = config.mzi_delay_ns
     off = config.bsm_delay_offset_ps * 1e-3
-    t1_xx, t1_x = config.bsm.t1_xx_ns, config.source.t1_x_ns
 
-    # The draws keep their order and sizes, and each channel's parts keep
-    # their order, so efficiency and jitter draw against the same detections.
-    # Emission delays become arrival times in place; every other draw, gather
-    # and offset goes through one block-sized buffer.
-    arr1, t_x1, arr2, t_x2 = (rng.exponential(t1, n) for t1 in (t1_xx, t1_x, t1_xx, t1_x))
-    xx1_port1, xx2_port1, x1_alice, x2_alice = (_coins(rng, n) for _ in range(4))
+    # Each channel's parts keep their order, so efficiency and jitter draw
+    # against the same detections. Fair coins are bits, and the other draws
+    # are made only for the periods or photons that read them. Emission
+    # delays become arrival times in place.
+    arr1, arr2 = (rng.exponential(config.bsm.t1_xx_ns, n) for _ in range(2))
+    xx1_port1, xx2_port1, x1_alice, x2_alice = (_bits(rng, n) for _ in range(4))
     # Interference only when the photons overlap at the splitter: emission 1
     # through the delayed arm against emission 2 through the direct arm.
     overlap = np.flatnonzero(xx1_port1 & ~xx2_port1)
-    pairs = overlap[_interferes(config.bsm, arr1.take(overlap), arr2.take(overlap), off, _uniforms_at(rng, n, overlap))]
+    pairs = overlap[_interferes(config.bsm, arr1.take(overlap), arr2.take(overlap), off, rng.random(overlap.size))]
     del overlap  # pairs are the interfering periods
 
     # Each period's outcome comes from the table of its group: the branch
@@ -390,23 +380,23 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
             sel = np.flatnonzero(key[s : s + u.size] == group)
             block[sel] = draw(u[sel])
     del key
-    u_swap = _uniforms_at(rng, n, pairs) < 0.5
-    out1_coin, out2_coin = (_coins(rng, n) for _ in range(2))  # distinguishable-branch ports
+    u_swap = _bits(rng, pairs.size)
+    out1_coin, out2_coin = (_bits(rng, n) for _ in range(2))  # distinguishable-branch ports
 
-    # arr1 = base + e_xx1 (+ mzi + off on the delayed arm), t_x1 = base + e_xx1 + e_x1;
-    # arr2 and t_x2 the same from base + mzi and emission 2.
+    # arr1 = base + e_xx1 and arr2 = base + mzi + e_xx2 on the direct arm. An
+    # X photon arrives its exciton delay after its pulse's XX photon there. The
+    # analyzers see both branches, and only the X photons that pass them draw
+    # that delay: Alice's, then Bob's, each channel built in one array.
     _pulse_arrivals(config, start, arr1, arr2)
-    t_x1 += arr1
-    t_x2 += arr2
+    x_pass1, x_pass2 = tables["x_pass1"].take(outcome), tables["x_pass2"].take(outcome)
+    alice = _channel((x1_alice & x_pass1, arr1), (x2_alice & x_pass2, arr2))
+    bob = _channel((~x1_alice & x_pass1, arr1), (~x2_alice & x_pass2, arr2))
+    del x1_alice, x2_alice, x_pass1, x_pass2
+    for times in (alice, bob):
+        _add_draws(times, rng.standard_exponential, config.source.t1_x_ns)
     _add_masked(arr1, xx1_port1, mzi + off)
     _add_masked(arr2, xx2_port1, mzi + off)
 
-    # The analyzers see both branches. Each channel is built in one array,
-    # Alice's and Bob's first, so the X photons' times are freed before the BSM's.
-    x_pass1, x_pass2 = tables["x_pass1"].take(outcome), tables["x_pass2"].take(outcome)
-    alice = _channel((x1_alice & x_pass1, t_x1), (x2_alice & x_pass2, t_x2))
-    bob = _channel((~x1_alice & x_pass1, t_x1), (~x2_alice & x_pass2, t_x2))
-    del t_x1, t_x2, x_pass1, x_pass2
     # Distinguishable branch: independent output routing, H/V projection
     # (pol1 and pol2 are -1 on the interference branch).
     pol1, pol2 = tables["pol1"].take(outcome), tables["pol2"].take(outcome)

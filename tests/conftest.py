@@ -404,14 +404,19 @@ def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict
     from swapsim.mc import _interferes
 
     mzi, off = config.mzi_delay_ns, config.bsm_delay_offset_ps * 1e-3
-    t1_xx, t1_x = config.bsm.t1_xx_ns, config.source.t1_x_ns
     base = (start + np.arange(n, dtype=float)) * config.period_ns
-    e_xx1, e_x1, e_xx2, e_x2 = (rng.exponential(t1, n) for t1 in (t1_xx, t1_x, t1_xx, t1_x))
-    xx1_port1, xx2_port1, x1_alice, x2_alice = (rng.random(n) < 0.5 for _ in range(4))
-    u_flag = rng.random(n)
+    e_xx1, e_xx2 = (rng.exponential(config.bsm.t1_xx_ns, n) for _ in range(2))
+    xx1_port1, xx2_port1, x1_alice, x2_alice = (fair_bits(rng, n) for _ in range(4))
+    # Only the overlapping periods draw a flag uniform, and only the
+    # interfering ones a port-swap coin; the other entries are never read.
+    overlap = xx1_port1 & ~xx2_port1
+    u_flag = np.full(n, np.nan)
+    u_flag[overlap] = rng.random(np.count_nonzero(overlap))
+    flag = overlap & _interferes(config.bsm, e_xx1, e_xx2, off, u_flag)
     u_outcome = rng.random(n)
-    u_swap, out1_coin, out2_coin = (rng.random(n) < 0.5 for _ in range(3))
-    flag = xx1_port1 & ~xx2_port1 & _interferes(config.bsm, e_xx1, e_xx2, off, u_flag)
+    u_swap = np.zeros(n, dtype=bool)
+    u_swap[flag] = fair_bits(rng, np.count_nonzero(flag))
+    out1_coin, out2_coin = (fair_bits(rng, n) for _ in range(2))
     dest_cfg = np.where(x1_alice, 0, 2) + np.where(x2_alice, 0, 1)
     pattern = np.full(n, -1)
     pol1, pol2 = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -438,13 +443,16 @@ def full_array_chunk_swap(config, tables: dict, start: int, n: int, rng) -> dict
                 det1.append(times)
             elif (port, pol) == (4, 1):
                 det2.append(times)
-    t_x1 = base + e_xx1 + e_x1
-    t_x2 = base + mzi + e_xx2 + e_x2
+    # Only the X photons that pass their analyzer draw an exciton delay:
+    # Alice's, then Bob's, each channel's in its own order.
+    t_x1, t_x2 = base + e_xx1, base + mzi + e_xx2
+    alice = np.concatenate([t_x1[x1_alice & x_pass1], t_x2[x2_alice & x_pass2]])
+    bob = np.concatenate([t_x1[~x1_alice & x_pass1], t_x2[~x2_alice & x_pass2]])
     return {
         "bsm1": np.concatenate(det1),
         "bsm2": np.concatenate(det2),
-        "alice": np.concatenate([t_x1[x1_alice & x_pass1], t_x2[x2_alice & x_pass2]]),
-        "bob": np.concatenate([t_x1[~x1_alice & x_pass1], t_x2[~x2_alice & x_pass2]]),
+        "alice": alice + rng.exponential(config.source.t1_x_ns, alice.size),
+        "bob": bob + rng.exponential(config.source.t1_x_ns, bob.size),
     }
 
 

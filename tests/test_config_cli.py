@@ -436,24 +436,27 @@ def test_each_command_takes_only_the_options_it_reads():
     assert {name: _options(p) - shared for name, p in commands.items()} == COMMAND_OPTIONS
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--seed", "5", "report"],
-        ["--out-dir", "d", "report"],
-        ["--config", "c.cfg", "report"],
-        ["--format", "json", "swap-predict"],
-        ["report", "--format", "json"],
-        ["tomo", "reconstruct", "--input", "run.csv", "--format", "json"],
-        ["mc-run", "--duration", "1e-5", "--format", "json"],
-    ],
-)
-def test_an_option_a_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+_USAGE_ERRORS = [
+    (["--seed", "5", "report"], "--seed goes after the subcommand"),
+    (["--out-dir", "d", "report"], "--out-dir goes after the subcommand"),
+    (["--config", "c.cfg", "report"], "--config goes after the subcommand"),
+    (["--format", "json", "swap-predict"], "--format goes after the subcommand"),
+    (["report", "--format", "json"], "unrecognized arguments: --format json"),
+    (["tomo", "reconstruct", "--input", "run.csv", "--format", "json"], "unrecognized arguments: --format json"),
+    (["mc-run", "--duration", "1e-5", "--format", "json"], "unrecognized arguments: --format json"),
+    (["--seed=5", "report"], "--seed goes after the subcommand"),
+    (["--duration", "1e-4", "g2"], "--duration goes after the subcommand"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))])
+def test_an_option_a_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "usage: swapsim" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage: swapsim" in err and f"swapsim: error: {message}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -572,6 +575,23 @@ def test_cli_names_a_file_that_is_not_utf8(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{path} is not UTF-8 text" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "counts"])
+def test_cli_reads_files_that_start_with_a_byte_order_mark(tmp_path, kind):
+    # Spreadsheet exports write one; it is not part of the first line.
+    if kind == "config":
+        path = tmp_path / "run.cfg"
+        write_default_config(path)
+        argv, artifact = ["report", "--config"], "report.json"
+    else:
+        path = _write_pair_counts(tmp_path)
+        argv, artifact = ["tomo", "reconstruct", "--bootstrap", "100", "--input"], "tomo_reconstruct.json"
+    marked = tmp_path / f"marked{path.suffix}"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for name, file in (("plain", path), ("marked", marked)):
+        assert main([*argv, str(file), "--out-dir", str(tmp_path / name)]) == 0
+    assert (tmp_path / "marked" / artifact).read_bytes() == (tmp_path / "plain" / artifact).read_bytes()
 
 
 @settings(max_examples=200)
