@@ -25,7 +25,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -36,19 +36,22 @@ from .config import ApparatusConfig, McError
 from .interference import PATTERNS, BsmSettings, pattern_operators
 from .params import atomic_file, config_hash, from_dict, json_text, to_dict
 from .qstate import POLARIZATION_KETS
-from .source import emit_pair
+from .source import SourceParams, emit_pair
 from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
 
 _CHUNK_PERIODS = 1 << 18  # a live swap chunk holds about 12 MB
 _PAIR_BUDGET = 1 << 16
 _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at 7.2 8 B values per bin
-_CATEGORICAL_CELLS = 1 << 8  # rank-table cells of one categorical draw (at most 32 outcomes)
+_CATEGORICAL_CELLS = 1 << 8  # rank-table cells per group of a categorical draw (at most 32 outcomes each)
 _SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
 _DRAW_BLOCK = 1 << 14  # values per block of a draw, gather or offset used element by element
 # Dead-time clusters still open when this few remain finish serially: a
 # vectorised round costs several microseconds however few clusters it tests.
-_SERIAL_CLUSTERS = 64
+# On the heralding channels (60k events, 6.2k clusters of three or more at
+# 20 ns dead time) the filter took a median 668-676 us per channel at 1 to
+# 8, 699 us at 16 and 780 us at 64 (30 interleaved repeats).
+_SERIAL_CLUSTERS = 8
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 _READ_RECORDS = 1 << 20  # records per read block of a stream file, about 9 MB
@@ -91,9 +94,41 @@ _BSM_DETECTORS = {(3, 0): "bsm1", (4, 1): "bsm2"}
 _HOM_DETECTORS = {(3, 0): "d1", (3, 1): "d1", (4, 0): "d2", (4, 1): "d2"}
 
 
-# Destination configurations of the two X photons, (photon 1, photon 2) to
-# Alice (A) or Bob (B), numbered 2 * (photon 1 to Bob) + (photon 2 to Bob).
-_DEST_CONFIGS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
+@lru_cache(maxsize=1)
+def _four_photon_state(source: SourceParams) -> np.ndarray:
+    """The state of two emissions of ``source``, ordered (X1, X2, XX1, XX2),
+    as rho[i, k, j, l]: X indices i, j and XX indices k, l. Every run of a
+    multi-setting estimate shares its source, so it is computed once."""
+    rho4 = compose(emit_pair(source, 1), emit_pair(source, 2)).matrix.reshape(4, 4, 4, 4)
+    rho4.flags.writeable = False
+    return rho4
+
+
+# The distinguishable branch's polarization pairs (pol1, pol2): HH, HV, VH, VV.
+_POL_OPS = np.eye(4)[:, :, None] * np.eye(4)[:, None, :]
+
+
+def _outcome_codes(dest: int, interfering: bool) -> np.ndarray:
+    """The code of each outcome of one swap table, for X destinations ``dest``.
+
+    Bits 0-3 are the X detections: photon 1 by Alice, photon 2 by Alice,
+    photon 1 by Bob, photon 2 by Bob. On the distinguishable branch bits 4-7
+    are the XX polarizations: photon 1 H, photon 1 V, photon 2 H, photon 2 V;
+    on the interference branch bits 4-6 are the pattern.
+    """
+    o = np.arange(32 if interfering else 16)
+    pass1, pass2 = (o % 4 < 2).astype(int), (o % 2 == 0).astype(int)
+    bob1, bob2 = dest >> 1, dest & 1
+    code = pass1 << 2 * bob1 | pass2 << 1 + 2 * bob2
+    if interfering:
+        code |= o // 4 << 4
+    else:
+        pol1, pol2 = o // 8, o // 4 % 2
+        code |= 16 << pol1 | 64 << pol2
+    return code.astype(np.uint8)
+
+
+_SWAP_CODES = [_outcome_codes(dest, branch == 0) for branch in (0, 1) for dest in range(4)]
 
 
 def _swap_tables(config: ApparatusConfig) -> dict:
@@ -105,47 +140,29 @@ def _swap_tables(config: ApparatusConfig) -> dict:
     exact Born probabilities of the four-photon state.
 
     ``cdfs`` holds the four interference CDFs, then the four distinguishable
-    ones, in destination-config order, and ``draws`` their samplers of
-    global outcomes: an interference CDF's outcome i is global outcome i, a
-    distinguishable one's 32 + i. The lookup arrays ``pattern`` (-1 off the
-    interference branch), ``pol1``, ``pol2`` (-1 off the distinguishable
-    branch), ``x_pass1`` and ``x_pass2`` give its attributes.
+    ones, in destination-config order: interference outcome 4 * pattern + x,
+    distinguishable outcome 8 * pol1 + 4 * pol2 + x, x the analyzer outcome.
+    ``draw`` draws each period's ``_outcome_codes`` from its group's CDF.
     """
-    rho4 = compose(emit_pair(config.source, 1), emit_pair(config.source, 2)).matrix
     pattern_ops = pattern_operators(1.0, config.bsm.convention)[_SAMPLED]
-    h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    pol_ops = np.array([np.kron(a, b) for a in (h, v) for b in (h, v)])
-    analyzers = {
-        "A": _analyzer_projectors(config.alice_setting),
-        "B": _analyzer_projectors(config.bob_setting),
-    }
-    # Analyzer outcomes (pass,pass), (pass,fail), (fail,pass), (fail,fail) per destination config.
-    x_ops = np.array(
-        [[np.kron(a, b) for a in analyzers[d1] for b in analyzers[d2]] for d1, d2 in _DEST_CONFIGS]
-    )
-    # rho4 is ordered (X1, X2, XX1, XX2), so Tr[rho4 (x_op kron bsm_op)] pairs
-    # its X indices (i, j) with the analyzer operator and its XX indices (k, l)
-    # with the pattern or polarization operator.
+    # Per destination (Alice, Bob), its analyzer's pass and fail projectors.
+    proj = np.array([_analyzer_projectors(config.alice_setting), _analyzer_projectors(config.bob_setting)])
+    # The analyzer operators of photons 1 and 2 by destination config (2 *
+    # photon 1 to Bob + photon 2 to Bob) and outcome (pass,pass), (pass,fail),
+    # (fail,pass), (fail,fail): the Kronecker products of their projectors.
+    x_ops = np.einsum("pxca,qydb->pqxycdab", proj, proj).reshape(4, 4, 4, 4)
+    # Tr[rho4 (x_op kron bsm_op)] pairs the state's X indices (i, j) with the
+    # analyzer operator and its XX indices (k, l) with the pattern or
+    # polarization operator. One einsum over all four indices gives the loop
+    # oracle's sums bit for bit on the tested sources; two steps do not.
     probs = np.einsum(
-        "ikjl,cxji,mlk->cmx", rho4.reshape(4, 4, 4, 4), x_ops, np.concatenate([pattern_ops, pol_ops])
+        "ikjl,cxji,mlk->cmx", _four_photon_state(config.source), x_ops, np.concatenate([pattern_ops, _POL_OPS])
     ).real.clip(0.0, None)
     cdfs = []
     for block in (probs[:, :8], probs[:, 8:]):
         cdf = np.cumsum(block.reshape(4, -1), axis=1)
         cdfs.extend(cdf / cdf[:, -1:])
-    # Global outcome g = 4 * pattern + x on the interference branch and
-    # 32 + 8 * pol1 + 4 * pol2 + x on the distinguishable one.
-    g = np.arange(48)
-    ind = g < 32
-    return {
-        "cdfs": cdfs,
-        "draws": [_sampler(cdf, 32 * (i >= 4)) for i, cdf in enumerate(cdfs)],
-        "pattern": np.where(ind, g // 4, -1).astype(np.int8),
-        "pol1": np.where(ind, -1, (g - 32) // 8).astype(np.int8),
-        "pol2": np.where(ind, -1, g // 4 % 2).astype(np.int8),
-        "x_pass1": g % 4 < 2,
-        "x_pass2": g % 2 == 0,
-    }
+    return {"cdfs": cdfs, "draw": _categorical(cdfs, _SWAP_CODES)}
 
 
 def _hom_tables(config: ApparatusConfig) -> dict:
@@ -155,40 +172,33 @@ def _hom_tables(config: ApparatusConfig) -> dict:
     entry 2 p1 + p2 on the diagonal of each sampled pattern operator."""
     k = 0 if config.hom_copolarized else 2
     cdf = np.cumsum(pattern_operators(1.0)[_SAMPLED, k, k].real)
-    return {"draw": _sampler(cdf / cdf[-1])}
+    return {"draw": _categorical([cdf / cdf[-1]], [np.arange(cdf.size)])}
 
 
 def _ranker(cuts: np.ndarray, cells: int):
     """``x -> np.searchsorted(cuts, x, side="right")`` for sorted distinct
-    ``cuts`` and x of their dtype, over about ``cells`` cells: int64 below its
-    maximum (pair deltas), or float64 in [0, 1] (uniform draws against a CDF).
+    int64 ``cuts`` and int64 x below its maximum (pair deltas), over about
+    ``cells`` cells.
 
     Any nondecreasing cell map is exact: cuts in a lower cell than x's are
     below x and cuts in a higher one above it. So x is compared only with
     the ``depth`` cuts from ``first[cell]`` on, padded past the last cut
-    with a value no x reaches (the int64 maximum, or NaN).
+    with a value no x reaches. Cells are 2**k wide from the first cut; an x
+    outside the cuts' span falls in a cell below 0 or past ``last``, which
+    ``rank`` clips.
     """
-    if cuts.dtype == np.int64:
-        # Cells 2**k wide from the first cut. An x outside the cuts' span
-        # falls in a cell below 0 or past ``last``, which ``rank`` clips.
-        lo, k = cuts[0], (int(cuts[-1] - cuts[0]) // cells).bit_length()
-        last, pad = int(cuts[-1] - lo) >> k, np.iinfo(np.int64).max
+    lo, k = cuts[0], (int(cuts[-1] - cuts[0]) // cells).bit_length()
+    last = int(cuts[-1] - lo) >> k
 
-        def cell(x: np.ndarray) -> np.ndarray:
-            y = x - lo
-            y >>= k
-            return y
-
-    else:
-        last, pad = cells, np.nan
-
-        def cell(x: np.ndarray) -> np.ndarray:
-            return (x * cells).astype(np.intp)
+    def cell(x: np.ndarray) -> np.ndarray:
+        y = x - lo
+        y >>= k
+        return y
 
     first = np.bincount(cell(cuts) + 1, minlength=last + 2)  # the cuts per cell, one cell up
     depth = int(first.max())
     np.cumsum(first, out=first)  # the cuts in lower cells
-    padded = np.concatenate([cuts, np.full(depth, pad, dtype=cuts.dtype)])
+    padded = np.concatenate([cuts, np.full(depth, np.iinfo(np.int64).max)])
 
     def rank(x: np.ndarray) -> np.ndarray:
         r = first.take(cell(x), mode="clip")  # first[last + 1] counts every cut
@@ -200,14 +210,58 @@ def _ranker(cuts: np.ndarray, cells: int):
     return rank
 
 
-def _sampler(cdf: np.ndarray, offset: int = 0):
-    """``u -> np.searchsorted(cdf, u, side="right").clip(0, cdf.size - 1) +
-    offset`` as uint8. Zero-probability outcomes repeat a CDF value and share
-    one cut."""
-    values, counts = np.unique(cdf, return_counts=True)
-    outcome = (np.minimum(np.append(0, np.cumsum(counts)), cdf.size - 1) + offset).astype(np.uint8)
-    rank = _ranker(values, _CATEGORICAL_CELLS)
-    return lambda u: outcome.take(rank(u))
+def _categorical(cdfs: Sequence[np.ndarray], labels: Sequence[np.ndarray]):
+    """Categorical draws from several CDFs in one rank pass.
+
+    ``draw(u, key=None, out=None)`` gives, as uint8, ``labels[g][i]`` with
+    ``i = np.searchsorted(cdfs[g], u, side="right").clip(0, cdfs[g].size - 1)``
+    for uniform u in [0, 1) and g its ``key`` (0 without keys). A CDF is
+    nondecreasing in [0, 1]; its zero-probability outcomes repeat a value,
+    and the last of the repeats is the one cut they share.
+
+    Group g owns cells g C to g C + C - 1 of one rank table, C =
+    ``_CATEGORICAL_CELLS``: a value x lies in its cell min(int(x C), C - 1).
+    Any nondecreasing cell map is exact, so u is compared only with the
+    ``depth`` cuts from ``first[cell]`` on, where its group's cuts are laid
+    out and then padded with NaN, which no u reaches.
+    """
+    cells = _CATEGORICAL_CELLS
+    sizes = [cdf.size for cdf in cdfs]
+    ends = np.cumsum(sizes)
+    flat = np.concatenate(cdfs)
+    shared = np.append(flat[:-1] == flat[1:], False)
+    shared[ends - 1] = False  # a group's last value is a cut
+    at = np.flatnonzero(~shared)
+    group = np.searchsorted(ends, at, side="right")
+    cut_cells = np.minimum(flat[at] * cells, cells - 1).astype(np.intp) + group * cells
+    per_cell = np.bincount(cut_cells, minlength=len(cdfs) * cells)
+    depth = int(per_cell.max())
+    # The cuts in lower cells, and the padding of the lower groups.
+    first = np.cumsum(per_cell) - per_cell + np.arange(len(cdfs)).repeat(cells) * depth
+    # Cut c of a group sits at its group's start + c; rank r there is labelled
+    # with the outcome after the r-th cut.
+    padded = np.full(at.size + len(cdfs) * depth, np.nan)
+    at_pad = np.arange(at.size) + group * depth
+    padded[at_pad] = flat[at]
+    flat_labels = np.concatenate(labels).astype(np.uint8)
+    label = np.zeros(padded.size, dtype=np.uint8)
+    label[first[::cells]] = flat_labels[ends - sizes]
+    label[at_pad + 1] = flat_labels[np.minimum(at + 1, ends[group] - 1)]
+
+    def draw(u: np.ndarray, key: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        cell = np.multiply(u, cells).astype(np.intp)
+        if key is not None:
+            cell += np.multiply(key, cells, dtype=np.intp)
+        base = first.take(cell)
+        r = base.copy() if depth > 1 else base
+        ge = np.empty(u.size, dtype=bool)
+        for t in range(depth):
+            r += np.greater_equal(u, padded[t:].take(base), out=ge)
+        if out is None:
+            out = np.empty(u.size, dtype=np.uint8)
+        return label.take(r, out=out, mode="clip")
+
+    return draw
 
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -259,11 +313,18 @@ def _interferes(
     coherence kernel exp(-2*gamma*|delta|) at its arrival-time difference,
     scaled by the intrinsic limit.
     """
-    gamma = bsm.dephasing_rate
-    delta = e1 - e2 + off
-    support = (e1 + off >= 0.0) & (e2 - off >= 0.0)
-    p_flag = bsm.intrinsic_limit * np.exp(-2.0 * gamma * np.abs(delta)) * support
-    return u_flag < p_flag
+    # limit * exp(-2 gamma |e1 - e2 + off|) in place; off the kernel's support
+    # no pair interferes.
+    kernel = e1 - e2
+    kernel += off
+    np.abs(kernel, out=kernel)
+    kernel *= -2.0 * bsm.dephasing_rate
+    np.exp(kernel, out=kernel)
+    kernel *= bsm.intrinsic_limit
+    flags = u_flag < kernel
+    flags &= e1 + off >= 0.0
+    flags &= e2 - off >= 0.0
+    return flags
 
 
 def _uniform_blocks(rng, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -310,8 +371,9 @@ def _add_masked(arr: np.ndarray, mask: np.ndarray, c: float) -> None:
 
 def _channel(*parts) -> np.ndarray:
     """The parts joined in one new array. A part is an array, or a pair
-    (mask, times) that stands for ``np.compress(mask, times)``: made a block
-    at a time, as np.compress builds an index array of what it keeps."""
+    (mask, times) that stands for ``np.compress(mask, times)``: gathered a
+    block at a time through the block's index array (np.compress builds one
+    for the whole mask, and with ``out`` also copies through a buffer)."""
     out = np.empty(sum(p.size if isinstance(p, np.ndarray) else int(np.count_nonzero(p[0])) for p in parts))
     k = 0
     for part in parts:
@@ -321,10 +383,9 @@ def _channel(*parts) -> np.ndarray:
             continue
         mask, times = part
         for s in range(0, mask.size, _DRAW_BLOCK):
-            m = mask[s : s + _DRAW_BLOCK]
-            c = int(np.count_nonzero(m))
-            np.compress(m, times[s : s + _DRAW_BLOCK], out=out[k : k + c])
-            k += c
+            at = np.flatnonzero(mask[s : s + _DRAW_BLOCK])
+            times[s : s + _DRAW_BLOCK].take(at, out=out[k : k + at.size], mode="clip")
+            k += at.size
     return out
 
 
@@ -339,17 +400,29 @@ def _pulse_arrivals(config: ApparatusConfig, start: int, arr1: np.ndarray, arr2:
         arr2[s : s + base.size] += base
 
 
-def _route_pairs(a1, a2, u_swap, pattern, detector: dict, parts: dict) -> None:
-    """Append each interfering pair's detection times to ``parts``: ``pattern``
-    indexes ``_SAMPLED_PATTERNS``, ``u_swap`` picks the photon that takes its
-    first mode (the two times are exchangeable), and ``detector`` maps an
-    output mode (port, pol) to its channel; an unmapped mode goes undetected."""
+def _route_pairs(arr1, arr2, pairs, u_swap, pattern, detector: dict, parts: dict) -> None:
+    """Append each interfering pair's detection times to ``parts``, pattern
+    by pattern, each in pair order: the pairs are periods of ``arr1`` and
+    ``arr2``, ``pattern`` indexes ``_SAMPLED_PATTERNS``, ``u_swap`` picks the
+    photon that takes its first mode (the two times are exchangeable), and
+    ``detector`` maps an output mode (port, pol) to its channel; an unmapped
+    mode goes undetected."""
+    order = np.argsort(pattern, kind="stable")
+    u_swap, at = u_swap.take(order), pairs.take(order)
+    a1, a2 = arr1.take(at), arr2.take(at)
     ta, tb = np.where(u_swap, a2, a1), np.where(u_swap, a1, a2)
-    for oi, occupation in enumerate(_SAMPLED_PATTERNS):
-        sel = pattern == oi
-        for times, mode in zip((ta[sel], tb[sel]), occupation):
+    ends = np.cumsum(np.bincount(pattern, minlength=len(_SAMPLED_PATTERNS))).tolist()
+    for occupation, lo, hi in zip(_SAMPLED_PATTERNS, [0, *ends], ends):
+        for times, mode in zip((ta[lo:hi], tb[lo:hi]), occupation):
             if mode in detector:
                 parts[detector[mode]].append(times)
+
+
+def _bit(code: np.ndarray, k: int, mask: np.ndarray | bool = True) -> np.ndarray:
+    """Bit k of each uint8 code and ``mask``, as bools."""
+    bit = code >> k
+    bit &= mask
+    return bit.view(bool)
 
 
 def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -> dict[str, np.ndarray]:
@@ -360,25 +433,25 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
     # against the same detections. Fair coins are bits, and the other draws
     # are made only for the periods or photons that read them. Emission
     # delays become arrival times in place.
-    arr1, arr2 = (rng.exponential(config.bsm.t1_xx_ns, n) for _ in range(2))
+    arr = rng.exponential(config.bsm.t1_xx_ns, 2 * n)  # the two pulses' draws of n, back to back
+    arr1, arr2 = arr[:n], arr[n:]
     xx1_port1, xx2_port1, x1_alice, x2_alice = (_bits(rng, n) for _ in range(4))
     # Interference only when the photons overlap at the splitter: emission 1
     # through the delayed arm against emission 2 through the direct arm.
     overlap = np.flatnonzero(xx1_port1 & ~xx2_port1)
-    pairs = overlap[_interferes(config.bsm, arr1.take(overlap), arr2.take(overlap), off, rng.random(overlap.size))]
-    del overlap  # pairs are the interfering periods
+    flags = _interferes(config.bsm, arr1.take(overlap), arr2.take(overlap), off, rng.random(overlap.size))
+    pairs = overlap.compress(flags)
+    del overlap, flags  # pairs are the interfering periods
 
     # Each period's outcome comes from the table of its group: the branch
-    # (interference 0-3, distinguishable 4-7) by destination config. Each
-    # group's periods, in period order, are one categorical draw.
+    # (interference 0-3, distinguishable 4-7) by destination config, drawn
+    # as the outcome's code (see ``_outcome_codes``).
     key = np.uint8(4) + np.uint8(2) * ~x1_alice + ~x2_alice
     key[pairs] -= 4
-    outcome = np.empty(n, dtype=np.uint8)
+    del x1_alice, x2_alice  # the codes carry the X destinations
+    code = np.empty(n, dtype=np.uint8)
     for s, u in _uniform_blocks(rng, n):
-        block = outcome[s : s + u.size]
-        for group, draw in enumerate(tables["draws"]):
-            sel = np.flatnonzero(key[s : s + u.size] == group)
-            block[sel] = draw(u[sel])
+        tables["draw"](u, key[s : s + u.size], code[s : s + u.size])
     del key
     u_swap = _bits(rng, pairs.size)
     out1_coin, out2_coin = (_bits(rng, n) for _ in range(2))  # distinguishable-branch ports
@@ -388,27 +461,23 @@ def _chunk_swap(config: ApparatusConfig, tables: dict, start: int, n: int, rng) 
     # analyzers see both branches, and only the X photons that pass them draw
     # that delay: Alice's, then Bob's, each channel built in one array.
     _pulse_arrivals(config, start, arr1, arr2)
-    x_pass1, x_pass2 = tables["x_pass1"].take(outcome), tables["x_pass2"].take(outcome)
-    alice = _channel((x1_alice & x_pass1, arr1), (x2_alice & x_pass2, arr2))
-    bob = _channel((~x1_alice & x_pass1, arr1), (~x2_alice & x_pass2, arr2))
-    del x1_alice, x2_alice, x_pass1, x_pass2
+    alice = _channel((_bit(code, 0), arr1), (_bit(code, 1), arr2))
+    bob = _channel((_bit(code, 2), arr1), (_bit(code, 3), arr2))
     for times in (alice, bob):
         _add_draws(times, rng.standard_exponential, config.source.t1_x_ns)
     _add_masked(arr1, xx1_port1, mzi + off)
     _add_masked(arr2, xx2_port1, mzi + off)
+    del xx1_port1, xx2_port1
 
-    # Distinguishable branch: independent output routing, H/V projection
-    # (pol1 and pol2 are -1 on the interference branch).
-    pol1, pol2 = tables["pol1"].take(outcome), tables["pol2"].take(outcome)
+    # Distinguishable branch: independent output routing, H/V projection.
+    # An interfering pair's code bits 4-6 are its pattern, not polarizations.
+    pattern = code.take(pairs) >> 4
+    code[pairs] &= 15
     routed: dict[str, list] = {"bsm1": [], "bsm2": []}
-    pattern = tables["pattern"][outcome[pairs]]
-    _route_pairs(arr1.take(pairs), arr2.take(pairs), u_swap, pattern, _BSM_DETECTORS, routed)
-    return {
-        "bsm1": _channel((out1_coin & (pol1 == 0), arr1), (out2_coin & (pol2 == 0), arr2), *routed["bsm1"]),
-        "bsm2": _channel((~out1_coin & (pol1 == 1), arr1), (~out2_coin & (pol2 == 1), arr2), *routed["bsm2"]),
-        "alice": alice,
-        "bob": bob,
-    }
+    _route_pairs(arr1, arr2, pairs, u_swap, pattern, _BSM_DETECTORS, routed)
+    bsm1 = _channel((_bit(code, 4, out1_coin), arr1), (_bit(code, 6, out2_coin), arr2), *routed["bsm1"])
+    bsm2 = _channel((_bit(code, 5, ~out1_coin), arr1), (_bit(code, 7, ~out2_coin), arr2), *routed["bsm2"])
+    return {"bsm1": bsm1, "bsm2": bsm2, "alice": alice, "bob": bob}
 
 
 def _chunk_hbt(config: ApparatusConfig, start: int, n: int, rng) -> dict[str, np.ndarray]:
@@ -439,14 +508,14 @@ def _chunk_hom(config: ApparatusConfig, tables: dict, start: int, n: int, rng) -
     _add_masked(arr1, long1, mzi + off)
     _add_masked(arr2, long2, mzi + off)
 
-    pairs = overlap[_interferes(config.bsm, e1, e2, off, rng.random(overlap.size))]
+    pairs = overlap.compress(_interferes(config.bsm, e1, e2, off, rng.random(overlap.size)))
     del overlap, e1, e2
     u_outcome = rng.random(pairs.size)
     u_swap = _bits(rng, pairs.size)
     route1, route2 = (_bits(rng, n) for _ in range(2))
 
     routed: dict[str, list] = {"d1": [], "d2": []}
-    _route_pairs(arr1.take(pairs), arr2.take(pairs), u_swap, tables["draw"](u_outcome), _HOM_DETECTORS, routed)
+    _route_pairs(arr1, arr2, pairs, u_swap, tables["draw"](u_outcome), _HOM_DETECTORS, routed)
     # Photons that do not interfere route independently.
     present1[pairs] = present2[pairs] = False
     return {
@@ -755,9 +824,22 @@ def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _partners(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Per ta event t, the first index and the count of the sorted tb events
-    in [t + lo, t + hi)."""
+    in [t + lo, t + hi).
+
+    Where a window holds less than one tb event on average (a heralding gate,
+    an analyzer window), the count steps past the first partner and searches
+    only for the events that have one; else it searches for every window's end.
+    """
     first = _block_ranks(ta + lo, tb)
-    return first, _block_ranks(ta + hi, tb) - first
+    ends = ta + hi
+    if tb.size < 2 or (hi - lo) * (tb.size - 1) >= int(tb[-1] - tb[0]):
+        return first, _block_ranks(ends, tb) - first
+    inside = tb.take(first, mode="clip") < ends
+    inside &= first < tb.size
+    counts = inside.astype(np.intp)
+    more = np.flatnonzero(inside)
+    counts[more] = _block_ranks(ends.take(more), tb) - first.take(more)
+    return first, counts
 
 
 def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):

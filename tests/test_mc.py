@@ -47,6 +47,7 @@ from swapsim.mc import (
     write_stream,
 )
 from swapsim.params import atomic_file, config_hash, from_dict, to_dict
+from swapsim.source import NoiseKind, SourceParams
 from swapsim.swap import predict
 from swapsim.tomography import MeasurementSetting, born_probabilities, standard_settings
 
@@ -528,27 +529,6 @@ def _neighbours(values, steps: int = 2) -> np.ndarray:
 
 
 @given(
-    cuts=st.lists(
-        st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300), st.integers(0, 64).map(lambda k: k / 64.0)),
-        min_size=1,
-        max_size=40,
-    ),
-    cells=st.integers(1, 600),
-    extra=st.lists(st.floats(0.0, 1.0), max_size=30),
-)
-@example(cuts=[0.0, 0.0, 0.125, 0.125, 0.125, 1.0], cells=8, extra=[])
-@example(cuts=[0.0, 1e-300, 5e-324], cells=256, extra=[0.0, -0.0])
-@settings(max_examples=300)
-def test_ranker_matches_searchsorted(cuts, cells, extra):
-    values = np.unique(cuts)
-    # Each cut, every cell boundary j / cells and the floats either side of them.
-    x = np.concatenate([_neighbours(values), _neighbours(np.arange(cells + 1) / cells, 1), extra, [0.0, 1.0]])
-    x = x[(x >= 0.0) & (x <= 1.0)]
-    got = mc._ranker(values, cells)(x)
-    assert np.array_equal(got, np.searchsorted(values, x, side="right"))
-
-
-@given(
     cuts=st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-40, 40)), min_size=1, max_size=40),
     cells=st.integers(1, 600),
     extra=st.lists(st.integers(-(2**62), 2**62), max_size=30),
@@ -582,9 +562,40 @@ def test_sampler_matches_binary_search(weights, draws):
     grid = np.arange(1 << 10) / (1 << 10)
     u = np.concatenate([draws, grid, _neighbours(cdf)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    got = mc._sampler(cdf, offset=32)(u)
+    got = mc._categorical([cdf], [np.arange(cdf.size) + 32])(u)
     assert got.dtype == np.uint8
     assert np.array_equal(got, categorical_oracle(cdf, u) + 32)
+
+
+_WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 5e-324, 1e-300, 1e-12, 0.1, 0.25, 1.0, 3.0]), min_size=1, max_size=32)
+
+
+@given(
+    weights=st.lists(_WEIGHTS.filter(lambda w: sum(w) > 0), min_size=1, max_size=8),
+    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[[0.0, 1.0, 0.0], [1.0], [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0]], draws=[0.5], order_seed=0)
+@settings(max_examples=200)
+def test_categorical_draw_matches_searchsorted_per_group(weights, draws, order_seed):
+    # CDFs with zero-weight outcomes (repeated values, also at 0 and at 1),
+    # each drawn at u = 0, on every CDF value and cell boundary j / C and the
+    # floats either side of them, for every group, in a random key order.
+    cdfs = [np.cumsum(w) for w in weights]
+    cdfs = [cdf / cdf[-1] for cdf in cdfs]
+    cells = mc._CATEGORICAL_CELLS
+    u = np.concatenate([[0.0, -0.0], draws, _neighbours(np.concatenate(cdfs)), _neighbours(np.arange(cells) / cells)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    key = np.repeat(np.arange(len(cdfs), dtype=np.uint8), u.size)
+    u = np.tile(u, len(cdfs))
+    order = np.random.default_rng(order_seed).permutation(u.size)
+    u, key = u[order], key[order]
+    got = mc._categorical(cdfs, [np.arange(cdf.size) + 32 * g for g, cdf in enumerate(cdfs)])(u, key)
+    want = np.empty(u.size, dtype=np.intp)
+    for g, cdf in enumerate(cdfs):
+        sel = key == g
+        want[sel] = np.searchsorted(cdf, u[sel], side="right").clip(0, cdf.size - 1) + 32 * g
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 # g2's geometry in ps: 1447 bins of 100.03 ps over +-72368 ps and eleven 1 ns windows.
@@ -669,6 +680,21 @@ def test_block_ranks_match_searchsorted(keys, table, block, ordered):
     with mock.patch.object(mc, "_SEARCH_BLOCK", block):
         got = mc._block_ranks(keys, table)
     assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(table, keys))
+
+
+_SORTED_TIMES = st.lists(st.integers(0, 20_000), max_size=60).map(lambda v: np.sort(np.array(v, np.int64)))
+
+
+@given(ta=_SORTED_TIMES, tb=_SORTED_TIMES, lo=st.integers(-3000, 3000), width=st.integers(0, 6000))
+# A window that holds two tb events where windows hold less than one on average.
+@example(ta=np.array([0]), tb=np.array([0, 10, 20_000]), lo=0, width=100)
+@settings(max_examples=300)
+def test_partners_match_searchsorted(ta, tb, lo, width):
+    # Windows that hold less than one tb event on average and more than one.
+    hi = lo + width
+    first, counts = mc._partners(ta, tb, lo, hi)
+    want = np.searchsorted(tb, ta + lo)
+    assert np.array_equal(first, want) and np.array_equal(counts, np.searchsorted(tb, ta + hi) - want)
 
 
 @given(
@@ -1118,6 +1144,22 @@ def test_swap_tables_match_loop_oracle(convention):
         for ci in range(4):
             assert np.array_equal(tables["cdfs"][ci], oracle["ind_cdf"][ci])
             assert np.array_equal(tables["cdfs"][4 + ci], oracle["dist_cdf"][ci])
+
+
+@pytest.mark.parametrize("convention", list(BsmConvention))
+def test_swap_tables_do_not_leak_across_sources(convention):
+    # The four-photon state is computed once per source: tables for source A,
+    # then B, then A again each equal the loop oracle's.
+    a, b = SourceParams(), SourceParams(f1=0.85, f2=0.9, model=NoiseKind.FSS_PHASE_DIFFUSION)
+    cdfs = []
+    for source in (a, b, a):
+        cfg = ApparatusConfig(alice_setting="D", bob_setting="R", source=source, bsm=BsmSettings(convention=convention))
+        tables, oracle = mc._swap_tables(cfg), loop_swap_tables(cfg)
+        for ci in range(4):
+            assert np.array_equal(tables["cdfs"][ci], oracle["ind_cdf"][ci])
+            assert np.array_equal(tables["cdfs"][4 + ci], oracle["dist_cdf"][ci])
+        cdfs.append(np.concatenate(tables["cdfs"]))
+    assert not np.array_equal(cdfs[0], cdfs[1])
 
 
 @pytest.mark.parametrize("topology, float_arrays", [("hom", 5), ("hbt_xx", 4.5), ("hbt_x", 4.5), ("swap", 6.5)])
