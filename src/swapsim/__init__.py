@@ -8,8 +8,6 @@ from .qstate import (
     QStateError,
     bell_density,
     bell_state,
-    density_from_json,
-    density_to_json,
     fidelity_mixed,
     fidelity_pure,
     horodecki_s,

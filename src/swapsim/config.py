@@ -173,6 +173,7 @@ class RunConfig:
         return self.apparatus.bsm
 
     def apparatus_config(self) -> ApparatusConfig:
+        # Only perfbench/workloads.py:185 calls this; ROADMAP item 1 deletes it.
         return self.apparatus
 
 

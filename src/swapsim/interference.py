@@ -160,7 +160,7 @@ class BsmSettings:
         return replace(self, gate_ps=gate_ps)
 
     def temporal_model(self) -> "BsmSettings":
-        # The settings are their own temporal model; perfbench/workloads.py still calls this.
+        # Only perfbench/workloads.py:114 calls this; ROADMAP item 1 deletes it.
         return self
 
 
@@ -363,6 +363,7 @@ def gate_response(bsm: BsmSettings, gates_ps, offsets_ps=0.0) -> tuple[np.ndarra
     return i_eff, np.where(np.isinf(gates), 1.0, np.clip(den, 0.0, 1.0))
 
 
+# Only perfbench/workloads.py:115 calls this; ROADMAP item 1 deletes it.
 def effective_indistinguishability(bsm: BsmSettings, intrinsic_limit: float) -> float:
     """Gate-dependent indistinguishability.
 

@@ -1,15 +1,14 @@
 """Polarization-qubit state algebra.
 
 Kets, the Bell basis, density matrices with labelled qubits, composition and
-reduction, fidelities, the correlation-matrix CHSH maximum, and JSON
-serialization.
+reduction, fidelities, the correlation-matrix CHSH maximum, and
+``density_payload``, the one JSON form of a state.
 
 Basis convention: tensor powers of {H, V} with H before V, so two-qubit
 vectors and matrices are ordered |HH>, |HV>, |VH>, |VV>.
 """
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from enum import Enum
@@ -330,18 +329,3 @@ def density_payload(matrix: np.ndarray, labels: Sequence[str]) -> dict:
         "im": flat.imag.tolist(),
     }
 
-
-def density_to_json(rho: DensityMatrix) -> str:
-    """JSON encoding of ``density_payload``; round-trips exactly."""
-    return json.dumps(density_payload(rho.matrix, rho.labels))
-
-
-def density_from_json(text: str) -> DensityMatrix:
-    payload = json.loads(text)
-    d = int(payload["dim"])
-    re = np.array(payload["re"], dtype=float)
-    im = np.array(payload["im"], dtype=float)
-    if re.size != d * d or im.size != d * d:
-        raise QStateError(f"matrix payload size does not match dim {d}")
-    mat = (re + 1j * im).reshape(d, d)
-    return DensityMatrix(mat, tuple(payload["labels"]))

@@ -34,7 +34,7 @@ from swapsim.interference import (
     BsmConvention,
     BsmSettings,
     bsm_povm,
-    effective_indistinguishability,
+    gate_response,
 )
 from swapsim.mc import (
     ApparatusConfig,
@@ -330,7 +330,7 @@ def test_criterion_12_event_level_cross_validation():
     est = mle_reconstruct(run)
     f_mc = fidelity_pure(est, bell_state(BellKind.PSI_PLUS))
 
-    i_eff = effective_indistinguishability(BSM.with_gate(gate_ps), BSM.intrinsic_limit)
+    i_eff = gate_response(BSM, [gate_ps])[0][0]
     f_analytic = herald(_noisy_rho4(), bsm_povm(i_eff)).fidelity
 
     sigma = bootstrap_errors(run, resamples=100, rng_seed=3).fidelity_psi_plus_std

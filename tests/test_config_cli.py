@@ -20,8 +20,10 @@ from swapsim.config import (
 )
 from swapsim.interference import BsmConvention, gate_response
 from swapsim.params import config_hash, json_text
+from swapsim.qstate import density_payload
 from swapsim.source import NoiseKind
 from swapsim.swap import predict
+from swapsim.tomography import mle_reconstruct, run_from_csv
 
 # Keys that once loaded but changed no output; each is now an unknown key.
 REMOVED_KEYS = (
@@ -313,6 +315,14 @@ def test_cli_json_artifacts_are_strict_json(tmp_path):
     assert payloads["swap_predict.json"]["rows"][0][0] == "inf"
     assert float(payloads["swap_predict.json"]["rows"][0][0]) == math.inf
     assert payloads["stream.json"]["config"]["bsm"]["gate_ps"] == "inf"
+    # Each written state is its density_payload bit for bit (repr tells -0.0 from 0.0).
+    config = default_config()
+    curve = predict(config.source, config.bsm, [config.bsm.gate_ps], config.apparatus.bsm_delay_offset_ps)
+    rho = mle_reconstruct(run_from_csv(csv_path.read_text()), strict=True)
+    written = [*payloads["swap_predict.json"]["rho_ab"], payloads["tomo_reconstruct.json"]["rho"]]
+    states = [*(density_payload(r, curve.labels) for r in curve.rho), density_payload(rho.matrix, rho.labels)]
+    assert len(written) == len(states) == 2
+    assert all(json.dumps(w, sort_keys=True) == json.dumps(s, sort_keys=True) for w, s in zip(written, states))
 
 
 def test_json_text_names_non_finite_floats_and_keeps_finite_bytes():

@@ -181,35 +181,28 @@ def test_bsm_settings_limits_and_derived_values():
     assert bsm.jitter_sigma_ns == pytest.approx(0.05 / (2.0 * math.sqrt(2.0 * math.log(2.0))), rel=1e-15)
     assert bsm.diff_jitter_sigma_ns == pytest.approx(math.sqrt(2.0) * bsm.jitter_sigma_ns, rel=1e-15)
     assert bsm.with_gate(47.0) == BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.2, jitter_ps=50.0, gate_ps=47.0)
-    with pytest.raises(InterferenceError):
-        effective_indistinguishability(bsm, 1.5)
 
 
 def test_effective_indistinguishability_rejects_a_differing_limit():
     # The settings own the limit; the argument may only repeat it.
     bsm = BsmSettings(gate_ps=47.0)
     assert effective_indistinguishability(bsm, bsm.intrinsic_limit) == gate_response(bsm, [47.0])[0][0]
-    for other in (0.9, 1.0, math.nan):
+    for other in (0.9, 1.0, 1.5, math.nan):
         with pytest.raises(InterferenceError, match="differs"):
             effective_indistinguishability(bsm, other)
 
 
-def test_effective_indistinguishability_limits():
+def test_gated_indistinguishability_limits():
     t1, t2 = 0.12, 0.17
     model = BsmSettings(t1_xx_ns=t1, t2_xx_ns=t2, jitter_ps=0.0, intrinsic_limit=0.9)
-    assert effective_indistinguishability(model, 0.9) == pytest.approx(
-        0.9 * t2 / (2 * t1), rel=1e-8
-    )
-    tiny = model.with_gate(1e-3)
-    assert effective_indistinguishability(tiny, 0.9) == pytest.approx(0.9, rel=1e-6)
+    assert gate_response(model, [model.gate_ps])[0][0] == pytest.approx(0.9 * t2 / (2 * t1), rel=1e-8)
+    assert gate_response(model, [1e-3])[0][0] == pytest.approx(0.9, rel=1e-6)
     no_dephasing = BsmSettings(t1_xx_ns=t1, t2_xx_ns=2 * t1, jitter_ps=0.0, intrinsic_limit=0.77)
     for gate in (10.0, 120.0, math.inf):
-        assert effective_indistinguishability(no_dephasing.with_gate(gate), 0.77) == (
-            pytest.approx(0.77, rel=1e-12)
-        )
+        assert gate_response(no_dephasing, [gate])[0][0] == pytest.approx(0.77, rel=1e-12)
 
 
-def test_effective_indistinguishability_gate_equal_lifetime():
+def test_gated_indistinguishability_at_gate_equal_lifetime():
     # jitterless gate = t1: analytic piecewise integral of the kernel
     t1, t2 = 0.12, 0.17
     gamma = 1 / t2 - 1 / (2 * t1)
@@ -218,25 +211,22 @@ def test_effective_indistinguishability_gate_equal_lifetime():
     a = 1 / t1 + 2 * gamma
     num = (1 - math.exp(-a * g / 2)) / (a * t1)
     den = 1 - math.exp(-g / (2 * t1))
-    assert effective_indistinguishability(model, 1.0) == pytest.approx(num / den, rel=1e-8)
-    assert gate_response(model, [model.gate_ps])[1][0] == pytest.approx(den, rel=1e-8)
+    i_eff, rate = gate_response(model, [model.gate_ps])
+    assert i_eff[0] == pytest.approx(num / den, rel=1e-8)
+    assert rate[0] == pytest.approx(den, rel=1e-8)
 
 
-def test_effective_indistinguishability_monotone():
+def test_gated_indistinguishability_monotone():
     base = BsmSettings(t1_xx_ns=0.12, t2_xx_ns=0.15, jitter_ps=50.0, intrinsic_limit=0.94)
     gates = [20.0, 47.0, 100.0, 200.0, 500.0, 2000.0, math.inf]
-    values = [
-        effective_indistinguishability(base.with_gate(g), 0.94) for g in gates
-    ]
+    values = [gate_response(base, [g])[0][0] for g in gates]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     rates = [gate_response(base, [g])[1][0] for g in gates]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
     # non-decreasing in coherence time
     for gate in (47.0, 500.0):
         vals_t2 = [
-            effective_indistinguishability(
-                BsmSettings(t1_xx_ns=0.12, t2_xx_ns=t2, jitter_ps=50.0, gate_ps=gate, intrinsic_limit=0.94), 0.94
-            )
+            gate_response(BsmSettings(t1_xx_ns=0.12, t2_xx_ns=t2, jitter_ps=50.0, intrinsic_limit=0.94), [gate])[0][0]
             for t2 in (0.05, 0.1, 0.15, 0.2, 0.24)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(vals_t2, vals_t2[1:]))
@@ -257,7 +247,7 @@ def test_gated_integrals_resolve_a_sharp_gate_edge():
     assert abs(gate_response(model, [model.gate_ps])[1][0] - (1.0 - math.exp(-0.5))) < 1e-5
     gated = model.with_gate(47.0)
     num, den = quadrature_gated_integrals(gated)
-    assert effective_indistinguishability(gated, 1.0) == pytest.approx(num / den, rel=1e-9)
+    assert gate_response(model, [47.0])[0][0] == pytest.approx(num / den, rel=1e-9)
 
 
 LIFETIMES = st.floats(0.05, 2.0)
@@ -349,15 +339,12 @@ def test_calibrate_temporal_round_trip():
     assert (round(bsm.t2_xx_ns, 6), round(bsm.intrinsic_limit, 6)) == (
         CALIBRATED_T2_XX_NS, CALIBRATED_INTRINSIC_LIMIT,
     )
-    assert effective_indistinguishability(bsm, bsm.intrinsic_limit) == pytest.approx(0.569, abs=1e-9)
-    gated = bsm.with_gate(47.0)
-    assert effective_indistinguishability(gated, bsm.intrinsic_limit) == pytest.approx(0.8314, abs=1e-9)
+    assert gate_response(bsm, [bsm.gate_ps])[0][0] == pytest.approx(0.569, abs=1e-9)
+    assert gate_response(bsm, [47.0])[0][0] == pytest.approx(0.8314, abs=1e-9)
     psi_minus = BsmSettings(BsmConvention.PSI_MINUS, t1_xx_ns=0.2, jitter_ps=20.0, t2_xx_ns=0.3)
     other = calibrate_temporal(0.569, 0.8314, 47.0, psi_minus)
     assert (other.convention, other.t1_xx_ns, other.jitter_ps) == (BsmConvention.PSI_MINUS, 0.2, 20.0)
-    assert effective_indistinguishability(other.with_gate(47.0), other.intrinsic_limit) == pytest.approx(
-        0.8314, abs=1e-9
-    )
+    assert gate_response(other, [47.0])[0][0] == pytest.approx(0.8314, abs=1e-9)
     with pytest.raises(InterferenceError):
         calibrate_temporal(0.8, 0.5, 47.0)
     # An ungated/gated ratio below what any t2 in the bracket gives: an InterferenceError, not a bare ValueError.

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,8 +12,6 @@ from swapsim.qstate import (
     bell_density,
     bell_state,
     correlation_matrix,
-    density_from_json,
-    density_to_json,
     fidelity_mixed,
     fidelity_pure,
     horodecki_s,
@@ -291,18 +288,6 @@ def test_project_is_nearest_on_eigenvalues():
     clipped = np.diag(np.clip(np.diag(h).real, 0, None))
     clipped = clipped / np.trace(clipped)
     assert np.linalg.norm(proj - h) <= np.linalg.norm(clipped - h) + 1e-12
-
-
-def test_serialization_round_trip_exact():
-    rng = np.random.default_rng(21)
-    rho = DensityMatrix(random_density(rng, 4), ("X1", "X2"))
-    text = density_to_json(rho)
-    back = density_from_json(text)
-    assert back.labels == rho.labels
-    assert np.array_equal(back.matrix, rho.matrix)  # bit exact
-    payload = json.loads(text)
-    assert payload["dim"] == 4
-    assert len(payload["re"]) == 16 and len(payload["im"]) == 16
 
 
 def test_pure_density_and_labels():

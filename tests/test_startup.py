@@ -101,7 +101,7 @@ PARENT_NAMES = set(
     Run RunConfig SourceError SourceParams SwapCurve SwapError SwapResult
     TomographyError TomographyRun apply_noise bell_density bell_state bootstrap_errors
     born_probabilities bsm_povm calibrate calibrate_temporal classical_bound_check compose config
-    control_no_heralding default_config density_from_json density_to_json dephasing depolarizing
+    control_no_heralding default_config dephasing depolarizing
     effective_indistinguishability emit_pair fidelity_mixed fidelity_pure fourfold_coincidences
     fss_phase_diffusion g2_histogram gate_response herald hom_histogram horodecki_s ideal_pair
     interference linear_inversion load_config maximally_mixed mc mle_reconstruct params

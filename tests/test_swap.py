@@ -10,7 +10,6 @@ from swapsim.interference import (
     BsmSettings,
     InterferenceError,
     bsm_povm,
-    effective_indistinguishability,
     gate_response,
 )
 from swapsim import swap
@@ -232,8 +231,7 @@ def test_predict_equals_per_gate_herald(kind, f1, f2, convention, intrinsic, t2_
         assert abs(herald(rho4, bsm_povm(i, convention)).herald_prob - 0.125) < 1e-14
     assert [r.gate_ps for r in results] == gates
     for r in results:
-        gated = bsm.with_gate(r.gate_ps)
-        assert r.i_eff == pytest.approx(effective_indistinguishability(gated, intrinsic), rel=1e-15)
+        assert r.i_eff == pytest.approx(gate_response(bsm, [r.gate_ps])[0][0], rel=1e-15)
         ref = herald(rho4, bsm_povm(r.i_eff, convention))
         assert np.max(np.abs(r.rho_ab.matrix - ref.rho_ab.matrix)) < 1e-12
         assert abs(r.fidelity - ref.fidelity) < 1e-12
