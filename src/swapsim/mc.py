@@ -46,12 +46,6 @@ _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells per group of a categorical draw (at most 32 outcomes each)
 _SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
 _DRAW_BLOCK = 1 << 14  # values per block of a draw, gather or offset used element by element
-# Dead-time clusters still open when this few remain finish serially: a
-# vectorised round costs several microseconds however few clusters it tests.
-# On the heralding channels (60k events, 6.2k clusters of three or more at
-# 20 ns dead time) the filter took a median 668-676 us per channel at 1 to
-# 8, 699 us at 16 and 780 us at 64 (30 interleaved repeats).
-_SERIAL_CLUSTERS = 8
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 _READ_RECORDS = 1 << 20  # records per read block of a stream file, about 9 MB
@@ -177,31 +171,37 @@ def _hom_tables(config: ApparatusConfig) -> dict:
 
 def _ranker(cuts: np.ndarray, cells: int):
     """``x -> np.searchsorted(cuts, x, side="right")`` for sorted distinct
-    int64 ``cuts`` and int64 x below its maximum (pair deltas), over about
-    ``cells`` cells.
+    int64 ``cuts`` and int64 x below its maximum, over about ``cells`` cells.
 
     Any nondecreasing cell map is exact: cuts in a lower cell than x's are
-    below x and cuts in a higher one above it. So x is compared only with
-    the ``depth`` cuts from ``first[cell]`` on, padded past the last cut
-    with a value no x reaches. Cells are 2**k wide from the first cut; an x
-    outside the cuts' span falls in a cell below 0 or past ``last``, which
-    ``rank`` clips.
+    below x and cuts in a higher one above it. Cells are 2**k wide, the
+    first one just below the first cut; an x outside the cuts' span falls in
+    a cell below 0 or past the last, which ``rank`` clips. ``first[cell]``
+    counts the cuts in lower cells and one on the cell's first value, so x
+    is compared only with the ``depth`` cuts from ``first[cell]`` on, padded
+    past the last cut with a value no x reaches: none in 1-wide cells.
     """
-    lo, k = cuts[0], (int(cuts[-1] - cuts[0]) // cells).bit_length()
-    last = int(cuts[-1] - lo) >> k
+    k = (int(cuts[-1] - cuts[0]) // cells).bit_length()
+    lo = cuts[0] - (1 << k)
 
     def cell(x: np.ndarray) -> np.ndarray:
         y = x - lo
         y >>= k
         return y
 
-    first = np.bincount(cell(cuts) + 1, minlength=last + 2)  # the cuts per cell, one cell up
-    depth = int(first.max())
-    np.cumsum(first, out=first)  # the cuts in lower cells
+    # Each cut counts from cell ceil((cut - lo) / 2**k) on: the cell whose
+    # first value it is, else the next.
+    first = np.subtract(lo, cuts)
+    first >>= k
+    np.negative(first, out=first)
+    first = np.bincount(first, minlength=(int(cuts[-1] - lo) >> k) + 2)
+    inner = cell(cuts)[(cuts - lo) & ((1 << k) - 1) != 0] if k else cuts[:0]
+    depth = int(np.bincount(inner).max(initial=0))
+    np.cumsum(first, out=first)
     padded = np.concatenate([cuts, np.full(depth, np.iinfo(np.int64).max)])
 
     def rank(x: np.ndarray) -> np.ndarray:
-        r = first.take(cell(x), mode="clip")  # first[last + 1] counts every cut
+        r = first.take(cell(x), mode="clip")  # the last cell counts every cut
         base = r.copy() if depth > 1 else r
         for t in range(depth):
             r += x >= padded[t:].take(base)
@@ -215,51 +215,31 @@ def _categorical(cdfs: Sequence[np.ndarray], labels: Sequence[np.ndarray]):
 
     ``draw(u, key=None, out=None)`` gives, as uint8, ``labels[g][i]`` with
     ``i = np.searchsorted(cdfs[g], u, side="right").clip(0, cdfs[g].size - 1)``
-    for uniform u in [0, 1) and g its ``key`` (0 without keys). A CDF is
-    nondecreasing in [0, 1]; its zero-probability outcomes repeat a value,
-    and the last of the repeats is the one cut they share.
+    for u = j / 2**53, j an integer in [0, 2**53) (every value
+    ``Generator.random`` returns), and g its ``key`` (0 without keys). A CDF
+    is nondecreasing in [0, 1] and ends at 1, so i is at most its size - 1.
 
-    Group g owns cells g C to g C + C - 1 of one rank table, C =
-    ``_CATEGORICAL_CELLS``: a value x lies in its cell min(int(x C), C - 1).
-    Any nondecreasing cell map is exact, so u is compared only with the
-    ``depth`` cuts from ``first[cell]`` on, where its group's cuts are laid
-    out and then padded with NaN, which no u reaches.
+    A CDF value c is at most u exactly when its integer cut ceil(c 2**53) is
+    at most j. So ``_ranker`` ranks x = j + g 2**53 among the cuts of every
+    group, each group's shifted by g 2**53 and led by a cut there; cuts at 0
+    or 2**53 (zero-probability outcomes at either end) and repeated cuts
+    only change the outcome after a cut, kept in ``label``. The cuts stay
+    int64: past 2**53 a float64 cannot hold them all.
     """
-    cells = _CATEGORICAL_CELLS
-    sizes = [cdf.size for cdf in cdfs]
-    ends = np.cumsum(sizes)
-    flat = np.concatenate(cdfs)
-    shared = np.append(flat[:-1] == flat[1:], False)
-    shared[ends - 1] = False  # a group's last value is a cut
-    at = np.flatnonzero(~shared)
-    group = np.searchsorted(ends, at, side="right")
-    cut_cells = np.minimum(flat[at] * cells, cells - 1).astype(np.intp) + group * cells
-    per_cell = np.bincount(cut_cells, minlength=len(cdfs) * cells)
-    depth = int(per_cell.max())
-    # The cuts in lower cells, and the padding of the lower groups.
-    first = np.cumsum(per_cell) - per_cell + np.arange(len(cdfs)).repeat(cells) * depth
-    # Cut c of a group sits at its group's start + c; rank r there is labelled
-    # with the outcome after the r-th cut.
-    padded = np.full(at.size + len(cdfs) * depth, np.nan)
-    at_pad = np.arange(at.size) + group * depth
-    padded[at_pad] = flat[at]
-    flat_labels = np.concatenate(labels).astype(np.uint8)
-    label = np.zeros(padded.size, dtype=np.uint8)
-    label[first[::cells]] = flat_labels[ends - sizes]
-    label[at_pad + 1] = flat_labels[np.minimum(at + 1, ends[group] - 1)]
+    one = 1 << 53
+    grid = np.concatenate([np.ceil(np.multiply(cdf, one)).astype(np.int64) + g * one for g, cdf in enumerate(cdfs)])
+    cuts = np.union1d(np.arange(len(cdfs), dtype=np.int64) * one, grid[(grid & (one - 1)) != 0])
+    # Rank r follows the (r - 1)-th cut: its outcome counts the values of the
+    # cut's CDF at or below that cut (after every value of a lower group).
+    label = np.zeros(cuts.size + 1, dtype=np.uint8)
+    label[1:] = np.concatenate(labels)[np.searchsorted(grid, cuts, side="right")]
+    rank = _ranker(cuts, _CATEGORICAL_CELLS * len(cdfs))
 
     def draw(u: np.ndarray, key: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        cell = np.multiply(u, cells).astype(np.intp)
+        x = np.multiply(u, one, out=np.empty(u.size, dtype=np.int64), casting="unsafe")
         if key is not None:
-            cell += np.multiply(key, cells, dtype=np.intp)
-        base = first.take(cell)
-        r = base.copy() if depth > 1 else base
-        ge = np.empty(u.size, dtype=bool)
-        for t in range(depth):
-            r += np.greater_equal(u, padded[t:].take(base), out=ge)
-        if out is None:
-            out = np.empty(u.size, dtype=np.uint8)
-        return label.take(r, out=out, mode="clip")
+            x += np.left_shift(key, 53, dtype=np.int64)
+        return label.take(rank(x), out=out, mode="clip")
 
     return draw
 
@@ -272,8 +252,7 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
     is always kept, since the last kept event is at or before the
     predecessor. The event after a start is always dropped. Each round tests
     the next event of every open cluster of three or more against that
-    cluster's last kept time; the last few open clusters finish in one
-    serial loop.
+    cluster's last kept time.
     """
     if dead_ps <= 0 or times.size < 2:
         return times
@@ -283,7 +262,7 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
     np.greater_equal(np.diff(times), dead_ps, out=keep[1:-1])
     idx = np.flatnonzero(keep[:-3] & ~keep[1:-2] & ~keep[2:-1]) + 2
     last = times[idx - 2]
-    while idx.size > _SERIAL_CLUSTERS:
+    while idx.size:
         cand = times[idx]
         ok = cand - last >= dead_ps
         keep[idx] = ok
@@ -291,16 +270,6 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
         idx += 1
         open_ = ~keep[idx]  # the next event is not the next cluster's start
         idx, last = idx.compress(open_), last.compress(open_)
-    kept = []
-    for c0, t_last in zip(idx.tolist(), last.tolist()):
-        c1 = c0 + int(np.argmax(keep[c0:]))
-        for t in times[c0:c1].tolist():
-            if t - t_last >= dead_ps:
-                kept.append(t)
-                t_last = t
-    # Times rise across clusters and a kept time is the first of its value in
-    # its cluster (an equal earlier one would have been kept instead).
-    keep[np.searchsorted(times, kept)] = True
     return np.compress(keep[:-1], times)
 
 
@@ -947,7 +916,8 @@ def _coincidences(
     distinct = np.unique(cuts)
     where = np.searchsorted(distinct, cuts)
     del cuts
-    rank = _ranker(distinct, 2 * distinct.size)
+    # At least 4 * _PAIR_BUDGET cells: 1 ps wide over a default g2, HOM or control window.
+    rank = _ranker(distinct, max(2 * distinct.size, 4 * _PAIR_BUDGET))
     segments = np.zeros(distinct.size + 1, dtype=np.int64)
     del distinct  # the ranker holds its own copy
     for ta, tb in windows:

@@ -512,15 +512,25 @@ def test_one_event_with_more_partners_than_the_budget():
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
-def _neighbours(values, steps: int = 2) -> np.ndarray:
-    """``values`` and the ``steps`` floats on either side of each."""
-    out = [np.asarray(values, dtype=float)]
-    for direction in (-np.inf, np.inf):
-        v = out[0]
-        for _ in range(steps):
-            v = np.nextafter(v, direction)
-            out.append(v)
-    return np.concatenate(out)
+# Generator.random returns j / 2**53 for integers j in [0, 2**53): the
+# categorical draw is exact on that grid only.
+_GRID = 2**53
+
+
+def _grid_neighbours(values) -> np.ndarray:
+    """u = 0 and the grid points j - 1, j and j + 1 next to each value's
+    least grid point j / 2**53 at or above it, and to every cell boundary of
+    2**m-wide cells next to that point, in [0, 1)."""
+    j = np.ceil(np.asarray(values, dtype=float) * _GRID).astype(np.int64)
+    near = np.unique(np.concatenate([j, *(((j >> m) + i) << m for m in range(54) for i in (0, 1))]))
+    j = np.concatenate([[0], near - 1, near, near + 1])
+    return j[(j >= 0) & (j < _GRID)] / _GRID
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_uniform_draws_lie_on_the_categorical_grid(seed):
+    scaled = np.random.default_rng(seed).random(100_000) * _GRID
+    assert np.array_equal(scaled, np.floor(scaled)) and scaled.max() < _GRID
 
 
 @given(
@@ -542,11 +552,15 @@ def test_ranker_matches_searchsorted_on_ints(cuts, cells, extra):
     assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(values, x, side="right"))
 
 
+_DRAWS = st.lists(st.integers(0, _GRID - 1), max_size=50)
+
+
 @given(
     weights=st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.1, 0.25, 1.0, 3.0]), min_size=1, max_size=32),
-    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+    draws=_DRAWS,
 )
-@example(weights=[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0], draws=[0.0, 0.5])
+@example(weights=[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0], draws=[0, 1 << 52])
+@example(weights=[0.0, 1.0, 0.0], draws=[0, _GRID - 1])  # no cut inside (0, 1)
 @settings(max_examples=300)
 def test_sampler_matches_binary_search(weights, draws):
     # Zero-probability outcomes repeat a CDF value: one rank covers them all.
@@ -555,8 +569,7 @@ def test_sampler_matches_binary_search(weights, draws):
         return
     cdf = cdf / cdf[-1]
     grid = np.arange(1 << 10) / (1 << 10)
-    u = np.concatenate([draws, grid, _neighbours(cdf)])
-    u = u[(u >= 0.0) & (u < 1.0)]
+    u = np.concatenate([np.array(draws, dtype=float) / _GRID, grid, _grid_neighbours(cdf)])
     got = mc._categorical([cdf], [np.arange(cdf.size) + 32])(u)
     assert got.dtype == np.uint8
     assert np.array_equal(got, categorical_oracle(cdf, u) + 32)
@@ -567,20 +580,19 @@ _WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 5e-324, 1e-300, 1e-12, 0.1, 0.25,
 
 @given(
     weights=st.lists(_WEIGHTS.filter(lambda w: sum(w) > 0), min_size=1, max_size=8),
-    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+    draws=_DRAWS,
     order_seed=st.integers(0, 2**32 - 1),
 )
-@example(weights=[[0.0, 1.0, 0.0], [1.0], [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0]], draws=[0.5], order_seed=0)
+@example(weights=[[0.0, 1.0, 0.0], [1.0], [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0]], draws=[1 << 52], order_seed=0)
+@example(weights=[[1.0], [0.0, 1.0, 0.0], [3.0, 5e-324]], draws=[], order_seed=1)  # no cut inside (0, 1)
 @settings(max_examples=200)
 def test_categorical_draw_matches_searchsorted_per_group(weights, draws, order_seed):
     # CDFs with zero-weight outcomes (repeated values, also at 0 and at 1),
-    # each drawn at u = 0, on every CDF value and cell boundary j / C and the
-    # floats either side of them, for every group, in a random key order.
+    # each drawn at the grid points next to every CDF value and cell
+    # boundary, for every group, in a random key order.
     cdfs = [np.cumsum(w) for w in weights]
     cdfs = [cdf / cdf[-1] for cdf in cdfs]
-    cells = mc._CATEGORICAL_CELLS
-    u = np.concatenate([[0.0, -0.0], draws, _neighbours(np.concatenate(cdfs)), _neighbours(np.arange(cells) / cells)])
-    u = u[(u >= 0.0) & (u < 1.0)]
+    u = np.concatenate([np.array(draws, dtype=float) / _GRID, _grid_neighbours(np.concatenate(cdfs))])
     key = np.repeat(np.arange(len(cdfs), dtype=np.uint8), u.size)
     u = np.tile(u, len(cdfs))
     order = np.random.default_rng(order_seed).permutation(u.size)
@@ -1328,25 +1340,23 @@ def _long_clusters(times: np.ndarray, dead_ps: int) -> np.ndarray:
     grid_ps=st.sampled_from([100, 250]),
     dead_ps=st.sampled_from([300, 1100, math.ceil(ApparatusConfig().period_ns * 1000.0), 20_000]),
     start=st.integers(0, 10**7),
-    clusters=st.lists(
-        st.binary(min_size=2, max_size=10), min_size=mc._SERIAL_CLUSTERS + 1, max_size=2 * mc._SERIAL_CLUSTERS
-    ),
+    clusters=st.lists(st.binary(min_size=2, max_size=10), min_size=9, max_size=16),
     tail=st.binary(min_size=100, max_size=500),
-)  # fmt: skip
+)
 # Many 3-event clusters whose third event lands exactly on the dead time
 # after the first: 3 x 100 = 300, 11 x 100 = 1100 and 80 x 250 = 20000 ps.
 @example(grid_ps=100, dead_ps=300, start=0, clusters=[bytes([1, 2])] * 200, tail=bytes([1] * 100))
 @example(grid_ps=100, dead_ps=1100, start=0, clusters=[bytes([4, 7])] * 200, tail=bytes([3] * 100))
 @example(grid_ps=250, dead_ps=20_000, start=0, clusters=[bytes([40, 40])] * 200, tail=bytes([40] * 100))
-def test_dead_time_filter_rounds_and_serial_finish_match_serial_loop(grid_ps, dead_ps, start, clusters, tail):
+def test_dead_time_filter_rounds_down_to_one_cluster_match_serial_loop(grid_ps, dead_ps, start, clusters, tail):
     # Steps below `gap` grid units stay in a cluster, one of `gap` units
-    # starts the next; the `tail` cluster is longer than all the others, so one
-    # call runs the vectorised rounds and then finishes it serially.
+    # starts the next; the `tail` cluster is longer than all the others, so
+    # the last vectorised rounds test it alone.
     gap = -(-dead_ps // grid_ps)
     steps = [k for cluster in [*clusters, tail] for k in [gap] + [s % gap for s in cluster]]
     times = (start + np.cumsum(steps, dtype=np.int64)) * grid_ps
     lengths = _long_clusters(times, dead_ps)
-    assert lengths.size > mc._SERIAL_CLUSTERS and lengths[-1] > np.sort(lengths)[-2]
+    assert lengths.size > 8 and lengths[-1] > np.sort(lengths)[-2]
     assert np.array_equal(mc._dead_time_filter(times, dead_ps), serial_dead_time_filter(times, dead_ps))
 
 
@@ -1425,7 +1435,7 @@ def test_dead_time_matches_serial_filter_of_live_stream(monkeypatch, recorded_po
     raw = simulate(replace(cfg, dead_time_ns=0.0), _periods(cfg, 30_000), seed=12)
     assert recorded_pools == [2, 2]
     for name, times in raw.channels.items():
-        assert _long_clusters(times, 20_000).size > mc._SERIAL_CLUSTERS, name
+        assert _long_clusters(times, 20_000).size > 8, name
         assert np.array_equal(live.channels[name], serial_dead_time_filter(times, 20_000))
 
 

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chsh_angle_scan, pauli_expectations, random_density
 from swapsim.qstate import (
+    EIGENVALUE_FLOOR,
+    TRACE_ATOL,
     BellKind,
     DensityMatrix,
     PureState,
@@ -279,6 +283,33 @@ def test_project_to_physical():
         project_to_physical(np.zeros((4, 4), dtype=complex))
     with pytest.raises(QStateError):
         project_to_physical(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 4]),
+    batch=st.integers(0, 4),
+    scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e3]),
+    shift=st.floats(-2.0, 2.0),
+)
+@settings(max_examples=200)
+def test_projection_is_a_state_and_fixes_states(seed, dim, batch, scale, shift):
+    # A random Hermitian matrix, or a stack of `batch` of them, projects to
+    # unit-trace PSD matrices that a second projection leaves in place; a
+    # valid state (full rank or pure) projects to itself.
+    rng = np.random.default_rng(seed)
+    shape = (batch, dim, dim) if batch else (dim, dim)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = scale * (a + a.conj().swapaxes(-1, -2)) / 2.0 + shift * np.eye(dim)
+    out = project_to_physical(h)
+    out = out if batch else out.matrix
+    assert np.all(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0) <= TRACE_ATOL)
+    assert np.linalg.eigvalsh(out).min() >= EIGENVALUE_FLOOR
+    again = project_to_physical(out)
+    assert np.max(np.abs((again if batch else again.matrix) - out)) <= 1e-12
+    ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for rho in (random_density(rng, dim), np.outer(ket, ket.conj()) / np.vdot(ket, ket).real):
+        assert np.max(np.abs(project_to_physical(rho).matrix - rho)) <= 1e-12
 
 
 def test_project_is_nearest_on_eigenvalues():
