@@ -40,8 +40,7 @@ from .tomography import (
     MleConvergenceError,
     TomographyError,
     born_probabilities,
-    bootstrap_errors,
-    mle_reconstruct,
+    reconstruct_with_errors,
     run_from_csv,
 )
 from .qstate import BellKind, bell_state, fidelity_pure, horodecki_s
@@ -118,9 +117,8 @@ def _cmd_tomo(args, config: RunConfig) -> int:
         raise ConfigError(
             f"run has {len(run.settings)} settings, expected {args.settings}"
         )
-    rho = mle_reconstruct(run, strict=True)
     resamples = args.bootstrap if args.bootstrap is not None else config.tomography.bootstrap_resamples
-    errors = bootstrap_errors(run, resamples=resamples, rng_seed=config.output.seed)
+    rho, errors = reconstruct_with_errors(run, resamples, rng_seed=config.output.seed)
     payload = {
         "provenance": _provenance(config),
         "rho": density_payload(rho.matrix, rho.labels),

@@ -301,7 +301,15 @@ def project_to_physical(matrix: np.ndarray, labels: Sequence[str] | None = None)
         raise QStateError(f"input not Hermitian (max deviation {herm_err:.3e})")
     if np.any(np.max(np.abs(mat), axis=(-2, -1)) == 0.0):
         raise QStateError("cannot project the zero matrix onto the state space")
-    mat = (mat + adjoint) / 2.0
+    if mat.ndim == 3:
+        return _simplex_projection(mat)
+    labels = tuple(f"Q{i}" for i in range(_qubit_count(mat.shape[-1]))) if labels is None else labels
+    return DensityMatrix(_simplex_projection(mat), tuple(labels))
+
+
+def _simplex_projection(mat: np.ndarray) -> np.ndarray:
+    """``project_to_physical`` of a complex Hermitian nonzero matrix or stack, unchecked, as an array."""
+    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
     d = mat.shape[-1]
     evals, vecs = np.linalg.eigh(mat)
     mu = evals[..., ::-1]  # eigh sorts ascending
@@ -311,12 +319,7 @@ def project_to_physical(matrix: np.ndarray, labels: Sequence[str] | None = None)
     lam = np.clip(evals - np.take_along_axis(water, k[..., None], axis=-1), 0.0, None)
     lam = lam / np.sum(lam, axis=-1, keepdims=True)
     out = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    if out.ndim == 3:
-        return out
-    if labels is None:
-        labels = tuple(f"Q{i}" for i in range(_qubit_count(d)))
-    return DensityMatrix(out, tuple(labels))
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
 def density_payload(matrix: np.ndarray, labels: Sequence[str]) -> dict:

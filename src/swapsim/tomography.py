@@ -22,11 +22,12 @@ from .qstate import (
     bell_state,
     horodecki_s,
     POLARIZATION_KETS,
-    project_to_physical,
+    _simplex_projection,
 )
 
 SETTING_NAMES_16 = ("H", "V", "D", "R")
 SETTING_NAMES_36 = ("H", "V", "D", "A", "R", "L")
+_PROJECTORS = {name: np.outer(ket, ket.conj()) for name, ket in POLARIZATION_KETS.items()}
 
 
 class TomographyError(ValueError):
@@ -50,9 +51,7 @@ class MeasurementSetting:
                 raise TomographyError(f"unknown projector {name!r}")
 
     def operator(self) -> np.ndarray:
-        ka = POLARIZATION_KETS[self.projector_a]
-        kb = POLARIZATION_KETS[self.projector_b]
-        return np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj()))
+        return np.kron(_PROJECTORS[self.projector_a], _PROJECTORS[self.projector_b])
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,8 @@ class TomographyRun:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float).reshape(-1)
         if counts.size != len(self.settings):
-            raise TomographyError(
-                f"{counts.size} counts for {len(self.settings)} settings"
-            )
-        exposures = self.exposures
-        if exposures is None:
-            exposures = np.ones(counts.size)
+            raise TomographyError(f"{counts.size} counts for {len(self.settings)} settings")
+        exposures = np.ones(counts.size) if self.exposures is None else self.exposures
         exposures = np.asarray(exposures, dtype=float).reshape(-1)
         if exposures.size != counts.size:
             raise TomographyError("exposures length must match settings")
@@ -97,24 +92,23 @@ def _check_counts(counts: np.ndarray | float, exposures: np.ndarray | float) -> 
 
 def standard_settings(kind: int) -> list[MeasurementSetting]:
     """The 16-setting {H,V,D,R}^2 grid or the overcomplete 36-setting grid."""
-    if kind == 16:
-        names = SETTING_NAMES_16
-    elif kind == 36:
-        names = SETTING_NAMES_36
-    else:
+    names = {16: SETTING_NAMES_16, 36: SETTING_NAMES_36}.get(kind)
+    if names is None:
         raise TomographyError(f"setting count must be 16 or 36, got {kind}")
     return [MeasurementSetting(a, b) for a in names for b in names]
 
 
 def _operators(settings: Sequence[MeasurementSetting]) -> np.ndarray:
-    return np.stack([s.operator() for s in settings])
+    """Every setting's ``operator()``, the Kronecker product taken by broadcasting."""
+    a = np.stack([_PROJECTORS[s.projector_a] for s in settings])
+    b = np.stack([_PROJECTORS[s.projector_b] for s in settings])
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(settings), 4, 4)
 
 
 def born_probabilities(rho: DensityMatrix, settings: Sequence[MeasurementSetting]) -> np.ndarray:
     if rho.n_qubits != 2:
         raise QStateError("tomography operates on two-qubit states")
-    ops = _operators(settings)
-    return np.real(np.einsum("sij,ji->s", ops, rho.matrix))
+    return np.real(np.einsum("sij,ji->s", _operators(settings), rho.matrix))
 
 
 def simulate_counts(
@@ -176,19 +170,22 @@ def linear_inversion(run: TomographyRun) -> np.ndarray:
     return mat[0]
 
 
-def _profile_loglike(rho: np.ndarray, ops, counts, exposures):
+def _profile_loglike(rho: np.ndarray, ops, counts, exposures, gradient=True):
     """Per-count Poisson log-likelihood with the overall flux profiled out, plus its gradient.
 
     Works on stacks: ``rho`` is ``(B, 4, 4)`` and ``counts`` is ``(B, S)``.
     The third result flags the elements whose likelihood is finite, i.e.
-    every setting with counts has a positive probability.
+    every setting with counts has a positive probability. Without
+    ``gradient`` the log-likelihood alone is computed and returned.
     """
-    p = np.einsum("bk,sk->bs", np.ascontiguousarray(rho).reshape(len(rho), 16).view(float), ops)
-    finite = np.all((p > 0) | (counts == 0), axis=1)
-    p = np.clip(p, 1e-300, None)
+    raw = np.einsum("bk,sk->bs", np.ascontiguousarray(rho).reshape(len(rho), 16).view(float), ops)
+    p = np.clip(raw, 1e-300, None)
     total = np.sum(counts, axis=1)
     phi = total / np.sum(exposures * p, axis=1)
     ll = np.sum(counts * np.log(phi[:, None] * exposures * p), axis=1) / total - 1.0
+    if not gradient:
+        return ll
+    finite = np.all((raw > 0) | (counts == 0), axis=1)
     grad = np.einsum("bs,sk->bk", (counts / p - phi[:, None] * exposures) / total[:, None], ops)
     return ll, grad.view(complex).reshape(-1, 4, 4), finite
 
@@ -216,7 +213,7 @@ def _solve(ops, counts, exposures, rho, max_iter, grad_tol, history=None):
     Returns the states, the converged mask and the last per-count
     gradient-mapping norms.
     """
-    n, rho = len(rho), (project_to_physical(rho) + 1e-6 * np.eye(4)) / (1.0 + 4e-6)
+    n, rho = len(rho), (_simplex_projection(rho) + 1e-6 * np.eye(4)) / (1.0 + 4e-6)
     out, done, gnorm = rho.copy(), np.zeros(n, bool), np.full(n, np.inf)
     idx, x, y = np.arange(n), rho, rho
     k, step, flat = np.zeros(n, int), np.ones(n), np.zeros(n, int)  # k: steps since restart
@@ -225,21 +222,22 @@ def _solve(ops, counts, exposures, rho, max_iter, grad_tol, history=None):
     if history is not None:
         history.append(float(ll_x[0]) * scale)
     for _ in range(max_iter):
-        t = step.copy()
-        cand, ll_c = y.copy(), np.full(len(y), -np.inf)
-        todo = np.arange(len(y))
+        # The trials need no gradient; each halving narrows them to the elements still backtracking.
+        t, cand, ll_c = step.copy(), y.copy(), np.full(len(y), -np.inf)
+        todo, yt, gt, lt, ct, tt = np.arange(len(y)), y, grad_y, ll_y, counts, step
         for _ in range(_MAX_HALVINGS):
-            c = project_to_physical(y[todo] + t[todo, None, None] * grad_y[todo])
-            ll = _profile_loglike(c, ops, counts[todo], exposures)[0]
-            d = c - y[todo]
-            model = ll_y[todo] + np.real(np.sum(grad_y[todo].conj() * d, axis=(1, 2)))
-            model -= np.sum(np.abs(d) ** 2, axis=(1, 2)) / (2.0 * t[todo])
+            c = _simplex_projection(yt + tt[:, None, None] * gt)
+            ll = _profile_loglike(c, ops, ct, exposures, gradient=False)
+            d = c - yt
+            model = lt + np.real(np.sum(gt.conj() * d, axis=(1, 2)))
+            model -= np.sum(np.abs(d) ** 2, axis=(1, 2)) / (2.0 * tt)
             ok = ll >= model - _ROUNDING * np.abs(ll)
-            cand[todo[ok]], ll_c[todo[ok]] = c[ok], ll[ok]
-            todo = todo[~ok]
+            cand[todo[ok]], ll_c[todo[ok]], t[todo[ok]] = c[ok], ll[ok], tt[ok]
+            todo, yt, gt, lt, ct, tt = (a[~ok] for a in (todo, yt, gt, lt, ct, tt))
             if not todo.size:
                 break
-            t[todo] /= 2.0
+            tt = tt / 2.0
+        t[todo] = tt
         g_map = np.linalg.norm(cand - y, axis=(1, 2)) / t
         g_map[todo] = np.inf
         gnorm[idx] = g_map
@@ -277,32 +275,15 @@ def mle_reconstruct(
 ) -> DensityMatrix:
     """Maximum-likelihood state by accelerated projected-gradient ascent on density matrices.
 
-    Starts from the physically projected linear inversion and climbs the
-    concave profile Poisson likelihood with momentum, projecting each step
-    onto unit-trace PSD matrices (eigenvalue-simplex projection); this is
-    the one-element case of the batched solver ``_solve``. Accepted iterates
-    are monotone in likelihood (append them via ``history`` to inspect).
-    Convergence means the per-count gradient-mapping norm fell below
-    ``grad_tol`` or the likelihood stayed flat to machine precision for a few
-    iterates; anything else within ``max_iter`` iterations warns, or raises
-    when ``strict``.
+    Starts from the physically projected linear inversion and climbs the concave profile
+    Poisson likelihood with momentum, projecting each step onto unit-trace PSD matrices
+    (eigenvalue-simplex projection); this is the one-element case of the batched solver
+    ``_solve``. Accepted iterates are monotone in likelihood (append them via ``history``
+    to inspect). Convergence means the per-count gradient-mapping norm fell below
+    ``grad_tol`` or the likelihood stayed flat to machine precision for a few iterates;
+    anything else within ``max_iter`` iterations warns, or raises when ``strict``.
     """
-    if float(np.sum(run.counts)) <= 0:
-        raise TomographyError("run contains no counts")
-    ops, pinv = _born_map(run.settings)
-    start, usable = _invert(pinv, run.counts[None], run.exposures)
-    if not usable[0]:
-        raise TomographyError("inverted matrix has non-positive trace")
-    rho, done, gnorm = _solve(ops, run.counts[None], run.exposures, start, max_iter, grad_tol, history)
-    if not done[0]:
-        msg = (
-            f"MLE stopped after {max_iter} iterations with per-count gradient-mapping "
-            f"norm {gnorm[0]:.3e} (requested {grad_tol:.1e})"
-        )
-        if strict:
-            raise MleConvergenceError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return DensityMatrix(rho[0], ("A", "B"))
+    return _reconstruct(run, True, 0, 0, max_iter, grad_tol, strict, history)[0]
 
 
 @dataclass(frozen=True)
@@ -319,26 +300,58 @@ class BootstrapErrors:
 def bootstrap_errors(run: TomographyRun, resamples: int, rng_seed: int = 0) -> BootstrapErrors:
     """Poisson-resample the observed counts and re-reconstruct.
 
-    Per-resample seeds are spawned deterministically so results do not depend
-    on execution order. All resamples are reconstructed in one batched solve,
-    held to the same convergence test as a strict ``mle_reconstruct``; a
-    resample with no usable linear inversion or that does not converge counts
-    as a failure.
+    Per-resample seeds are spawned deterministically so results do not depend on
+    execution order. All resamples are reconstructed in one batched solve, held to the
+    same convergence test as a strict ``mle_reconstruct``; a resample with no usable
+    linear inversion or that does not converge counts as a failure.
     """
     if resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise TomographyError(f"use at least {MIN_BOOTSTRAP_RESAMPLES} bootstrap resamples")
+    return _reconstruct(run, False, resamples, rng_seed, _MAX_ITER, _GRAD_TOL)[1]
+
+
+def reconstruct_with_errors(
+    run: TomographyRun, resamples: int, rng_seed: int = 0
+) -> tuple[DensityMatrix, BootstrapErrors]:
+    """``mle_reconstruct(run, strict=True)`` and ``bootstrap_errors(run, resamples, rng_seed)``
+    from one solve whose element 0 is the observed counts, bit for bit and with the same errors."""
+    few = resamples < MIN_BOOTSTRAP_RESAMPLES
+    rho, errors = _reconstruct(run, True, 0 if few else resamples, rng_seed, _MAX_ITER, _GRAD_TOL)
+    if few:  # after the point estimate's own errors, as the two calls raise them
+        raise TomographyError(f"use at least {MIN_BOOTSTRAP_RESAMPLES} bootstrap resamples")
+    return rho, errors
+
+
+def _reconstruct(run, point, resamples, rng_seed, max_iter, grad_tol, strict=True, history=None):
+    """Point estimate (if ``point``, else None) and the ``BootstrapErrors`` of ``resamples``
+    Poisson resamples (None for 0) from one batched solve, the observed counts as element 0."""
+    if point and float(np.sum(run.counts)) <= 0:
+        raise TomographyError("run contains no counts")
     ops, pinv = _born_map(run.settings)
     children = np.random.SeedSequence(rng_seed).spawn(resamples)
-    counts = np.stack([np.random.default_rng(c).poisson(run.counts) for c in children]).astype(float)
+    rows = ([run.counts] if point else []) + [np.random.default_rng(c).poisson(run.counts) for c in children]
+    counts = np.stack(rows, dtype=float)
     start, usable = _invert(pinv, counts, run.exposures)
-    rhos, done, _ = _solve(ops, counts[usable], run.exposures, start, _MAX_ITER, _GRAD_TOL)
+    if point and not usable[0]:
+        raise TomographyError("inverted matrix has non-positive trace")
+    rhos, done, gnorm = _solve(ops, counts[usable], run.exposures, start, max_iter, grad_tol, history)
+    if point and not done[0]:
+        msg = f"MLE stopped after {max_iter} iterations with per-count gradient-mapping norm {gnorm[0]:.3e}"
+        msg += f" (requested {grad_tol:.1e})"
+        if strict:
+            raise MleConvergenceError(msg)
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)  # at mle_reconstruct's caller
+    rho = DensityMatrix(rhos[0], ("A", "B")) if point else None
+    rhos, done = rhos[int(point):], done[int(point):]
+    if not resamples:
+        return rho, None
     if np.sum(done) < 2:
         raise TomographyError("too few successful bootstrap reconstructions")
     rhos = rhos[done]
     bells = np.stack([bell_state(k).amplitudes for k in (BellKind.PHI_PLUS, BellKind.PSI_PLUS)])
     fidelities = np.clip(np.einsum("ki,bij,kj->bk", bells.conj(), rhos, bells).real, 0.0, 1.0)
     stds = np.std(np.column_stack([fidelities, horodecki_s(rhos)]), axis=0, ddof=1)
-    return BootstrapErrors(*(float(v) for v in stds), resamples, resamples - len(rhos))
+    return rho, BootstrapErrors(*(float(v) for v in stds), resamples, resamples - len(rhos))
 
 
 def run_to_csv(run: TomographyRun) -> str:

@@ -367,6 +367,56 @@ def test_cli_tomo_takes_a_zero_bootstrap_count_literally(tmp_path, capsys):
     assert not (tmp_path / "tomo_reconstruct.json").exists()
 
 
+# sha256 of a `tomo reconstruct --bootstrap 100 --seed 7` artifact less its
+# provenance (sorted-key JSON, so every float counts bit for bit), computed
+# from separate `mle_reconstruct(strict=True)` and `bootstrap_errors` calls,
+# which the command's one batched solve must reproduce. Float digests hold
+# for one numpy/LAPACK build.
+TOMO_DIGESTS = {
+    16: "3bb7c595cf1fdbbc18475b9a015732efe4352e8b7d06a36d4ec812646277e418",
+    36: "fc44b8059ee26827005c3829a6a79d251f158f523543f3346d17ee2c3b324870",
+}
+
+
+@pytest.mark.parametrize("kind, shots", [(16, 20000), (36, 300)])
+def test_cli_tomo_artifact_matches_pinned_digest(tmp_path, kind, shots):
+    import hashlib
+
+    from swapsim.qstate import relabel
+    from swapsim.source import SourceParams, emit_pair
+    from swapsim.tomography import run_to_csv, simulate_counts, standard_settings
+
+    src = relabel(emit_pair(SourceParams(), 1), ("A", "B"))
+    run = simulate_counts(src, standard_settings(kind), shots, rng_seed=4)
+    (tmp_path / "run.csv").write_text(run_to_csv(run))
+    argv = ["tomo", "reconstruct", "--input", str(tmp_path / "run.csv"), "--bootstrap", "100", "--seed", "7"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "tomo_reconstruct.json").read_text())
+    del payload["provenance"]
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == TOMO_DIGESTS[kind]
+
+
+@pytest.mark.parametrize(
+    "counts, bootstrap, message",
+    [
+        (0.0, "100", "run contains no counts"),
+        (100.0, "99", "use at least 100 bootstrap resamples"),
+        # Every Poisson resample of so faint a run draws no count, so none has a usable inversion.
+        (1e-6, "100", "too few successful bootstrap reconstructions"),
+    ],
+)
+def test_cli_tomo_reports_point_and_resample_errors(tmp_path, capsys, counts, bootstrap, message):
+    from swapsim.tomography import TomographyRun, run_to_csv, standard_settings
+
+    csv_path = tmp_path / "run.csv"
+    csv_path.write_text(run_to_csv(TomographyRun(tuple(standard_settings(16)), np.full(16, counts))))
+    out = tmp_path / "out"
+    argv = ["tomo", "reconstruct", "--input", str(csv_path), "--bootstrap", bootstrap, "--out-dir", str(out)]
+    assert main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_mc_run_and_g2(tmp_path):
     cfg_path = tmp_path / "fast.cfg"
     cfg_path.write_text("[apparatus]\ndead_time_ns = 0\n\n[output]\nseed = 11\n")

@@ -26,6 +26,7 @@ from swapsim.qstate import (
     pure_density,
     tensor,
     validate_density,
+    _simplex_projection,
 )
 
 S = 1 / math.sqrt(2)
@@ -303,6 +304,7 @@ def test_projection_is_a_state_and_fixes_states(seed, dim, batch, scale, shift):
     h = scale * (a + a.conj().swapaxes(-1, -2)) / 2.0 + shift * np.eye(dim)
     out = project_to_physical(h)
     out = out if batch else out.matrix
+    assert np.array_equal(_simplex_projection(h), out)  # the unchecked core the MLE calls
     assert np.all(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0) <= TRACE_ATOL)
     assert np.linalg.eigvalsh(out).min() >= EIGENVALUE_FLOOR
     again = project_to_physical(out)

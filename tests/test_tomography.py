@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lbfgs_mle, profile_loglike, random_density
 from swapsim import tomography
 from swapsim.qstate import (
+    POLARIZATION_KETS,
     BellKind,
     DensityMatrix,
     bell_density,
@@ -17,6 +18,7 @@ from swapsim.qstate import (
 )
 from swapsim.source import SourceParams, emit_pair
 from swapsim.tomography import (
+    SETTING_NAMES_36,
     MeasurementSetting,
     MleConvergenceError,
     TomographyError,
@@ -25,6 +27,7 @@ from swapsim.tomography import (
     born_probabilities,
     linear_inversion,
     mle_reconstruct,
+    reconstruct_with_errors,
     run_from_csv,
     run_to_csv,
     simulate_counts,
@@ -206,7 +209,8 @@ def test_mle_matches_lbfgs_oracle():
 
 def test_mle_strict_and_warn_when_not_converged():
     run = simulate_counts(_phi_ab(), standard_settings(16), 500, rng_seed=23)
-    with pytest.raises(MleConvergenceError):
+    with pytest.raises(MleConvergenceError, match=r"^MLE stopped after 2 iterations with per-count "
+                       r"gradient-mapping norm \d\.\d{3}e[+-]\d\d \(requested 1\.0e-08\)$"):
         mle_reconstruct(run, max_iter=2, strict=True)
     with pytest.warns(RuntimeWarning, match="gradient-mapping norm"):
         est = mle_reconstruct(run, max_iter=2)
@@ -258,7 +262,7 @@ def test_mle_outputs_physical_and_batch_invariant(kind, rows):
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         solo = mle_reconstruct(TomographyRun(tuple(settings_), row), strict=True)
-        assert np.max(np.abs(solo.matrix - rho)) <= 1e-10
+        assert np.array_equal(solo.matrix, rho)
     for row in counts[~usable]:
         with pytest.raises(TomographyError):
             mle_reconstruct(TomographyRun(tuple(settings_), row))
@@ -314,3 +318,87 @@ def test_run_csv_round_trip():
     assert np.array_equal(back.exposures, run.exposures)
     with pytest.raises(TomographyError):
         run_from_csv("setting_a,setting_b\nH,H\n")
+
+
+SETTING_PAIRS = st.tuples(st.sampled_from(SETTING_NAMES_36), st.sampled_from(SETTING_NAMES_36))
+
+
+@given(pairs=st.lists(SETTING_PAIRS, min_size=1, max_size=40))
+@example(pairs=[("H", "V"), ("R", "L"), ("H", "V"), ("R", "L"), ("H", "V")])
+def test_broadcast_operators_equal_the_kronecker_products(pairs):
+    from swapsim.tomography import _operators
+
+    def kron(a, b):
+        ka, kb = POLARIZATION_KETS[a], POLARIZATION_KETS[b]
+        return np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj()))
+
+    for settings_ in (standard_settings(16), standard_settings(36), [MeasurementSetting(*p) for p in pairs]):
+        reference = np.stack([s.operator() for s in settings_])
+        assert np.array_equal(_operators(settings_), reference)
+        assert np.array_equal(reference, np.stack([kron(s.projector_a, s.projector_b) for s in settings_]))
+
+
+@pytest.mark.parametrize("kind", [16, 36])
+def test_likelihood_only_value_equals_the_profile_likelihood(kind):
+    # The line search reads the likelihood without the gradient; it must be
+    # the same number the gradient path gives, with and without floored
+    # probabilities (the Bell state gives some settings probability 0).
+    from swapsim.tomography import _born_map, _profile_loglike
+
+    rng = np.random.default_rng(kind)
+    ops = _born_map(standard_settings(kind))[0]
+    rho = np.stack([random_density(rng, 4) for _ in range(6)] + [_phi_ab().matrix])
+    counts = rng.poisson(50.0, size=(len(rho), kind)).astype(float)
+    counts[rng.random(counts.shape) < 0.3] = 0.0
+    exposures = rng.uniform(0.5, 2.0, kind)
+    full = _profile_loglike(rho, ops, counts, exposures)
+    assert len(full) == 3
+    assert np.array_equal(_profile_loglike(rho, ops, counts, exposures, gradient=False), full[0])
+
+
+def _pair_run(kind, shots, seed, zeros=False):
+    src = relabel(emit_pair(SourceParams(), 1), ("A", "B"))
+    run = simulate_counts(src, standard_settings(kind), shots, rng_seed=seed)
+    if zeros:  # every third setting records nothing
+        return TomographyRun(run.settings, np.where(np.arange(kind) % 3 == 0, 0.0, run.counts))
+    return run
+
+
+@pytest.mark.parametrize(
+    "kind, shots, zeros", [(36, 10000, False), (16, 2000, False), (16, 300, True), (36, 300, True)]
+)
+def test_one_batch_equals_the_point_estimate_and_bootstrap_calls(kind, shots, zeros):
+    # `tomo reconstruct` solves the observed counts as element 0 of the
+    # bootstrap's batch; each element is solved on its own, so the result
+    # repeats the two separate calls bit for bit.
+    run = _pair_run(kind, shots, kind + shots, zeros)
+    rho, errors = reconstruct_with_errors(run, 100, rng_seed=6)
+    assert np.array_equal(rho.matrix, mle_reconstruct(run, strict=True).matrix)
+    assert errors == bootstrap_errors(run, 100, rng_seed=6)
+
+
+def test_one_batch_counts_unconverged_resamples_as_the_bootstrap_does(monkeypatch):
+    run = _pair_run(16, 200, 13)
+    monkeypatch.setattr(tomography, "_MAX_ITER", 40)
+    rho, errors = reconstruct_with_errors(run, 100, rng_seed=4)
+    assert 10 < errors.failures < 90
+    assert errors == bootstrap_errors(run, 100, rng_seed=4)
+    assert np.array_equal(rho.matrix, mle_reconstruct(run, max_iter=40, strict=True).matrix)
+
+
+def test_one_batch_raises_the_point_estimate_errors_first(monkeypatch):
+    # The order the two calls gave: the point estimate's errors, then the
+    # resample count.
+    settings_ = tuple(standard_settings(16))
+    with pytest.raises(TomographyError, match="^run contains no counts$"):
+        reconstruct_with_errors(TomographyRun(settings_, np.zeros(16)), 99)
+    unbalanced = np.array([0.0 if {s.projector_a, s.projector_b} <= {"H", "V"} else 10.0 for s in settings_])
+    with pytest.raises(TomographyError, match="^inverted matrix has non-positive trace$"):
+        reconstruct_with_errors(TomographyRun(settings_, unbalanced), 99)
+    run = simulate_counts(_phi_ab(), list(settings_), 500, rng_seed=23)
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "_MAX_ITER", 2)
+        with pytest.raises(MleConvergenceError, match="^MLE stopped after 2 iterations"):
+            reconstruct_with_errors(run, 99)
+    with pytest.raises(TomographyError, match="^use at least 100 bootstrap resamples$"):
+        reconstruct_with_errors(run, 99)
