@@ -32,6 +32,7 @@ from conftest import (
 )
 
 from swapsim import cli, mc
+from swapsim.config import TUNED_G2_BACKGROUND_RATIO
 from swapsim.interference import BsmConvention, BsmSettings, gate_response
 from swapsim.mc import (
     ApparatusConfig,
@@ -975,6 +976,29 @@ def test_simulate_holds_its_stream_plus_one_channel(monkeypatch, topology, per_p
     assert peak - sum(sizes) < ceiling, (peak - sum(sizes)) / chunk
 
 
+def test_a_long_run_holds_few_default_chunks(monkeypatch):
+    """A run of 16 default chunks on two workers peaks at 4.8-6.0 MB.
+
+    The bound is fixed in bytes, so chunks that grow back fail it: this run
+    peaks above 9 MB in 2**17-period chunks and above 14 MB in 2**18.
+    """
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SWAPSIM_THREADS", "2")
+    cfg = ApparatusConfig(topology="hbt_xx", background_ratio=TUNED_G2_BACKGROUND_RATIO)  # the g2 apparatus
+    for _ in Run(cfg, 1, _periods(cfg, 100)).segments():  # first-call allocations
+        pass
+    events = 0
+    tracemalloc.start()
+    try:
+        for _, segment in Run(cfg, 3, _periods(cfg, 16 * mc._CHUNK_PERIODS)).segments():
+            events += sum(times.size for times in segment.values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events > 0.75 * 16 * mc._CHUNK_PERIODS
+    assert peak < 8_000_000, peak
+
+
 def test_merge_and_blocked_search_match_the_whole_stream_oracles(monkeypatch, recorded_chunks):
     # At 2**20-period chunks, two per run, the joined segments and the
     # blocked pair search give the streams and counts of the whole-stream
@@ -1056,11 +1080,11 @@ def test_infinite_gate_is_one_interferometer_delay(mzi_delay_ns):
 )
 @settings(max_examples=12)
 def test_simulate_runs_seeds_each_run_from_one_seed_sequence(variants, seed):
-    # 3000 periods in 1024-period chunks, so two workers really run.
+    # 3000 periods in 375-period chunks, so two workers really run.
     cfg = ApparatusConfig(**FAST)
     duration = _periods(cfg, 3000)
     seeds = np.random.SeedSequence(seed).generate_state(len(variants))
-    with mock.patch.object(mc, "_CHUNK_PERIODS", 1024), mock.patch.object(mc.os, "cpu_count", lambda: 4):
+    with mock.patch.object(mc, "_CHUNK_PERIODS", 375), mock.patch.object(mc.os, "cpu_count", lambda: 4):
         want = [simulate(replace(cfg, **v), duration, int(s)).channels for v, s in zip(variants, seeds)]
         for threads in ("1", "2"):
             with mock.patch.dict(mc.os.environ, {"SWAPSIM_THREADS": threads}):
@@ -1085,9 +1109,9 @@ def test_dark_counts_fill_dead_apparatus():
 
 def _assert_stream_matches_oracle(monkeypatch, cfg: ApparatusConfig, **oracles) -> None:
     """simulate() equals a run with the given mc functions swapped for their
-    oracles, at the default draw block and at one that 8192-period chunks end inside."""
-    # Several chunks, so the draws of later chunks and the pool are covered too.
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
+    oracles, at the default draw block and at one that 4096-period chunks end inside."""
+    # Eight chunks, so the draws of later chunks and the pool are covered too.
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 4096)
     streams = []
     for block in (mc._DRAW_BLOCK, 1000):
         monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
@@ -1211,8 +1235,9 @@ def test_per_channel_stage_holds_few_event_arrays(monkeypatch, efficiency):
     # channels, made before tracing starts: the kept events of a channel
     # are built in one new array, every draw goes a block at a time. This
     # peaks at about 1 float64 per raw event, the whole-array draws at 1.53
-    # (efficiency 1) and 1.28 (0.8).
+    # (efficiency 1) and 1.28 (0.8). The run is one chunk.
     n = 1 << 17
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", n)
     cfg = ApparatusConfig(
         topology="hbt_xx", efficiency=efficiency, background_ratio=0.01, dead_time_ns=0.0,
         bsm=BsmSettings(jitter_ps=30.0),
@@ -1376,9 +1401,8 @@ def test_dead_time_filter_memory():
 
 
 @pytest.fixture
-def recorded_pools(monkeypatch) -> list[int]:
-    """8192-period chunks on four faked cores; records each pool's worker count."""
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 8192)
+def pool_sizes(monkeypatch) -> list[int]:
+    """Four faked cores; records each pool's worker count."""
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     pools = []
 
@@ -1391,8 +1415,39 @@ def recorded_pools(monkeypatch) -> list[int]:
     return pools
 
 
+@pytest.fixture
+def recorded_pools(monkeypatch, pool_sizes) -> list[int]:
+    """``pool_sizes`` at 4096-period chunks."""
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 4096)
+    return pool_sizes
+
+
+def test_a_pool_starts_only_when_each_worker_gets_four_chunks(monkeypatch, recorded_pools):
+    # 7 chunks run in one thread, 8 and 12 on two workers, 16 on four.
+    chunk = mc._CHUNK_PERIODS
+    cfg = ApparatusConfig(topology="hbt_xx", **FAST)
+    for cap in ("2", "4"):
+        monkeypatch.setenv("SWAPSIM_THREADS", cap)
+        for periods in (chunk, 7 * chunk, 7 * chunk + 1, 12 * chunk, 16 * chunk):
+            joined_segments(Run(cfg, 1, _periods(cfg, periods)))
+    assert recorded_pools == [2, 2, 2] + [2, 3, 4]
+
+
+def test_default_chunks_give_the_same_run_on_one_and_two_threads(monkeypatch, pool_sizes):
+    # The shortest run that pools: eight default chunks, the last one period long.
+    cfg = ApparatusConfig(**FAST)
+    duration = _periods(cfg, 7 * mc._CHUNK_PERIODS + 1)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SWAPSIM_THREADS", threads)
+        runs[threads] = joined_segments(Run(cfg, 4, duration))
+    assert pool_sizes == [2]
+    for name, times in runs["1"].items():
+        assert times.size > 0 and np.array_equal(times, runs["2"][name]), name
+
+
 def test_worker_cap_does_not_change_results(monkeypatch, recorded_pools):
-    # 30k periods in 8192-period blocks: four chunks, so the pool really runs.
+    # 30k periods in 4096-period blocks: eight chunks, so the pool really runs.
     cfg = ApparatusConfig(**FAST)
     monkeypatch.setenv("SWAPSIM_THREADS", "1")
     serial = simulate(cfg, _periods(cfg, 30_000), seed=8)
@@ -1406,7 +1461,7 @@ def test_worker_cap_does_not_change_results(monkeypatch, recorded_pools):
 
 
 def test_worker_cap_does_not_change_tomography_counts(monkeypatch, recorded_pools):
-    # Four chunks per setting, and the default 20 ns dead time over the merged stream.
+    # Eight chunks per setting, and the default 20 ns dead time over the merged stream.
     cfg = ApparatusConfig(dead_time_ns=20.0)
     settings = standard_settings(16)[1:5]  # HV, HD, HR, VH: all herald at 30k periods
     runs = {}
@@ -1425,7 +1480,7 @@ def test_worker_cap_does_not_change_tomography_counts(monkeypatch, recorded_pool
 )  # fmt: skip
 def test_dead_time_matches_serial_filter_of_live_stream(monkeypatch, recorded_pools, topology, analyzers, noisy):
     # Dead time draws no random numbers, so a 20 ns run equals the serial
-    # filter of the same run at 0 ns; four chunks on two workers.
+    # filter of the same run at 0 ns; eight chunks on two workers.
     noise = dict(background_ratio=0.01, dark_rate_hz=1e5) if noisy else {}
     cfg = ApparatusConfig(
         topology=topology, alice_setting=analyzers[0], bob_setting=analyzers[1], dead_time_ns=20.0, **noise
@@ -1542,8 +1597,8 @@ _NOISY = dict(background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=20.0)
 def test_joined_segments_match_the_whole_stream_merge(
     monkeypatch, recorded_chunks, threads, topology, apparatus, seed, below_zero
 ):
-    periods = 5 * (1 << 14) + 1000  # six chunks
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 14)
+    periods = 5 * (1 << 14) + 1000  # eleven chunks, so two workers run
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 13)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("SWAPSIM_THREADS", threads)
     if below_zero:
@@ -1558,7 +1613,7 @@ def test_joined_segments_match_the_whole_stream_merge(
         monkeypatch.setattr(mc, "_chunk_hbt", early_event)
     cfg = ApparatusConfig(topology=topology, **apparatus)
     got = joined_segments(Run(cfg, seed, _periods(cfg, periods)))
-    assert len(recorded_chunks) == 6
+    assert len(recorded_chunks) == 11
     if below_zero:
         assert min(int(t[0]) for t in recorded_chunks[0].values()) < 0
     want = whole_stream_merge(recorded_chunks, *_end_and_dead_ps(cfg, periods))
@@ -1671,7 +1726,7 @@ def test_analyses_of_segments_cut_anywhere_equal_one_window(cuts, short):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch, tmp_path, threads):
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 14)
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 13)  # eleven chunks
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("SWAPSIM_THREADS", threads)
     cfg = ApparatusConfig(alice_setting="D", bob_setting=None, **_NOISY)
@@ -1729,7 +1784,8 @@ def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch, workers):
     # 2**14-period hbt_xx chunks, background 0.01 and the default 20 ns dead
     # time. A run read segment by segment holds a few chunks, however long:
     # its peak, less one chunk's output per worker, does not grow with it.
-    # Holding every chunk until a whole-run merge, it grew by 4 MB here.
+    # Holding every chunk until a whole-run merge, it grew by 4 MB from 4 to
+    # 16 chunks. Both runs pool, at 8 and 16 chunks.
     chunk = 1 << 14
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
@@ -1741,7 +1797,7 @@ def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch, workers):
         events.append(sum(sum(t.size for t in channels.values()) for _, channels in run.segments()))
 
     simulate_runs(cfg, _periods(cfg, 100), [{}], 1, count)  # first-call allocations
-    peaks = [_traced_peak(lambda: simulate_runs(cfg, _periods(cfg, n * chunk), [{}], 3, count)) for n in (4, 16)]
+    peaks = [_traced_peak(lambda: simulate_runs(cfg, _periods(cfg, n * chunk), [{}], 3, count)) for n in (8, 16)]
     # Which chunks' generation overlaps on two workers varies from run to
     # run, by up to one generating chunk (under 5 float64 per period).
     slack = workers * 8 * events[-1] / 16 + (workers - 1) * 5 * 8 * chunk
