@@ -12,17 +12,15 @@ detector streams. A ``Run`` generates them; the ``RunFile`` that
 ``read_stream`` returns reads them back from a stream file in bounded memory,
 with the same numbers.
 
-Simulation is partitioned into independent period blocks with per-block
-derived seeds, so identical (config, seed, duration) inputs reproduce
-bit-identical streams regardless of block execution order.
+A run is generated in one thread, chunk by chunk. Chunk k of a run seeded
+with ``seed`` draws from ``SeedSequence(seed, spawn_key=(k,))`` alone, so
+identical (config, seed, duration) inputs reproduce bit-identical streams.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -49,21 +47,6 @@ _DRAW_BLOCK = 1 << 14  # values per block of a draw, gather or offset used eleme
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 _READ_RECORDS = 1 << 20  # records per read block of a stream file, about 9 MB
-
-
-def worker_count() -> int:
-    """Worker parallelism, capped by the SWAPSIM_THREADS environment variable."""
-    cap = os.environ.get("SWAPSIM_THREADS")
-    avail = os.cpu_count() or 1
-    if cap is None:
-        return avail
-    try:
-        n = int(cap)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise McError(f"SWAPSIM_THREADS={cap!r} is not a positive integer")
-    return min(avail, n)
 
 
 def _analyzer_projectors(setting: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -505,31 +488,6 @@ def _period_count(duration_s: float, rep_rate_hz: float) -> int:
     return n - 1 if n / rep_rate_hz > duration_s else n
 
 
-def _in_order(run_chunk: Callable[[int], dict], n_chunks: int) -> Iterator[dict]:
-    """``run_chunk(0)``, ``run_chunk(1)``, ... in order.
-
-    ``min(worker_count(), n_chunks // 4)`` threads generate them, so each
-    worker gets at least four chunks; below two workers the chunks run in
-    the caller's thread (pooled, a run of four chunks was measured to take
-    more CPU time and no less wall time). While ``workers`` chunks generate,
-    ``Run.segments`` holds the one last yielded as its pending events, and
-    its reader may still hold the segment released before it. The pool is
-    shut down when the consumer stops early."""
-    workers = min(worker_count(), n_chunks // 4)
-    if workers <= 1:
-        yield from map(run_chunk, range(n_chunks))
-        return
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures: deque = deque()
-        for ci in range(n_chunks):
-            while len(futures) < workers and ci + len(futures) < n_chunks:
-                futures.append(pool.submit(run_chunk, ci + len(futures)))
-            yield futures.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 @dataclass(frozen=True)
 class Run:
     """One Monte Carlo run, generated each time its ``segments`` are read.
@@ -557,6 +515,12 @@ class Run:
             raise McError(f"efficiency mapping has no value for the {self.config.topology} detectors {missing}")
 
     def segments(self) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+        """The segments in time order, each chunk generated in the caller's
+        thread as the reader asks for the next segment.
+
+        While a chunk generates, the run holds one pending chunk, the one
+        before it, and its reader may still hold the segment released before
+        that."""
         config = self.config
         n_periods = _period_count(self.duration_s, config.rep_rate_hz)
         channels = config.channels()
@@ -635,26 +599,25 @@ class Run:
             return segment
 
         released = None
-        with closing(_in_order(run_chunk, n_chunks)) as chunks:
-            for ci, chunk in enumerate(chunks):
-                # Every later chunk starts at or after this one's first event
-                # (checked as it arrives), so the pending events below it are final.
-                bound = min((int(t[0]) for t in chunk.values() if t.size), default=None)
-                segment = None
-                if bound is not None:
-                    if released is not None and bound < released:
-                        raise McError(f"chunk {ci} has an event at {bound} ps, below the released boundary {released}")
-                    released = min(bound, end)
-                    segment = release(released) if ci else None
-                for name, times in chunk.items():
-                    if pending[name].size:  # events of earlier chunks at or after this one's first
-                        times = np.concatenate([pending[name], times])
-                        times.sort(kind="stable")
-                    pending[name] = times
-                del chunk
-                if segment is not None:
-                    yield released, segment
-                    del segment
+        for ci, chunk in enumerate(map(run_chunk, range(n_chunks))):
+            # Every later chunk starts at or after this one's first event
+            # (checked as it arrives), so the pending events below it are final.
+            bound = min((int(t[0]) for t in chunk.values() if t.size), default=None)
+            segment = None
+            if bound is not None:
+                if released is not None and bound < released:
+                    raise McError(f"chunk {ci} has an event at {bound} ps, below the released boundary {released}")
+                released = min(bound, end)
+                segment = release(released) if ci else None
+            for name, times in chunk.items():
+                if pending[name].size:  # events of earlier chunks at or after this one's first
+                    times = np.concatenate([pending[name], times])
+                    times.sort(kind="stable")
+                pending[name] = times
+            del chunk
+            if segment is not None:
+                yield released, segment
+                del segment
         yield end, release(end)
 
 

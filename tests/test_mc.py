@@ -31,7 +31,7 @@ from conftest import (
     whole_stream_write,
 )
 
-from swapsim import cli, mc
+from swapsim import mc
 from swapsim.config import TUNED_G2_BACKGROUND_RATIO
 from swapsim.interference import BsmConvention, BsmSettings, gate_response
 from swapsim.mc import (
@@ -954,15 +954,13 @@ def test_fourfold_memory_does_not_grow_with_pair_count(monkeypatch):
 @pytest.mark.parametrize("chunks", [2, 8])
 def test_simulate_holds_its_stream_plus_one_channel(monkeypatch, topology, per_period, chunks):
     """Beyond its output, a run holds at most ``per_period`` B per chunk
-    period in each live worker's chunk, plus one channel while it merges.
+    period in the chunks it holds, plus one channel while it merges.
 
     Without dead time the output is every generated event, so a merge that
     held the stream twice would exceed the ceiling at 8 chunks.
     """
     chunk = 1 << 14
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("SWAPSIM_THREADS", "2")
     cfg = ApparatusConfig(topology=topology, dead_time_ns=0.0, background_ratio=0.01, dark_rate_hz=1e5)
     simulate(cfg, _periods(cfg, 100), seed=1)  # first-call allocations
     tracemalloc.start()
@@ -976,14 +974,13 @@ def test_simulate_holds_its_stream_plus_one_channel(monkeypatch, topology, per_p
     assert peak - sum(sizes) < ceiling, (peak - sum(sizes)) / chunk
 
 
-def test_a_long_run_holds_few_default_chunks(monkeypatch):
-    """A run of 16 default chunks on two workers peaks at 4.8-6.0 MB.
+def test_a_long_run_holds_few_default_chunks():
+    """A run of 16 default chunks peaks at 3.6 MB.
 
     The bound is fixed in bytes, so chunks that grow back fail it: this run
-    peaks above 9 MB in 2**17-period chunks and above 14 MB in 2**18.
+    peaks at 14.1 MB in 2**18-period chunks. In 2**17 it peaks at 7.1 MB,
+    under the bound, which was set when two threads each held a chunk.
     """
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("SWAPSIM_THREADS", "2")
     cfg = ApparatusConfig(topology="hbt_xx", background_ratio=TUNED_G2_BACKGROUND_RATIO)  # the g2 apparatus
     for _ in Run(cfg, 1, _periods(cfg, 100)).segments():  # first-call allocations
         pass
@@ -1080,18 +1077,16 @@ def test_infinite_gate_is_one_interferometer_delay(mzi_delay_ns):
 )
 @settings(max_examples=12)
 def test_simulate_runs_seeds_each_run_from_one_seed_sequence(variants, seed):
-    # 3000 periods in 375-period chunks, so two workers really run.
+    # 3000 periods in 375-period chunks: eight per run.
     cfg = ApparatusConfig(**FAST)
     duration = _periods(cfg, 3000)
     seeds = np.random.SeedSequence(seed).generate_state(len(variants))
-    with mock.patch.object(mc, "_CHUNK_PERIODS", 375), mock.patch.object(mc.os, "cpu_count", lambda: 4):
+    with mock.patch.object(mc, "_CHUNK_PERIODS", 375):
         want = [simulate(replace(cfg, **v), duration, int(s)).channels for v, s in zip(variants, seeds)]
-        for threads in ("1", "2"):
-            with mock.patch.dict(mc.os.environ, {"SWAPSIM_THREADS": threads}):
-                got = simulate_runs(cfg, duration, variants, seed, joined_segments)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.keys() == w.keys() and all(np.array_equal(g[k], w[k]) for k in w)
+        got = simulate_runs(cfg, duration, variants, seed, joined_segments)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys() and all(np.array_equal(g[k], w[k]) for k in w)
 
 
 def test_dark_counts_fill_dead_apparatus():
@@ -1110,7 +1105,7 @@ def test_dark_counts_fill_dead_apparatus():
 def _assert_stream_matches_oracle(monkeypatch, cfg: ApparatusConfig, **oracles) -> None:
     """simulate() equals a run with the given mc functions swapped for their
     oracles, at the default draw block and at one that 4096-period chunks end inside."""
-    # Eight chunks, so the draws of later chunks and the pool are covered too.
+    # Eight chunks, so the draws of later chunks are covered too.
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 4096)
     streams = []
     for block in (mc._DRAW_BLOCK, 1000):
@@ -1400,107 +1395,25 @@ def test_dead_time_filter_memory():
     assert peak <= 3 * 8 * n, peak / (8 * n)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch) -> list[int]:
-    """Four faked cores; records each pool's worker count."""
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    pools = []
-
-    class RecordingPool(mc.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
-    return pools
-
-
-@pytest.fixture
-def recorded_pools(monkeypatch, pool_sizes) -> list[int]:
-    """``pool_sizes`` at 4096-period chunks."""
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 4096)
-    return pool_sizes
-
-
-def test_a_pool_starts_only_when_each_worker_gets_four_chunks(monkeypatch, recorded_pools):
-    # 7 chunks run in one thread, 8 and 12 on two workers, 16 on four.
-    chunk = mc._CHUNK_PERIODS
-    cfg = ApparatusConfig(topology="hbt_xx", **FAST)
-    for cap in ("2", "4"):
-        monkeypatch.setenv("SWAPSIM_THREADS", cap)
-        for periods in (chunk, 7 * chunk, 7 * chunk + 1, 12 * chunk, 16 * chunk):
-            joined_segments(Run(cfg, 1, _periods(cfg, periods)))
-    assert recorded_pools == [2, 2, 2] + [2, 3, 4]
-
-
-def test_default_chunks_give_the_same_run_on_one_and_two_threads(monkeypatch, pool_sizes):
-    # The shortest run that pools: eight default chunks, the last one period long.
-    cfg = ApparatusConfig(**FAST)
-    duration = _periods(cfg, 7 * mc._CHUNK_PERIODS + 1)
-    runs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SWAPSIM_THREADS", threads)
-        runs[threads] = joined_segments(Run(cfg, 4, duration))
-    assert pool_sizes == [2]
-    for name, times in runs["1"].items():
-        assert times.size > 0 and np.array_equal(times, runs["2"][name]), name
-
-
-def test_worker_cap_does_not_change_results(monkeypatch, recorded_pools):
-    # 30k periods in 4096-period blocks: eight chunks, so the pool really runs.
-    cfg = ApparatusConfig(**FAST)
-    monkeypatch.setenv("SWAPSIM_THREADS", "1")
-    serial = simulate(cfg, _periods(cfg, 30_000), seed=8)
-    assert recorded_pools == []
-    monkeypatch.setenv("SWAPSIM_THREADS", "2")
-    threaded = simulate(cfg, _periods(cfg, 30_000), seed=8)
-    assert recorded_pools == [2]
-    for name in serial.channels:
-        assert serial.channels[name].size > 0
-        assert np.array_equal(serial.channels[name], threaded.channels[name])
-
-
-def test_worker_cap_does_not_change_tomography_counts(monkeypatch, recorded_pools):
-    # Eight chunks per setting, and the default 20 ns dead time over the merged stream.
-    cfg = ApparatusConfig(dead_time_ns=20.0)
-    settings = standard_settings(16)[1:5]  # HV, HD, HR, VH: all herald at 30k periods
-    runs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SWAPSIM_THREADS", threads)
-        runs[threads] = simulate_tomography_run(cfg, settings, 30_000, seed=3, heralded=True, gate_ps=2000.0)
-    assert recorded_pools == [2] * len(settings)
-    assert np.all(runs["1"].counts > 0)
-    assert np.array_equal(runs["1"].counts, runs["2"].counts)
-
-
 @pytest.mark.parametrize(
     "topology, analyzers, noisy",
     [("swap", ("H", "V"), False), ("swap", (None, None), False), ("hbt_xx", (None, None), False),
      ("swap", ("D", "A"), True), ("hbt_xx", (None, None), True)],
 )  # fmt: skip
-def test_dead_time_matches_serial_filter_of_live_stream(monkeypatch, recorded_pools, topology, analyzers, noisy):
+def test_dead_time_matches_serial_filter_of_live_stream(monkeypatch, recorded_chunks, topology, analyzers, noisy):
     # Dead time draws no random numbers, so a 20 ns run equals the serial
-    # filter of the same run at 0 ns; eight chunks on two workers.
+    # filter of the same run at 0 ns; eight chunks per run.
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 4096)
     noise = dict(background_ratio=0.01, dark_rate_hz=1e5) if noisy else {}
     cfg = ApparatusConfig(
         topology=topology, alice_setting=analyzers[0], bob_setting=analyzers[1], dead_time_ns=20.0, **noise
     )
-    monkeypatch.setenv("SWAPSIM_THREADS", "2")
     live = simulate(cfg, _periods(cfg, 30_000), seed=12)
     raw = simulate(replace(cfg, dead_time_ns=0.0), _periods(cfg, 30_000), seed=12)
-    assert recorded_pools == [2, 2]
+    assert len(recorded_chunks) == 2 * 8
     for name, times in raw.channels.items():
         assert _long_clusters(times, 20_000).size > 8, name
         assert np.array_equal(live.channels[name], serial_dead_time_filter(times, 20_000))
-
-
-@pytest.mark.parametrize("cap", ["two", "0", "-3", ""])
-def test_malformed_thread_cap_is_rejected(monkeypatch, tmp_path, capsys, cap):
-    monkeypatch.setenv("SWAPSIM_THREADS", cap)
-    with pytest.raises(McError, match=f"SWAPSIM_THREADS={cap!r}"):
-        mc.worker_count()
-    assert cli.main(["mc-run", "--duration", "1e-5", "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
-    assert "SWAPSIM_THREADS" in capsys.readouterr().err
 
 
 def test_whole_period_durations_give_their_period_count(monkeypatch):
@@ -1570,22 +1483,23 @@ def _end_and_dead_ps(cfg: ApparatusConfig, periods: int) -> tuple[int, int]:
 
 @pytest.fixture
 def recorded_chunks(monkeypatch) -> list[dict]:
-    """Copies of every chunk ``mc._in_order`` hands to the segment generator."""
-    chunks, in_order = [], mc._in_order
+    """Copies of every chunk the segment generator reads: its ``map`` of
+    ``run_chunk`` over the chunk indices, shadowed in ``mc``."""
+    chunks = []
 
-    def recording(run_chunk, n_chunks):
-        for chunk in in_order(run_chunk, n_chunks):
+    def recording(run_chunk, indices):
+        assert run_chunk.__name__ == "run_chunk"
+        for chunk in map(run_chunk, indices):
             chunks.append({name: times.copy() for name, times in chunk.items()})
             yield chunk
 
-    monkeypatch.setattr(mc, "_in_order", recording)
+    monkeypatch.setattr(mc, "map", recording, raising=False)
     return chunks
 
 
 _NOISY = dict(background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=20.0)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
     "topology, apparatus, seed, below_zero",
     [("swap", _NOISY, 4, False), ("hbt_x", _NOISY, 4, False), ("hom", _NOISY, 4, False),
@@ -1595,12 +1509,10 @@ _NOISY = dict(background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=20.0)
      ("hbt_xx", dict(background_ratio=0.0055, dead_time_ns=0.0), 1416005386, True)],
 )  # fmt: skip
 def test_joined_segments_match_the_whole_stream_merge(
-    monkeypatch, recorded_chunks, threads, topology, apparatus, seed, below_zero
+    monkeypatch, recorded_chunks, topology, apparatus, seed, below_zero
 ):
-    periods = 5 * (1 << 14) + 1000  # eleven chunks, so two workers run
+    periods = 5 * (1 << 14) + 1000  # eleven chunks
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 13)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("SWAPSIM_THREADS", threads)
     if below_zero:
         chunk_hbt = mc._chunk_hbt
 
@@ -1642,13 +1554,15 @@ def test_a_chunk_below_a_released_boundary_is_an_error(monkeypatch):
         simulate(cfg, _periods(cfg, 4 * chunk), seed=1)
 
 
-def test_a_consumer_that_stops_early_leaves_no_worker_behind(monkeypatch):
+def test_a_run_is_generated_in_the_callers_thread(monkeypatch):
+    # A 16-chunk run starts no thread: not while its segments are read, not
+    # in an analysis that raises mid-run, not for a reader that stops early.
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 12)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("SWAPSIM_THREADS", "2")
     cfg = ApparatusConfig(topology="hbt_xx", **FAST)
-    duration = _periods(cfg, 20 * (1 << 12))
+    duration = _periods(cfg, 16 * (1 << 12))
     before = threading.active_count()
+    counts = [threading.active_count() for _ in Run(cfg, 1, duration).segments()]
+    assert counts == [before] * 16
     # An analysis that raises mid-run, its traceback still held.
     pair_chunks, calls = mc._pair_chunks, []
 
@@ -1665,7 +1579,7 @@ def test_a_consumer_that_stops_early_leaves_no_worker_behind(monkeypatch):
     # A reader that closes the segments after the first.
     segments = Run(cfg, 1, duration).segments()
     next(segments)
-    assert threading.active_count() > before
+    assert threading.active_count() == before
     segments.close()
     assert threading.active_count() == before
 
@@ -1724,11 +1638,8 @@ def test_analyses_of_segments_cut_anywhere_equal_one_window(cuts, short):
     assert min(want["fourfold"]) > 0 and want["control"] > 0
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch, tmp_path, threads):
+def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch, tmp_path):
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 13)  # eleven chunks
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("SWAPSIM_THREADS", threads)
     cfg = ApparatusConfig(alice_setting="D", bob_setting=None, **_NOISY)
     duration = _periods(cfg, 5 * (1 << 14) + 1000)
     counts = write_stream(Run(cfg, 7, duration), tmp_path / "segments.bin")
@@ -1741,9 +1652,23 @@ def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch
 
 
 def test_a_failed_write_leaves_no_file(monkeypatch, tmp_path):
-    monkeypatch.setenv("SWAPSIM_THREADS", "two")
-    with pytest.raises(McError, match="SWAPSIM_THREADS"):
-        write_stream(Run(ApparatusConfig(**FAST), 1, 1e-5), tmp_path / "stream.bin")
+    # The third of four chunks fails to generate, once the first segment's
+    # records are in the temporary file.
+    chunk, chunk_swap = 1 << 12, mc._chunk_swap
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
+    written = []
+
+    def failing(config, tables, start, n, rng):
+        if start >= 2 * chunk:
+            written.extend(p.stat().st_size for p in tmp_path.iterdir())
+            raise RuntimeError("generation failed")
+        return chunk_swap(config, tables, start, n, rng)
+
+    monkeypatch.setattr(mc, "_chunk_swap", failing)
+    cfg = ApparatusConfig(**FAST)
+    with pytest.raises(RuntimeError, match="generation failed"):
+        write_stream(Run(cfg, 1, _periods(cfg, 4 * chunk)), tmp_path / "stream.bin")
+    assert len(written) == 1 and written[0] > 0, written
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1779,17 +1704,13 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch, workers):
+def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch):
     # 2**14-period hbt_xx chunks, background 0.01 and the default 20 ns dead
     # time. A run read segment by segment holds a few chunks, however long:
-    # its peak, less one chunk's output per worker, does not grow with it.
-    # Holding every chunk until a whole-run merge, it grew by 4 MB from 4 to
-    # 16 chunks. Both runs pool, at 8 and 16 chunks.
+    # its peak, less one chunk's output, does not grow with it. Holding every
+    # chunk until a whole-run merge, it grew by 4 MB from 4 to 16 chunks.
     chunk = 1 << 14
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("SWAPSIM_THREADS", str(workers))
     cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.01)
     events = []
 
@@ -1798,23 +1719,16 @@ def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch, workers):
 
     simulate_runs(cfg, _periods(cfg, 100), [{}], 1, count)  # first-call allocations
     peaks = [_traced_peak(lambda: simulate_runs(cfg, _periods(cfg, n * chunk), [{}], 3, count)) for n in (8, 16)]
-    # Which chunks' generation overlaps on two workers varies from run to
-    # run, by up to one generating chunk (under 5 float64 per period).
-    slack = workers * 8 * events[-1] / 16 + (workers - 1) * 5 * 8 * chunk
+    slack = 8 * events[-1] / 16
     assert peaks[1] < peaks[0] + slack, (peaks, slack)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_g2_memory_does_not_grow_with_duration(monkeypatch, workers):
+def test_g2_memory_does_not_grow_with_duration(monkeypatch):
     # Twice the run, the same peak to 10 %: a streamed g2 holds a few chunks,
     # one budget of pairs and the strip of events near a segment boundary.
-    # On two workers, which chunk is being generated at the analysis' peak
-    # varies from run to run, by up to one chunk (under 5 float64 per period).
     chunk = 1 << 14
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("SWAPSIM_THREADS", str(workers))
     cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, dead_time_ns=0.0)
     g2_histogram(Run(cfg, 1, _periods(cfg, 100)))  # first-call allocations
     peaks = [_traced_peak(lambda: g2_histogram(Run(cfg, 2, _periods(cfg, n * chunk)))) for n in (8, 16)]
-    assert peaks[1] < 1.1 * peaks[0] + (workers - 1) * 5 * 8 * chunk, peaks
+    assert peaks[1] < 1.1 * peaks[0], peaks

@@ -3,11 +3,11 @@
 scipy is a test dependency only: the gate response behind `swap-predict`,
 `report` and `fourfold-scan`'s prediction, the source calibration under every
 noise kind and `calibrate_temporal`'s bisection use numpy alone. The Monte
-Carlo (`swapsim.mc`, and `concurrent.futures` for its worker pool) loads only
-when a command simulates: `import swapsim`, `tomo`, `report` and
-`swap-predict` never compile it. The check runs in a fresh interpreter
-because this test session has already imported scipy (tests/conftest.py uses
-it as an oracle) and the Monte Carlo.
+Carlo (`swapsim.mc`) loads only when a command simulates: `import swapsim`,
+`tomo`, `report` and `swap-predict` never compile it. No command loads
+`concurrent.futures`, since every run is generated in the caller's thread.
+The check runs in a fresh interpreter because this test session has already
+imported scipy (tests/conftest.py uses it as an oracle) and the Monte Carlo.
 """
 import json
 import os
@@ -21,7 +21,7 @@ import swapsim
 from swapsim import config, mc
 
 SRC = Path(swapsim.__file__).resolve().parent.parent
-MC_MODULES = ["concurrent.futures", "swapsim.mc"]
+MC_MODULES = ["swapsim.mc"]
 
 SCRIPT = r"""
 import json
@@ -34,15 +34,19 @@ def scipy_modules():
 
 
 def mc_modules():
-    return sorted(m for m in ("swapsim.mc", "concurrent.futures") if m in sys.modules)
+    return sorted(m for m in ("swapsim.mc",) if m in sys.modules)
+
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m == "concurrent.futures" or m.startswith("concurrent.futures."))
 
 
 import swapsim
 
-loaded = {"import swapsim": [0, scipy_modules(), mc_modules()]}
+loaded = {"import swapsim": [0, scipy_modules(), mc_modules(), pool_modules()]}
 import swapsim.cli
 
-loaded["import swapsim.cli"] = [0, scipy_modules(), mc_modules()]
+loaded["import swapsim.cli"] = [0, scipy_modules(), mc_modules(), pool_modules()]
 import numpy as np
 from swapsim import cli, qstate, tomography
 
@@ -68,9 +72,9 @@ commands = {
 }
 for name, argv in commands.items():
     code = cli.main([*argv, "--out-dir", str(out)])
-    loaded[name] = [code, scipy_modules(), mc_modules()]
+    loaded[name] = [code, scipy_modules(), mc_modules(), pool_modules()]
 swapsim.calibrate_temporal(0.569, 0.8314, 47.0)
-loaded["calibrate_temporal"] = [0, scipy_modules(), mc_modules()]
+loaded["calibrate_temporal"] = [0, scipy_modules(), mc_modules(), pool_modules()]
 print(json.dumps(loaded))
 """
 
@@ -87,8 +91,8 @@ def test_swapsim_loads_no_scipy(tmp_path):
     )
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     simulating = list(loaded).index("g2")
-    for k, (command, (code, scipy, mc_loaded)) in enumerate(loaded.items()):
-        assert (command, code, scipy) == (command, 0, [])
+    for k, (command, (code, scipy, mc_loaded, pool)) in enumerate(loaded.items()):
+        assert (command, code, scipy, pool) == (command, 0, [], [])
         assert (command, mc_loaded) == (command, MC_MODULES if k >= simulating else [])
 
 
