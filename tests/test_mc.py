@@ -31,7 +31,7 @@ from conftest import (
     whole_stream_write,
 )
 
-from swapsim import mc
+from swapsim import cli, mc
 from swapsim.config import TUNED_G2_BACKGROUND_RATIO
 from swapsim.interference import BsmConvention, BsmSettings, gate_response
 from swapsim.mc import (
@@ -1508,11 +1508,13 @@ _NOISY = dict(background_ratio=0.01, dark_rate_hz=1e5, dead_time_ns=20.0)
      # below 0, as jitter can put one: the run's [0, end) cut drops it.
      ("hbt_xx", dict(background_ratio=0.0055, dead_time_ns=0.0), 1416005386, True)],
 )  # fmt: skip
+# Power-of-two chunks, and chunks whose boundaries fall elsewhere in the run.
+@pytest.mark.parametrize("chunk_periods, n_chunks", [(1 << 13, 11), (6000, 14)])
 def test_joined_segments_match_the_whole_stream_merge(
-    monkeypatch, recorded_chunks, topology, apparatus, seed, below_zero
+    monkeypatch, recorded_chunks, topology, apparatus, seed, below_zero, chunk_periods, n_chunks
 ):
-    periods = 5 * (1 << 14) + 1000  # eleven chunks
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 13)
+    periods = 5 * (1 << 14) + 1000
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk_periods)
     if below_zero:
         chunk_hbt = mc._chunk_hbt
 
@@ -1525,7 +1527,7 @@ def test_joined_segments_match_the_whole_stream_merge(
         monkeypatch.setattr(mc, "_chunk_hbt", early_event)
     cfg = ApparatusConfig(topology=topology, **apparatus)
     got = joined_segments(Run(cfg, seed, _periods(cfg, periods)))
-    assert len(recorded_chunks) == 11
+    assert len(recorded_chunks) == n_chunks
     if below_zero:
         assert min(int(t[0]) for t in recorded_chunks[0].values()) < 0
     want = whole_stream_merge(recorded_chunks, *_end_and_dead_ps(cfg, periods))
@@ -1534,6 +1536,18 @@ def test_joined_segments_match_the_whole_stream_merge(
     for name in want:
         assert want[name].size > 0
         assert np.array_equal(got[name], want[name]) and np.array_equal(stream.channels[name], want[name])
+
+
+def test_default_chunks_match_the_whole_stream_merge(recorded_chunks):
+    # Eight default chunks, the last one period long.
+    cfg = ApparatusConfig(**FAST)
+    periods = 7 * mc._CHUNK_PERIODS + 1
+    got = joined_segments(Run(cfg, 4, _periods(cfg, periods)))
+    assert len(recorded_chunks) == 8
+    want = whole_stream_merge(recorded_chunks, *_end_and_dead_ps(cfg, periods))
+    assert got.keys() == want.keys()
+    for name, times in want.items():
+        assert times.size > 0 and np.array_equal(got[name], times), name
 
 
 def test_a_chunk_below_a_released_boundary_is_an_error(monkeypatch):
@@ -1555,14 +1569,22 @@ def test_a_chunk_below_a_released_boundary_is_an_error(monkeypatch):
 
 
 def test_a_run_is_generated_in_the_callers_thread(monkeypatch):
-    # A 16-chunk run starts no thread: not while its segments are read, not
-    # in an analysis that raises mid-run, not for a reader that stops early.
+    # A 16-chunk run starts no thread while its segments are read.
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 12)
     cfg = ApparatusConfig(topology="hbt_xx", **FAST)
     duration = _periods(cfg, 16 * (1 << 12))
     before = threading.active_count()
     counts = [threading.active_count() for _ in Run(cfg, 1, duration).segments()]
     assert counts == [before] * 16
+
+
+def test_a_consumer_that_stops_early_leaves_no_worker_behind(monkeypatch):
+    # Nor does it start one in an analysis that raises mid-run, or for a
+    # reader that stops early.
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 12)
+    cfg = ApparatusConfig(topology="hbt_xx", **FAST)
+    duration = _periods(cfg, 16 * (1 << 12))
+    before = threading.active_count()
     # An analysis that raises mid-run, its traceback still held.
     pair_chunks, calls = mc._pair_chunks, []
 
@@ -1638,8 +1660,9 @@ def test_analyses_of_segments_cut_anywhere_equal_one_window(cuts, short):
     assert min(want["fourfold"]) > 0 and want["control"] > 0
 
 
-def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch, tmp_path):
-    monkeypatch.setattr(mc, "_CHUNK_PERIODS", 1 << 13)  # eleven chunks
+@pytest.mark.parametrize("chunk_periods", [1 << 13, 6000])  # eleven and fourteen chunks
+def test_write_stream_segment_by_segment_equals_a_whole_stream_write(monkeypatch, tmp_path, chunk_periods):
+    monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk_periods)
     cfg = ApparatusConfig(alice_setting="D", bob_setting=None, **_NOISY)
     duration = _periods(cfg, 5 * (1 << 14) + 1000)
     counts = write_stream(Run(cfg, 7, duration), tmp_path / "segments.bin")
@@ -1670,6 +1693,19 @@ def test_a_failed_write_leaves_no_file(monkeypatch, tmp_path):
         write_stream(Run(cfg, 1, _periods(cfg, 4 * chunk)), tmp_path / "stream.bin")
     assert len(written) == 1 and written[0] > 0, written
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cap", ["1", "2", "two", "0", "-3", ""])
+def test_a_set_thread_cap_is_not_read(monkeypatch, tmp_path, cap):
+    # Runs are generated in one thread, so SWAPSIM_THREADS, which older
+    # releases read and rejected unless a positive integer, changes nothing.
+    argv = ["mc-run", "--duration", "1e-4", "--out-dir"]
+    monkeypatch.delenv("SWAPSIM_THREADS", raising=False)
+    assert cli.main([*argv, str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("SWAPSIM_THREADS", cap)
+    assert cli.main([*argv, str(tmp_path / "set")]) == 0
+    for name in ("stream.bin", "stream.json"):
+        assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), name
 
 
 def test_an_exception_in_an_atomic_file_block_leaves_no_file(monkeypatch, tmp_path):
@@ -1704,14 +1740,15 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch):
-    # 2**14-period hbt_xx chunks, background 0.01 and the default 20 ns dead
-    # time. A run read segment by segment holds a few chunks, however long:
-    # its peak, less one chunk's output, does not grow with it. Holding every
-    # chunk until a whole-run merge, it grew by 4 MB from 4 to 16 chunks.
+@pytest.mark.parametrize("topology", ["hbt_xx", "swap"])
+def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch, topology):
+    # 2**14-period chunks, background 0.01 and the default 20 ns dead time.
+    # A run read segment by segment holds a few chunks, however long: its
+    # peak, less one chunk's output, does not grow with it. Holding every
+    # hbt_xx chunk until a whole-run merge, it grew by 4 MB from 4 to 16 chunks.
     chunk = 1 << 14
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
-    cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.01)
+    cfg = ApparatusConfig(topology=topology, background_ratio=0.01)
     events = []
 
     def count(run):
@@ -1723,12 +1760,13 @@ def test_dead_time_does_not_wait_for_the_whole_run(monkeypatch):
     assert peaks[1] < peaks[0] + slack, (peaks, slack)
 
 
-def test_g2_memory_does_not_grow_with_duration(monkeypatch):
+@pytest.mark.parametrize("topology", ["hbt_xx", "hbt_x"])  # g2 --line xx and --line x
+def test_g2_memory_does_not_grow_with_duration(monkeypatch, topology):
     # Twice the run, the same peak to 10 %: a streamed g2 holds a few chunks,
     # one budget of pairs and the strip of events near a segment boundary.
     chunk = 1 << 14
     monkeypatch.setattr(mc, "_CHUNK_PERIODS", chunk)
-    cfg = ApparatusConfig(topology="hbt_xx", background_ratio=0.0055, dead_time_ns=0.0)
+    cfg = ApparatusConfig(topology=topology, background_ratio=0.0055, dead_time_ns=0.0)
     g2_histogram(Run(cfg, 1, _periods(cfg, 100)))  # first-call allocations
     peaks = [_traced_peak(lambda: g2_histogram(Run(cfg, 2, _periods(cfg, n * chunk)))) for n in (8, 16)]
     assert peaks[1] < 1.1 * peaks[0], peaks
