@@ -39,7 +39,8 @@ from .swap import compose
 from .tomography import MeasurementSetting, TomographyRun
 
 _CHUNK_PERIODS = 1 << 16  # 0.86 ms at 76 MHz; a live swap chunk holds about 3 MB
-_PAIR_BUDGET = 1 << 16
+_PAIR_BUDGET = 1 << 14  # ta events per partner-search block and pairs per pair chunk
+_RANK_CELLS = 1 << 18  # least cells of a coincidence rank table: 1 ps wide over 262 ns
 _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at 7.2 8 B values per bin
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells per group of a categorical draw (at most 32 outcomes each)
 _SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
@@ -748,14 +749,16 @@ def read_stream(path: str | os.PathLike) -> RunFile:
 def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``np.searchsorted(table, keys)`` for a sorted ``table``, searching each
     block of ``_SEARCH_BLOCK`` keys only in the slice of ``table`` between the
-    ranks of the block's least and greatest key."""
+    ranks of the block's least and greatest key. Keys that fit one block take
+    one search of the whole table."""
+    if keys.size <= _SEARCH_BLOCK:
+        return np.searchsorted(table, keys)
     ranks = np.empty(keys.size, dtype=np.intp)
-    if keys.size:
-        starts = np.arange(0, keys.size, _SEARCH_BLOCK)
-        lo = np.searchsorted(table, np.minimum.reduceat(keys, starts)).tolist()
-        hi = np.searchsorted(table, np.maximum.reduceat(keys, starts)).tolist()
-        for s, a, b in zip(starts.tolist(), lo, hi):
-            ranks[s : s + _SEARCH_BLOCK] = np.searchsorted(table[a:b], keys[s : s + _SEARCH_BLOCK]) + a
+    starts = np.arange(0, keys.size, _SEARCH_BLOCK)
+    lo = np.searchsorted(table, np.minimum.reduceat(keys, starts)).tolist()
+    hi = np.searchsorted(table, np.maximum.reduceat(keys, starts)).tolist()
+    for s, a, b in zip(starts.tolist(), lo, hi):
+        ranks[s : s + _SEARCH_BLOCK] = np.searchsorted(table[a:b], keys[s : s + _SEARCH_BLOCK]) + a
     return ranks
 
 
@@ -783,10 +786,11 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
     """Yield the paired times (a, b) of every ta event a with each of its
     ``_partners`` b, ordered by ta event, then by tb event, as new arrays.
 
-    The search runs on blocks of ``_PAIR_BUDGET`` ta events, and a block's
-    pairs are cut into chunks of at most ``_PAIR_BUDGET``, splitting inside a
-    ta event's partners where needed, so memory grows with neither the event
-    nor the pair count.
+    The search runs on blocks of ``_PAIR_BUDGET`` ta events, which bounds its
+    per-event temporaries, and a block's pairs are cut into chunks of at most
+    ``_PAIR_BUDGET``, splitting inside a ta event's partners where needed,
+    which bounds the per-pair ones: memory grows with neither the event nor
+    the pair count. A chunk's tb times are gathered into its index buffer.
     """
     for s in range(0, ta.size, _PAIR_BUDGET):
         block = ta[s : s + _PAIR_BUDGET]
@@ -802,8 +806,13 @@ def _pair_chunks(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int):
             n = counts[a0 : a1 + 1].copy()
             n[0] -= p0 - (ends[a0] - counts[a0])
             n[-1] -= ends[a1] - p1
-            bi = np.arange(p0, p1) + np.repeat(shift[a0 : a1 + 1], n)
-            yield np.repeat(block[a0 : a1 + 1], n), tb[bi]
+            bi = np.repeat(shift[a0 : a1 + 1], n)
+            bi += np.arange(p0, p1)
+            # Every index is in range, so clip mode only skips the buffered copy.
+            yield np.repeat(block[a0 : a1 + 1], n), tb.take(bi, out=bi, mode="clip")
+            del bi  # the caller is done with the chunk
+        # Free the block's per-event arrays before the next block's search.
+        del first, counts, ends, shift
 
 
 def _windows(stream: Run, names: Sequence[str], span_ps: float, totals: dict | None = None):
@@ -884,8 +893,10 @@ def _coincidences(
     distinct = np.unique(cuts)
     where = np.searchsorted(distinct, cuts)
     del cuts
-    # At least 4 * _PAIR_BUDGET cells: 1 ps wide over a default g2, HOM or control window.
-    rank = _ranker(distinct, max(2 * distinct.size, 4 * _PAIR_BUDGET))
+    # At least _RANK_CELLS cells, 1 ps wide over every default g2 (145 ns), HOM
+    # (10 ns) and control (12 ns) window, so a rank is one table lookup; its
+    # size does not follow _PAIR_BUDGET, which bounds only the pair search.
+    rank = _ranker(distinct, max(2 * distinct.size, _RANK_CELLS))
     segments = np.zeros(distinct.size + 1, dtype=np.int64)
     del distinct  # the ranker holds its own copy
     for ta, tb in windows:

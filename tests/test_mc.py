@@ -471,11 +471,18 @@ _SPAN = 5125.0
 
 
 # The partner search runs on blocks of _PAIR_BUDGET ta events, so the small
-# budgets cut both the pairs and the up to 40 events into several blocks.
-@given(ta=_GRID_TIMES, tb=_GRID_TIMES, budget=st.sampled_from([1, 2, 3, 5, 64, mc._PAIR_BUDGET]))
+# budgets cut both the pairs and the up to 40 events into several blocks. The
+# small cell counts give the rank table 128 ps and 16 ps cells, so a rank
+# reads its cell's cuts one by one.
+@given(
+    ta=_GRID_TIMES,
+    tb=_GRID_TIMES,
+    budget=st.sampled_from([1, 2, 3, 5, 64, mc._PAIR_BUDGET]),
+    cells=st.sampled_from([1, 1 << 10, mc._RANK_CELLS]),
+)
 @settings(max_examples=200)
-def test_streamed_coincidences_match_all_pairs(ta, tb, budget):
-    with mock.patch.object(mc, "_PAIR_BUDGET", budget):
+def test_streamed_coincidences_match_all_pairs(ta, tb, budget, cells):
+    with mock.patch.object(mc, "_PAIR_BUDGET", budget), mock.patch.object(mc, "_RANK_CELLS", cells):
         centers, hist, windows = mc._coincidences([(ta, tb)], _SPAN, _OFFSETS, 1000, 250.0)
         no_hist = mc._coincidences([(ta, tb)], _SPAN, _OFFSETS, 1000)
     want_centers, want_hist, want_windows = all_pairs_coincidences(ta, tb, _SPAN, _OFFSETS, 1000, 250.0)
@@ -627,13 +634,15 @@ def _g2_edge_deltas() -> np.ndarray:
     tb=st.lists(st.integers(0, 300_000), max_size=30).map(lambda v: np.sort(np.array(v, np.int64))),
     planted=st.lists(st.sampled_from(_g2_edge_deltas().tolist()), max_size=30),
     budget=st.sampled_from([1, 7, mc._PAIR_BUDGET]),
+    # 64 ps and 16 ps rank cells, and the default 1 ps ones.
+    cells=st.sampled_from([1, 1 << 14, mc._RANK_CELLS]),
 )
 @settings(max_examples=200)
-def test_coincidences_match_all_pairs_off_grid(ta, tb, planted, budget):
+def test_coincidences_match_all_pairs_off_grid(ta, tb, planted, budget, cells):
     # One event at 150 ns sees tb events at exactly the planted deltas.
     ta = np.sort(np.append(ta, 150_000))
     tb = np.sort(np.concatenate([tb, 150_000 + np.array(planted, dtype=np.int64)]))
-    with mock.patch.object(mc, "_PAIR_BUDGET", budget):
+    with mock.patch.object(mc, "_PAIR_BUDGET", budget), mock.patch.object(mc, "_RANK_CELLS", cells):
         got = mc._coincidences([(ta, tb)], _G2_SPAN, _G2_OFFSETS, 500, 100.0)
         no_hist = mc._coincidences([(ta, tb)], _G2_SPAN, _G2_OFFSETS, 500)
     want = all_pairs_coincidences(ta, tb, _G2_SPAN, _G2_OFFSETS, 500, 100.0)
@@ -880,8 +889,11 @@ def test_g2_memory_does_not_grow_with_pair_count(monkeypatch):
     Materialising every pair costs about 72 bytes a pair (400 MB here); the
     streamed analysis holds one budget of pairs and one block of events.
     """
-    # 10,000 and 20,000 events are two and three search blocks of 8192.
+    # 10,000 and 20,000 events are two and three search blocks of 8192. The
+    # rank table has 4 * 8192 cells (4 ps wide over g2's window), which is
+    # what it held when it was sized by the budget.
     monkeypatch.setattr(mc, "_PAIR_BUDGET", 1 << 13)
+    monkeypatch.setattr(mc, "_RANK_CELLS", 4 << 13)
     cfg = ApparatusConfig(topology="hbt_xx")
     # Ten 8-byte temporaries per budgeted pair, twice over, and nothing per event.
     ceiling = 2 * 10 * 8 * mc._PAIR_BUDGET
@@ -900,6 +912,24 @@ def test_g2_memory_does_not_grow_with_pair_count(monkeypatch):
     assert pairs[0] >= 5_000_000 and pairs[1] >= 2 * pairs[0] - 10_000
     # Twice the events add less than one 8-byte value per budgeted pair to the peak.
     assert peaks[1] < peaks[0] + 8 * mc._PAIR_BUDGET, peaks
+
+
+def test_g2_of_a_dense_run_adds_little_to_its_generation():
+    """At the default constants, g2 of a dense four-chunk run peaks at most
+    1.8 MB of ``tracemalloc`` above generating the same run alone.
+
+    Over seeds 3-5 it adds 1.34-1.35 MB: the 1.16 MB rank table of 1 ps
+    cells over g2's window, and the temporaries of one 2**14-pair chunk and
+    one 2**14-event search block. At 2**16 it added 2.29 MB, which fails.
+    """
+    cfg = ApparatusConfig(topology="hbt_xx", background_ratio=TUNED_G2_BACKGROUND_RATIO, dead_time_ns=0.0)
+    g2_histogram(Run(cfg, 1, _periods(cfg, 2000)))  # first-call allocations
+    run = Run(cfg, 3, _periods(cfg, 4 * mc._CHUNK_PERIODS))
+    generated = _traced_peak(lambda: sum(1 for _ in run.segments()))
+    pairs = []
+    analysed = _traced_peak(lambda: pairs.append(int(g2_histogram(run).counts.sum())))
+    assert pairs[0] > 1_700_000  # over 100 pair chunks
+    assert analysed - generated < 1_800_000, (generated, analysed)
 
 
 def test_coincidences_memory_per_histogram_bin():
