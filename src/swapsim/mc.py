@@ -43,7 +43,6 @@ _PAIR_BUDGET = 1 << 14  # ta events per partner-search block and pairs per pair 
 _RANK_CELLS = 1 << 18  # least cells of a coincidence rank table: 1 ps wide over 262 ns
 _MAX_BINS = 1 << 24  # histogram bins per analysis; its centers, cuts and counts peak at 7.2 8 B values per bin
 _CATEGORICAL_CELLS = 1 << 8  # rank-table cells per group of a categorical draw (at most 32 outcomes each)
-_SEARCH_BLOCK = 2048  # keys per block-local search; 1024-8192 measured within 8 % of the best
 _DRAW_BLOCK = 1 << 14  # values per block of a draw, gather or offset used element by element
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
@@ -154,16 +153,19 @@ def _hom_tables(config: ApparatusConfig) -> dict:
 
 
 def _ranker(cuts: np.ndarray, cells: int):
-    """``x -> np.searchsorted(cuts, x, side="right")`` for sorted distinct
-    int64 ``cuts`` and int64 x below its maximum, over about ``cells`` cells.
+    """``x -> np.searchsorted(cuts, x, side="right")`` for sorted int64
+    ``cuts`` and int64 x, over about ``cells`` cells. Repeated cuts rank
+    exactly, each one counted: channels can hold equal times.
 
     Any nondecreasing cell map is exact: cuts in a lower cell than x's are
     below x and cuts in a higher one above it. Cells are 2**k wide, the
     first one just below the first cut; an x outside the cuts' span falls in
     a cell below 0 or past the last, which ``rank`` clips. ``first[cell]``
-    counts the cuts in lower cells and one on the cell's first value, so x
-    is compared only with the ``depth`` cuts from ``first[cell]`` on, padded
-    past the last cut with a value no x reaches: none in 1-wide cells.
+    counts the cuts in lower cells and those on the cell's first value, so
+    x steps past the next cut while it is at or above it, at most ``depth``
+    times: never in 1-wide cells, where every cut is on a first value. Past
+    the last cut the reads clip to it, which overcounts only an x at or
+    above it; its rank is the cut count.
     """
     k = (int(cuts[-1] - cuts[0]) // cells).bit_length()
     lo = cuts[0] - (1 << k)
@@ -179,17 +181,17 @@ def _ranker(cuts: np.ndarray, cells: int):
     first >>= k
     np.negative(first, out=first)
     first = np.bincount(first, minlength=(int(cuts[-1] - lo) >> k) + 2)
-    inner = cell(cuts)[(cuts - lo) & ((1 << k) - 1) != 0] if k else cuts[:0]
-    depth = int(np.bincount(inner).max(initial=0))
+    # A cell's cuts past its first value all count from the next cell on, so
+    # depth, the most cuts that count from one cell on, bounds them.
+    depth = int(first.max()) if k else 0
     np.cumsum(first, out=first)
-    padded = np.concatenate([cuts, np.full(depth, np.iinfo(np.int64).max)])
 
     def rank(x: np.ndarray) -> np.ndarray:
-        r = first.take(cell(x), mode="clip")  # the last cell counts every cut
-        base = r.copy() if depth > 1 else r
-        for t in range(depth):
-            r += x >= padded[t:].take(base)
-        return r
+        r = cell(x)
+        first.take(r, out=r, mode="clip")  # the last cell counts every cut
+        for _ in range(depth):
+            r += x >= cuts.take(r, mode="clip")
+        return np.minimum(r, cuts.size, out=r) if depth else r
 
     return rank
 
@@ -746,39 +748,21 @@ def read_stream(path: str | os.PathLike) -> RunFile:
     return run
 
 
-def _block_ranks(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(table, keys)`` for a sorted ``table``, searching each
-    block of ``_SEARCH_BLOCK`` keys only in the slice of ``table`` between the
-    ranks of the block's least and greatest key. Keys that fit one block take
-    one search of the whole table."""
-    if keys.size <= _SEARCH_BLOCK:
-        return np.searchsorted(table, keys)
-    ranks = np.empty(keys.size, dtype=np.intp)
-    starts = np.arange(0, keys.size, _SEARCH_BLOCK)
-    lo = np.searchsorted(table, np.minimum.reduceat(keys, starts)).tolist()
-    hi = np.searchsorted(table, np.maximum.reduceat(keys, starts)).tolist()
-    for s, a, b in zip(starts.tolist(), lo, hi):
-        ranks[s : s + _SEARCH_BLOCK] = np.searchsorted(table[a:b], keys[s : s + _SEARCH_BLOCK]) + a
-    return ranks
-
-
 def _partners(ta: np.ndarray, tb: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per ta event t, the first index and the count of the sorted tb events
-    in [t + lo, t + hi).
+    """Per sorted ta event t, the first index and the count of the sorted tb
+    events in [t + lo, t + hi).
 
-    Where a window holds less than one tb event on average (a heralding gate,
-    an analyzer window), the count steps past the first partner and searches
-    only for the events that have one; else it searches for every window's end.
+    ``_ranker`` ranks among the tb events the block can reach: in whole ps,
+    an event below x is one at or below x - 1.
     """
-    first = _block_ranks(ta + lo, tb)
-    ends = ta + hi
-    if tb.size < 2 or (hi - lo) * (tb.size - 1) >= int(tb[-1] - tb[0]):
-        return first, _block_ranks(ends, tb) - first
-    inside = tb.take(first, mode="clip") < ends
-    inside &= first < tb.size
-    counts = inside.astype(np.intp)
-    more = np.flatnonzero(inside)
-    counts[more] = _block_ranks(ends.take(more), tb) - first.take(more)
+    a, b = np.searchsorted(tb, (ta[0] + lo, ta[-1] + hi)).tolist() if ta.size else (0, 0)
+    if a == b:
+        return np.full(ta.size, a, dtype=np.intp), np.zeros(ta.size, dtype=np.intp)
+    rank = _ranker(tb[a:b], b - a)
+    first = rank(ta + (lo - 1))
+    counts = rank(ta + (hi - 1))
+    counts -= first
+    first += a
     return first, counts
 
 
@@ -898,7 +882,6 @@ def _coincidences(
     # size does not follow _PAIR_BUDGET, which bounds only the pair search.
     rank = _ranker(distinct, max(2 * distinct.size, _RANK_CELLS))
     segments = np.zeros(distinct.size + 1, dtype=np.int64)
-    del distinct  # the ranker holds its own copy
     for ta, tb in windows:
         for a, deltas in _pair_chunks(ta, tb, math.ceil(-span_ps), math.ceil(span_ps)):
             # b - a in place, freeing a before the temporaries below: holding both
@@ -1016,18 +999,27 @@ def fourfold_coincidences(stream: Run, gate_ps: float | None = None) -> int:
     # A heralding time is within half a gate of its BSM1 event, and its
     # analyzer windows within the delay and X of it.
     span = math.ceil(half) + delay + ANALYZER_HALF_PS
+    width = 2 * ANALYZER_HALF_PS
     count = 0
     with closing(_windows(stream, ("bsm1", "bsm2", "alice", "bob"), span)) as windows:
         for b1, b2, alice, bob in windows:
+            if not (alice.size and bob.size):
+                continue  # no four-fold, and no detection to take
             for t1, t_bsm in _pair_chunks(b1, b2, -math.floor(half), math.ceil(half)):
                 # c is whole or half a ps, so for whole-ps t and X the analyzer test
                 # c - X <= t < c + X is ceil(c) - X <= t < ceil(c) + X.
                 t_bsm += t1 + 1
                 t_bsm >>= 1  # ceil(c)
                 # Emission 1 feeds Alice one compensation delay before the heralding
-                # time; emission 2 feeds Bob right at it.
-                hit = _partners(t_bsm - delay, alice, -ANALYZER_HALF_PS, ANALYZER_HALF_PS)[1] > 0
-                hit &= _partners(t_bsm, bob, -ANALYZER_HALF_PS, ANALYZER_HALF_PS)[1] > 0
+                # time; emission 2 feeds Bob right at it. The heralding times are
+                # unsorted, so each window's start is searched for directly: the
+                # window holds a detection when the first one from its start does.
+                t_bsm -= delay + ANALYZER_HALF_PS  # Alice's window start
+                i = np.searchsorted(alice, t_bsm)
+                hit = (alice.take(i, mode="clip") - t_bsm < width) & (i < alice.size)
+                t_bsm += delay  # Bob's
+                i = np.searchsorted(bob, t_bsm)
+                hit &= (bob.take(i, mode="clip") - t_bsm < width) & (i < bob.size)
                 count += int(np.count_nonzero(hit))
     return count
 

@@ -547,17 +547,20 @@ def test_uniform_draws_lie_on_the_categorical_grid(seed):
     extra=st.lists(st.integers(-(2**62), 2**62), max_size=30),
 )
 @example(cuts=[0, 1, 2, 3, 7, 8], cells=2, extra=[])
+@example(cuts=[5, 5, 5, 6, 9, 9], cells=1, extra=[])
 @settings(max_examples=300)
 def test_ranker_matches_searchsorted_on_ints(cuts, cells, extra):
-    values = np.unique(np.array(cuts, dtype=np.int64))
-    # Each cut and every cell boundary lo + j * 2**k next to one, for cells 1
-    # to 2**22 wide, and 1 either side of them.
-    lo = values[0]
-    boundaries = [lo + ((((values - lo) >> k) + j) << k) for k in range(23) for j in (0, 1)]
-    near = np.concatenate([values, *boundaries])
-    x = np.concatenate([near - 1, near, near + 1, np.array(extra, dtype=np.int64)])
-    got = mc._ranker(values, cells)(x)
-    assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(values, x, side="right"))
+    # Distinct cuts, and the same cuts with their repeats, as channels can
+    # hold equal times: each repeat counts.
+    for values in (np.unique(cuts), np.sort(np.array(cuts, dtype=np.int64))):
+        # Each cut and every cell boundary lo + j * 2**k next to one, for cells 1
+        # to 2**22 wide, and 1 either side of them.
+        lo = values[0]
+        boundaries = [lo + ((((values - lo) >> k) + j) << k) for k in range(23) for j in (0, 1)]
+        near = np.concatenate([values, *boundaries])
+        x = np.concatenate([near - 1, near, near + 1, np.array(extra, dtype=np.int64)])
+        got = mc._ranker(values, cells)(x)
+        assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(values, x, side="right"))
 
 
 _DRAWS = st.lists(st.integers(0, _GRID - 1), max_size=50)
@@ -681,33 +684,21 @@ def test_histogram_bins_are_bin_ps_wide(bin_ps):
         assert np.allclose(widths, widths[0]) and abs(widths[0] - bin_ps) <= bin_ps / n * (1 + 1e-9)
 
 
-@given(
-    keys=st.lists(st.integers(-10_000, 110_000), max_size=60).map(lambda v: np.array(v, np.int64)),
-    table=st.lists(st.integers(0, 400).map(lambda k: 250 * k), max_size=60).map(lambda v: np.sort(np.array(v, np.int64))),
-    block=st.sampled_from([1, 2, 3, mc._SEARCH_BLOCK]),
-    ordered=st.booleans(),
-)
-@settings(max_examples=300)
-def test_block_ranks_match_searchsorted(keys, table, block, ordered):
-    # Unsorted keys, as the four-fold count's heralding times are, and table
-    # values repeated on a grid the keys may hit.
-    keys = np.concatenate([keys, table[::3]]) if table.size else keys
-    if ordered:
-        keys = np.sort(keys)
-    with mock.patch.object(mc, "_SEARCH_BLOCK", block):
-        got = mc._block_ranks(keys, table)
-    assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(table, keys))
-
-
 _SORTED_TIMES = st.lists(st.integers(0, 20_000), max_size=60).map(lambda v: np.sort(np.array(v, np.int64)))
 
 
 @given(ta=_SORTED_TIMES, tb=_SORTED_TIMES, lo=st.integers(-3000, 3000), width=st.integers(0, 6000))
 # A window that holds two tb events where windows hold less than one on average.
 @example(ta=np.array([0]), tb=np.array([0, 10, 20_000]), lo=0, width=100)
+# An empty block, and zero-width windows on repeated times.
+@example(ta=np.array([], dtype=np.int64), tb=np.array([0, 10]), lo=0, width=100)
+@example(ta=np.array([5, 10, 10]), tb=np.array([0, 5, 10, 10, 15]), lo=0, width=0)
+# No tb event within reach of the block, though some lie on either side.
+@example(ta=np.array([1000, 1200]), tb=np.array([0, 500, 2000]), lo=-100, width=200)
 @settings(max_examples=300)
 def test_partners_match_searchsorted(ta, tb, lo, width):
-    # Windows that hold less than one tb event on average and more than one.
+    # Windows that hold less than one tb event on average and more than one,
+    # and repeated times in both channels.
     hi = lo + width
     first, counts = mc._partners(ta, tb, lo, hi)
     want = np.searchsorted(tb, ta + lo)
@@ -738,6 +729,8 @@ def test_partners_match_searchsorted(ta, tb, lo, width):
 # Bob's [4000.5, 6000.5), so 4000 and 6000 make a four-fold, 2000 and 4000 not.
 @example(b1=np.array([5000]), b2=np.array([5001]), alice=np.array([4000]), bob=np.array([6000]), gate=999.0, budget=1)
 @example(b1=np.array([5000]), b2=np.array([5001]), alice=np.array([2000]), bob=np.array([4000]), gate=999.0, budget=1)
+# A heralding time with no Alice detection at all.
+@example(b1=np.array([5000]), b2=np.array([5001]), alice=np.array([], dtype=np.int64), bob=np.array([6000]), gate=999.0, budget=1)
 # A 999 ps gate takes deltas from -499 to 499 ps: -500 is out.
 @example(b1=np.array([5000]), b2=np.array([4500]), alice=np.array([2750]), bob=np.array([4750]), gate=999.0, budget=1)
 # An infinite gate is one 2000 ps interferometer delay: deltas from -1000 to
