@@ -563,6 +563,29 @@ def test_ranker_matches_searchsorted_on_ints(cuts, cells, extra):
         assert got.dtype == np.intp and np.array_equal(got, np.searchsorted(values, x, side="right"))
 
 
+def test_ranker_holds_its_cell_table_and_no_copy_of_its_cuts():
+    # 2**16 cuts with repeats, 2 to 600 ps apart, as a partner-search block's
+    # reach is: each block builds one table, so what a build holds and
+    # allocates beside its cuts is per-block memory.
+    n = 1 << 16
+    cuts = np.cumsum(np.random.default_rng(3).integers(0, 600, n)) + 10**9
+    cells = n
+    tracemalloc.start()
+    try:
+        rank = mc._ranker(cuts, cells)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The cell table has at most cells + 3 int64 entries; a cut-sized array
+    # is 512 KiB, so 4 KiB of slack admits none.
+    table = 8 * (cells + 3)
+    assert held < table + 4096, (held, table)
+    # The build's one cut-sized temporary is the cells it counts from.
+    assert peak < table + 8 * n + 4096, (peak, table)
+    x = np.concatenate([cuts - 1, cuts, cuts + 1])
+    assert np.array_equal(rank(x), np.searchsorted(cuts, x, side="right"))
+
+
 _DRAWS = st.lists(st.integers(0, _GRID - 1), max_size=50)
 
 
